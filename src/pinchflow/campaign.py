@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lemmas
-from .errors import NotPinched, PinchflowError
+from .errors import PinchflowError
 from .forms import Dims, GradientSample, SecondFundamentalForm, gradient_sample
 from .samplers import (
     TAG_GRADIENT,
@@ -266,7 +266,7 @@ def _shrink(
         candidate = current.halved()
         try:
             cand_check = evaluate_trial([lemma_id], candidate, config, d_boundary)[0]
-        except (NotPinched, PinchflowError):
+        except PinchflowError:
             break
         if cand_check.slack < -tol * cand_check.scale:
             current, check = candidate, cand_check
@@ -330,6 +330,8 @@ def run_campaign(
     yields an empty result list.  Identical (seed, spec, ids) reproduce
     bit-identical inputs and results.
     """
+    if trials < 1:
+        raise ValueError(f"a campaign needs at least one trial, got {trials}")
     lemma_ids = list(lemma_ids)
     if not lemma_ids:
         return []

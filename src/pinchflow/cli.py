@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -29,7 +27,12 @@ from .constants import (
 from .errors import PinchflowError
 from .flow import FAMILY_KINDS, simulate, write_csv, record_row, CSV_HEADER, read_csv
 from .forms import Dims
-from .rescale import rescale as rescale_series, write_rescaled_csv, RESCALED_HEADER
+from .rescale import (
+    RESCALED_HEADER,
+    rescale as rescale_series,
+    rescaled_row,
+    write_rescaled_csv,
+)
 from .samplers import SamplerSpec
 
 SUITES = {
@@ -141,16 +144,35 @@ def _parse_params(spec: str) -> dict[str, float]:
     return out
 
 
+# --params keys of each family, in constructor order; a key without a
+# default is required
+_FAMILY_KEYS = {
+    "sphere": ("n", "m", "r"),
+    "cylinder": ("n", "m", "r"),
+    "product": ("p", "q", "m", "a", "b"),
+    "hyperbolic": ("n", "m", "r", "kbar"),
+}
+_KEY_DEFAULTS = {"n": 8, "m": 2, "p": 7, "q": 1, "kbar": -1.0}
+_DIMENSION_KEYS = ("n", "m", "p", "q")
+
+
 def _build_family(kind: str, params: dict[str, float]):
-    cls = FAMILY_KINDS[kind]
-    if kind == "sphere" or kind == "cylinder":
-        return cls(n=int(params.get("n", 8)), m=int(params.get("m", 2)),
-                   r0=params["r"])
-    if kind == "product":
-        return cls(p=int(params.get("p", 7)), q=int(params.get("q", 1)),
-                   m=int(params.get("m", 2)), a0=params["a"], b0=params["b"])
-    return cls(n=int(params.get("n", 8)), m=int(params.get("m", 2)),
-               r0=params["r"], kbar=params.get("kbar", -1.0))
+    keys = _FAMILY_KEYS[kind]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"family {kind!r} takes the parameters {', '.join(keys)}, "
+                         f"not {', '.join(unknown)}")
+    values = []
+    for key in keys:
+        value = params.get(key, _KEY_DEFAULTS.get(key))
+        if value is None:
+            raise ValueError(f"family {kind!r} needs the parameter {key}")
+        if key in _DIMENSION_KEYS:
+            if not float(value).is_integer():
+                raise ValueError(f"parameter {key}={value} must be an integer")
+            value = int(value)
+        values.append(value)
+    return FAMILY_KINDS[kind](*values)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -183,15 +205,9 @@ def cmd_rescale(args: argparse.Namespace) -> int:
     if args.out:
         write_rescaled_csv(series, args.out)
     else:
-        from .flow import _csv_num
-
         print(RESCALED_HEADER)
         for rec in series.records:
-            p2 = rec.params[1] if len(rec.params) > 1 else math.nan
-            vals = (rec.t, rec.params[0], p2, rec.A2, rec.H2, rec.h2,
-                    rec.Aminus2, rec.f, rec.Q, rec.ratio_pinch,
-                    rec.ratio_codim, rec.ratio_cyl, rec.tbar, rec.fbar, rec.kresc)
-            print(",".join(_csv_num(v) for v in vals))
+            print(rescaled_row(rec))
     return 0
 
 

@@ -5,11 +5,13 @@ space, so the flow collapses to an ODE on a few radii, Laplacian and
 gradient terms vanish identically, and the evolution equations can be
 cross-checked against exact solutions.  Supported families:
 
-* shrinking round sphere in flat space,
-* shrinking round cylinder (sphere factor times a line; also useful as a
-  static diagnostic for the cylindrical ratio),
-* product of two round spheres (genuinely codimension two),
-* geodesic sphere in a negatively curved space form.
+* :class:`SpheresFlow`, products of round spheres and flat directions in
+  flat space, made by :func:`SphereFlow` (shrinking round sphere),
+  :func:`CylinderFlow` (shrinking round cylinder S^{n-1} x R; also useful as
+  a static diagnostic for the cylindrical ratio) and
+  :func:`ProductSpheresFlow` (two round spheres, genuinely codimension two);
+* :class:`HyperbolicSphereFlow`, the geodesic sphere in a negatively curved
+  space form.
 
 The sphere and cylinder are the classical model solutions; the product and
 the hyperbolic geodesic sphere are artifact-chosen oracle families that let
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,115 +41,76 @@ FD_STEP = 1e-5
 CSV_HEADER = "t,param1,param2,A2,H2,h2,Aminus2,f,Q,ratio_pinch,ratio_codim,ratio_cyl"
 
 
-def _diag_form(dims: Dims, blocks: list[tuple[int, int, int, float]]) -> SecondFundamentalForm:
-    """Diagonal form from (slot, start, stop, value) blocks."""
+def _diag_form(dims: Dims, blocks: list[tuple[int, float]]) -> SecondFundamentalForm:
+    """Diagonal form from consecutive (size, value) blocks, block i in normal
+    slot i; tangent directions after the last block are flat."""
     comps = np.zeros((dims.m, dims.n, dims.n))
-    for slot, start, stop, value in blocks:
-        for i in range(start, stop):
+    start = 0
+    for slot, (size, value) in enumerate(blocks):
+        for i in range(start, start + size):
             comps[slot, i, i] = value
+        start += size
     return SecondFundamentalForm(dims, comps)
 
 
 @dataclass(frozen=True)
-class SphereFlow:
-    """Round sphere of radius r0 in flat space, n >= 2, any codimension."""
+class SpheresFlow:
+    """S^{k_1}(r_1) x ... x S^{k_j}(r_j) x R^flat in flat space.
 
-    n: int
+    Sphere factor i has dimension k_i and radius r_i and sits in normal slot
+    i; each radius obeys r_i' = -k_i / r_i, so r_i(t)^2 = r_i^2 - 2 k_i t and
+    the family blows up at min r_i^2 / (2 k_i).  At most two factors, one
+    per radius column of the CSV time series.
+    """
+
+    factors: tuple[tuple[int, float], ...]  # (k_i, initial r_i)
+    flat: int
     m: int
-    r0: float
-    kind = "sphere"
+    kind: str
     kbar = 0.0
-    param_names = ("r",)
-
-    def blowup_time(self) -> float:
-        return self.r0**2 / (2.0 * self.n)
-
-    def exact_params(self, t: float) -> tuple[float, ...]:
-        s = self.r0**2 - 2.0 * self.n * t
-        if s <= 0:
-            raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
-        return (math.sqrt(s),)
-
-    def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        return (-self.n / params[0],)
-
-    def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
-        dims = Dims(self.n, self.m)
-        return _diag_form(dims, [(0, 0, self.n, 1.0 / params[0])])
-
-
-@dataclass(frozen=True)
-class CylinderFlow:
-    """S^{n-1}(r0) x R in flat space; the sphere factor shrinks."""
-
-    n: int
-    m: int
-    r0: float
-    kind = "cylinder"
-    kbar = 0.0
-    param_names = ("r",)
-
-    def blowup_time(self) -> float:
-        return self.r0**2 / (2.0 * (self.n - 1))
-
-    def exact_params(self, t: float) -> tuple[float, ...]:
-        s = self.r0**2 - 2.0 * (self.n - 1) * t
-        if s <= 0:
-            raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
-        return (math.sqrt(s),)
-
-    def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        return (-(self.n - 1) / params[0],)
-
-    def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
-        dims = Dims(self.n, self.m)
-        return _diag_form(dims, [(0, 0, self.n - 1, 1.0 / params[0])])
-
-
-@dataclass(frozen=True)
-class ProductSpheresFlow:
-    """S^p(a0) x S^q(b0), codimension-two normal structure (m >= 2)."""
-
-    p: int
-    q: int
-    m: int
-    a0: float
-    b0: float
-    kind = "product"
-    kbar = 0.0
-    param_names = ("a", "b")
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError("both sphere factors need dimension >= 1")
-        if self.m < 2:
-            raise ValueError("product of spheres needs m >= 2 normal slots")
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise ValueError("radii must be positive")
+        if not 1 <= len(self.factors) <= 2:
+            raise ValueError("need one or two sphere factors, one per CSV radius column")
+        if any(k < 1 or r <= 0 for k, r in self.factors):
+            raise ValueError("sphere factors need dimension >= 1 and a positive radius")
+        if self.m < len(self.factors):
+            raise ValueError("each sphere factor needs its own normal slot (m too small)")
 
-    @property
+    @cached_property
     def n(self) -> int:
-        return self.p + self.q
+        return sum(k for k, _ in self.factors) + self.flat
 
     def blowup_time(self) -> float:
-        return min(self.a0**2 / (2.0 * self.p), self.b0**2 / (2.0 * self.q))
+        return min(r**2 / (2.0 * k) for k, r in self.factors)
 
     def exact_params(self, t: float) -> tuple[float, ...]:
-        sa = self.a0**2 - 2.0 * self.p * t
-        sb = self.b0**2 - 2.0 * self.q * t
-        if sa <= 0 or sb <= 0:
+        squares = [r**2 - 2.0 * k * t for k, r in self.factors]
+        if min(squares) <= 0:
             raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
-        return (math.sqrt(sa), math.sqrt(sb))
+        return tuple(math.sqrt(s) for s in squares)
 
     def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        return (-self.p / params[0], -self.q / params[1])
+        return tuple(-k / r for (k, _), r in zip(self.factors, params))
 
     def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
-        dims = Dims(self.n, self.m)
-        a, b = params
-        return _diag_form(
-            dims, [(0, 0, self.p, 1.0 / a), (1, self.p, self.n, 1.0 / b)]
-        )
+        blocks = [(k, 1.0 / r) for (k, _), r in zip(self.factors, params)]
+        return _diag_form(Dims(self.n, self.m), blocks)
+
+
+def SphereFlow(n: int, m: int, r0: float) -> SpheresFlow:
+    """Round sphere S^n(r0) in flat space, n >= 2, any codimension."""
+    return SpheresFlow(((n, r0),), 0, m, "sphere")
+
+
+def CylinderFlow(n: int, m: int, r0: float) -> SpheresFlow:
+    """S^{n-1}(r0) x R in flat space; the sphere factor shrinks."""
+    return SpheresFlow(((n - 1, r0),), 1, m, "cylinder")
+
+
+def ProductSpheresFlow(p: int, q: int, m: int, a0: float, b0: float) -> SpheresFlow:
+    """S^p(a0) x S^q(b0), codimension-two normal structure (m >= 2)."""
+    return SpheresFlow(((p, a0), (q, b0)), 0, m, "product")
 
 
 @dataclass(frozen=True)
@@ -158,7 +122,6 @@ class HyperbolicSphereFlow:
     r0: float
     kbar: float = -1.0
     kind = "hyperbolic"
-    param_names = ("r",)
 
     def __post_init__(self) -> None:
         if self.kbar >= 0:
@@ -185,10 +148,10 @@ class HyperbolicSphereFlow:
     def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
         dims = Dims(self.n, self.m)
         lam = self.kappa / math.tanh(self.kappa * params[0])
-        return _diag_form(dims, [(0, 0, self.n, lam)])
+        return _diag_form(dims, [(self.n, lam)])
 
 
-Family = SphereFlow | CylinderFlow | ProductSpheresFlow | HyperbolicSphereFlow
+Family = SpheresFlow | HyperbolicSphereFlow
 
 FAMILY_KINDS = {
     "sphere": SphereFlow,
@@ -296,6 +259,8 @@ def simulate(
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches r_min.
     """
+    if every < 1:
+        raise ValueError(f"every must be a positive step count, got {every}")
     state = FlowState(family, 0.0, family.exact_params(0.0))
     records = [diagnostics(state, constants)]
     step = dt

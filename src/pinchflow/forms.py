@@ -200,15 +200,21 @@ class NormalCurvature:
         return float(np.sum(self.principal_slice**2))
 
 
+def commutator_norm2(stack: np.ndarray) -> float:
+    """sum_{ab} |[B_a, B_b]|^2 over a stack of symmetric matrices B_a."""
+    prod = np.einsum("aip,bpj->abij", stack, stack)
+    return float(np.sum((prod - prod.transpose(1, 0, 2, 3)) ** 2))
+
+
 def normal_curvature(
     A: SecondFundamentalForm, decomp: PrincipalDecomposition
 ) -> NormalCurvature:
     prod = np.einsum("aip,bjp->ijab", A.components, A.components)
     comp = prod - prod.transpose(0, 1, 3, 2)
     principal = np.einsum("a,ijab->ijb", decomp.nu1, comp)
-    proj = np.eye(A.dims.m) - np.outer(decomp.nu1, decomp.nu1)
-    hat = np.einsum("ijab,ac,bd->ijcd", comp, proj, proj)
-    return NormalCurvature(comp, principal, float(np.sum(hat**2)))
+    # A^- takes values orthogonal to nu1, so the hat part is [A^-_a, A^-_b];
+    # summing it from A^- avoids projecting the much larger full tensor
+    return NormalCurvature(comp, principal, commutator_norm2(decomp.a_minus.components))
 
 
 def _tensor_asymmetry(T: np.ndarray) -> float:
@@ -321,6 +327,17 @@ def gradient_sample(
     )
 
 
+def require_codazzi(grad: GradientSample, tol: float = 1e-9) -> None:
+    """Raise :class:`InvalidSample` when the sample breaks the Codazzi (full
+    tangent-index symmetry) constraint beyond ``tol`` relative to scale."""
+    asymmetry = grad.asymmetry()
+    scale = max(1.0, float(np.max(np.abs(grad.tensor))))
+    if asymmetry > tol * scale:
+        raise InvalidSample(
+            f"derivative tensor asymmetry {asymmetry:.3e} exceeds {tol:.1e} x scale"
+        )
+
+
 @dataclass(frozen=True)
 class FrameIdentityResiduals:
     """Residuals of the three splitting identities of the derivative norms."""
@@ -340,15 +357,9 @@ def frame_identity_residuals(
 ) -> FrameIdentityResiduals:
     """Check the orthogonal-splitting identities of the derivative norms.
 
-    Raises :class:`InvalidSample` when the sample breaks the Codazzi (full
-    tangent-index symmetry) constraint beyond ``tol_sym`` relative to scale.
+    Raises :class:`InvalidSample` as :func:`require_codazzi` does.
     """
-    scale = max(1.0, float(np.max(np.abs(grad.tensor))))
-    if grad.asymmetry() > tol_sym * scale:
-        raise InvalidSample(
-            f"derivative tensor asymmetry {grad.asymmetry():.3e} exceeds "
-            f"{tol_sym:.1e} x scale"
-        )
+    require_codazzi(grad, tol_sym)
     hat_plus_h = grad.hat_nabla_aminus + np.einsum(
         "jk,ai->aijk", decomp.h, grad.nabla_nu1
     )

@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConstants, InvalidSample, NotPinched
-from .forms import GradientSample, normal_curvature
-from .reaction import boundary_reaction_bound, gram_norm2, r2
+from .errors import InvalidConstants, NotPinched
+from .forms import GradientSample, commutator_norm2, normal_curvature, require_codazzi
+from .reaction import boundary_reaction_bound, gram_norm2, reaction_gap
 from .samplers import PointSample
 
 LI_IDS = ("li",)
@@ -84,24 +84,16 @@ def check_li(matrices: Sequence[np.ndarray]) -> InequalityCheck:
         raise ValueError("need at least one matrix")
     stack = np.stack([np.asarray(b, dtype=np.float64) for b in matrices])
     gram = np.einsum("aij,bij->ab", stack, stack)
-    prod = np.einsum("aip,bpj->abij", stack, stack)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    lhs = float(np.sum(gram**2) + np.sum(comm**2))
+    lhs = float(np.sum(gram**2)) + commutator_norm2(stack)
     total = float(np.einsum("aij,aij->", stack, stack))
     return InequalityCheck("li", lhs, 1.5 * total * total)
-
-
-def _require_codazzi(grad: GradientSample, tol: float = 1e-9) -> None:
-    scale = max(1.0, float(np.max(np.abs(grad.tensor))))
-    if grad.asymmetry() > tol * scale:
-        raise InvalidSample("derivative sample breaks the Codazzi symmetry")
 
 
 def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityCheck:
     """|dA|^2 >= (3/(n+2) - eta) |dH|^2 - (2/(n+2)) ((2/(n+2))/eta - n/(n-1)) |w|^2."""
     if eta <= 0:
         raise InvalidConstants("eta must be positive")
-    _require_codazzi(grad)
+    require_codazzi(grad)
     n = grad.dims.n
     w2 = float(np.sum(np.asarray(w) ** 2))
     lhs = (3.0 / (n + 2) - eta) * grad.nabla_H_norm2 - (
@@ -112,7 +104,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
 
 def check_kato_trace(grad: GradientSample, w: np.ndarray) -> InequalityCheck:
     """|dA|^2 - |dH|^2/n >= (n-1)/(2n+1) |dA|^2 - 2n/((n-1)(2n+1)) |w|^2."""
-    _require_codazzi(grad)
+    require_codazzi(grad)
     n = grad.dims.n
     w2 = float(np.sum(np.asarray(w) ** 2))
     lhs = (n - 1.0) / (2 * n + 1) * grad.norm2 - 2.0 * n / ((n - 1.0) * (2 * n + 1)) * w2
@@ -158,7 +150,7 @@ def reaction_checks(
                 raise NotPinched(f"reaction lemma needs f > 0, got {f}")
             if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
                 raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
-            gap = c * r2(point.form, H) - gram_norm2(point.form) - rperp.norm2
+            gap = reaction_gap(point.form, H, rperp, c)
         return f, gap
 
     for lemma_id in ids:
@@ -229,7 +221,7 @@ def gradient_quantities(point: PointSample, grad: GradientSample) -> GradientQua
     # Q_kij = d_k h_ring_ij - h_ring_ij d_k|H| / |H|
     nabla_hring = grad.nabla_h - np.einsum("i,jk->ijk", grad.nabla_normH / n, eye)
     q = nabla_hring - np.einsum("jk,i->ijk", dec.h_ring, grad.nabla_normH) / grad.h_norm
-    am_pairing = np.einsum("ajk,ai->ijk", dec.a_minus.components, grad.nabla_nu1)
+    am_pairing = -grad.nabla_aminus_nu1
     return GradientQuantities(
         nablaA2=grad.norm2,
         nablaH2=grad.nabla_H_norm2,
@@ -268,7 +260,7 @@ def gradient_checks(
     eps0: float | None = None,
 ) -> list[InequalityCheck]:
     """Evaluate the requested gradient estimates on one constrained sample."""
-    _require_codazzi(grad)
+    require_codazzi(grad)
     dec, H = point.decomp, point.H
     n = dec.dims.n
     if c <= 1.0 / n:

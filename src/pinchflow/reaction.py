@@ -20,16 +20,14 @@ from .forms import (
     NormalCurvature,
     PrincipalDecomposition,
     SecondFundamentalForm,
+    commutator_norm2,
+    normal_curvature,
 )
 
 
 def r1(A: SecondFundamentalForm) -> float:
     """sum_{ab} (tr A^a A^b)^2 + sum_{ab} |[A^a, A^b]|^2."""
-    comps = A.components
-    gram = np.einsum("aij,bij->ab", comps, comps)
-    prod = np.einsum("aip,bpj->abij", comps, comps)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    return float(np.sum(gram**2) + np.sum(comm**2))
+    return gram_norm2(A) + commutator_norm2(A.components)
 
 
 def r2(A: SecondFundamentalForm, H: MeanCurvature) -> float:
@@ -79,16 +77,6 @@ class ReactionReport:
     blowup_slack: float | None = None
 
 
-def _gap_from_decomp(
-    decomp: PrincipalDecomposition, H: MeanCurvature, c: float
-) -> tuple[SecondFundamentalForm, float, float, float]:
-    from .forms import normal_curvature
-
-    A = decomp.reconstruct()
-    rperp = normal_curvature(A, decomp)
-    return A, r1(A), r2(A, H), c * r2(A, H) - gram_norm2(A) - rperp.norm2
-
-
 def lemma43_lower_bound(
     decomp: PrincipalDecomposition,
     H: MeanCurvature,
@@ -107,11 +95,12 @@ def lemma43_lower_bound(
         raise NotPinched(f"reaction lower bound needs f > 0, got {f}")
     if not (1.0 / n < c <= 4.0 / (3 * n) * (1 + 1e-12)):
         raise InvalidConstants(f"reaction lower bound needs 1/n < c <= 4/(3n), got c={c}")
-    _, R1, R2, gap = _gap_from_decomp(decomp, H, c)
+    A = decomp.reconstruct()
+    gap = reaction_gap(A, H, normal_curvature(A, decomp), c)
     ncm1 = n * c - 1.0
     lhs = (2.0 / ncm1) * f * decomp.a_minus2 + (n * c / ncm1) * f * decomp.h_ring2
     return ReactionReport(
-        R1=R1, R2=R2, reaction_gap=gap,
+        R1=r1(A), R2=r2(A, H), reaction_gap=gap,
         lhs_bound=lhs, rhs_bound=gap, slack=gap - lhs,
         context="reaction-lower-bound-flat",
     )
@@ -202,9 +191,7 @@ def cc_reaction_upper_bound(
     if eligible:
         blowup_rhs = -(2.0 / n) / g * Q * Q
         blowup_slack = blowup_rhs - lhs
-    from .forms import normal_curvature
-
-    gap = c * R2 - gram_norm2(A) - normal_curvature(A, decomp).norm2
+    gap = reaction_gap(A, H, normal_curvature(A, decomp), c)
     return ReactionReport(
         R1=R1, R2=R2, reaction_gap=gap,
         lhs_bound=lhs, rhs_bound=rhs, slack=rhs - lhs,

@@ -19,26 +19,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotPinchedAtBase
-from .flow import CSV_HEADER, TimeSeriesRecord, _csv_num
+from .flow import CSV_HEADER, TimeSeriesRecord, _csv_num, record_row
 
 RESCALED_HEADER = CSV_HEADER + ",tbar,fbar,Kresc"
 
 
 @dataclass(frozen=True)
-class RescaledRecord:
-    """A transformed diagnostics row plus the dedicated rescaled columns."""
+class RescaledRecord(TimeSeriesRecord):
+    """A transformed diagnostics row plus the dedicated rescaled columns.
 
-    t: float                  # original time (kept for joins)
-    params: tuple[float, ...]
-    A2: float
-    H2: float
-    h2: float
-    Aminus2: float
-    f: float
-    Q: float
-    ratio_pinch: float
-    ratio_codim: float
-    ratio_cyl: float
+    ``t`` stays the original time, kept for joins; ``tbar`` is the rescaled
+    time around the base record.
+    """
+
     tbar: float
     fbar: float
     kresc: float
@@ -126,13 +119,13 @@ def invariance_report(
     )
 
 
+def rescaled_row(rec: RescaledRecord) -> str:
+    tail = (rec.tbar, rec.fbar, rec.kresc)
+    return ",".join([record_row(rec)] + [_csv_num(v) for v in tail])
+
+
 def write_rescaled_csv(series: RescaledSeries, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(RESCALED_HEADER + "\n")
         for rec in series.records:
-            p1 = rec.params[0]
-            p2 = rec.params[1] if len(rec.params) > 1 else math.nan
-            vals = (rec.t, p1, p2, rec.A2, rec.H2, rec.h2, rec.Aminus2, rec.f,
-                    rec.Q, rec.ratio_pinch, rec.ratio_codim, rec.ratio_cyl,
-                    rec.tbar, rec.fbar, rec.kresc)
-            fh.write(",".join(_csv_num(v) for v in vals) + "\n")
+            fh.write(rescaled_row(rec) + "\n")

@@ -9,7 +9,7 @@ single multiplicative factor lands on them to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class SamplerSpec:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution in ("pinched", "boundary") and self.c <= 1.0 / self.dims.n:
             raise InvalidConstants("pinched/boundary sampling needs c > 1/n")
-
-    def with_seed(self, seed: int) -> "SamplerSpec":
-        return replace(self, seed=seed)
 
 
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
@@ -198,15 +195,8 @@ def pure_trace_tensor(
     through the splitting reproduces the two trace inequalities with
     equality.
     """
-    n = dims.n
-    eye = np.eye(n)
-    v = nu1[:, None] * nabla_normH[None, :] + scaled_nabla_nu1  # (m, n) = dH
-    t = (
-        np.einsum("ai,jk->aijk", v, eye)
-        + np.einsum("aj,ik->aijk", v, eye)
-        + np.einsum("ak,ij->aijk", v, eye)
-    )
-    return t / (n + 2)
+    dH = nu1[:, None] * nabla_normH[None, :] + scaled_nabla_nu1  # (m, n)
+    return kato_e_tensor(dims, dH)
 
 
 def kato_e_tensor(

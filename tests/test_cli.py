@@ -77,6 +77,13 @@ class TestVerify:
                          "--out", str(tmp_path / "r.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_config_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--suite", "li", "--trials", trials,
+                             "--seed", "1", "--n", "3", "--m", "2")
+        assert code == 2
+        assert out == "" and "error:" in err
+
     def test_reaction_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "reaction", "--trials", "50",
                            "--seed", "5", "--n", "8", "--m", "3", "--d", "0.5")
@@ -121,6 +128,25 @@ class TestSimulate:
                            "--params", "n=8")
         assert code == 2
         assert "error:" in err
+
+    def test_every_zero_is_config_error(self, capsys):
+        code, _, err = run(capsys, "simulate", "--family", "sphere",
+                           "--params", "r=2", "--every", "0")
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("family, params", [
+        ("sphere", "n=8.9,r=1"),
+        ("sphere", "r=1,nn=3"),
+        ("cylinder", "n=8,m=2.5,r=1"),
+        ("product", "p=7,q=1,a=1,b=4,r=2"),
+        ("hyperbolic", "r=0.5,k=-1"),
+    ])
+    def test_malformed_params_are_config_errors(self, capsys, family, params):
+        code, out, err = run(capsys, "simulate", "--family", family,
+                             "--params", params, "--dt", "1e-3", "--t-end", "0.01")
+        assert code == 2
+        assert out == "" and "error:" in err
 
     def test_bad_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--family", "torus", "--params", "r=1")

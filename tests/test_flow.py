@@ -14,6 +14,7 @@ from pinchflow.flow import (
     HyperbolicSphereFlow,
     ProductSpheresFlow,
     SphereFlow,
+    SpheresFlow,
     blowup_bound_check,
     diagnostics,
     evolution_residual,
@@ -64,6 +65,11 @@ class TestExactStates:
         assert fam.blowup_time() == pytest.approx(0.25)
         with pytest.raises(PastBlowup):
             exact_state(fam, 0.25)
+
+    def test_more_than_two_factors_rejected(self):
+        # the CSV time series has two radius columns
+        with pytest.raises(ValueError):
+            SpheresFlow(((5, 1.0), (2, 1.0), (1, 1.0)), 0, 3, "product")
 
     def test_negative_time_allowed(self):
         st = exact_state(SphereFlow(8, 2, 2.0), -0.1)

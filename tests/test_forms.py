@@ -204,6 +204,30 @@ class TestNormalCurvature:
             direct = float(np.sum(comm**2))
             assert abs(rp.principal_norm2 - direct) < 1e-10 * max(1.0, direct)
 
+    def test_hat_part_in_rotated_frame(self):
+        # Built with nu1 = e0 exactly: slot 0 carries h and the other slots
+        # have zero diagonal, so they are A^- and the hat part is their
+        # commutator norm.  Rotating the normal index keeps that value but
+        # hides nu1; |A^-|/|h| = 1e-6 is the regime of the codimension
+        # estimate, where projecting the full R^perp loses digits.
+        rng = np.random.default_rng(5)
+        n, m = 6, 4
+        raw = rng.standard_normal((m, n, n))
+        comps = 0.5 * (raw + raw.transpose(0, 2, 1))
+        comps[0] += 3.0 * np.eye(n)
+        for a in range(1, m):
+            np.fill_diagonal(comps[a], 0.0)
+        comps[1:] *= 1e-6 * np.linalg.norm(comps[0]) / np.linalg.norm(comps[1:])
+        truth = sum(
+            np.sum((comps[a] @ comps[b] - comps[b] @ comps[a]) ** 2)
+            for a in range(1, m)
+            for b in range(1, m)
+        )
+        rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        A = symmetrize(np.einsum("ab,bij->aij", rot, comps))
+        rp = normal_curvature(A, principal_decompose(A))
+        assert rp.hat_part_norm2 == pytest.approx(truth, rel=1e-8, abs=0.0)
+
     def test_antisymmetries_exact(self):
         rng = np.random.default_rng(9)
         A = symmetric_gaussian(rng, Dims(4, 3))

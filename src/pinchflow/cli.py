@@ -140,7 +140,10 @@ def _parse_params(spec: str) -> dict[str, float]:
         key, _, value = item.partition("=")
         if not _:
             raise ValueError(f"malformed param {item!r}, expected k=v")
-        out[key.strip()] = float(value)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"parameter {key} given twice")
+        out[key] = float(value)
     return out
 
 

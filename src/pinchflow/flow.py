@@ -177,7 +177,7 @@ def exact_state(family: Family, t: float) -> FlowState:
     return FlowState(family, t, family.exact_params(t))
 
 
-def step_rk4(state: FlowState, dt: float, r_min: float = R_MIN) -> FlowState:
+def step_rk4(state: FlowState, dt: float) -> FlowState:
     """One classical fourth-order step of the radius ODE."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -185,7 +185,7 @@ def step_rk4(state: FlowState, dt: float, r_min: float = R_MIN) -> FlowState:
     y = np.array(state.params)
 
     def rate(v: np.ndarray) -> np.ndarray:
-        if np.any(v <= r_min):
+        if np.any(v <= R_MIN):
             raise PastBlowup("radius collapsed inside an RK4 stage")
         return np.array(fam.rates(tuple(v)))
 
@@ -194,8 +194,8 @@ def step_rk4(state: FlowState, dt: float, r_min: float = R_MIN) -> FlowState:
     k3 = rate(y + 0.5 * dt * k2)
     k4 = rate(y + dt * k3)
     new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.any(new <= r_min):
-        raise PastBlowup(f"radius fell to {new.min():.3e} <= r_min={r_min:.1e}")
+    if np.any(new <= R_MIN):
+        raise PastBlowup(f"radius fell to {new.min():.3e} <= r_min={R_MIN:.1e}")
     return FlowState(fam, state.t + dt, tuple(float(v) for v in new))
 
 
@@ -252,15 +252,16 @@ def simulate(
     dt: float,
     t_end: float,
     every: int = 1,
-    r_min: float = R_MIN,
 ) -> list[TimeSeriesRecord]:
     """Fixed-step RK4 time series with records every ``every`` steps.
 
     The step is halved whenever a radius gets within 10 dt |rate| of
-    collapse; integration stops at t_end or when a radius reaches r_min.
+    collapse; integration stops at t_end or when a radius reaches R_MIN.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
+    if not t_end > 0:
+        raise ValueError(f"t_end must be a positive time, got {t_end}")
     state = FlowState(family, 0.0, family.exact_params(0.0))
     records = [diagnostics(state, constants)]
     step = dt
@@ -272,13 +273,13 @@ def simulate(
         ) and step > 1e-12:
             step *= 0.5
         try:
-            state = step_rk4(state, min(step, t_end - state.t), r_min)
+            state = step_rk4(state, min(step, t_end - state.t))
         except PastBlowup:
             break
         k += 1
         if k % every == 0:
             records.append(diagnostics(state, constants))
-        if min(state.params) <= r_min:
+        if min(state.params) <= R_MIN:
             break
     return records
 
@@ -364,10 +365,9 @@ def _adjusted_barrier(h0sq: float, n: int, kbar: float, t: float) -> float:
     return math.inf if denom <= 0 else 1.0 / denom
 
 
-def blowup_bound_check(
-    family: Family, n_times: int = 1000, rel_tol: float = 1e-9
-) -> BlowupVerdict:
+def blowup_bound_check(family: Family) -> BlowupVerdict:
     """Sweep the barrier inequalities along the exact solution."""
+    n_times, rel_tol = 1000, 1e-9
     if family.kbar > 0:
         raise InvalidConstants("barrier sweep assumes kbar <= 0")
     n = family.n

@@ -21,6 +21,7 @@ from .errors import DegenerateMeanCurvature, InvalidSample
 
 MAX_DIM = 16
 TOL_H = 1e-12
+TOL_CODAZZI = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -136,16 +137,14 @@ class PrincipalDecomposition:
         return SecondFundamentalForm(self.dims, comps)
 
 
-def principal_decompose(
-    A: SecondFundamentalForm, tol_h: float = TOL_H
-) -> PrincipalDecomposition:
+def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
     """Split A along nu1 = H/|H|.
 
-    Raises :class:`DegenerateMeanCurvature` when |H| <= tol_h.
+    Raises :class:`DegenerateMeanCurvature` when |H| <= TOL_H.
     """
     H = mean_curvature(A)
-    if H.norm <= tol_h:
-        raise DegenerateMeanCurvature(f"|H| = {H.norm:.3e} <= {tol_h:.1e}")
+    if H.norm <= TOL_H:
+        raise DegenerateMeanCurvature(f"|H| = {H.norm:.3e} <= {TOL_H:.1e}")
     n = A.dims.n
     nu1 = H.vector / H.norm
     h = np.einsum("a,aij->ij", nu1, A.components)
@@ -172,49 +171,37 @@ def principal_decompose(
 
 @dataclass(frozen=True)
 class NormalCurvature:
-    """Normal curvature R^perp_{ij alpha beta} of a flat ambient space.
+    """Squared norms of the normal curvature R^perp of a flat ambient space.
 
-    components[i, j, a, b] = sum_p (A^a_ip A^b_jp - A^b_ip A^a_jp), the
-    commutator [A^a, A^b]_ij; antisymmetric in (i, j) and in (a, b).
-    ``principal_slice[i, j, b]`` is the contraction of the first normal slot
-    with nu1 and ``hat_part_norm2`` the squared norm of the part orthogonal
-    to nu1 in both normal slots.
+    R^perp_{ij alpha beta} is the commutator [A^alpha, A^beta]_ij.
+    ``principal_norm2`` is sum_ij |R^perp_ij(nu1)|^2, the contraction of the
+    first normal slot with nu1, and ``hat_part_norm2`` the squared norm of
+    the part orthogonal to nu1 in both normal slots.
     """
 
-    components: np.ndarray       # (n, n, m, m)
-    principal_slice: np.ndarray  # (n, n, m)
+    norm2: float
+    principal_norm2: float
     hat_part_norm2: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _freeze(self.components))
-        object.__setattr__(self, "principal_slice", _freeze(self.principal_slice))
 
-    @property
-    def norm2(self) -> float:
-        """Full |R^perp|^2 over all four indices."""
-        return float(np.sum(self.components**2))
-
-    @property
-    def principal_norm2(self) -> float:
-        """sum_ij |R^perp_ij(nu1)|^2."""
-        return float(np.sum(self.principal_slice**2))
-
-
-def commutator_norm2(stack: np.ndarray) -> float:
-    """sum_{ab} |[B_a, B_b]|^2 over a stack of symmetric matrices B_a."""
-    prod = np.einsum("aip,bpj->abij", stack, stack)
-    return float(np.sum((prod - prod.transpose(1, 0, 2, 3)) ** 2))
+def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float:
+    """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks of square matrices."""
+    left, right = left[:, None], right[None]
+    return float(np.sum((left @ right - right @ left) ** 2))
 
 
 def normal_curvature(
     A: SecondFundamentalForm, decomp: PrincipalDecomposition
 ) -> NormalCurvature:
-    prod = np.einsum("aip,bjp->ijab", A.components, A.components)
-    comp = prod - prod.transpose(0, 1, 3, 2)
-    principal = np.einsum("a,ijab->ijb", decomp.nu1, comp)
-    # A^- takes values orthogonal to nu1, so the hat part is [A^-_a, A^-_b];
-    # summing it from A^- avoids projecting the much larger full tensor
-    return NormalCurvature(comp, principal, commutator_norm2(decomp.a_minus.components))
+    # R^perp(nu1) = [h, A] = [h, A^-] since h commutes with itself, and A^-
+    # takes values orthogonal to nu1, so the hat part is [A^-_a, A^-_b];
+    # summing both from A^- avoids projecting the much larger full tensor
+    am = decomp.a_minus.components
+    return NormalCurvature(
+        commutator_norm2(A.components, A.components),
+        commutator_norm2(decomp.h[None], am),
+        commutator_norm2(am, am),
+    )
 
 
 def _tensor_asymmetry(T: np.ndarray) -> float:
@@ -327,14 +314,14 @@ def gradient_sample(
     )
 
 
-def require_codazzi(grad: GradientSample, tol: float = 1e-9) -> None:
+def require_codazzi(grad: GradientSample) -> None:
     """Raise :class:`InvalidSample` when the sample breaks the Codazzi (full
-    tangent-index symmetry) constraint beyond ``tol`` relative to scale."""
+    tangent-index symmetry) constraint beyond TOL_CODAZZI relative to scale."""
     asymmetry = grad.asymmetry()
     scale = max(1.0, float(np.max(np.abs(grad.tensor))))
-    if asymmetry > tol * scale:
+    if asymmetry > TOL_CODAZZI * scale:
         raise InvalidSample(
-            f"derivative tensor asymmetry {asymmetry:.3e} exceeds {tol:.1e} x scale"
+            f"derivative tensor asymmetry {asymmetry:.3e} exceeds {TOL_CODAZZI:.1e} x scale"
         )
 
 
@@ -351,15 +338,13 @@ class FrameIdentityResiduals:
 
 
 def frame_identity_residuals(
-    decomp: PrincipalDecomposition,
-    grad: GradientSample,
-    tol_sym: float = 1e-9,
+    decomp: PrincipalDecomposition, grad: GradientSample
 ) -> FrameIdentityResiduals:
     """Check the orthogonal-splitting identities of the derivative norms.
 
     Raises :class:`InvalidSample` as :func:`require_codazzi` does.
     """
-    require_codazzi(grad, tol_sym)
+    require_codazzi(grad)
     hat_plus_h = grad.hat_nabla_aminus + np.einsum(
         "jk,ai->aijk", decomp.h, grad.nabla_nu1
     )

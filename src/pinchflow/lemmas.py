@@ -83,8 +83,7 @@ def check_li(matrices: Sequence[np.ndarray]) -> InequalityCheck:
     if len(matrices) == 0:
         raise ValueError("need at least one matrix")
     stack = np.stack([np.asarray(b, dtype=np.float64) for b in matrices])
-    gram = np.einsum("aij,bij->ab", stack, stack)
-    lhs = float(np.sum(gram**2)) + commutator_norm2(stack)
+    lhs = gram_norm2(stack, stack) + commutator_norm2(stack, stack)
     total = float(np.einsum("aij,aij->", stack, stack))
     return InequalityCheck("li", lhs, 1.5 * total * total)
 
@@ -134,9 +133,8 @@ def reaction_checks(
     hat2 = rperp.hat_part_norm2
     princ2 = rperp.principal_norm2
     am = dec.a_minus.components
-    hring_am = np.einsum("ij,aij->a", dec.h_ring, am)
-    hra2 = float(np.sum(hring_am**2))  # sum_b (<h_ring, A^b>)^2
-    gram_am2 = gram_norm2(dec.a_minus)
+    hra2 = gram_norm2(dec.h_ring[None], am)  # sum_b (<h_ring, A^b>)^2
+    gram_am2 = gram_norm2(am, am)
     am2, hr2 = dec.a_minus2, dec.h_ring2
     out: list[InequalityCheck] = []
     f = None

@@ -27,7 +27,8 @@ from .forms import (
 
 def r1(A: SecondFundamentalForm) -> float:
     """sum_{ab} (tr A^a A^b)^2 + sum_{ab} |[A^a, A^b]|^2."""
-    return gram_norm2(A) + commutator_norm2(A.components)
+    comps = A.components
+    return gram_norm2(comps, comps) + commutator_norm2(comps, comps)
 
 
 def r2(A: SecondFundamentalForm, H: MeanCurvature) -> float:
@@ -36,9 +37,10 @@ def r2(A: SecondFundamentalForm, H: MeanCurvature) -> float:
     return float(np.sum(ha**2))
 
 
-def gram_norm2(A: SecondFundamentalForm) -> float:
-    """sum_{ijpq} <A_ij, A_pq>^2 = sum_{ab} (tr A^a A^b)^2."""
-    gram = np.einsum("aij,bij->ab", A.components, A.components)
+def gram_norm2(left: np.ndarray, right: np.ndarray) -> float:
+    """sum_{ab} <L_a, R_b>^2 (entrywise inner product) over two stacks of
+    matrices; for A against itself, sum_{ijpq} <A_ij, A_pq>^2."""
+    gram = np.einsum("aij,bij->ab", left, right)
     return float(np.sum(gram**2))
 
 
@@ -53,7 +55,7 @@ def reaction_gap(
     This is (half) the reaction part of the evolution of f; the pinching
     condition makes it nonnegative.
     """
-    return c * r2(A, H) - gram_norm2(A) - rperp.norm2
+    return c * r2(A, H) - gram_norm2(A.components, A.components) - rperp.norm2
 
 
 @dataclass(frozen=True)
@@ -61,20 +63,22 @@ class ReactionReport:
     """Two-sided evaluation of a reaction estimate.
 
     ``slack = rhs_bound - lhs_bound``; a verified bound has slack above
-    -tol at the working scale.  ``blowup_rhs``/``blowup_slack`` are filled
-    only by the constant-curvature estimate when the stronger -const * Q^2
-    bound applies.
+    -tol at the working scale.  ``blowup_rhs`` is filled only by the
+    constant-curvature estimate when the stronger -const * Q^2 bound
+    applies; ``blowup_slack`` is None otherwise.
     """
 
-    R1: float
-    R2: float
-    reaction_gap: float
     lhs_bound: float
     rhs_bound: float
-    slack: float
-    context: str
     blowup_rhs: float | None = None
-    blowup_slack: float | None = None
+
+    @property
+    def slack(self) -> float:
+        return self.rhs_bound - self.lhs_bound
+
+    @property
+    def blowup_slack(self) -> float | None:
+        return None if self.blowup_rhs is None else self.blowup_rhs - self.lhs_bound
 
 
 def lemma43_lower_bound(
@@ -99,11 +103,7 @@ def lemma43_lower_bound(
     gap = reaction_gap(A, H, normal_curvature(A, decomp), c)
     ncm1 = n * c - 1.0
     lhs = (2.0 / ncm1) * f * decomp.a_minus2 + (n * c / ncm1) * f * decomp.h_ring2
-    return ReactionReport(
-        R1=r1(A), R2=r2(A, H), reaction_gap=gap,
-        lhs_bound=lhs, rhs_bound=gap, slack=gap - lhs,
-        context="reaction-lower-bound-flat",
-    )
+    return ReactionReport(lhs, gap)
 
 
 def boundary_reaction_bound(
@@ -111,7 +111,6 @@ def boundary_reaction_bound(
     H: MeanCurvature,
     c: float,
     d: float,
-    tol_boundary: float = 1e-9,
 ) -> ReactionReport:
     """Upper bound for 2 R1 - 2 c R2 on the pinching boundary |A|^2 = c|H|^2 - d.
 
@@ -123,13 +122,12 @@ def boundary_reaction_bound(
     if g <= 0:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
     scale = max(1.0, decomp.a2, c * H.norm2)
-    if abs(decomp.a2 - (c * H.norm2 - d)) > tol_boundary * scale:
+    if abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale:
         raise NotPinched(
             "data is not on the pinching boundary |A|^2 = c|H|^2 - d"
         )
     A = decomp.reconstruct()
-    R1, R2 = r1(A), r2(A, H)
-    lhs = 2 * R1 - 2 * c * R2
+    lhs = 2 * r1(A) - 2 * c * r2(A, H)
     am2, hr2 = decomp.a_minus2, decomp.h_ring2
     rhs = (
         (6 - 2 / (n * g)) * hr2 * am2
@@ -138,11 +136,7 @@ def boundary_reaction_bound(
         - 4 * d / (n * g) * am2
         - 2 * d * d / (n * g)
     )
-    return ReactionReport(
-        R1=R1, R2=R2, reaction_gap=c * R2 - R1,
-        lhs_bound=lhs, rhs_bound=rhs, slack=rhs - lhs,
-        context="boundary-estimate",
-    )
+    return ReactionReport(lhs, rhs)
 
 
 def cc_reaction_upper_bound(
@@ -181,20 +175,11 @@ def cc_reaction_upper_bound(
         + (2 / n) / g * Q * (2 * am2 - Q)
         + 2 * (n - 2 * dng) * kbar * Q
     )
-    blowup_rhs = blowup_slack = None
     eligible = (
         kbar < 0
         and Q <= 0
         and c <= min(4.0 / (3 * n), 3.0 / (n + 2)) * (1 + 1e-12)
         and d >= (2 * n - 2 / c) * (1 - 1e-12)
     )
-    if eligible:
-        blowup_rhs = -(2.0 / n) / g * Q * Q
-        blowup_slack = blowup_rhs - lhs
-    gap = reaction_gap(A, H, normal_curvature(A, decomp), c)
-    return ReactionReport(
-        R1=R1, R2=R2, reaction_gap=gap,
-        lhs_bound=lhs, rhs_bound=rhs, slack=rhs - lhs,
-        context="space-form-Q",
-        blowup_rhs=blowup_rhs, blowup_slack=blowup_slack,
-    )
+    blowup_rhs = -(2.0 / n) / g * Q * Q if eligible else None
+    return ReactionReport(lhs, rhs, blowup_rhs)

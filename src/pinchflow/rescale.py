@@ -54,8 +54,10 @@ def rescale(
     """Transform a diagnostics series so the base record has fbar = 1.
 
     Raises :class:`NotPinchedAtBase` when f at the base record is not
-    positive.
+    positive and ValueError when ``base_index`` is not a row of ``records``.
     """
+    if not 0 <= base_index < len(records):
+        raise ValueError(f"base row {base_index} outside 0..{len(records) - 1}")
     base = records[base_index]
     if not (base.f > 0):
         raise NotPinchedAtBase(f"f(base) = {base.f} is not positive")

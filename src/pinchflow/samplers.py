@@ -27,6 +27,7 @@ from .forms import (
 )
 
 DISTRIBUTIONS = ("gaussian", "pinched", "boundary")
+MAX_ATTEMPTS = 400  # rejection attempts of sample_pinched
 
 # substream tags: one per input kind so that lemma sets do not perturb draws
 TAG_FORM = 0
@@ -97,7 +98,6 @@ def sample_pinched(
     c: float,
     d: float,
     sigma: float = 1.0,
-    max_attempts: int = 400,
 ) -> SecondFundamentalForm:
     """A form with f = c|H|^2 - |A|^2 - d > 0.
 
@@ -110,7 +110,7 @@ def sample_pinched(
     if g <= 0:
         raise InvalidConstants("pinched sampling needs c > 1/n")
     cap = 0.5
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         nu = rng.standard_normal(m)
         nu /= np.linalg.norm(nu)
         s = sigma * np.exp(0.5 * rng.standard_normal())
@@ -126,7 +126,7 @@ def sample_pinched(
             return A
         if attempt % 8 == 7:
             cap *= 0.5
-    raise NotPinched(f"no pinched sample found in {max_attempts} attempts")
+    raise NotPinched(f"no pinched sample found in {MAX_ATTEMPTS} attempts")
 
 
 def rescale_to_boundary(

@@ -148,6 +148,19 @@ class TestSimulate:
         assert code == 2
         assert out == "" and "error:" in err
 
+    def test_repeated_param_is_config_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--family", "sphere",
+                             "--params", "r=1,r=2", "--dt", "1e-3", "--t-end", "0.01")
+        assert code == 2
+        assert out == "" and "given twice" in err
+
+    @pytest.mark.parametrize("t_end", ["-1", "0", "nan"])
+    def test_nonpositive_t_end_is_config_error(self, capsys, t_end):
+        code, out, err = run(capsys, "simulate", "--family", "sphere",
+                             "--params", "r=1", "--t-end", t_end)
+        assert code == 2
+        assert out == "" and "error:" in err
+
     def test_bad_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--family", "torus", "--params", "r=1")
         assert code == 2
@@ -169,6 +182,17 @@ class TestRescaleCommand:
             rows = [line.strip().split(",") for line in fh]
         fbar_col = header.split(",").index("fbar")
         assert float(rows[3][fbar_col]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("base_row", ["-1", "4"])
+    def test_base_row_outside_series_is_config_error(self, capsys, tmp_path, base_row):
+        series = tmp_path / "series.csv"
+        code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                         "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
+        assert code == 0 and len(read_csv(str(series))) == 4
+        code, out, err = run(capsys, "rescale", "--in", str(series),
+                             "--base-row", base_row)
+        assert code == 2
+        assert out == "" and "outside 0..3" in err
 
     def test_missing_file_is_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rescale", "--in", str(tmp_path / "nope.csv"),

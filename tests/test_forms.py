@@ -228,14 +228,6 @@ class TestNormalCurvature:
         rp = normal_curvature(A, principal_decompose(A))
         assert rp.hat_part_norm2 == pytest.approx(truth, rel=1e-8, abs=0.0)
 
-    def test_antisymmetries_exact(self):
-        rng = np.random.default_rng(9)
-        A = symmetric_gaussian(rng, Dims(4, 3))
-        rp = normal_curvature(A, principal_decompose(A))
-        c = rp.components
-        assert np.array_equal(c, -c.transpose(1, 0, 2, 3))
-        assert np.array_equal(c, -c.transpose(0, 1, 3, 2))
-
 
 class TestGradientSample:
     def _point(self, n=4, m=2, seed=3):

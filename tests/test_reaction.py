@@ -8,6 +8,7 @@ from pinchflow.forms import (
     Dims,
     NormalCurvature,
     SecondFundamentalForm,
+    commutator_norm2,
     mean_curvature,
     normal_curvature,
     principal_decompose,
@@ -65,6 +66,17 @@ class TestR1R2:
                 assert val == pytest.approx(loop_r2(A.components, H.vector), rel=1e-12)
 
 
+    def test_kernels_on_unequal_nonsymmetric_stacks(self):
+        # counterexample files may hold any square matrices, so neither
+        # kernel may assume symmetry or two stacks of the same length
+        rng = np.random.default_rng(11)
+        left, right = rng.standard_normal((2, 4, 4)), rng.standard_normal((3, 4, 4))
+        comm = sum(np.sum((a @ b - b @ a) ** 2) for a in left for b in right)
+        gram = sum(np.sum(a * b) ** 2 for a in left for b in right)
+        assert commutator_norm2(left, right) == pytest.approx(comm, rel=1e-12)
+        assert gram_norm2(left, right) == pytest.approx(gram, rel=1e-12)
+
+
 class TestReactionGap:
     def test_sphere(self):
         A = sphere_form()
@@ -86,7 +98,7 @@ class TestReactionGap:
 
     def test_zero_form(self):
         A = SecondFundamentalForm.from_components(np.zeros((2, 4, 4)))
-        rp = NormalCurvature(np.zeros((4, 4, 2, 2)), np.zeros((4, 4, 2)), 0.0)
+        rp = NormalCurvature(0.0, 0.0, 0.0)
         assert reaction_gap(A, mean_curvature(A), rp, 1 / 6) == 0.0
 
     def test_nonnegative_on_pinched(self):

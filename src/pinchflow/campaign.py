@@ -1,8 +1,9 @@
 """Seeded verification campaigns with counterexample capture and shrinking.
 
 A campaign draws ``trials`` independent samples from per-trial substreams of
-(seed, trial, input-kind) and evaluates a set of inequalities on each.  A
-trial violates an inequality when slack < -tol * max(1, |lhs|, |rhs|).  On
+(seed, trial, input-kind) and evaluates a set of inequalities on each, in
+chunks of ``CHUNK`` trials.  A trial violates an inequality unless
+slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation.  On
 violation the offending inputs are halved while the violation persists and
 the shrunk witness is written to a replayable JSON file (all entries as
 decimal strings with 17 significant digits).
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import lemmas
 from .errors import PinchflowError
-from .forms import Dims, GradientSample, SecondFundamentalForm, gradient_sample
+from .forms import Dims, SecondFundamentalForm, gradient_sample
 from .samplers import (
     TAG_GRADIENT,
     TAG_MATRICES,
@@ -37,6 +38,9 @@ from .samplers import (
 
 DEFAULT_TOL = 1e-9
 MAX_SHRINK_STEPS = 64
+# trials evaluated together; larger chunks cost more memory than they save
+# time (measurements in ROADMAP item 2)
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -192,29 +196,49 @@ def sample_trial_inputs(
     return inputs
 
 
+def _pointwise_checks(
+    kato_ids: Sequence[str],
+    gradient_ids: Sequence[str],
+    inputs: TrialInputs,
+    config: CampaignConfig,
+) -> list[lemmas.InequalityCheck]:
+    """The kato and gradient checks of one trial."""
+    point = PointSample.from_form(inputs.form)
+    grad = gradient_sample(point.decomp, point.H, inputs.grad_tensor)
+    checks = []
+    if "kato.3.1" in kato_ids:
+        eta = config.eta if config.eta is not None else lemmas.default_kato_eta(
+            inputs.dims.n
+        )
+        checks.append(lemmas.check_kato(grad, inputs.w, eta))
+    if "kato.3.2" in kato_ids:
+        checks.append(lemmas.check_kato_trace(grad, inputs.w))
+    if gradient_ids:
+        checks.extend(
+            lemmas.gradient_checks(
+                gradient_ids, point, grad,
+                config.c, config.d, config.delta, config.eps0,
+            )
+        )
+    return checks
+
+
 def evaluate_trial(
     lemma_ids: Sequence[str],
-    inputs: TrialInputs,
+    batch: Sequence[TrialInputs],
     config: CampaignConfig,
     d_boundary: float,
 ) -> list[lemmas.InequalityCheck]:
-    """Evaluate every requested inequality on one trial's inputs."""
-    checks: list[lemmas.InequalityCheck] = []
-    point: PointSample | None = None
-    grad: GradientSample | None = None
+    """Evaluate every requested inequality on a chunk of trials.
 
-    def get_point() -> PointSample:
-        nonlocal point
-        if point is None:
-            point = PointSample.from_form(inputs.form)
-        return point
+    Each check holds one lhs and rhs per trial of ``batch``.  li, the flat
+    reaction estimates and the boundary estimate run once on the stacked
+    inputs; the kato and gradient estimates run trial by trial.
+    """
 
-    def get_grad() -> GradientSample:
-        nonlocal grad
-        if grad is None:
-            pt = get_point()
-            grad = gradient_sample(pt.decomp, pt.H, inputs.grad_tensor)
-        return grad
+    def stacked_point(kind: str) -> PointSample:
+        comps = np.array([getattr(inputs, kind).components for inputs in batch])
+        return PointSample.from_form(SecondFundamentalForm(batch[0].dims, comps))
 
     li_ids = [i for i in lemma_ids if i in lemmas.LI_IDS]
     kato_ids = [i for i in lemma_ids if i in lemmas.KATO_IDS]
@@ -222,34 +246,34 @@ def evaluate_trial(
     boundary_ids = [i for i in lemma_ids if i in lemmas.BOUNDARY_IDS]
     gradient_ids = [i for i in lemma_ids if i in lemmas.GRADIENT_IDS]
 
+    checks: list[lemmas.InequalityCheck] = []
     for _ in li_ids:
-        checks.append(lemmas.check_li(inputs.matrices))
-    if kato_ids:
-        g = get_grad()
-        eta = config.eta if config.eta is not None else lemmas.default_kato_eta(
-            inputs.dims.n
-        )
-        if "kato.3.1" in kato_ids:
-            checks.append(lemmas.check_kato(g, inputs.w, eta))
-        if "kato.3.2" in kato_ids:
-            checks.append(lemmas.check_kato_trace(g, inputs.w))
+        checks.append(lemmas.check_li([inputs.matrices for inputs in batch]))
+    if kato_ids or gradient_ids:
+        per_trial = [
+            _pointwise_checks(kato_ids, gradient_ids, inputs, config) for inputs in batch
+        ]
+        for column in zip(*per_trial):
+            checks.append(lemmas.InequalityCheck(
+                column[0].lemma_id,
+                np.array([chk.lhs for chk in column]),
+                np.array([chk.rhs for chk in column]),
+            ))
     if reaction_ids:
         checks.extend(
             lemmas.reaction_checks(
-                reaction_ids, get_point(), config.c, config.d, config.delta
+                reaction_ids, stacked_point("form"), config.c, config.d, config.delta
             )
         )
     for _ in boundary_ids:
-        bpoint = PointSample.from_form(inputs.boundary_form)
-        checks.append(lemmas.boundary_check(bpoint, config.c, d_boundary))
-    if gradient_ids:
-        checks.extend(
-            lemmas.gradient_checks(
-                gradient_ids, get_point(), get_grad(),
-                config.c, config.d, config.delta, config.eps0,
-            )
+        checks.append(
+            lemmas.boundary_check(stacked_point("boundary_form"), config.c, d_boundary)
         )
     return checks
+
+
+def _violated(check: lemmas.InequalityCheck, tol: float) -> np.ndarray:
+    return ~(check.slack >= -tol * check.scale)
 
 
 def _shrink(
@@ -261,18 +285,18 @@ def _shrink(
 ) -> tuple[TrialInputs, lemmas.InequalityCheck]:
     """Halve the inputs while the violation persists; return the last witness."""
     current = inputs
-    check = evaluate_trial([lemma_id], current, config, d_boundary)[0]
+    check = evaluate_trial([lemma_id], [current], config, d_boundary)[0]
     for _ in range(MAX_SHRINK_STEPS):
         candidate = current.halved()
         try:
-            cand_check = evaluate_trial([lemma_id], candidate, config, d_boundary)[0]
+            cand_check = evaluate_trial([lemma_id], [candidate], config, d_boundary)[0]
         except PinchflowError:
             break
-        if cand_check.slack < -tol * cand_check.scale:
+        if _violated(cand_check, tol)[0]:
             current, check = candidate, cand_check
         else:
             break
-    return current, check
+    return current, lemmas.InequalityCheck(lemma_id, check.lhs[0], check.rhs[0])
 
 
 def write_counterexample(
@@ -332,6 +356,8 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError(f"a campaign needs at least one trial, got {trials}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     lemma_ids = list(lemma_ids)
     if not lemma_ids:
         return []
@@ -344,17 +370,24 @@ def run_campaign(
         lem: {"violations": 0, "worst": np.inf, "worst_inputs": None}
         for lem in lemma_ids
     }
-    for trial in range(trials):
-        inputs = sample_trial_inputs(spec, trial, kinds)
-        for check in evaluate_trial(lemma_ids, inputs, config, d_boundary):
+    for start in range(0, trials, CHUNK):
+        batch = [
+            sample_trial_inputs(spec, trial, kinds)
+            for trial in range(start, min(start + CHUNK, trials))
+        ]
+        for check in evaluate_trial(lemma_ids, batch, config, d_boundary):
             st = stats[check.lemma_id]
-            if check.slack < st["worst"]:
-                st["worst"] = check.slack
-                st["worst_inputs"] = inputs
-            if check.slack < -tol * check.scale:
+            # the first least slack of the chunk; NaN is never the worst
+            slack = np.where(np.isnan(check.slack), np.inf, check.slack)
+            worst = int(np.argmin(slack))
+            if slack[worst] < st["worst"]:
+                st["worst"] = slack[worst]
+                st["worst_inputs"] = batch[worst]
+            for i in np.flatnonzero(_violated(check, tol)):
+                trial = start + int(i)
                 st["violations"] += 1
                 shrunk_inputs, shrunk_check = _shrink(
-                    check.lemma_id, inputs, config, d_boundary, tol
+                    check.lemma_id, batch[i], config, d_boundary, tol
                 )
                 if counterexample_dir is not None:
                     os.makedirs(counterexample_dir, exist_ok=True)

@@ -262,6 +262,8 @@ def simulate(
         raise ValueError(f"every must be a positive step count, got {every}")
     if not t_end > 0:
         raise ValueError(f"t_end must be a positive time, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive finite step, got {dt}")
     state = FlowState(family, 0.0, family.exact_params(0.0))
     records = [diagnostics(state, constants)]
     step = dt

@@ -8,7 +8,10 @@ into ``h`` and ``A^-``, traceless parts, the normal curvature built from
 commutators, and first-derivative samples with the Codazzi symmetries.
 
 Everything is a plain float64 array at desk scale (n, m <= 16); values are
-immutable after construction and all operations are pure functions.
+immutable after construction and all operations are pure functions.  The
+form, its mean curvature, the principal splitting and the normal curvature
+also take a batch of points stacked along leading axes, ``(..., m, n, n)``;
+a scalar of one point is then an array over those axes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A float for a single point, the array over the batch axes otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
+def sum_sq(a: np.ndarray, core: int) -> float | np.ndarray:
+    """Sum of squares over the last ``core`` axes of ``a``."""
+    return _scalar(np.add.reduce(a**2, axis=tuple(range(-core, 0))))
 
 
 @dataclass(frozen=True)
@@ -53,28 +66,28 @@ class SecondFundamentalForm:
     """
 
     dims: Dims
-    components: np.ndarray  # shape (m, n, n)
+    components: np.ndarray  # shape (m, n, n), or (..., m, n, n) for a batch
 
     def __post_init__(self) -> None:
         comp = _freeze(self.components)
         object.__setattr__(self, "components", comp)
-        if comp.shape != (self.dims.m, self.dims.n, self.dims.n):
+        if comp.shape[-3:] != (self.dims.m, self.dims.n, self.dims.n):
             raise ValueError(f"components shape {comp.shape} does not match dims {self.dims}")
-        if not np.array_equal(comp, comp.transpose(0, 2, 1)):
+        if not np.array_equal(comp, comp.swapaxes(-1, -2)):
             raise ValueError("every A^alpha must equal its transpose exactly")
 
     @classmethod
     def from_components(cls, components: np.ndarray) -> "SecondFundamentalForm":
         components = np.asarray(components, dtype=np.float64)
-        m, n, _ = components.shape
+        *_, m, n, _ = components.shape
         return cls(Dims(n, m), components)
 
     def scaled(self, lam: float) -> "SecondFundamentalForm":
         return SecondFundamentalForm(self.dims, lam * self.components)
 
     @property
-    def norm2(self) -> float:
-        return float(np.sum(self.components**2))
+    def norm2(self) -> float | np.ndarray:
+        return sum_sq(self.components, 3)
 
 
 def symmetrize(components: np.ndarray) -> SecondFundamentalForm:
@@ -88,20 +101,23 @@ def symmetrize(components: np.ndarray) -> SecondFundamentalForm:
 class MeanCurvature:
     """Mean curvature vector H^alpha = tr A^alpha and its Euclidean norm."""
 
-    vector: np.ndarray  # shape (m,)
-    norm: float
+    vector: np.ndarray  # shape (..., m)
+    norm: float | np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", _freeze(self.vector))
 
     @property
-    def norm2(self) -> float:
+    def norm2(self) -> float | np.ndarray:
         return self.norm * self.norm
 
 
 def mean_curvature(A: SecondFundamentalForm) -> MeanCurvature:
-    vector = np.einsum("aii->a", A.components)
-    return MeanCurvature(vector, float(np.linalg.norm(vector)))
+    vector = np.einsum("...aii->...a", A.components)
+    # a matmul inner product is the BLAS dot of np.linalg.norm, rounding
+    # included, over any leading axes
+    norm2 = (vector[..., None, :] @ vector[..., :, None])[..., 0, 0]
+    return MeanCurvature(vector, _scalar(np.sqrt(norm2)))
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,7 @@ class PrincipalDecomposition:
     ``h_ring`` the traceless part of h.  Squared norms are cached: the
     Pythagoras identities |A|^2 = |h|^2 + |A^-|^2 and
     |Aring|^2 = |h_ring|^2 + |A^-|^2 = |A|^2 - |H|^2/n hold by construction.
+    Every field carries the leading batch axes of the form it splits.
     """
 
     dims: Dims
@@ -120,11 +137,11 @@ class PrincipalDecomposition:
     h: np.ndarray            # symmetric (n, n)
     a_minus: SecondFundamentalForm
     h_ring: np.ndarray       # traceless symmetric (n, n)
-    a2: float                # |A|^2
-    h2: float                # |h|^2
-    a_minus2: float          # |A^-|^2
-    h_ring2: float           # |h_ring|^2
-    a_ring2: float           # |Aring|^2 = |h_ring|^2 + |A^-|^2
+    a2: float | np.ndarray        # |A|^2
+    h2: float | np.ndarray        # |h|^2
+    a_minus2: float | np.ndarray  # |A^-|^2
+    h_ring2: float | np.ndarray   # |h_ring|^2
+    a_ring2: float | np.ndarray   # |Aring|^2 = |h_ring|^2 + |A^-|^2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu1", _freeze(self.nu1))
@@ -133,28 +150,30 @@ class PrincipalDecomposition:
 
     def reconstruct(self) -> SecondFundamentalForm:
         """A^- + h (x) nu1, exact to roundoff."""
-        comps = self.a_minus.components + self.h[None, :, :] * self.nu1[:, None, None]
+        comps = self.a_minus.components + self.h[..., None, :, :] * self.nu1[..., None, None]
         return SecondFundamentalForm(self.dims, comps)
 
 
 def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
     """Split A along nu1 = H/|H|.
 
-    Raises :class:`DegenerateMeanCurvature` when |H| <= TOL_H.
+    Raises :class:`DegenerateMeanCurvature` when |H| <= TOL_H (at any point
+    of a batch).
     """
     H = mean_curvature(A)
-    if H.norm <= TOL_H:
-        raise DegenerateMeanCurvature(f"|H| = {H.norm:.3e} <= {TOL_H:.1e}")
+    norm = np.asarray(H.norm)[..., None]
+    if (norm <= TOL_H).any():
+        raise DegenerateMeanCurvature(f"|H| = {norm.min():.3e} <= {TOL_H:.1e}")
     n = A.dims.n
-    nu1 = H.vector / H.norm
-    h = np.einsum("a,aij->ij", nu1, A.components)
+    nu1 = H.vector / norm
+    h = np.einsum("...a,...aij->...ij", nu1, A.components)
     a_minus = SecondFundamentalForm(
-        A.dims, A.components - h[None, :, :] * nu1[:, None, None]
+        A.dims, A.components - h[..., None, :, :] * nu1[..., None, None]
     )
-    h_ring = h - (H.norm / n) * np.eye(n)
-    h2 = float(np.sum(h**2))
+    h_ring = h - (norm[..., None] / n) * np.eye(n)
+    h2 = sum_sq(h, 2)
     a_minus2 = a_minus.norm2
-    h_ring2 = float(np.sum(h_ring**2))
+    h_ring2 = sum_sq(h_ring, 2)
     return PrincipalDecomposition(
         dims=A.dims,
         nu1=nu1,
@@ -179,15 +198,16 @@ class NormalCurvature:
     the part orthogonal to nu1 in both normal slots.
     """
 
-    norm2: float
-    principal_norm2: float
-    hat_part_norm2: float
+    norm2: float | np.ndarray
+    principal_norm2: float | np.ndarray
+    hat_part_norm2: float | np.ndarray
 
 
-def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float:
-    """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks of square matrices."""
-    left, right = left[:, None], right[None]
-    return float(np.sum((left @ right - right @ left) ** 2))
+def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
+    """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks (..., k, n, n) of square
+    matrices."""
+    left, right = left[..., :, None, :, :], right[..., None, :, :, :]
+    return sum_sq(left @ right - right @ left, 4)
 
 
 def normal_curvature(
@@ -199,7 +219,7 @@ def normal_curvature(
     am = decomp.a_minus.components
     return NormalCurvature(
         commutator_norm2(A.components, A.components),
-        commutator_norm2(decomp.h[None], am),
+        commutator_norm2(decomp.h[..., None, :, :], am),
         commutator_norm2(am, am),
     )
 

@@ -19,6 +19,10 @@ sampled data and reports them normalized as ``lhs <= rhs`` with
 ``DEGREES`` records the homogeneity degree of each slack under the
 documented scaling (forms scale linearly for the quartic reaction bounds,
 derivative samples scale linearly for the quadratic gradient bounds).
+
+``li``, the flat reaction estimates and ``boundary`` also evaluate a batch
+of points stacked along leading axes; their checks then hold one lhs and
+rhs per point.
 """
 
 from __future__ import annotations
@@ -51,16 +55,16 @@ DEGREES = {
 @dataclass(frozen=True)
 class InequalityCheck:
     lemma_id: str
-    lhs: float
-    rhs: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     @property
-    def slack(self) -> float:
+    def slack(self) -> float | np.ndarray:
         return self.rhs - self.lhs
 
     @property
-    def scale(self) -> float:
-        return max(1.0, abs(self.lhs), abs(self.rhs))
+    def scale(self) -> float | np.ndarray:
+        return np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
 
 
 def default_kato_eta(n: int) -> float:
@@ -78,20 +82,23 @@ def kato_equality_gap(grad: GradientSample) -> float:
     return grad.norm2 - 3.0 / (n + 2) * grad.nabla_H_norm2
 
 
-def check_li(matrices: Sequence[np.ndarray]) -> InequalityCheck:
-    """Trace-square plus commutator norm against 3/2 (sum of norms)^2."""
-    if len(matrices) == 0:
+def check_li(matrices: Sequence[np.ndarray] | np.ndarray) -> InequalityCheck:
+    """Trace-square plus commutator norm against 3/2 (sum of norms)^2.
+
+    ``matrices`` is k square matrices, or a (..., k, n, n) batch of them.
+    """
+    stack = np.asarray(matrices, dtype=np.float64)
+    if stack.ndim < 3 or stack.shape[-3] == 0:
         raise ValueError("need at least one matrix")
-    stack = np.stack([np.asarray(b, dtype=np.float64) for b in matrices])
     lhs = gram_norm2(stack, stack) + commutator_norm2(stack, stack)
-    total = float(np.einsum("aij,aij->", stack, stack))
+    total = np.einsum("...aij,...aij->...", stack, stack)
     return InequalityCheck("li", lhs, 1.5 * total * total)
 
 
 def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityCheck:
     """|dA|^2 >= (3/(n+2) - eta) |dH|^2 - (2/(n+2)) ((2/(n+2))/eta - n/(n-1)) |w|^2."""
-    if eta <= 0:
-        raise InvalidConstants("eta must be positive")
+    if not eta > 0:
+        raise InvalidConstants(f"eta must be positive, got {eta}")
     require_codazzi(grad)
     n = grad.dims.n
     w2 = float(np.sum(np.asarray(w) ** 2))
@@ -126,26 +133,27 @@ def reaction_checks(
     d: float,
     delta: float = 0.5,
 ) -> list[InequalityCheck]:
-    """Evaluate the requested flat reaction estimates on one pinched point."""
+    """Evaluate the requested flat reaction estimates on one pinched point,
+    or on a batch of them (every point must be pinched)."""
     dec, H = point.decomp, point.H
     n = dec.dims.n
     rperp = normal_curvature(point.form, dec)
     hat2 = rperp.hat_part_norm2
     princ2 = rperp.principal_norm2
     am = dec.a_minus.components
-    hra2 = gram_norm2(dec.h_ring[None], am)  # sum_b (<h_ring, A^b>)^2
+    hra2 = gram_norm2(dec.h_ring[..., None, :, :], am)  # sum_b (<h_ring, A^b>)^2
     gram_am2 = gram_norm2(am, am)
     am2, hr2 = dec.a_minus2, dec.h_ring2
     out: list[InequalityCheck] = []
     f = None
     gap = None
 
-    def need_f() -> tuple[float, float]:
+    def need_f() -> tuple[float | np.ndarray, float | np.ndarray]:
         nonlocal f, gap
         if f is None:
             f = c * H.norm2 - dec.a2 - d
-            if f <= 0:
-                raise NotPinched(f"reaction lemma needs f > 0, got {f}")
+            if np.any(f <= 0):
+                raise NotPinched(f"reaction lemma needs f > 0, got {np.min(f)}")
             if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
                 raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
             gap = reaction_gap(point.form, H, rperp, c)

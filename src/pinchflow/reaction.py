@@ -5,7 +5,8 @@ R1 and R2 are the two quartic contractions driving d|A|^2/dt and d|H|^2/dt;
 the pinching function f a supersolution.  The remaining functions evaluate
 both sides of the closed-form reaction estimates (flat specialization, the
 boundary estimate, and the constant-curvature estimate for Q) and report the
-slack.
+slack.  The contractions and the boundary estimate also take a batch of
+points along leading axes, as the forms module does.
 """
 
 from __future__ import annotations
@@ -22,26 +23,27 @@ from .forms import (
     SecondFundamentalForm,
     commutator_norm2,
     normal_curvature,
+    sum_sq,
 )
 
 
-def r1(A: SecondFundamentalForm) -> float:
+def r1(A: SecondFundamentalForm) -> float | np.ndarray:
     """sum_{ab} (tr A^a A^b)^2 + sum_{ab} |[A^a, A^b]|^2."""
     comps = A.components
     return gram_norm2(comps, comps) + commutator_norm2(comps, comps)
 
 
-def r2(A: SecondFundamentalForm, H: MeanCurvature) -> float:
+def r2(A: SecondFundamentalForm, H: MeanCurvature) -> float | np.ndarray:
     """sum_ij (sum_a H^a A^a_ij)^2."""
-    ha = np.einsum("a,aij->ij", H.vector, A.components)
-    return float(np.sum(ha**2))
+    ha = np.einsum("...a,...aij->...ij", H.vector, A.components)
+    return sum_sq(ha, 2)
 
 
-def gram_norm2(left: np.ndarray, right: np.ndarray) -> float:
-    """sum_{ab} <L_a, R_b>^2 (entrywise inner product) over two stacks of
-    matrices; for A against itself, sum_{ijpq} <A_ij, A_pq>^2."""
-    gram = np.einsum("aij,bij->ab", left, right)
-    return float(np.sum(gram**2))
+def gram_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
+    """sum_{ab} <L_a, R_b>^2 (entrywise inner product) over two stacks
+    (..., k, n, n) of matrices; for A against itself, sum_{ijpq} <A_ij, A_pq>^2."""
+    gram = np.einsum("...aij,...bij->...ab", left, right)
+    return sum_sq(gram, 2)
 
 
 def reaction_gap(
@@ -63,17 +65,17 @@ class ReactionReport:
     """Two-sided evaluation of a reaction estimate.
 
     ``slack = rhs_bound - lhs_bound``; a verified bound has slack above
-    -tol at the working scale.  ``blowup_rhs`` is filled only by the
+    -tol at the working scale.  The bounds are arrays for a batch of points.  ``blowup_rhs`` is filled only by the
     constant-curvature estimate when the stronger -const * Q^2 bound
     applies; ``blowup_slack`` is None otherwise.
     """
 
-    lhs_bound: float
-    rhs_bound: float
+    lhs_bound: float | np.ndarray
+    rhs_bound: float | np.ndarray
     blowup_rhs: float | None = None
 
     @property
-    def slack(self) -> float:
+    def slack(self) -> float | np.ndarray:
         return self.rhs_bound - self.lhs_bound
 
     @property
@@ -115,14 +117,15 @@ def boundary_reaction_bound(
     """Upper bound for 2 R1 - 2 c R2 on the pinching boundary |A|^2 = c|H|^2 - d.
 
     The substitution |H|^2 = (|Aring|^2 + d) / (c - 1/n) only holds on the
-    boundary, so the data is checked to sit there first.
+    boundary, so the data is checked to sit there first (every point of a
+    batch).
     """
     n = decomp.dims.n
     g = c - 1.0 / n
     if g <= 0:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
-    scale = max(1.0, decomp.a2, c * H.norm2)
-    if abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale:
+    scale = np.maximum(np.maximum(1.0, decomp.a2), c * H.norm2)
+    if np.any(abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale):
         raise NotPinched(
             "data is not on the pinching boundary |A|^2 = c|H|^2 - d"
         )

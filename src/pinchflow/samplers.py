@@ -50,6 +50,11 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        for name in ("sigma", "c", "d"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.distribution in ("pinched", "boundary") and self.c <= 1.0 / self.dims.n:
             raise InvalidConstants("pinched/boundary sampling needs c > 1/n")
 

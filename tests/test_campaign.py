@@ -101,8 +101,9 @@ class TestViolationPath:
         # patch in a deliberately false inequality to drive the counterexample
         # machinery end to end
         def bogus_li(matrices):
-            stack = np.stack(matrices)
-            total = float(np.sum(stack**2))
+            # one sum per trial, as check_li gives for a chunk of trials
+            stack = np.asarray(matrices)
+            total = np.sum(stack**2, axis=(-3, -2, -1))
             return InequalityCheck("li", total, 0.5 * total)
 
         monkeypatch.setattr(pinchflow.lemmas, "check_li", bogus_li)
@@ -120,6 +121,15 @@ class TestViolationPath:
         assert chk.slack < -1e-9 * chk.scale
         # the halving shrink ran: entries are far below the unit-scale draw
         assert max(np.max(np.abs(b)) for b in inputs.matrices) < 1e-3
+
+    def test_nan_slack_is_a_violation(self, monkeypatch):
+        def nan_li(matrices):
+            nan = np.full(np.shape(matrices)[:-3], np.nan)
+            return InequalityCheck("li", nan, nan)
+
+        monkeypatch.setattr(pinchflow.lemmas, "check_li", nan_li)
+        spec = SamplerSpec(Dims(3, 2), "gaussian", seed=5)
+        assert run_campaign(spec, ["li"], 5)[0].violations == 5
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)

@@ -84,6 +84,27 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_config_error(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
+                             "--seed", "1", "--n", "3", "--m", "2", "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol must be" in err
+
+    @pytest.mark.parametrize("suite, flag, value, name", [
+        ("kato", "--eta", "nan", "eta"),
+        ("reaction", "--sigma", "nan", "sigma"),
+        ("reaction", "--sigma", "0", "sigma"),
+        ("reaction", "--c", "nan", "c"),
+        ("reaction", "--d", "nan", "d"),
+        ("li", "--sigma", "inf", "sigma"),
+    ])
+    def test_bad_constant_names_itself(self, capsys, suite, flag, value, name):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "5",
+                             "--seed", "1", "--n", "8", "--m", "3", flag, value)
+        assert code == 2
+        assert out == "" and f"error: {name} must be" in err
+
     def test_reaction_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "reaction", "--trials", "50",
                            "--seed", "5", "--n", "8", "--m", "3", "--d", "0.5")
@@ -160,6 +181,13 @@ class TestSimulate:
                              "--params", "r=1", "--t-end", t_end)
         assert code == 2
         assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_dt_is_config_error(self, capsys, dt):
+        code, out, err = run(capsys, "simulate", "--family", "sphere",
+                             "--params", "r=1", f"--dt={dt}", "--t-end", "0.1")
+        assert code == 2
+        assert out == "" and "error: dt must be a positive finite step" in err
 
     def test_bad_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--family", "torus", "--params", "r=1")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lemmas
 from .errors import PinchflowError
-from .forms import Dims, SecondFundamentalForm, gradient_sample
+from .forms import CHUNK, Dims, SecondFundamentalForm, gradient_sample
 from .samplers import (
     TAG_GRADIENT,
     TAG_MATRICES,
@@ -38,9 +38,6 @@ from .samplers import (
 
 DEFAULT_TOL = 1e-9
 MAX_SHRINK_STEPS = 64
-# trials evaluated together; larger chunks cost more memory than they save
-# time (measurements in ROADMAP item 2)
-CHUNK = 32
 
 
 @dataclass(frozen=True)

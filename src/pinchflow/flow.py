@@ -27,13 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .constants import PinchingConstants, pinching_Q, pinching_f
-from .errors import (
-    DegenerateMeanCurvature,
-    InvalidConstants,
-    NonpositiveZ,
-    PastBlowup,
-)
-from .forms import Dims, SecondFundamentalForm, mean_curvature, principal_decompose
+from .errors import InvalidConstants, NonpositiveZ, PastBlowup
+from .forms import CHUNK, Dims, SecondFundamentalForm, mean_curvature, principal_decompose
 from .reaction import r1, r2
 
 R_MIN = 1e-6
@@ -41,14 +36,15 @@ FD_STEP = 1e-5
 CSV_HEADER = "t,param1,param2,A2,H2,h2,Aminus2,f,Q,ratio_pinch,ratio_codim,ratio_cyl"
 
 
-def _diag_form(dims: Dims, blocks: list[tuple[int, float]]) -> SecondFundamentalForm:
+def _diag_form(dims: Dims, blocks: list[tuple[int, np.ndarray]]) -> SecondFundamentalForm:
     """Diagonal form from consecutive (size, value) blocks, block i in normal
-    slot i; tangent directions after the last block are flat."""
-    comps = np.zeros((dims.m, dims.n, dims.n))
+    slot i; tangent directions after the last block are flat.  The values
+    are arrays over the leading batch axes of the form (0-d for one point)."""
+    comps = np.zeros((*np.shape(blocks[0][1]), dims.m, dims.n, dims.n))
     start = 0
     for slot, (size, value) in enumerate(blocks):
-        for i in range(start, start + size):
-            comps[slot, i, i] = value
+        diag = np.arange(start, start + size)
+        comps[..., slot, diag, diag] = np.asarray(value)[..., None]
         start += size
     return SecondFundamentalForm(dims, comps)
 
@@ -93,8 +89,10 @@ class SpheresFlow:
     def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(-k / r for (k, _), r in zip(self.factors, params))
 
-    def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
-        blocks = [(k, 1.0 / r) for (k, _), r in zip(self.factors, params)]
+    def form(self, params: tuple[float, ...] | np.ndarray) -> SecondFundamentalForm:
+        """The form at radii ``params``, shape (k,) or (..., k) for a batch."""
+        radii = np.asarray(params, dtype=np.float64)
+        blocks = [(k, 1.0 / radii[..., i]) for i, (k, _) in enumerate(self.factors)]
         return _diag_form(Dims(self.n, self.m), blocks)
 
 
@@ -145,10 +143,12 @@ class HyperbolicSphereFlow:
         kr = self.kappa * params[0]
         return (-self.n * self.kappa / math.tanh(kr),)
 
-    def form(self, params: tuple[float, ...]) -> SecondFundamentalForm:
-        dims = Dims(self.n, self.m)
-        lam = self.kappa / math.tanh(self.kappa * params[0])
-        return _diag_form(dims, [(self.n, lam)])
+    def form(self, params: tuple[float, ...] | np.ndarray) -> SecondFundamentalForm:
+        """The form at radius ``params``, shape (1,) or (..., 1) for a batch."""
+        radius = np.asarray(params, dtype=np.float64)[..., 0]
+        # math.tanh record by record: np.tanh can round the last bit otherwise
+        lam = [self.kappa / math.tanh(self.kappa * r) for r in radius.flat]
+        return _diag_form(Dims(self.n, self.m), [(self.n, np.reshape(lam, radius.shape))])
 
 
 Family = SpheresFlow | HyperbolicSphereFlow
@@ -169,34 +169,37 @@ class FlowState:
     t: float
     params: tuple[float, ...]
 
-    def form(self) -> SecondFundamentalForm:
-        return self.family.form(self.params)
-
 
 def exact_state(family: Family, t: float) -> FlowState:
     return FlowState(family, t, family.exact_params(t))
 
 
 def step_rk4(state: FlowState, dt: float) -> FlowState:
-    """One classical fourth-order step of the radius ODE."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One classical fourth-order step of the radius ODE, in plain floats."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive finite step, got {dt}")
     fam = state.family
-    y = np.array(state.params)
+    y = state.params
 
-    def rate(v: np.ndarray) -> np.ndarray:
-        if np.any(v <= R_MIN):
+    def rate(v: tuple[float, ...]) -> tuple[float, ...]:
+        if any(r <= R_MIN for r in v):
             raise PastBlowup("radius collapsed inside an RK4 stage")
-        return np.array(fam.rates(tuple(v)))
+        return fam.rates(v)
+
+    def shifted(h: float, slope: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(r + h * s for r, s in zip(y, slope))
 
     k1 = rate(y)
-    k2 = rate(y + 0.5 * dt * k1)
-    k3 = rate(y + 0.5 * dt * k2)
-    k4 = rate(y + dt * k3)
-    new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.any(new <= R_MIN):
-        raise PastBlowup(f"radius fell to {new.min():.3e} <= r_min={R_MIN:.1e}")
-    return FlowState(fam, state.t + dt, tuple(float(v) for v in new))
+    k2 = rate(shifted(0.5 * dt, k1))
+    k3 = rate(shifted(0.5 * dt, k2))
+    k4 = rate(shifted(dt, k3))
+    new = tuple(
+        r + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for r, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+    if any(r <= R_MIN for r in new):
+        raise PastBlowup(f"radius fell to {min(new):.3e} <= r_min={R_MIN:.1e}")
+    return FlowState(fam, state.t + dt, new)
 
 
 @dataclass(frozen=True)
@@ -216,34 +219,37 @@ class TimeSeriesRecord:
     ratio_cyl: float
 
 
-def diagnostics(state: FlowState, constants: PinchingConstants) -> TimeSeriesRecord:
-    """All scalar diagnostics of the snapshot form at ``state``."""
-    fam = state.family
+def diagnostics(
+    states: FlowState | list[FlowState], constants: PinchingConstants
+) -> TimeSeriesRecord | list[TimeSeriesRecord]:
+    """All scalar diagnostics of the snapshot forms at ``states``.
+
+    One state gives its record.  A list of states of one family gives their
+    records, evaluated together on the stacked forms; one state is the
+    batch of one.
+    """
+    batch = [states] if isinstance(states, FlowState) else states
+    fam = batch[0].family
     if constants.regime == "space_form" and constants.Kbar != fam.kbar:
         raise InvalidConstants(
             f"constants Kbar={constants.Kbar} but family has kbar={fam.kbar}"
         )
-    A = state.form()
-    H = mean_curvature(A)
-    if H.norm <= 1e-12:
-        raise DegenerateMeanCurvature("flow snapshot has |H| = 0")
-    dec = principal_decompose(A)
-    f = pinching_f(dec, H, constants)
-    q = pinching_Q(dec, H, constants) if constants.regime == "space_form" else math.nan
-    n = fam.n
-    return TimeSeriesRecord(
-        t=state.t,
-        params=state.params,
-        A2=dec.a2,
-        H2=H.norm2,
-        h2=dec.h2,
-        Aminus2=dec.a_minus2,
-        f=f,
-        Q=q,
-        ratio_pinch=dec.a2 / H.norm2,
-        ratio_codim=dec.a_minus2 / f if f > 0 else math.nan,
-        ratio_cyl=dec.a2 - H.norm2 / (n - 1),
+    dec = principal_decompose(fam.form(np.array([s.params for s in batch])))
+    H2 = dec.H.norm2
+    f = pinching_f(dec, dec.H, constants)
+    nan = np.full(len(batch), math.nan)
+    q = pinching_Q(dec, dec.H, constants) if constants.regime == "space_form" else nan
+    columns = (
+        dec.a2, H2, dec.h2, dec.a_minus2, f, q,
+        dec.a2 / H2,
+        np.divide(dec.a_minus2, f, out=nan.copy(), where=f > 0),
+        dec.a2 - H2 / (fam.n - 1),
     )
+    records = [
+        TimeSeriesRecord(s.t, s.params, *row)
+        for s, row in zip(batch, zip(*(col.tolist() for col in columns)))
+    ]
+    return records[0] if isinstance(states, FlowState) else records
 
 
 def simulate(
@@ -257,6 +263,8 @@ def simulate(
 
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
+    The radii are integrated first; the recorded states are then evaluated
+    in chunks of ``CHUNK``.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -265,7 +273,10 @@ def simulate(
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
     state = FlowState(family, 0.0, family.exact_params(0.0))
-    records = [diagnostics(state, constants)]
+    # the initial record is evaluated before any step, so that a constants
+    # mismatch or a degenerate |H| fails at once
+    records = diagnostics([state], constants)
+    recorded = []
     step = dt
     k = 0
     while state.t < t_end:
@@ -280,9 +291,11 @@ def simulate(
             break
         k += 1
         if k % every == 0:
-            records.append(diagnostics(state, constants))
+            recorded.append(state)
         if min(state.params) <= R_MIN:
             break
+    for start in range(0, len(recorded), CHUNK):
+        records += diagnostics(recorded[start:start + CHUNK], constants)
     return records
 
 

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import DegenerateMeanCurvature, InvalidSample
 
 MAX_DIM = 16
+# points evaluated together by campaigns and flows; larger chunks cost more
+# memory than they save time (measurements in ROADMAP item 2)
+CHUNK = 32
 TOL_H = 1e-12
 TOL_CODAZZI = 1e-9
 
@@ -126,13 +129,15 @@ class PrincipalDecomposition:
 
     ``h_ij = <A_ij, nu1>`` is the second fundamental form in the principal
     direction, ``A^-`` the part orthogonal to it (vector-valued and traceless),
-    ``h_ring`` the traceless part of h.  Squared norms are cached: the
+    ``h_ring`` the traceless part of h, ``H`` the mean curvature the split
+    was taken along.  Squared norms are cached: the
     Pythagoras identities |A|^2 = |h|^2 + |A^-|^2 and
     |Aring|^2 = |h_ring|^2 + |A^-|^2 = |A|^2 - |H|^2/n hold by construction.
     Every field carries the leading batch axes of the form it splits.
     """
 
     dims: Dims
+    H: MeanCurvature
     nu1: np.ndarray          # unit m-vector
     h: np.ndarray            # symmetric (n, n)
     a_minus: SecondFundamentalForm
@@ -176,6 +181,7 @@ def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
     h_ring2 = sum_sq(h_ring, 2)
     return PrincipalDecomposition(
         dims=A.dims,
+        H=H,
         nu1=nu1,
         h=h,
         a_minus=a_minus,

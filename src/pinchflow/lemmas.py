@@ -97,8 +97,8 @@ def check_li(matrices: Sequence[np.ndarray] | np.ndarray) -> InequalityCheck:
 
 def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityCheck:
     """|dA|^2 >= (3/(n+2) - eta) |dH|^2 - (2/(n+2)) ((2/(n+2))/eta - n/(n-1)) |w|^2."""
-    if not eta > 0:
-        raise InvalidConstants(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise InvalidConstants(f"eta must be a positive finite number, got {eta}")
     require_codazzi(grad)
     n = grad.dims.n
     w2 = float(np.sum(np.asarray(w) ** 2))

@@ -68,12 +68,15 @@ class PointSample:
     """A form together with its mean curvature and principal splitting."""
 
     form: SecondFundamentalForm
-    H: MeanCurvature
     decomp: PrincipalDecomposition
 
     @classmethod
     def from_form(cls, form: SecondFundamentalForm) -> "PointSample":
-        return cls(form, mean_curvature(form), principal_decompose(form))
+        return cls(form, principal_decompose(form))
+
+    @property
+    def H(self) -> MeanCurvature:
+        return self.decomp.H
 
     def scaled(self, lam: float) -> "PointSample":
         return PointSample.from_form(self.form.scaled(lam))

@@ -93,6 +93,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, flag, value, name", [
         ("kato", "--eta", "nan", "eta"),
+        ("kato", "--eta", "inf", "eta"),
         ("reaction", "--sigma", "nan", "sigma"),
         ("reaction", "--sigma", "0", "sigma"),
         ("reaction", "--c", "nan", "c"),

@@ -1,11 +1,13 @@
 """Model flow families: exact solutions, integrator, diagnostics, barriers."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import pinchflow.flow
 from pinchflow.constants import PinchingConstants
 from pinchflow.errors import InvalidConstants, NonpositiveZ, PastBlowup
 from pinchflow.flow import (
@@ -25,7 +27,7 @@ from pinchflow.flow import (
     step_rk4,
     write_csv,
 )
-from pinchflow.forms import Dims
+from pinchflow.forms import CHUNK, Dims
 
 FLAT_K = PinchingConstants(Dims(8, 2), 1 / 6)
 
@@ -34,6 +36,10 @@ def hyperbolic_constants(n=8, m=2, c=1 / 6, d=4.0, kbar=-1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return PinchingConstants(Dims(n, m), c, d, regime="space_form", Kbar=kbar)
+
+
+def constants_for(fam):
+    return hyperbolic_constants() if fam.kind == "hyperbolic" else FLAT_K
 
 
 ALL_FAMILIES = [
@@ -96,6 +102,11 @@ class TestRK4:
         exact = fam.exact_params(st.t)
         assert abs(st.params[0] - exact[0]) < 1e-10
         assert abs(st.params[1] - exact[1]) < 1e-10
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-4])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be a positive finite step"):
+            step_rk4(exact_state(SphereFlow(8, 2, 2.0), 0.0), dt)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_tracks_exact_over_half_lifespan(self, fam):
@@ -228,6 +239,30 @@ class TestSimulate:
         fam = SphereFlow(8, 2, 0.05)
         recs = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
         assert recs[-1].params[0] > 0
+
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_chunks_match_one_point_diagnostics(self, fam, count):
+        # every third of 3 * count steps is recorded after the initial
+        # record; the half step after them is not
+        dt, every = 1e-4, 3
+        constants = constants_for(fam)
+        recs = simulate(fam, constants, dt=dt, t_end=(every * count + 0.5) * dt, every=every)
+        assert len(recs) == count + 1
+        for rec in recs:
+            alone = diagnostics(FlowState(fam, rec.t, rec.params), constants)
+            for field in dataclasses.fields(rec):
+                got, want = getattr(rec, field.name), getattr(alone, field.name)
+                assert got == want or (math.isnan(got) and math.isnan(want)), field.name
+
+    def test_kbar_mismatch_raised_before_any_step(self, monkeypatch):
+        def no_step(state, dt):
+            raise AssertionError("stepped before the constants were checked")
+
+        monkeypatch.setattr(pinchflow.flow, "step_rk4", no_step)
+        fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
+        with pytest.raises(InvalidConstants):
+            simulate(fam, hyperbolic_constants(kbar=-2.0), dt=1e-4, t_end=0.01)
 
 
 class TestQuotientIdentity:

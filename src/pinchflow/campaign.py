@@ -1,8 +1,9 @@
 """Seeded verification campaigns with counterexample capture and shrinking.
 
 A campaign draws ``trials`` independent samples from per-trial substreams of
-(seed, trial, input-kind) and evaluates a set of inequalities on each, in
-chunks of ``CHUNK`` trials.  A trial violates an inequality unless
+(seed, trial, input-kind) and evaluates a set of inequalities on each.  It
+samples and evaluates chunks of ``CHUNK`` trials stacked along a leading
+axis.  A trial violates an inequality unless
 slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation.  On
 violation the offending inputs are halved while the violation persists and
 the shrunk witness is written to a replayable JSON file (all entries as
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .samplers import (
     sample_w,
     symmetric_matrices,
     symmetric_three_tensor,
-    trial_rng,
+    trial_rngs,
 )
 
 DEFAULT_TOL = 1e-9
@@ -79,16 +80,54 @@ def _decode_array(d: dict) -> np.ndarray:
     )
 
 
+_FORMS = ("form", "boundary_form")
+_ARRAYS = ("matrices", "grad_tensor", "w")
+
+
 @dataclass
 class TrialInputs:
-    """Raw sampled inputs of one trial (pre-derivation), for replay."""
+    """Raw sampled inputs of one trial (pre-derivation), for replay, or of a
+    chunk of trials stacked along a leading axis."""
 
     dims: Dims
     form: SecondFundamentalForm | None = None
     boundary_form: SecondFundamentalForm | None = None
-    matrices: list[np.ndarray] = field(default_factory=list)
+    matrices: np.ndarray | None = None  # (count, n, n) symmetric matrices
     grad_tensor: np.ndarray | None = None
     w: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.matrices is not None:
+            self.matrices = np.asarray(self.matrices, dtype=np.float64)
+
+    @classmethod
+    def stack(cls, trials: Sequence["TrialInputs"]) -> "TrialInputs":
+        """The chunk of the given trials, stacked along a leading axis."""
+        chunk = cls(dims=trials[0].dims)
+        for name in _FORMS + _ARRAYS:
+            if getattr(trials[0], name) is None:
+                continue
+            values = [getattr(inputs, name) for inputs in trials]
+            if name in _FORMS:
+                comps = np.array([form.components for form in values])
+                setattr(chunk, name, SecondFundamentalForm(chunk.dims, comps))
+            else:
+                setattr(chunk, name, np.array(values, dtype=np.float64))
+        return chunk
+
+    def trial(self, i: int) -> "TrialInputs":
+        """Trial ``i`` of a chunk on its own, copied out of the chunk."""
+        inputs = TrialInputs(dims=self.dims)
+        for name in _FORMS + _ARRAYS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name in _FORMS:
+                value = SecondFundamentalForm(self.dims, value.components[i].copy())
+            else:
+                value = value[i].copy()
+            setattr(inputs, name, value)
+        return inputs
 
     def encode(self) -> dict:
         out: dict = {"dims": {"n": self.dims.n, "m": self.dims.m}}
@@ -96,7 +135,7 @@ class TrialInputs:
             out["form"] = _encode_array(self.form.components)
         if self.boundary_form is not None:
             out["boundary_form"] = _encode_array(self.boundary_form.components)
-        if self.matrices:
+        if self.matrices is not None:
             out["matrices"] = [_encode_array(b) for b in self.matrices]
         if self.grad_tensor is not None:
             out["grad_tensor"] = _encode_array(self.grad_tensor)
@@ -115,7 +154,7 @@ class TrialInputs:
                 dims, _decode_array(payload["boundary_form"])
             )
         if "matrices" in payload:
-            inputs.matrices = [_decode_array(b) for b in payload["matrices"]]
+            inputs.matrices = np.array([_decode_array(b) for b in payload["matrices"]])
         if "grad_tensor" in payload:
             inputs.grad_tensor = _decode_array(payload["grad_tensor"])
         if "w" in payload:
@@ -129,7 +168,7 @@ class TrialInputs:
             boundary_form=(
                 self.boundary_form.scaled(0.5) if self.boundary_form is not None else None
             ),
-            matrices=[0.5 * b for b in self.matrices],
+            matrices=0.5 * self.matrices if self.matrices is not None else None,
             grad_tensor=0.5 * self.grad_tensor if self.grad_tensor is not None else None,
             w=0.5 * self.w if self.w is not None else None,
         )
@@ -169,11 +208,13 @@ def _needed_kinds(lemma_ids: Sequence[str]) -> set[str]:
 
 
 def sample_trial_inputs(
-    spec: SamplerSpec, trial: int, kinds: set[str]
+    spec: SamplerSpec, trials: int | Sequence[int], kinds: set[str]
 ) -> TrialInputs:
+    """The inputs of one trial, or of a sequence of trials stacked along a
+    leading axis; each kind of each trial comes from its own substream."""
     inputs = TrialInputs(dims=spec.dims)
     if "form" in kinds:
-        inputs.form = sample_form(spec, trial)
+        inputs.form = sample_form(spec, trials)
     if "boundary" in kinds:
         if spec.distribution == "boundary":
             inputs.boundary_form = inputs.form
@@ -181,15 +222,15 @@ def sample_trial_inputs(
             d_boundary = spec.d if spec.d > 0 else 1.0
             inputs.boundary_form = rescale_to_boundary(inputs.form, spec.c, d_boundary)
     if "matrices" in kinds:
-        rng = trial_rng(spec.seed, trial, TAG_MATRICES)
         inputs.matrices = symmetric_matrices(
-            rng, spec.dims.n, max(1, spec.dims.m - 1), spec.sigma
+            trial_rngs(spec.seed, trials, TAG_MATRICES),
+            spec.dims.n, max(1, spec.dims.m - 1), spec.sigma,
         )
     if "grad" in kinds:
-        rng = trial_rng(spec.seed, trial, TAG_GRADIENT)
+        rng = trial_rngs(spec.seed, trials, TAG_GRADIENT)
         inputs.grad_tensor = symmetric_three_tensor(rng, spec.dims, spec.sigma)
     if "w" in kinds:
-        inputs.w = sample_w(trial_rng(spec.seed, trial, TAG_W), spec.dims, spec.sigma)
+        inputs.w = sample_w(trial_rngs(spec.seed, trials, TAG_W), spec.dims, spec.sigma)
     return inputs
 
 
@@ -222,21 +263,17 @@ def _pointwise_checks(
 
 def evaluate_trial(
     lemma_ids: Sequence[str],
-    batch: Sequence[TrialInputs],
+    chunk: TrialInputs,
     config: CampaignConfig,
     d_boundary: float,
 ) -> list[lemmas.InequalityCheck]:
     """Evaluate every requested inequality on a chunk of trials.
 
-    Each check holds one lhs and rhs per trial of ``batch``.  li, the flat
-    reaction estimates and the boundary estimate run once on the stacked
-    inputs; the kato and gradient estimates run trial by trial.
+    ``chunk`` holds the inputs stacked along a leading axis, and each check
+    holds one lhs and rhs per trial.  li, the flat reaction estimates and the
+    boundary estimate run once on the stacked inputs; the kato and gradient
+    estimates run trial by trial.
     """
-
-    def stacked_point(kind: str) -> PointSample:
-        comps = np.array([getattr(inputs, kind).components for inputs in batch])
-        return PointSample.from_form(SecondFundamentalForm(batch[0].dims, comps))
-
     li_ids = [i for i in lemma_ids if i in lemmas.LI_IDS]
     kato_ids = [i for i in lemma_ids if i in lemmas.KATO_IDS]
     reaction_ids = [i for i in lemma_ids if i in lemmas.REACTION_IDS]
@@ -245,10 +282,11 @@ def evaluate_trial(
 
     checks: list[lemmas.InequalityCheck] = []
     for _ in li_ids:
-        checks.append(lemmas.check_li([inputs.matrices for inputs in batch]))
+        checks.append(lemmas.check_li(chunk.matrices))
     if kato_ids or gradient_ids:
         per_trial = [
-            _pointwise_checks(kato_ids, gradient_ids, inputs, config) for inputs in batch
+            _pointwise_checks(kato_ids, gradient_ids, chunk.trial(i), config)
+            for i in range(len(chunk.form.components))
         ]
         for column in zip(*per_trial):
             checks.append(lemmas.InequalityCheck(
@@ -259,12 +297,15 @@ def evaluate_trial(
     if reaction_ids:
         checks.extend(
             lemmas.reaction_checks(
-                reaction_ids, stacked_point("form"), config.c, config.d, config.delta
+                reaction_ids, PointSample.from_form(chunk.form),
+                config.c, config.d, config.delta,
             )
         )
     for _ in boundary_ids:
         checks.append(
-            lemmas.boundary_check(stacked_point("boundary_form"), config.c, d_boundary)
+            lemmas.boundary_check(
+                PointSample.from_form(chunk.boundary_form), config.c, d_boundary
+            )
         )
     return checks
 
@@ -282,11 +323,13 @@ def _shrink(
 ) -> tuple[TrialInputs, lemmas.InequalityCheck]:
     """Halve the inputs while the violation persists; return the last witness."""
     current = inputs
-    check = evaluate_trial([lemma_id], [current], config, d_boundary)[0]
+    check = evaluate_trial([lemma_id], TrialInputs.stack([current]), config, d_boundary)[0]
     for _ in range(MAX_SHRINK_STEPS):
         candidate = current.halved()
         try:
-            cand_check = evaluate_trial([lemma_id], [candidate], config, d_boundary)[0]
+            cand_check = evaluate_trial(
+                [lemma_id], TrialInputs.stack([candidate]), config, d_boundary
+            )[0]
         except PinchflowError:
             break
         if _violated(cand_check, tol)[0]:
@@ -368,23 +411,20 @@ def run_campaign(
         for lem in lemma_ids
     }
     for start in range(0, trials, CHUNK):
-        batch = [
-            sample_trial_inputs(spec, trial, kinds)
-            for trial in range(start, min(start + CHUNK, trials))
-        ]
-        for check in evaluate_trial(lemma_ids, batch, config, d_boundary):
+        chunk = sample_trial_inputs(spec, range(start, min(start + CHUNK, trials)), kinds)
+        for check in evaluate_trial(lemma_ids, chunk, config, d_boundary):
             st = stats[check.lemma_id]
             # the first least slack of the chunk; NaN is never the worst
             slack = np.where(np.isnan(check.slack), np.inf, check.slack)
             worst = int(np.argmin(slack))
             if slack[worst] < st["worst"]:
                 st["worst"] = slack[worst]
-                st["worst_inputs"] = batch[worst]
+                st["worst_inputs"] = chunk.trial(worst)
             for i in np.flatnonzero(_violated(check, tol)):
                 trial = start + int(i)
                 st["violations"] += 1
                 shrunk_inputs, shrunk_check = _shrink(
-                    check.lemma_id, batch[i], config, d_boundary, tol
+                    check.lemma_id, chunk.trial(i), config, d_boundary, tol
                 )
                 if counterexample_dir is not None:
                     os.makedirs(counterexample_dir, exist_ok=True)
@@ -394,6 +434,7 @@ def run_campaign(
                         check.lemma_id, spec, config, trial,
                         shrunk_inputs, shrunk_check,
                     )
+        del chunk  # free it before the next one is sampled
     return [
         CheckResult(
             lemma_id=lem,

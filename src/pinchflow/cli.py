@@ -51,7 +51,13 @@ def _resolve_seed(arg_seed: int | None) -> int:
         return arg_seed
     env = os.environ.get("MCF_SEED")
     if env is not None:
-        return int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"MCF_SEED must be a non-negative integer, got {env!r}")
+        return seed
     return int(np.random.SeedSequence().entropy) % (2**63)
 
 

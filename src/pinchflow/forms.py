@@ -94,9 +94,9 @@ class SecondFundamentalForm:
 
 
 def symmetrize(components: np.ndarray) -> SecondFundamentalForm:
-    """Build a form from arbitrary (m, n, n) data by exact symmetrization."""
+    """Build a form from arbitrary (..., m, n, n) data by exact symmetrization."""
     components = np.asarray(components, dtype=np.float64)
-    sym = 0.5 * (components + components.transpose(0, 2, 1))
+    sym = 0.5 * (components + components.swapaxes(-1, -2))
     return SecondFundamentalForm.from_components(sym)
 
 
@@ -115,12 +115,15 @@ class MeanCurvature:
         return self.norm * self.norm
 
 
+def dot_norm(x: np.ndarray) -> np.float64 | np.ndarray:
+    """np.linalg.norm over the last axis, rounding included, for any leading
+    axes: a matmul inner product is the BLAS dot np.linalg.norm takes."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def mean_curvature(A: SecondFundamentalForm) -> MeanCurvature:
     vector = np.einsum("...aii->...a", A.components)
-    # a matmul inner product is the BLAS dot of np.linalg.norm, rounding
-    # included, over any leading axes
-    norm2 = (vector[..., None, :] @ vector[..., :, None])[..., 0, 0]
-    return MeanCurvature(vector, _scalar(np.sqrt(norm2)))
+    return MeanCurvature(vector, _scalar(dot_norm(vector)))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,22 @@
 
 Every trial draws from its own substream ``default_rng((seed, trial, tag))``
 so a campaign reproduces bit-identically from (seed, spec) regardless of
-which lemmas are being checked.  Constrained distributions are produced by
-rejection plus exact radial rescaling: norm constraints are radial, so a
-single multiplicative factor lands on them to machine precision.
+which lemmas are being checked.  A chunk of trials is drawn at once from the
+same substreams: :func:`substream_states` runs NumPy's seed hash over a
+vector of trial numbers, and :func:`trial_rngs` re-seeds one generator for
+each trial in turn.  The samplers take one generator, or one generator per
+trial and then stack the draws along a leading axis.  Constrained
+distributions are produced by rejection plus exact radial rescaling: norm
+constraints are radial, so a single multiplicative factor lands on them to
+machine precision.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +28,7 @@ from .forms import (
     MeanCurvature,
     PrincipalDecomposition,
     SecondFundamentalForm,
+    dot_norm,
     gradient_sample,
     mean_curvature,
     principal_decompose,
@@ -28,12 +37,22 @@ from .forms import (
 
 DISTRIBUTIONS = ("gaussian", "pinched", "boundary")
 MAX_ATTEMPTS = 400  # rejection attempts of sample_pinched
+FIRST_CAP = 0.5  # perturbation cap of the first attempt, halved every 8
 
 # substream tags: one per input kind so that lemma sets do not perturb draws
 TAG_FORM = 0
 TAG_MATRICES = 1
 TAG_GRADIENT = 2
 TAG_W = 3
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx, NEP 19) and the
+# PCG64 seeding of default_rng, with their constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -50,6 +69,9 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("sigma", "c", "d"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
@@ -61,6 +83,146 @@ class SamplerSpec:
 
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(trial), int(tag)))
+
+
+def _words(x: int) -> list[int]:
+    """The uint32 entropy words SeedSequence takes from a non-negative int."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multipliers of ``calls`` hashmix calls, as a column: call j xors
+    with entry j and multiplies by entry j + 1."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    out = np.array(consts, dtype=np.uint32)[:, None]
+    out.setflags(write=False)
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` by consecutive calls, one per row
+    of ``consts[1:]``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_hash(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool mixing and generate_state(4, uint64) of every
+    column of the (words, k) uint32 ``entropy``; returns (k, 4) uint64.
+
+    The hashmix calls run in the order of the scalar loops.  Calls that do
+    not depend on each other's output run as one array operation.
+    """
+    words = len(entropy)
+    extra = max(0, words - _POOL_SIZE)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:words] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts[at:at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    # generate_state cycles through the pool for 8 uint32 words, and
+    # consecutive words pair into one little-endian uint64
+    out = _hashmix(pool[np.arange(8) % _POOL_SIZE], _hash_constants(_INIT_B, _MULT_B, 8))
+    out = out.astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
+
+
+def substream_states(seed: int, trials: Sequence[int], tag: int) -> np.ndarray:
+    """``SeedSequence((seed, trial, tag)).generate_state(4, np.uint64)`` of
+    every trial, shape (len(trials), 4).
+
+    The hash is uint32 arithmetic on a constant schedule that depends only on
+    the number of entropy words, so it runs once over all trials whose
+    numbers take the same number of words.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    states = np.empty((trials.size, 4), dtype=np.uint64)
+    for wide in (False, True):  # a trial number >= 2**32 takes a second word
+        rows = (high > 0) == wide
+        if rows.any():
+            count = int(rows.sum())
+            trial_words = [low[rows], high[rows]] if wide else [low[rows]]
+            entropy = np.array([
+                *(np.full(count, w) for w in _words(int(seed))),
+                *trial_words,
+                *(np.full(count, w) for w in _words(int(tag))),
+            ], dtype=np.uint32)
+            states[rows] = _seed_hash(entropy)
+    return states
+
+
+class Substreams:
+    """The substream generators of a sequence of trials, in turn.
+
+    One generator is re-seeded for each trial from its
+    :func:`substream_states` row, so draw from it before taking the next.
+    """
+
+    def __init__(self, seed: int, trials: Sequence[int], tag: int) -> None:
+        self.states = substream_states(seed, trials, tag)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bitgen = np.random.PCG64()
+        rng = np.random.Generator(bitgen)
+        for s_high, s_low, i_high, i_low in self.states.tolist():
+            # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from
+            # state 0 with the seed added in between
+            inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+            state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+# what the samplers draw from: one generator, or the substreams of a chunk
+Rng = np.random.Generator | Substreams
+
+
+def trial_rngs(seed: int, trials: int | Sequence[int], tag: int = TAG_FORM) -> Rng:
+    """The substream generator of one trial, ``trial_rng(seed, trial, tag)``,
+    or the :class:`Substreams` of a sequence of trials."""
+    if np.ndim(trials) == 0:
+        return trial_rng(seed, trials, tag)
+    return Substreams(seed, trials, tag)
+
+
+def _normals(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of ``shape`` from one generator, or from each of the
+    substreams, stacked along a leading axis."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    out = np.empty((len(rng), *shape))
+    for row, r in zip(out, rng):
+        r.standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,26 +240,40 @@ class PointSample:
     def H(self) -> MeanCurvature:
         return self.decomp.H
 
-    def scaled(self, lam: float) -> "PointSample":
-        return PointSample.from_form(self.form.scaled(lam))
 
-
-def symmetric_gaussian(
-    rng: np.random.Generator, dims: Dims, sigma: float = 1.0
-) -> SecondFundamentalForm:
-    raw = sigma * rng.standard_normal((dims.m, dims.n, dims.n))
+def symmetric_gaussian(rng: Rng, dims: Dims, sigma: float = 1.0) -> SecondFundamentalForm:
+    raw = sigma * _normals(rng, (dims.m, dims.n, dims.n))
     return symmetrize(raw)
 
 
-def symmetric_matrices(
-    rng: np.random.Generator, n: int, count: int, sigma: float = 1.0
-) -> list[np.ndarray]:
-    """``count`` independent symmetric n x n Gaussian matrices."""
-    out = []
-    for _ in range(count):
-        raw = sigma * rng.standard_normal((n, n))
-        out.append(0.5 * (raw + raw.T))
-    return out
+def symmetric_matrices(rng: Rng, n: int, count: int, sigma: float = 1.0) -> np.ndarray:
+    """``count`` independent symmetric n x n Gaussian matrices, (..., count, n, n)."""
+    raw = sigma * _normals(rng, (count, n, n))
+    return 0.5 * (raw + raw.swapaxes(-1, -2))
+
+
+def pinched_attempt(
+    normals: np.ndarray, u: float | np.ndarray, dims: Dims, c: float, d: float, sigma: float
+) -> tuple[SecondFundamentalForm, bool | np.ndarray]:
+    """One rejection attempt of :func:`sample_pinched`, over any leading axes.
+
+    ``normals`` holds the m + 1 + m n^2 standard normals of the attempt: the
+    normal direction, the log-normal size and the perturbation.  ``u`` is the
+    uniform perturbation factor, already times the cap.  Returns the form and
+    whether f = c|H|^2 - |A|^2 - d > 0 holds.
+    """
+    n, m = dims.n, dims.m
+    lead = normals.shape[:-1]
+    nu = normals[..., :m] / dot_norm(normals[..., :m])[..., None]
+    s = sigma * np.exp(0.5 * normals[..., m])
+    h0 = np.sqrt((d + s * s) / (c - 1.0 / n))
+    base = (h0 / n)[..., None, None, None] * np.eye(n) * nu[..., None, None]
+    pert = normals[..., m + 1:].reshape(*lead, m, n, n)
+    pert = 0.5 * (pert + pert.swapaxes(-1, -2))
+    pert = pert / dot_norm(pert.reshape(*lead, m * n * n))[..., None, None, None]
+    tau = u * s
+    A = symmetrize(base + tau[..., None, None, None] * pert)
+    return A, c * mean_curvature(A).norm2 - A.norm2 - d > 0
 
 
 def sample_pinched(
@@ -113,28 +289,42 @@ def sample_pinched(
     positive, plus a perturbation scaled to the available slack; rejection
     guarantees the constraint exactly.
     """
-    n, m = dims.n, dims.m
-    g = c - 1.0 / n
-    if g <= 0:
+    if c - 1.0 / dims.n <= 0:
         raise InvalidConstants("pinched sampling needs c > 1/n")
-    cap = 0.5
+    cap = FIRST_CAP
     for attempt in range(MAX_ATTEMPTS):
-        nu = rng.standard_normal(m)
-        nu /= np.linalg.norm(nu)
-        s = sigma * np.exp(0.5 * rng.standard_normal())
-        h0 = np.sqrt((d + s * s) / g)
-        base = (h0 / n) * np.eye(n)[None, :, :] * nu[:, None, None]
-        pert = rng.standard_normal((m, n, n))
-        pert = 0.5 * (pert + pert.transpose(0, 2, 1))
-        pert /= np.linalg.norm(pert)
-        tau = rng.uniform(0.0, cap) * s
-        A = symmetrize(base + tau * pert)
-        H = mean_curvature(A)
-        if c * H.norm2 - A.norm2 - d > 0:
+        normals = rng.standard_normal(dims.m * (1 + dims.n * dims.n) + 1)
+        A, pinched = pinched_attempt(normals, cap * rng.random(), dims, c, d, sigma)
+        if pinched:
             return A
         if attempt % 8 == 7:
             cap *= 0.5
     raise NotPinched(f"no pinched sample found in {MAX_ATTEMPTS} attempts")
+
+
+def _sample_pinched_chunk(
+    spec: SamplerSpec, trials: Sequence[int], d: float
+) -> SecondFundamentalForm:
+    """:func:`sample_pinched` of every trial, stacked.
+
+    The first attempts of all trials run as one batch; a trial whose first
+    attempt is rejected reruns ``sample_pinched`` from the start of its own
+    stream.
+    """
+    dims = spec.dims
+    normals = np.empty((len(trials), dims.m * (1 + dims.n * dims.n) + 1))
+    u = np.empty(len(trials))
+    for i, rng in enumerate(Substreams(spec.seed, trials, TAG_FORM)):
+        rng.standard_normal(out=normals[i])
+        u[i] = rng.random()
+    form, pinched = pinched_attempt(normals, FIRST_CAP * u, dims, spec.c, d, spec.sigma)
+    if pinched.all():
+        return form
+    comps = form.components.copy()
+    for i in np.flatnonzero(~pinched):
+        rng = trial_rng(spec.seed, trials[i], TAG_FORM)
+        comps[i] = sample_pinched(rng, dims, spec.c, d, spec.sigma).components
+    return SecondFundamentalForm(dims, comps)
 
 
 def rescale_to_boundary(
@@ -149,36 +339,40 @@ def rescale_to_boundary(
         raise InvalidConstants("boundary rescaling needs d > 0")
     H = mean_curvature(form)
     g0 = c * H.norm2 - form.norm2
-    if g0 <= 0:
+    if np.any(g0 <= 0):
         raise NotPinched("cannot reach the boundary: c|H|^2 - |A|^2 <= 0")
     lam = np.sqrt(d / g0)
-    return form.scaled(float(lam))
+    return SecondFundamentalForm(form.dims, lam[..., None, None, None] * form.components)
 
 
-def sample_form(spec: SamplerSpec, trial: int) -> SecondFundamentalForm:
-    rng = trial_rng(spec.seed, trial, TAG_FORM)
+def sample_form(spec: SamplerSpec, trials: int | Sequence[int]) -> SecondFundamentalForm:
+    """The form of one trial, or of a sequence of trials stacked along a
+    leading axis; either way each trial draws from its own substream."""
     if spec.distribution == "gaussian":
-        return symmetric_gaussian(rng, spec.dims, spec.sigma)
-    if spec.distribution == "pinched":
-        return sample_pinched(rng, spec.dims, spec.c, spec.d, spec.sigma)
-    pinched = sample_pinched(rng, spec.dims, spec.c, 0.0, spec.sigma)
-    return rescale_to_boundary(pinched, spec.c, spec.d)
+        return symmetric_gaussian(
+            trial_rngs(spec.seed, trials, TAG_FORM), spec.dims, spec.sigma
+        )
+    d = spec.d if spec.distribution == "pinched" else 0.0
+    if np.ndim(trials) == 0:
+        rng = trial_rng(spec.seed, trials, TAG_FORM)
+        form = sample_pinched(rng, spec.dims, spec.c, d, spec.sigma)
+    else:
+        form = _sample_pinched_chunk(spec, trials, d)
+    if spec.distribution == "boundary":
+        form = rescale_to_boundary(form, spec.c, spec.d)
+    return form
 
 
-def sample_point(spec: SamplerSpec, trial: int) -> PointSample:
-    return PointSample.from_form(sample_form(spec, trial))
-
-
-def symmetric_three_tensor(
-    rng: np.random.Generator, dims: Dims, sigma: float = 1.0
-) -> np.ndarray:
-    """Gaussian (m, n, n, n) tensor symmetrized over its tangent indices."""
-    raw = sigma * rng.standard_normal((dims.m, dims.n, dims.n, dims.n))
+def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
+    """Gaussian (..., m, n, n, n) tensor symmetrized over its tangent indices."""
+    raw = _normals(rng, (dims.m, dims.n, dims.n, dims.n))
+    raw *= sigma  # in place: a chunk of these tensors is large
+    lead = raw.ndim - 3
     acc = np.zeros_like(raw)
-    for perm in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3),
-                 (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)):
-        acc += raw.transpose(*perm)
-    return acc / 6.0
+    for perm in itertools.permutations(range(lead, lead + 3)):
+        acc += raw.transpose(*range(lead), *perm)
+    acc /= 6.0
+    return acc
 
 
 def sample_gradient(
@@ -227,5 +421,5 @@ def kato_e_tensor(
     return t
 
 
-def sample_w(rng: np.random.Generator, dims: Dims, sigma: float = 1.0) -> np.ndarray:
-    return sigma * rng.standard_normal((dims.m, dims.n))
+def sample_w(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
+    return sigma * _normals(rng, (dims.m, dims.n))

@@ -18,7 +18,7 @@ from pinchflow.campaign import (
 )
 from pinchflow.forms import Dims, mean_curvature
 from pinchflow.lemmas import GRADIENT_IDS, InequalityCheck, REACTION_IDS
-from pinchflow.samplers import SamplerSpec, sample_form, sample_point
+from pinchflow.samplers import PointSample, SamplerSpec, sample_form
 
 
 class TestDeterminism:
@@ -64,7 +64,7 @@ class TestConstrainedSamplers:
 
     def test_point_sample_has_positive_H(self):
         spec = SamplerSpec(Dims(6, 2), "pinched", c=4 / 18, seed=17)
-        pt = sample_point(spec, 0)
+        pt = PointSample.from_form(sample_form(spec, 0))
         assert pt.H.norm > 0
 
 

@@ -50,7 +50,7 @@ def one_trial(lemma_id, inputs, config, d_bound):
 
 
 def assert_chunk_matches_trials(ids, batch, config, d_bound):
-    checks = evaluate_trial(ids, batch, config, d_bound)
+    checks = evaluate_trial(ids, TrialInputs.stack(batch), config, d_bound)
     assert [chk.lemma_id for chk in checks] == list(ids)
     for chk in checks:
         assert np.shape(chk.lhs) == np.shape(chk.rhs) == (len(batch),)

@@ -67,6 +67,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["seed"] == 12345
 
+    def test_negative_seed_names_itself(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
+                             "--seed", "-1", "--n", "3", "--m", "2")
+        assert code == 2
+        assert out == "" and "error: seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("env", ["-3", "abc"])
+    def test_bad_env_seed_names_itself(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("MCF_SEED", env)
+        code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
+                             "--n", "3", "--m", "2")
+        assert code == 2
+        assert out == "" and "error: MCF_SEED must be a non-negative integer" in err
+
     def test_violation_exit_code(self, capsys, monkeypatch, tmp_path):
         def fake_run_campaign(*args, **kwargs):
             return [CheckResult("li", 5, 2, -1.0, "deadbeef", 1)]

@@ -287,7 +287,7 @@ class TestScaleCovariance:
         for ids, kwargs in ((["4.5", "4.6", "4.10", "4.12", "4.14"], {}),):
             base_checks = reaction_checks(ids, point, 1 / 6, 0.0, 0.5)
             scaled_checks = reaction_checks(
-                ids, point.scaled(lam), 1 / 6, 0.0, 0.5
+                ids, PointSample.from_form(point.form.scaled(lam)), 1 / 6, 0.0, 0.5
             )
             for b, s in zip(base_checks, scaled_checks):
                 assert s.slack == pytest.approx(

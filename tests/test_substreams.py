@@ -1,0 +1,156 @@
+"""Chunked sampling against one trial at a time.
+
+A campaign draws a chunk of trials at once, each trial still from its own
+``default_rng((seed, trial, tag))`` substream: ``substream_states`` runs
+NumPy's seed hash over the trial numbers and ``trial_rngs`` re-seeds one
+generator per trial.  Every state, draw and sampled array of a chunk must
+equal the per-trial ``trial_rng`` path bit for bit, pinched forms included:
+they must equal the rejection sampler as written one draw at a time.
+"""
+
+import numpy as np
+import pytest
+
+import pinchflow.samplers as samplers
+from pinchflow.campaign import CHUNK, sample_trial_inputs
+from pinchflow.forms import Dims, mean_curvature, symmetrize
+from pinchflow.samplers import (
+    MAX_ATTEMPTS,
+    TAG_FORM,
+    TAG_GRADIENT,
+    TAG_MATRICES,
+    TAG_W,
+    SamplerSpec,
+    rescale_to_boundary,
+    sample_w,
+    substream_states,
+    symmetric_gaussian,
+    symmetric_matrices,
+    symmetric_three_tensor,
+    trial_rng,
+    trial_rngs,
+)
+
+# a seed >= 2**32 adds entropy words; 2**64 gives five, which takes the
+# hash's second mixing loop
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64]
+TAGS = [TAG_FORM, TAG_MATRICES, TAG_GRADIENT, TAG_W]
+TRIALS = {
+    "offset": range(5, 12),
+    "chunk-boundary": range(CHUNK - 3, CHUNK + 4),
+    "wide": [2**32 - 1, 2**32, 2**40 + 7],  # two words from 2**32 on
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("trials", TRIALS.values(), ids=TRIALS.keys())
+def test_streams_match_default_rng(seed, tag, trials):
+    states = substream_states(seed, trials, tag)
+    assert states.shape == (len(trials), 4)
+    drawn = 0
+    for trial, state, rng in zip(trials, states, trial_rngs(seed, trials, tag)):
+        expected = np.random.SeedSequence((seed, trial, tag)).generate_state(4, np.uint64)
+        assert np.array_equal(state, expected)
+        ref = trial_rng(seed, trial, tag)
+        assert np.array_equal(rng.standard_normal(40), ref.standard_normal(40))
+        assert rng.random() == ref.random()
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        drawn += 1
+    assert drawn == len(trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_names_itself(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        SamplerSpec(Dims(4, 2), seed=seed)
+
+
+ALL_KINDS = {"form", "boundary", "matrices", "grad", "w"}
+SPECS = {
+    "pinched": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=61),
+    "boundary": SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=2**32),
+    "gaussian": SamplerSpec(Dims(5, 3), "gaussian", sigma=0.7, seed=2**64),
+    # a large d rejects some first attempts, so the per-trial rerun runs
+    "rejecting": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=1e4, seed=5),
+}
+
+
+def scalar_sample_pinched(rng, dims, c, d, sigma):
+    """The rejection sampler one draw at a time, with ``np.linalg.norm`` and
+    ``rng.uniform``, as it was before the attempt formula was batched."""
+    n, m = dims.n, dims.m
+    g = c - 1.0 / n
+    cap = 0.5
+    for attempt in range(MAX_ATTEMPTS):
+        nu = rng.standard_normal(m)
+        nu /= np.linalg.norm(nu)
+        s = sigma * np.exp(0.5 * rng.standard_normal())
+        h0 = np.sqrt((d + s * s) / g)
+        base = (h0 / n) * np.eye(n)[None, :, :] * nu[:, None, None]
+        pert = rng.standard_normal((m, n, n))
+        pert = 0.5 * (pert + pert.transpose(0, 2, 1))
+        pert /= np.linalg.norm(pert)
+        tau = rng.uniform(0.0, cap) * s
+        A = symmetrize(base + tau * pert)
+        if c * mean_curvature(A).norm2 - A.norm2 - d > 0:
+            return A
+        if attempt % 8 == 7:
+            cap *= 0.5
+    raise AssertionError("no pinched sample")
+
+
+def one_trial(spec, trial, kinds):
+    """The inputs of one trial, each kind drawn from ``trial_rng`` directly."""
+
+    def rng(tag):
+        return trial_rng(spec.seed, trial, tag)
+
+    dims, sigma = spec.dims, spec.sigma
+    if spec.distribution == "gaussian":
+        form = symmetric_gaussian(rng(TAG_FORM), dims, sigma)
+    else:
+        d = spec.d if spec.distribution == "pinched" else 0.0
+        form = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, d, sigma)
+        if spec.distribution == "boundary":
+            form = rescale_to_boundary(form, spec.c, spec.d)
+    out = {
+        "form": form.components,
+        "matrices": symmetric_matrices(rng(TAG_MATRICES), dims.n, max(1, dims.m - 1), sigma),
+        "grad_tensor": symmetric_three_tensor(rng(TAG_GRADIENT), dims, sigma),
+        "w": sample_w(rng(TAG_W), dims, sigma),
+    }
+    if "boundary" in kinds:
+        boundary = form
+        if spec.distribution != "boundary":
+            boundary = rescale_to_boundary(form, spec.c, spec.d if spec.d > 0 else 1.0)
+        out["boundary_form"] = boundary.components
+    return out
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_chunk_sampling_matches_trial_rng(name, monkeypatch):
+    spec = SPECS[name]
+    # a Gaussian form is not pinched, so it has no boundary rescaling
+    kinds = ALL_KINDS - {"boundary"} if spec.distribution == "gaussian" else ALL_KINDS
+    reruns, rerun = [], samplers.sample_pinched
+
+    def counted(*args, **kwargs):
+        reruns.append(args)
+        return rerun(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "sample_pinched", counted)
+    trials = range(7, 7 + CHUNK + 3)
+    chunk = sample_trial_inputs(spec, trials, kinds)
+    monkeypatch.undo()
+    assert chunk.form.components.shape == (len(trials), spec.dims.m, spec.dims.n, spec.dims.n)
+    for i, trial in enumerate(trials):
+        alone = chunk.trial(i)
+        for key, expected in one_trial(spec, trial, kinds).items():
+            got = getattr(alone, key)
+            got = got.components if key.endswith("form") else got
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), (key, trial)
+    if name == "rejecting":
+        assert reruns
+    elif spec.distribution == "gaussian":
+        assert not reruns

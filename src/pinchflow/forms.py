@@ -8,15 +8,15 @@ into ``h`` and ``A^-``, traceless parts, the normal curvature built from
 commutators, and first-derivative samples with the Codazzi symmetries.
 
 Everything is a plain float64 array at desk scale (n, m <= 16); values are
-immutable after construction and all operations are pure functions.  The
-form, its mean curvature, the principal splitting and the normal curvature
-also take a batch of points stacked along leading axes, ``(..., m, n, n)``;
-a scalar of one point is then an array over those axes.
+immutable after construction and all operations are pure functions.  Every
+object also takes a batch of points stacked along leading axes: forms
+``(..., m, n, n)``, derivative samples ``(..., m, n, n, n)``.  A scalar of
+one point is then an array over those axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,14 +233,6 @@ def normal_curvature(
     )
 
 
-def _tensor_asymmetry(T: np.ndarray) -> float:
-    """Max deviation of T[a, i, j, k] from full symmetry in (i, j, k)."""
-    worst = 0.0
-    for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)):
-        worst = max(worst, float(np.max(np.abs(T - T.transpose(*perm)))))
-    return worst
-
-
 @dataclass(frozen=True)
 class GradientSample:
     """A sample of the covariant derivative of A with its principal splitting.
@@ -252,48 +244,58 @@ class GradientSample:
     * ``nabla_h[i, j, k]`` and ``nabla_aminus_nu1[i, j, k]`` (the nu1
       projection splits into these two; their sum is fully symmetric for a
       Codazzi sample),
-    * ``hat_nabla_aminus[a, i, j, k]`` (part orthogonal to nu1 after removing
-      the h-term),
-    * ``nabla_normH[i]`` (derivative of |H|) and ``nabla_H_scaled[a, i]``
-      holding |H| times the derivative of nu1.
+    * ``hat_plus_h[a, i, j, k]`` (the part orthogonal to nu1) and
+      ``hat_nabla_aminus[a, i, j, k]`` (the same after removing the
+      h-term h (x) d nu1),
+    * ``nabla_normH[i]`` (derivative of |H|) and ``nabla_nu1[a, i]``.
 
     The projection of the derivative of A^- onto nu1 is forced to equal
     -<A^-, d nu1>, the relation obtained by differentiating <A^-, nu1> = 0,
     so the trace identities hold by construction whenever the raw tensor is
     fully symmetric in its three tangent indices.
+
+    Every field carries the leading batch axes of the points the tensors
+    were split at, and a scalar of one point is an array over those axes.
+    ``codazzi_defect`` is :meth:`asymmetry`, scanned once on construction.
     """
 
     dims: Dims
-    tensor: np.ndarray            # (m, n, n, n)
-    nu1: np.ndarray               # (m,)
-    h_norm: float                 # |H| of the underlying point
-    nabla_H: np.ndarray           # (m, n)  derivative of the H vector
-    nabla_normH: np.ndarray       # (n,)
-    nabla_nu1: np.ndarray         # (m, n)
-    nabla_h: np.ndarray           # (n, n, n)  [i, j, k]
-    nabla_aminus_nu1: np.ndarray  # (n, n, n)
-    hat_nabla_aminus: np.ndarray  # (m, n, n, n)
+    tensor: np.ndarray            # (..., m, n, n, n)
+    nu1: np.ndarray               # (..., m)
+    h_norm: float | np.ndarray    # |H| of the underlying point
+    nabla_H: np.ndarray           # (..., m, n)  derivative of the H vector
+    nabla_normH: np.ndarray       # (..., n)
+    nabla_nu1: np.ndarray         # (..., m, n)
+    nabla_h: np.ndarray           # (..., n, n, n)  [i, j, k]
+    nabla_aminus_nu1: np.ndarray  # (..., n, n, n)
+    hat_plus_h: np.ndarray        # (..., m, n, n, n)
+    hat_nabla_aminus: np.ndarray  # (..., m, n, n, n)
+    codazzi_defect: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("tensor", "nu1", "nabla_H", "nabla_normH", "nabla_nu1",
-                     "nabla_h", "nabla_aminus_nu1", "hat_nabla_aminus"):
+                     "nabla_h", "nabla_aminus_nu1", "hat_plus_h", "hat_nabla_aminus"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "codazzi_defect", self.asymmetry())
 
     @property
-    def nabla_nu1_scaled(self) -> np.ndarray:
-        """|H| d nu1, the trace of the nu1-orthogonal part."""
-        return self.h_norm * self.nabla_nu1
+    def norm2(self) -> float | np.ndarray:
+        return sum_sq(self.tensor, 4)
 
     @property
-    def norm2(self) -> float:
-        return float(np.sum(self.tensor**2))
+    def nabla_H_norm2(self) -> float | np.ndarray:
+        return sum_sq(self.nabla_H, 2)
 
-    @property
-    def nabla_H_norm2(self) -> float:
-        return float(np.sum(self.nabla_H**2))
-
-    def asymmetry(self) -> float:
-        return _tensor_asymmetry(self.tensor)
+    def asymmetry(self) -> float | np.ndarray:
+        """Max deviation of T[a, i, j, k] from full symmetry in (i, j, k), per
+        point."""
+        T = self.tensor
+        lead = T.ndim - 3
+        worst = 0.0
+        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            dev = np.abs(T - T.transpose(*range(lead), *(lead + p for p in perm)))
+            worst = np.maximum(worst, np.max(dev, axis=(-4, -3, -2, -1)))
+        return _scalar(worst)
 
     def scaled(self, lam: float) -> "GradientSample":
         """Linear rescaling of the derivative data at a fixed point."""
@@ -307,6 +309,7 @@ class GradientSample:
             nabla_nu1=lam * self.nabla_nu1,
             nabla_h=lam * self.nabla_h,
             nabla_aminus_nu1=lam * self.nabla_aminus_nu1,
+            hat_plus_h=lam * self.hat_plus_h,
             hat_nabla_aminus=lam * self.hat_nabla_aminus,
         )
 
@@ -314,21 +317,22 @@ class GradientSample:
 def gradient_sample(
     decomp: PrincipalDecomposition, H: MeanCurvature, tensor: np.ndarray
 ) -> GradientSample:
-    """Split a raw derivative tensor (m, n, n, n) at the point ``decomp``."""
+    """Split raw derivative tensors (..., m, n, n, n) at the points ``decomp``."""
     tensor = np.asarray(tensor, dtype=np.float64)
     m, n = decomp.dims.m, decomp.dims.n
-    if tensor.shape != (m, n, n, n):
-        raise ValueError(f"tensor shape {tensor.shape}, expected {(m, n, n, n)}")
     nu1 = decomp.nu1
-    nabla_H = np.einsum("aijj->ai", tensor)
-    nabla_normH = np.einsum("a,ai->i", nu1, nabla_H)
-    nabla_nu1 = (nabla_H - np.outer(nu1, nabla_normH)) / H.norm
+    if tensor.shape != nu1.shape[:-1] + (m, n, n, n):
+        raise ValueError(
+            f"tensor shape {tensor.shape}, expected {nu1.shape[:-1] + (m, n, n, n)}"
+        )
+    nabla_H = np.einsum("...aijj->...ai", tensor)
+    nabla_normH = np.einsum("...a,...ai->...i", nu1, nabla_H)
+    norm = np.asarray(H.norm)[..., None, None]
+    nabla_nu1 = (nabla_H - nu1[..., :, None] * nabla_normH[..., None, :]) / norm
     # <dA^-, nu1> = -<A^-, d nu1>
-    nabla_aminus_nu1 = -np.einsum("ajk,ai->ijk", decomp.a_minus.components, nabla_nu1)
-    proj = np.einsum("a,aijk->ijk", nu1, tensor)
-    nabla_h = proj - nabla_aminus_nu1
-    hat = tensor - proj[None, :, :, :] * nu1[:, None, None, None]
-    hat_nabla_aminus = hat - np.einsum("jk,ai->aijk", decomp.h, nabla_nu1)
+    nabla_aminus_nu1 = -np.einsum("...ajk,...ai->...ijk", decomp.a_minus.components, nabla_nu1)
+    proj = np.einsum("...a,...aijk->...ijk", nu1, tensor)
+    hat_plus_h = tensor - proj[..., None, :, :, :] * nu1[..., :, None, None, None]
     return GradientSample(
         dims=decomp.dims,
         tensor=tensor,
@@ -337,20 +341,22 @@ def gradient_sample(
         nabla_H=nabla_H,
         nabla_normH=nabla_normH,
         nabla_nu1=nabla_nu1,
-        nabla_h=nabla_h,
+        nabla_h=proj - nabla_aminus_nu1,
         nabla_aminus_nu1=nabla_aminus_nu1,
-        hat_nabla_aminus=hat_nabla_aminus,
+        hat_plus_h=hat_plus_h,
+        hat_nabla_aminus=hat_plus_h - np.einsum("...jk,...ai->...aijk", decomp.h, nabla_nu1),
     )
 
 
 def require_codazzi(grad: GradientSample) -> None:
-    """Raise :class:`InvalidSample` when the sample breaks the Codazzi (full
-    tangent-index symmetry) constraint beyond TOL_CODAZZI relative to scale."""
-    asymmetry = grad.asymmetry()
-    scale = max(1.0, float(np.max(np.abs(grad.tensor))))
-    if asymmetry > TOL_CODAZZI * scale:
+    """Raise :class:`InvalidSample` when a sample breaks the Codazzi (full
+    tangent-index symmetry) constraint beyond TOL_CODAZZI times its scale
+    max(1, max|T|); each point of a batch is held to its own scale."""
+    scale = np.maximum(1.0, np.max(np.abs(grad.tensor), axis=(-4, -3, -2, -1)))
+    broken = np.extract(grad.codazzi_defect > TOL_CODAZZI * scale, grad.codazzi_defect)
+    if broken.size:
         raise InvalidSample(
-            f"derivative tensor asymmetry {asymmetry:.3e} exceeds {TOL_CODAZZI:.1e} x scale"
+            f"derivative tensor asymmetry {broken.max():.3e} exceeds {TOL_CODAZZI:.1e} x scale"
         )
 
 
@@ -358,36 +364,24 @@ def require_codazzi(grad: GradientSample) -> None:
 class FrameIdentityResiduals:
     """Residuals of the three splitting identities of the derivative norms."""
 
-    full: float       # |dA|^2 vs sum of the two projected squares
-    mean: float       # |dH|^2 vs |H|^2 |d nu1|^2 + |d|H||^2
-    a_minus: float    # |dA^-|^2 vs hat part + nu1 projection
-
-    def max_abs(self) -> float:
-        return max(abs(self.full), abs(self.mean), abs(self.a_minus))
+    full: float | np.ndarray       # |dA|^2 vs sum of the two projected squares
+    mean: float | np.ndarray       # |dH|^2 vs |H|^2 |d nu1|^2 + |d|H||^2
+    a_minus: float | np.ndarray    # |dA^-|^2 vs hat part + nu1 projection
 
 
-def frame_identity_residuals(
-    decomp: PrincipalDecomposition, grad: GradientSample
-) -> FrameIdentityResiduals:
+def frame_identity_residuals(grad: GradientSample) -> FrameIdentityResiduals:
     """Check the orthogonal-splitting identities of the derivative norms.
 
     Raises :class:`InvalidSample` as :func:`require_codazzi` does.
     """
     require_codazzi(grad)
-    hat_plus_h = grad.hat_nabla_aminus + np.einsum(
-        "jk,ai->aijk", decomp.h, grad.nabla_nu1
-    )
     proj_sum = grad.nabla_aminus_nu1 + grad.nabla_h
-    full = grad.norm2 - (float(np.sum(hat_plus_h**2)) + float(np.sum(proj_sum**2)))
+    full = grad.norm2 - (sum_sq(grad.hat_plus_h, 4) + sum_sq(proj_sum, 3))
     mean = grad.nabla_H_norm2 - (
-        grad.h_norm**2 * float(np.sum(grad.nabla_nu1**2))
-        + float(np.sum(grad.nabla_normH**2))
+        grad.h_norm**2 * sum_sq(grad.nabla_nu1, 2) + sum_sq(grad.nabla_normH, 1)
     )
     nabla_aminus = grad.hat_nabla_aminus + (
-        grad.nabla_aminus_nu1[None] * grad.nu1[:, None, None, None]
+        grad.nabla_aminus_nu1[..., None, :, :, :] * grad.nu1[..., :, None, None, None]
     )
-    a_minus = float(np.sum(nabla_aminus**2)) - (
-        float(np.sum(grad.hat_nabla_aminus**2))
-        + float(np.sum(grad.nabla_aminus_nu1**2))
-    )
-    return FrameIdentityResiduals(full, mean, a_minus)
+    hat_am2, proj_am2 = sum_sq(grad.hat_nabla_aminus, 4), sum_sq(grad.nabla_aminus_nu1, 3)
+    return FrameIdentityResiduals(full, mean, sum_sq(nabla_aminus, 4) - (hat_am2 + proj_am2))

@@ -20,9 +20,9 @@ sampled data and reports them normalized as ``lhs <= rhs`` with
 documented scaling (forms scale linearly for the quartic reaction bounds,
 derivative samples scale linearly for the quadratic gradient bounds).
 
-``li``, the flat reaction estimates and ``boundary`` also evaluate a batch
-of points stacked along leading axes; their checks then hold one lhs and
-rhs per point.
+Every evaluator also takes a batch of points (and of derivative samples)
+stacked along leading axes; its checks then hold one lhs and rhs per point,
+and a precondition such as f > 0 must hold at every point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConstants, NotPinched
-from .forms import GradientSample, commutator_norm2, normal_curvature, require_codazzi
+from .forms import GradientSample, commutator_norm2, normal_curvature, require_codazzi, sum_sq
 from .reaction import boundary_reaction_bound, gram_norm2, reaction_gap
 from .samplers import PointSample
 
@@ -72,16 +72,6 @@ def default_kato_eta(n: int) -> float:
     return (n - 1) / (n * (n + 2))
 
 
-def kato_equality_gap(grad: GradientSample) -> float:
-    """|dA|^2 - (3/(n+2)) |dH|^2: zero exactly on the pure-trace minimizer.
-
-    Nonnegative for any Codazzi-symmetric sample; the trace-type tensor built
-    from dH attains zero, which is the sharp-constant equality case.
-    """
-    n = grad.dims.n
-    return grad.norm2 - 3.0 / (n + 2) * grad.nabla_H_norm2
-
-
 def check_li(matrices: Sequence[np.ndarray] | np.ndarray) -> InequalityCheck:
     """Trace-square plus commutator norm against 3/2 (sum of norms)^2.
 
@@ -101,7 +91,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
         raise InvalidConstants(f"eta must be a positive finite number, got {eta}")
     require_codazzi(grad)
     n = grad.dims.n
-    w2 = float(np.sum(np.asarray(w) ** 2))
+    w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (3.0 / (n + 2) - eta) * grad.nabla_H_norm2 - (
         2.0 / (n + 2) * (2.0 / ((n + 2) * eta) - n / (n - 1.0))
     ) * w2
@@ -112,7 +102,7 @@ def check_kato_trace(grad: GradientSample, w: np.ndarray) -> InequalityCheck:
     """|dA|^2 - |dH|^2/n >= (n-1)/(2n+1) |dA|^2 - 2n/((n-1)(2n+1)) |w|^2."""
     require_codazzi(grad)
     n = grad.dims.n
-    w2 = float(np.sum(np.asarray(w) ** 2))
+    w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (n - 1.0) / (2 * n + 1) * grad.norm2 - 2.0 * n / ((n - 1.0) * (2 * n + 1)) * w2
     rhs = grad.norm2 - grad.nabla_H_norm2 / n
     return InequalityCheck("kato.3.2", lhs, rhs)
@@ -197,50 +187,51 @@ def boundary_check(point: PointSample, c: float, d: float) -> InequalityCheck:
 
 @dataclass(frozen=True)
 class GradientQuantities:
-    """All scalar contractions the gradient lemmas consume, computed once."""
+    """All scalar contractions the gradient lemmas consume, computed once
+    (one value per point of a batch)."""
 
-    nablaA2: float          # |dA|^2
-    nablaH2: float          # |dH|^2
-    nabla_normH2: float     # |d|H||^2
-    nabla_nu12: float       # |d nu1|^2
-    hat_am2: float          # |hat dA^-|^2
-    proj_am2: float         # |<dA^-, nu1>|^2
-    nabla_am2: float        # |dA^-|^2
-    ring_proj2: float       # |<d Aring, nu1>|^2
-    hat_plus_h2: float      # sum |hat dA^- + h d nu1|^2
-    hat_plus_hring2: float  # sum |hat dA^- + h_ring d nu1|^2
-    q_pairing: float        # 4 sum Q_kij <A^-_ij, d_k nu1>
+    nablaA2: float | np.ndarray          # |dA|^2
+    nablaH2: float | np.ndarray          # |dH|^2
+    nabla_normH2: float | np.ndarray     # |d|H||^2
+    nabla_nu12: float | np.ndarray       # |d nu1|^2
+    hat_am2: float | np.ndarray          # |hat dA^-|^2
+    proj_am2: float | np.ndarray         # |<dA^-, nu1>|^2
+    nabla_am2: float | np.ndarray        # |dA^-|^2
+    ring_proj2: float | np.ndarray       # |<d Aring, nu1>|^2
+    hat_plus_h2: float | np.ndarray      # sum |hat dA^- + h d nu1|^2
+    hat_plus_hring2: float | np.ndarray  # sum |hat dA^- + h_ring d nu1|^2
+    q_pairing: float | np.ndarray        # 4 sum Q_kij <A^-_ij, d_k nu1>
 
 
 def gradient_quantities(point: PointSample, grad: GradientSample) -> GradientQuantities:
     dec = point.decomp
     n = dec.dims.n
-    proj = grad.nabla_h + grad.nabla_aminus_nu1  # (n, n, n), [i, j, k]
+    h_norm = np.asarray(grad.h_norm)[..., None, None, None]
+    proj = grad.nabla_h + grad.nabla_aminus_nu1  # (..., n, n, n), [i, j, k]
     eye = np.eye(n)
-    ring_proj = proj - np.einsum("i,jk->ijk", grad.nabla_normH / n, eye)
-    hat_plus_h = grad.tensor - np.einsum(
-        "ijk,a->aijk", proj, grad.nu1
-    )  # = hat dA^- + h d nu1
-    hat_plus_hring = hat_plus_h - (grad.h_norm / n) * np.einsum(
-        "ai,jk->aijk", grad.nabla_nu1, eye
+    trace_part = np.einsum("...i,jk->...ijk", grad.nabla_normH / n, eye)
+    ring_proj = proj - trace_part
+    hat_plus_hring = grad.hat_plus_h - (h_norm[..., None] / n) * np.einsum(
+        "...ai,jk->...aijk", grad.nabla_nu1, eye
     )
     # Q_kij = d_k h_ring_ij - h_ring_ij d_k|H| / |H|
-    nabla_hring = grad.nabla_h - np.einsum("i,jk->ijk", grad.nabla_normH / n, eye)
-    q = nabla_hring - np.einsum("jk,i->ijk", dec.h_ring, grad.nabla_normH) / grad.h_norm
+    nabla_hring = grad.nabla_h - trace_part
+    q = nabla_hring - np.einsum("...jk,...i->...ijk", dec.h_ring, grad.nabla_normH) / h_norm
     am_pairing = -grad.nabla_aminus_nu1
+    hat_am2 = sum_sq(grad.hat_nabla_aminus, 4)
+    proj_am2 = sum_sq(grad.nabla_aminus_nu1, 3)
     return GradientQuantities(
         nablaA2=grad.norm2,
         nablaH2=grad.nabla_H_norm2,
-        nabla_normH2=float(np.sum(grad.nabla_normH**2)),
-        nabla_nu12=float(np.sum(grad.nabla_nu1**2)),
-        hat_am2=float(np.sum(grad.hat_nabla_aminus**2)),
-        proj_am2=float(np.sum(grad.nabla_aminus_nu1**2)),
-        nabla_am2=float(np.sum(grad.hat_nabla_aminus**2))
-        + float(np.sum(grad.nabla_aminus_nu1**2)),
-        ring_proj2=float(np.sum(ring_proj**2)),
-        hat_plus_h2=float(np.sum(hat_plus_h**2)),
-        hat_plus_hring2=float(np.sum(hat_plus_hring**2)),
-        q_pairing=4.0 * float(np.sum(q * am_pairing)),
+        nabla_normH2=sum_sq(grad.nabla_normH, 1),
+        nabla_nu12=sum_sq(grad.nabla_nu1, 2),
+        hat_am2=hat_am2,
+        proj_am2=proj_am2,
+        nabla_am2=hat_am2 + proj_am2,
+        ring_proj2=sum_sq(ring_proj, 3),
+        hat_plus_h2=sum_sq(grad.hat_plus_h, 4),
+        hat_plus_hring2=sum_sq(hat_plus_hring, 4),
+        q_pairing=4.0 * np.sum(q * am_pairing, axis=(-3, -2, -1)),
     )
 
 
@@ -265,7 +256,8 @@ def gradient_checks(
     delta: float,
     eps0: float | None = None,
 ) -> list[InequalityCheck]:
-    """Evaluate the requested gradient estimates on one constrained sample."""
+    """Evaluate the requested gradient estimates on one constrained sample,
+    or on a batch of them."""
     require_codazzi(grad)
     dec, H = point.decomp, point.H
     n = dec.dims.n
@@ -276,9 +268,9 @@ def gradient_checks(
     am2, hr2 = dec.a_minus2, dec.h_ring2
     out: list[InequalityCheck] = []
 
-    def need_pinched() -> float:
-        if f <= 0:
-            raise NotPinched(f"gradient lemma needs f > 0, got {f}")
+    def need_pinched() -> float | np.ndarray:
+        if np.any(f <= 0):
+            raise NotPinched(f"gradient lemma needs f > 0, got {np.min(f)}")
         return f
 
     for lemma_id in ids:

@@ -51,7 +51,7 @@ from .flow import (
     step_rk4,
 )
 from .rescale import RescaledSeries, invariance_report, rescale
-from .samplers import PointSample, SamplerSpec
+from .samplers import SamplerSpec
 
 __version__ = "0.1.0"
 

@@ -18,18 +18,17 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import lemmas
 from .errors import PinchflowError
-from .forms import CHUNK, Dims, SecondFundamentalForm, gradient_sample
+from .forms import CHUNK, Dims, SecondFundamentalForm, gradient_sample, principal_decompose
 from .samplers import (
     TAG_GRADIENT,
     TAG_MATRICES,
     TAG_W,
-    PointSample,
     SamplerSpec,
     rescale_to_boundary,
     sample_form,
@@ -105,79 +104,52 @@ class TrialInputs:
         if self.matrices is not None:
             self.matrices = np.asarray(self.matrices, dtype=np.float64)
 
+    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """Every input that is present, by field name; a form as its
+        components."""
+        for name in _FORMS + _ARRAYS:
+            value = getattr(self, name)
+            if value is not None:
+                yield name, value.components if name in _FORMS else value
+
+    @classmethod
+    def of_arrays(cls, dims: Dims, arrays: Iterable[tuple[str, np.ndarray]]) -> "TrialInputs":
+        """The inputs of (field name, array) pairs, as :meth:`arrays` gives them."""
+        inputs = cls(dims=dims)
+        for name, value in arrays:
+            setattr(inputs, name, SecondFundamentalForm(dims, value) if name in _FORMS else value)
+        return inputs
+
     @classmethod
     def stack(cls, trials: Sequence["TrialInputs"]) -> "TrialInputs":
         """The chunk of the given trials, stacked along a leading axis."""
-        chunk = cls(dims=trials[0].dims)
-        for name in _FORMS + _ARRAYS:
-            if getattr(trials[0], name) is None:
-                continue
-            values = [getattr(inputs, name) for inputs in trials]
-            if name in _FORMS:
-                comps = np.array([form.components for form in values])
-                setattr(chunk, name, SecondFundamentalForm(chunk.dims, comps))
-            else:
-                setattr(chunk, name, np.array(values, dtype=np.float64))
-        return chunk
+        fields = [dict(inputs.arrays()) for inputs in trials]
+        return cls.of_arrays(trials[0].dims, (
+            (name, np.array([f[name] for f in fields], dtype=np.float64)) for name in fields[0]
+        ))
 
     def trial(self, i: int | slice) -> "TrialInputs":
         """Trial ``i`` of a chunk on its own, or the trials of a slice ``i``
         as a smaller chunk, copied out of the chunk."""
-        inputs = TrialInputs(dims=self.dims)
-        for name in _FORMS + _ARRAYS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name in _FORMS:
-                value = SecondFundamentalForm(self.dims, value.components[i].copy())
-            else:
-                value = value[i].copy()
-            setattr(inputs, name, value)
-        return inputs
+        return self.of_arrays(self.dims, ((name, a[i].copy()) for name, a in self.arrays()))
 
     def encode(self) -> dict:
         out: dict = {"dims": {"n": self.dims.n, "m": self.dims.m}}
-        if self.form is not None:
-            out["form"] = _encode_array(self.form.components)
-        if self.boundary_form is not None:
-            out["boundary_form"] = _encode_array(self.boundary_form.components)
-        if self.matrices is not None:
-            out["matrices"] = [_encode_array(b) for b in self.matrices]
-        if self.grad_tensor is not None:
-            out["grad_tensor"] = _encode_array(self.grad_tensor)
-        if self.w is not None:
-            out["w"] = _encode_array(self.w)
+        for name, a in self.arrays():
+            out[name] = [_encode_array(b) for b in a] if name == "matrices" else _encode_array(a)
         return out
 
     @classmethod
     def decode(cls, payload: dict) -> "TrialInputs":
         dims = Dims(payload["dims"]["n"], payload["dims"]["m"])
-        inputs = cls(dims=dims)
-        if "form" in payload:
-            inputs.form = SecondFundamentalForm(dims, _decode_array(payload["form"]))
-        if "boundary_form" in payload:
-            inputs.boundary_form = SecondFundamentalForm(
-                dims, _decode_array(payload["boundary_form"])
-            )
-        if "matrices" in payload:
-            inputs.matrices = np.array([_decode_array(b) for b in payload["matrices"]])
-        if "grad_tensor" in payload:
-            inputs.grad_tensor = _decode_array(payload["grad_tensor"])
-        if "w" in payload:
-            inputs.w = _decode_array(payload["w"])
-        return inputs
+        return cls.of_arrays(dims, (
+            (name, np.array([_decode_array(b) for b in payload[name]]) if name == "matrices"
+             else _decode_array(payload[name]))
+            for name in _FORMS + _ARRAYS if name in payload
+        ))
 
     def halved(self) -> "TrialInputs":
-        return TrialInputs(
-            dims=self.dims,
-            form=self.form.scaled(0.5) if self.form is not None else None,
-            boundary_form=(
-                self.boundary_form.scaled(0.5) if self.boundary_form is not None else None
-            ),
-            matrices=0.5 * self.matrices if self.matrices is not None else None,
-            grad_tensor=0.5 * self.grad_tensor if self.grad_tensor is not None else None,
-            w=0.5 * self.w if self.w is not None else None,
-        )
+        return self.of_arrays(self.dims, ((name, 0.5 * a) for name, a in self.arrays()))
 
     def digest(self) -> str:
         payload = json.dumps(self.encode(), sort_keys=True).encode()
@@ -247,8 +219,7 @@ def _derivative_checks(
     config: CampaignConfig,
 ) -> list[lemmas.InequalityCheck]:
     """The kato and gradient checks of a chunk of trials."""
-    point = PointSample.from_form(chunk.form)
-    grad = gradient_sample(point.decomp, point.H, chunk.grad_tensor)
+    grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
     checks = []
     if "kato.3.1" in kato_ids:
         eta = config.eta if config.eta is not None else lemmas.default_kato_eta(
@@ -260,8 +231,7 @@ def _derivative_checks(
     if gradient_ids:
         checks.extend(
             lemmas.gradient_checks(
-                gradient_ids, point, grad,
-                config.c, config.d, config.delta, config.eps0,
+                gradient_ids, grad, config.c, config.d, config.delta, config.eps0
             )
         )
     return checks
@@ -306,14 +276,14 @@ def evaluate_trial(
     if reaction_ids:
         checks.extend(
             lemmas.reaction_checks(
-                reaction_ids, PointSample.from_form(chunk.form),
+                reaction_ids, principal_decompose(chunk.form),
                 config.c, config.d, config.delta,
             )
         )
     for _ in boundary_ids:
         checks.append(
             lemmas.boundary_check(
-                PointSample.from_form(chunk.boundary_form), config.c, d_boundary
+                principal_decompose(chunk.boundary_form), config.c, d_boundary
             )
         )
     return checks
@@ -415,10 +385,8 @@ def run_campaign(
     kinds = _needed_kinds(lemma_ids)
     d_boundary = spec.d if spec.d > 0 else 1.0
 
-    stats = {
-        lem: {"violations": 0, "worst": np.inf, "worst_inputs": None}
-        for lem in lemma_ids
-    }
+    stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
+    worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
     for start in range(0, trials, CHUNK):
         chunk = sample_trial_inputs(spec, range(start, min(start + CHUNK, trials)), kinds)
         for check in evaluate_trial(lemma_ids, chunk, config, d_boundary):
@@ -427,8 +395,9 @@ def run_campaign(
             slack = np.where(np.isnan(check.slack), np.inf, check.slack)
             worst = int(np.argmin(slack))
             if slack[worst] < st["worst"]:
-                st["worst"] = slack[worst]
-                st["worst_inputs"] = chunk.trial(worst)
+                st["worst"], st["trial"] = slack[worst], start + worst
+                if st["trial"] not in worst_inputs:
+                    worst_inputs[st["trial"]] = chunk.trial(worst)
             for i in np.flatnonzero(_violated(check, tol)):
                 trial = start + int(i)
                 st["violations"] += 1
@@ -444,17 +413,16 @@ def run_campaign(
                         shrunk_inputs, shrunk_check,
                     )
         del chunk  # free it before the next one is sampled
+        kept = {st["trial"] for st in stats.values()}
+        worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in kept}
+    digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}
     return [
         CheckResult(
             lemma_id=lem,
             trials=trials,
             violations=stats[lem]["violations"],
             worst_slack=float(stats[lem]["worst"]),
-            worst_input_digest=(
-                stats[lem]["worst_inputs"].digest()
-                if stats[lem]["worst_inputs"] is not None
-                else ""
-            ),
+            worst_input_digest=digests.get(stats[lem]["trial"], ""),
             seed=spec.seed,
         )
         for lem in lemma_ids

@@ -11,7 +11,8 @@ kappa = 3/(n+2) - c, and evaluates the scalar pinching quantities
     f = c |H|^2 - |A|^2 - d          (flat / bounded background)
     Q = |Aring|^2 - (c - 1/n) |H|^2 - d Kbar   (space form)
 
-on decomposed forms.
+on a form's principal split, ``principal_decompose(A)``, which carries
+|A|^2 and H.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidConstants, NonpositiveKappa, UnsupportedDimension
-from .forms import Dims, MeanCurvature, PrincipalDecomposition
+from .forms import Dims, PrincipalDecomposition
 
 REGIMES = ("euclidean", "bounded_background", "space_form")
 
@@ -174,17 +175,13 @@ class PinchingConstants:
         return self.c - 1.0 / self.dims.n
 
 
-def pinching_f(
-    decomp: PrincipalDecomposition, H: MeanCurvature, k: PinchingConstants
-) -> float:
+def pinching_f(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
     """f = c |H|^2 - |A|^2 - d; positive exactly on pinched data."""
-    return k.c * H.norm2 - decomp.a2 - k.d
+    return k.c * decomp.H.norm2 - decomp.a2 - k.d
 
 
-def pinching_Q(
-    decomp: PrincipalDecomposition, H: MeanCurvature, k: PinchingConstants
-) -> float:
+def pinching_Q(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
     """Q = |Aring|^2 - (c - 1/n) |H|^2 - d Kbar (space-form regime only)."""
     if k.regime != "space_form":
         raise InvalidConstants("Q is defined in the space_form regime")
-    return decomp.a_ring2 - k.gamma * H.norm2 - k.d * k.Kbar
+    return decomp.a_ring2 - k.gamma * decomp.H.norm2 - k.d * k.Kbar

@@ -68,8 +68,10 @@ class SpheresFlow:
     def __post_init__(self) -> None:
         if not 1 <= len(self.factors) <= 2:
             raise ValueError("need one or two sphere factors, one per CSV radius column")
-        if any(k < 1 or r <= 0 for k, r in self.factors):
-            raise ValueError("sphere factors need dimension >= 1 and a positive radius")
+        for i, (k, r) in enumerate(self.factors, 1):
+            if k < 1:
+                raise ValueError(f"sphere factor {i} needs dimension k_{i} >= 1, got {k}")
+            _require_radius(f"r_{i}", r)
         if self.m < len(self.factors):
             raise ValueError("each sphere factor needs its own normal slot (m too small)")
 
@@ -96,19 +98,26 @@ class SpheresFlow:
         return _diag_form(Dims(self.n, self.m), blocks)
 
 
+def _require_radius(name: str, r: float) -> float:
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius {name}={r} must satisfy 0 < {name} < inf")
+    return r
+
+
 def SphereFlow(n: int, m: int, r0: float) -> SpheresFlow:
     """Round sphere S^n(r0) in flat space, n >= 2, any codimension."""
-    return SpheresFlow(((n, r0),), 0, m, "sphere")
+    return SpheresFlow(((n, _require_radius("r0", r0)),), 0, m, "sphere")
 
 
 def CylinderFlow(n: int, m: int, r0: float) -> SpheresFlow:
     """S^{n-1}(r0) x R in flat space; the sphere factor shrinks."""
-    return SpheresFlow(((n - 1, r0),), 1, m, "cylinder")
+    return SpheresFlow(((n - 1, _require_radius("r0", r0)),), 1, m, "cylinder")
 
 
 def ProductSpheresFlow(p: int, q: int, m: int, a0: float, b0: float) -> SpheresFlow:
     """S^p(a0) x S^q(b0), codimension-two normal structure (m >= 2)."""
-    return SpheresFlow(((p, a0), (q, b0)), 0, m, "product")
+    factors = ((p, _require_radius("a0", a0)), (q, _require_radius("b0", b0)))
+    return SpheresFlow(factors, 0, m, "product")
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,9 @@ class HyperbolicSphereFlow:
     kind = "hyperbolic"
 
     def __post_init__(self) -> None:
-        if self.kbar >= 0:
-            raise ValueError("hyperbolic family needs kbar < 0")
+        _require_radius("r0", self.r0)
+        if not -math.inf < self.kbar < 0:
+            raise ValueError(f"hyperbolic family needs -inf < kbar < 0, got kbar={self.kbar}")
 
     @property
     def kappa(self) -> float:
@@ -236,9 +246,9 @@ def diagnostics(
         )
     dec = principal_decompose(fam.form(np.array([s.params for s in batch])))
     H2 = dec.H.norm2
-    f = pinching_f(dec, dec.H, constants)
+    f = pinching_f(dec, constants)
     nan = np.full(len(batch), math.nan)
-    q = pinching_Q(dec, dec.H, constants) if constants.regime == "space_form" else nan
+    q = pinching_Q(dec, constants) if constants.regime == "space_form" else nan
     columns = (
         dec.a2, H2, dec.h2, dec.a_minus2, f, q,
         dec.a2 / H2,

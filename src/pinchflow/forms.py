@@ -1,11 +1,13 @@
 """Pointwise tensor algebra for the second fundamental form of a submanifold.
 
-The central object is a stack of ``m`` symmetric ``n x n`` matrices
-``A^alpha`` holding the components of the normal-bundle-valued second
-fundamental form in an orthonormal frame.  From it we derive the mean
-curvature vector, the splitting along the principal normal ``nu1 = H/|H|``
-into ``h`` and ``A^-``, traceless parts, the normal curvature built from
-commutators, and first-derivative samples with the Codazzi symmetries.
+The input is a stack of ``m`` symmetric ``n x n`` matrices ``A^alpha``
+holding the components of the normal-bundle-valued second fundamental form
+in an orthonormal frame.  :func:`principal_decompose` splits it along the
+principal normal ``nu1 = H/|H|`` into ``h`` and ``A^-``; the resulting
+:class:`PrincipalDecomposition` is the point object, carrying the form ``A``
+it split and its mean curvature ``H``, and it is all that
+:func:`normal_curvature` and :func:`gradient_sample` (and the pinching,
+reaction and lemma evaluators built on them) take about a point.
 
 Everything is a plain float64 array at desk scale (n, m <= 16); values are
 immutable after construction and all operations are pure functions.  Every
@@ -130,16 +132,16 @@ def mean_curvature(A: SecondFundamentalForm) -> MeanCurvature:
 class PrincipalDecomposition:
     """Splitting A = A^- + h (x) nu1 along the principal normal.
 
+    ``form`` is the A that was split and ``H`` its mean curvature.
     ``h_ij = <A_ij, nu1>`` is the second fundamental form in the principal
     direction, ``A^-`` the part orthogonal to it (vector-valued and traceless),
-    ``h_ring`` the traceless part of h, ``H`` the mean curvature the split
-    was taken along.  Squared norms are cached: the
+    ``h_ring`` the traceless part of h.  Squared norms are cached: the
     Pythagoras identities |A|^2 = |h|^2 + |A^-|^2 and
     |Aring|^2 = |h_ring|^2 + |A^-|^2 = |A|^2 - |H|^2/n hold by construction.
     Every field carries the leading batch axes of the form it splits.
     """
 
-    dims: Dims
+    form: SecondFundamentalForm
     H: MeanCurvature
     nu1: np.ndarray          # unit m-vector
     h: np.ndarray            # symmetric (n, n)
@@ -156,10 +158,9 @@ class PrincipalDecomposition:
         object.__setattr__(self, "h", _freeze(self.h))
         object.__setattr__(self, "h_ring", _freeze(self.h_ring))
 
-    def reconstruct(self) -> SecondFundamentalForm:
-        """A^- + h (x) nu1, exact to roundoff."""
-        comps = self.a_minus.components + self.h[..., None, :, :] * self.nu1[..., None, None]
-        return SecondFundamentalForm(self.dims, comps)
+    @property
+    def dims(self) -> Dims:
+        return self.form.dims
 
 
 def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
@@ -183,7 +184,7 @@ def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
     a_minus2 = a_minus.norm2
     h_ring2 = sum_sq(h_ring, 2)
     return PrincipalDecomposition(
-        dims=A.dims,
+        form=A,
         H=H,
         nu1=nu1,
         h=h,
@@ -219,15 +220,13 @@ def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
     return sum_sq(left @ right - right @ left, 4)
 
 
-def normal_curvature(
-    A: SecondFundamentalForm, decomp: PrincipalDecomposition
-) -> NormalCurvature:
+def normal_curvature(decomp: PrincipalDecomposition) -> NormalCurvature:
     # R^perp(nu1) = [h, A] = [h, A^-] since h commutes with itself, and A^-
     # takes values orthogonal to nu1, so the hat part is [A^-_a, A^-_b];
     # summing both from A^- avoids projecting the much larger full tensor
-    am = decomp.a_minus.components
+    comps, am = decomp.form.components, decomp.a_minus.components
     return NormalCurvature(
-        commutator_norm2(A.components, A.components),
+        commutator_norm2(comps, comps),
         commutator_norm2(decomp.h[..., None, :, :], am),
         commutator_norm2(am, am),
     )
@@ -254,15 +253,14 @@ class GradientSample:
     so the trace identities hold by construction whenever the raw tensor is
     fully symmetric in its three tangent indices.
 
-    Every field carries the leading batch axes of the points the tensors
-    were split at, and a scalar of one point is an array over those axes.
-    ``codazzi_defect`` is :meth:`asymmetry`, scanned once on construction.
+    ``decomp`` is the split of the points the tensors sit at.  Every field
+    carries their leading batch axes, and a scalar of one point is an array
+    over those axes.  ``codazzi_defect`` is :meth:`asymmetry`, scanned once
+    on construction.
     """
 
-    dims: Dims
+    decomp: PrincipalDecomposition
     tensor: np.ndarray            # (..., m, n, n, n)
-    nu1: np.ndarray               # (..., m)
-    h_norm: float | np.ndarray    # |H| of the underlying point
     nabla_H: np.ndarray           # (..., m, n)  derivative of the H vector
     nabla_normH: np.ndarray       # (..., n)
     nabla_nu1: np.ndarray         # (..., m, n)
@@ -273,7 +271,7 @@ class GradientSample:
     codazzi_defect: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("tensor", "nu1", "nabla_H", "nabla_normH", "nabla_nu1",
+        for name in ("tensor", "nabla_H", "nabla_normH", "nabla_nu1",
                      "nabla_h", "nabla_aminus_nu1", "hat_plus_h", "hat_nabla_aminus"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "codazzi_defect", self.asymmetry())
@@ -297,26 +295,8 @@ class GradientSample:
             worst = np.maximum(worst, np.max(dev, axis=(-4, -3, -2, -1)))
         return _scalar(worst)
 
-    def scaled(self, lam: float) -> "GradientSample":
-        """Linear rescaling of the derivative data at a fixed point."""
-        return GradientSample(
-            dims=self.dims,
-            tensor=lam * self.tensor,
-            nu1=self.nu1,
-            h_norm=self.h_norm,
-            nabla_H=lam * self.nabla_H,
-            nabla_normH=lam * self.nabla_normH,
-            nabla_nu1=lam * self.nabla_nu1,
-            nabla_h=lam * self.nabla_h,
-            nabla_aminus_nu1=lam * self.nabla_aminus_nu1,
-            hat_plus_h=lam * self.hat_plus_h,
-            hat_nabla_aminus=lam * self.hat_nabla_aminus,
-        )
 
-
-def gradient_sample(
-    decomp: PrincipalDecomposition, H: MeanCurvature, tensor: np.ndarray
-) -> GradientSample:
+def gradient_sample(decomp: PrincipalDecomposition, tensor: np.ndarray) -> GradientSample:
     """Split raw derivative tensors (..., m, n, n, n) at the points ``decomp``."""
     tensor = np.asarray(tensor, dtype=np.float64)
     m, n = decomp.dims.m, decomp.dims.n
@@ -327,17 +307,15 @@ def gradient_sample(
         )
     nabla_H = np.einsum("...aijj->...ai", tensor)
     nabla_normH = np.einsum("...a,...ai->...i", nu1, nabla_H)
-    norm = np.asarray(H.norm)[..., None, None]
+    norm = np.asarray(decomp.H.norm)[..., None, None]
     nabla_nu1 = (nabla_H - nu1[..., :, None] * nabla_normH[..., None, :]) / norm
     # <dA^-, nu1> = -<A^-, d nu1>
     nabla_aminus_nu1 = -np.einsum("...ajk,...ai->...ijk", decomp.a_minus.components, nabla_nu1)
     proj = np.einsum("...a,...aijk->...ijk", nu1, tensor)
     hat_plus_h = tensor - proj[..., None, :, :, :] * nu1[..., :, None, None, None]
     return GradientSample(
-        dims=decomp.dims,
+        decomp=decomp,
         tensor=tensor,
-        nu1=nu1,
-        h_norm=H.norm,
         nabla_H=nabla_H,
         nabla_normH=nabla_normH,
         nabla_nu1=nabla_nu1,
@@ -378,10 +356,10 @@ def frame_identity_residuals(grad: GradientSample) -> FrameIdentityResiduals:
     proj_sum = grad.nabla_aminus_nu1 + grad.nabla_h
     full = grad.norm2 - (sum_sq(grad.hat_plus_h, 4) + sum_sq(proj_sum, 3))
     mean = grad.nabla_H_norm2 - (
-        grad.h_norm**2 * sum_sq(grad.nabla_nu1, 2) + sum_sq(grad.nabla_normH, 1)
+        grad.decomp.H.norm**2 * sum_sq(grad.nabla_nu1, 2) + sum_sq(grad.nabla_normH, 1)
     )
     nabla_aminus = grad.hat_nabla_aminus + (
-        grad.nabla_aminus_nu1[..., None, :, :, :] * grad.nu1[..., :, None, None, None]
+        grad.nabla_aminus_nu1[..., None, :, :, :] * grad.decomp.nu1[..., :, None, None, None]
     )
     hat_am2, proj_am2 = sum_sq(grad.hat_nabla_aminus, 4), sum_sq(grad.nabla_aminus_nu1, 3)
     return FrameIdentityResiduals(full, mean, sum_sq(nabla_aminus, 4) - (hat_am2 + proj_am2))

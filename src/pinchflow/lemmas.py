@@ -20,6 +20,12 @@ sampled data and reports them normalized as ``lhs <= rhs`` with
 documented scaling (forms scale linearly for the quartic reaction bounds,
 derivative samples scale linearly for the quadratic gradient bounds).
 
+A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the
+result of ``principal_decompose(A)``, which carries the form A and its mean
+curvature H: :func:`reaction_checks` and :func:`boundary_check` take it
+alone, and the gradient evaluators take a
+:class:`~pinchflow.forms.GradientSample`, which carries it as ``decomp``.
+
 Every evaluator also takes a batch of points (and of derivative samples)
 stacked along leading axes; its checks then hold one lhs and rhs per point,
 and a precondition such as f > 0 must hold at every point.
@@ -33,9 +39,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConstants, NotPinched
-from .forms import GradientSample, commutator_norm2, normal_curvature, require_codazzi, sum_sq
+from .forms import (
+    GradientSample,
+    PrincipalDecomposition,
+    commutator_norm2,
+    normal_curvature,
+    require_codazzi,
+    sum_sq,
+)
 from .reaction import boundary_reaction_bound, gram_norm2, reaction_gap
-from .samplers import PointSample
 
 LI_IDS = ("li",)
 KATO_IDS = ("kato.3.1", "kato.3.2")
@@ -90,7 +102,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
     if not 0 < eta < np.inf:
         raise InvalidConstants(f"eta must be a positive finite number, got {eta}")
     require_codazzi(grad)
-    n = grad.dims.n
+    n = grad.decomp.dims.n
     w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (3.0 / (n + 2) - eta) * grad.nabla_H_norm2 - (
         2.0 / (n + 2) * (2.0 / ((n + 2) * eta) - n / (n - 1.0))
@@ -101,7 +113,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
 def check_kato_trace(grad: GradientSample, w: np.ndarray) -> InequalityCheck:
     """|dA|^2 - |dH|^2/n >= (n-1)/(2n+1) |dA|^2 - 2n/((n-1)(2n+1)) |w|^2."""
     require_codazzi(grad)
-    n = grad.dims.n
+    n = grad.decomp.dims.n
     w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (n - 1.0) / (2 * n + 1) * grad.norm2 - 2.0 * n / ((n - 1.0) * (2 * n + 1)) * w2
     rhs = grad.norm2 - grad.nabla_H_norm2 / n
@@ -118,16 +130,15 @@ def _c_in_range(c: float, limit: float) -> bool:
 
 def reaction_checks(
     ids: Sequence[str],
-    point: PointSample,
+    dec: PrincipalDecomposition,
     c: float,
     d: float,
     delta: float = 0.5,
 ) -> list[InequalityCheck]:
     """Evaluate the requested flat reaction estimates on one pinched point,
     or on a batch of them (every point must be pinched)."""
-    dec, H = point.decomp, point.H
     n = dec.dims.n
-    rperp = normal_curvature(point.form, dec)
+    rperp = normal_curvature(dec)
     hat2 = rperp.hat_part_norm2
     princ2 = rperp.principal_norm2
     am = dec.a_minus.components
@@ -141,12 +152,12 @@ def reaction_checks(
     def need_f() -> tuple[float | np.ndarray, float | np.ndarray]:
         nonlocal f, gap
         if f is None:
-            f = c * H.norm2 - dec.a2 - d
+            f = c * dec.H.norm2 - dec.a2 - d
             if np.any(f <= 0):
                 raise NotPinched(f"reaction lemma needs f > 0, got {np.min(f)}")
             if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
                 raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
-            gap = reaction_gap(point.form, H, rperp, c)
+            gap = reaction_gap(dec.form, dec.H, rperp, c)
         return f, gap
 
     for lemma_id in ids:
@@ -176,8 +187,8 @@ def reaction_checks(
     return out
 
 
-def boundary_check(point: PointSample, c: float, d: float) -> InequalityCheck:
-    report = boundary_reaction_bound(point.decomp, point.H, c, d)
+def boundary_check(dec: PrincipalDecomposition, c: float, d: float) -> InequalityCheck:
+    report = boundary_reaction_bound(dec, c, d)
     return InequalityCheck("boundary", report.lhs_bound, report.rhs_bound)
 
 
@@ -203,10 +214,10 @@ class GradientQuantities:
     q_pairing: float | np.ndarray        # 4 sum Q_kij <A^-_ij, d_k nu1>
 
 
-def gradient_quantities(point: PointSample, grad: GradientSample) -> GradientQuantities:
-    dec = point.decomp
+def gradient_quantities(grad: GradientSample) -> GradientQuantities:
+    dec = grad.decomp
     n = dec.dims.n
-    h_norm = np.asarray(grad.h_norm)[..., None, None, None]
+    h_norm = np.asarray(dec.H.norm)[..., None, None, None]
     proj = grad.nabla_h + grad.nabla_aminus_nu1  # (..., n, n, n), [i, j, k]
     eye = np.eye(n)
     trace_part = np.einsum("...i,jk->...ijk", grad.nabla_normH / n, eye)
@@ -249,7 +260,6 @@ def _gradient_case(n: int, c: float, eps0: float | None) -> int:
 
 def gradient_checks(
     ids: Sequence[str],
-    point: PointSample,
     grad: GradientSample,
     c: float,
     d: float,
@@ -259,11 +269,11 @@ def gradient_checks(
     """Evaluate the requested gradient estimates on one constrained sample,
     or on a batch of them."""
     require_codazzi(grad)
-    dec, H = point.decomp, point.H
+    dec, H = grad.decomp, grad.decomp.H
     n = dec.dims.n
     if c <= 1.0 / n:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
-    gq = gradient_quantities(point, grad)
+    gq = gradient_quantities(grad)
     f = c * H.norm2 - dec.a2 - d
     am2, hr2 = dec.a_minus2, dec.h_ring2
     out: list[InequalityCheck] = []

@@ -5,8 +5,9 @@ R1 and R2 are the two quartic contractions driving d|A|^2/dt and d|H|^2/dt;
 the pinching function f a supersolution.  The remaining functions evaluate
 both sides of the closed-form reaction estimates (flat specialization, the
 boundary estimate, and the constant-curvature estimate for Q) and report the
-slack.  The contractions and the boundary estimate also take a batch of
-points along leading axes, as the forms module does.
+slack.  The bounds take a point as its principal split, which carries the
+form and its mean curvature.  The contractions and the boundary estimate
+also take a batch of points along leading axes, as the forms module does.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class ReactionReport:
 
 def lemma43_lower_bound(
     decomp: PrincipalDecomposition,
-    H: MeanCurvature,
     f: float,
     c: float,
     d: float,
@@ -101,8 +101,7 @@ def lemma43_lower_bound(
         raise NotPinched(f"reaction lower bound needs f > 0, got {f}")
     if not (1.0 / n < c <= 4.0 / (3 * n) * (1 + 1e-12)):
         raise InvalidConstants(f"reaction lower bound needs 1/n < c <= 4/(3n), got c={c}")
-    A = decomp.reconstruct()
-    gap = reaction_gap(A, H, normal_curvature(A, decomp), c)
+    gap = reaction_gap(decomp.form, decomp.H, normal_curvature(decomp), c)
     ncm1 = n * c - 1.0
     lhs = (2.0 / ncm1) * f * decomp.a_minus2 + (n * c / ncm1) * f * decomp.h_ring2
     return ReactionReport(lhs, gap)
@@ -110,7 +109,6 @@ def lemma43_lower_bound(
 
 def boundary_reaction_bound(
     decomp: PrincipalDecomposition,
-    H: MeanCurvature,
     c: float,
     d: float,
 ) -> ReactionReport:
@@ -124,12 +122,13 @@ def boundary_reaction_bound(
     g = c - 1.0 / n
     if g <= 0:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
+    H = decomp.H
     scale = np.maximum(np.maximum(1.0, decomp.a2), c * H.norm2)
     if np.any(abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale):
         raise NotPinched(
             "data is not on the pinching boundary |A|^2 = c|H|^2 - d"
         )
-    A = decomp.reconstruct()
+    A = decomp.form
     lhs = 2 * r1(A) - 2 * c * r2(A, H)
     am2, hr2 = decomp.a_minus2, decomp.h_ring2
     rhs = (
@@ -144,7 +143,6 @@ def boundary_reaction_bound(
 
 def cc_reaction_upper_bound(
     decomp: PrincipalDecomposition,
-    H: MeanCurvature,
     Q: float,
     c: float,
     d: float,
@@ -163,8 +161,8 @@ def cc_reaction_upper_bound(
     g = c - 1.0 / n
     if g <= 0:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
-    A = decomp.reconstruct()
-    R1, R2 = r1(A), r2(A, H)
+    H = decomp.H
+    R1, R2 = r1(decomp.form), r2(decomp.form, H)
     lhs = 2 * R1 - 2 * c * R2 - 2 * n * kbar * decomp.a_ring2 - 2 * n * kbar * g * H.norm2
     am2, hr2 = decomp.a_minus2, decomp.h_ring2
     dng = d / n / g

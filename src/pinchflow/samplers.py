@@ -10,6 +10,11 @@ trial and then stack the draws along a leading axis.  Constrained
 distributions are produced by rejection plus exact radial rescaling: norm
 constraints are radial, so a single multiplicative factor lands on them to
 machine precision.
+
+The samplers return raw data: forms, and derivative tensors from
+:func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
+sampled form, and ``gradient_sample(decomp, tensor)`` splits a derivative
+tensor there (both in :mod:`pinchflow.forms`).
 """
 
 from __future__ import annotations
@@ -22,18 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidConstants, NotPinched
-from .forms import (
-    Dims,
-    GradientSample,
-    MeanCurvature,
-    PrincipalDecomposition,
-    SecondFundamentalForm,
-    dot_norm,
-    gradient_sample,
-    mean_curvature,
-    principal_decompose,
-    symmetrize,
-)
+from .forms import Dims, SecondFundamentalForm, dot_norm, mean_curvature, symmetrize
 
 DISTRIBUTIONS = ("gaussian", "pinched", "boundary")
 MAX_ATTEMPTS = 400  # rejection attempts of sample_pinched
@@ -225,22 +219,6 @@ def _normals(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PointSample:
-    """A form together with its mean curvature and principal splitting."""
-
-    form: SecondFundamentalForm
-    decomp: PrincipalDecomposition
-
-    @classmethod
-    def from_form(cls, form: SecondFundamentalForm) -> "PointSample":
-        return cls(form, principal_decompose(form))
-
-    @property
-    def H(self) -> MeanCurvature:
-        return self.decomp.H
-
-
 def symmetric_gaussian(rng: Rng, dims: Dims, sigma: float = 1.0) -> SecondFundamentalForm:
     raw = sigma * _normals(rng, (dims.m, dims.n, dims.n))
     return symmetrize(raw)
@@ -373,19 +351,6 @@ def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarr
         acc += raw.transpose(*range(lead), *perm)
     acc /= 6.0
     return acc
-
-
-def sample_gradient(
-    rng: np.random.Generator, point: PointSample, sigma: float = 1.0
-) -> GradientSample:
-    """Codazzi-constrained derivative sample at ``point``.
-
-    A fully symmetric raw tensor plays the role of the derivative of A, so
-    both projected tensors are symmetric and the trace identities hold by
-    construction.
-    """
-    tensor = symmetric_three_tensor(rng, point.decomp.dims, sigma)
-    return gradient_sample(point.decomp, point.H, tensor)
 
 
 def pure_trace_tensor(

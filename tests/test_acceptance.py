@@ -26,10 +26,10 @@ from pinchflow.flow import (
     quotient_identity_residual,
     simulate,
 )
-from pinchflow.forms import Dims, gradient_sample
+from pinchflow.forms import Dims, gradient_sample, principal_decompose
 from pinchflow.lemmas import GRADIENT_IDS, REACTION_IDS, default_kato_eta
 from pinchflow.rescale import invariance_report, rescale
-from pinchflow.samplers import SamplerSpec, kato_e_tensor, sample_pinched, PointSample
+from pinchflow.samplers import SamplerSpec, kato_e_tensor, sample_pinched
 from tests.test_flow import FLAT_K, hyperbolic_constants
 
 # pre-build oracle values (scripts/oracle_values.py)
@@ -76,11 +76,9 @@ def test_criterion_02_kato_inequality():
     worst_eq = 0.0
     for nn in range(5, 11):
         rng = np.random.default_rng(nn)
-        point = PointSample.from_form(
-            sample_pinched(rng, Dims(nn, 3), 4.0 / (3 * nn), 0.0)
-        )
+        dec = principal_decompose(sample_pinched(rng, Dims(nn, 3), 4.0 / (3 * nn), 0.0))
         v = rng.standard_normal((3, nn))
-        grad = gradient_sample(point.decomp, point.H, kato_e_tensor(Dims(nn, 3), v))
+        grad = gradient_sample(dec, kato_e_tensor(Dims(nn, 3), v))
         drift = abs(grad.norm2 - 3.0 / (nn + 2) * grad.nabla_H_norm2)
         worst_eq = max(worst_eq, drift / max(1.0, grad.norm2))
     ok = violations == 0 and worst_eq < 1e-10

@@ -16,9 +16,9 @@ from pinchflow.campaign import (
     sample_trial_inputs,
     write_counterexample,
 )
-from pinchflow.forms import Dims, mean_curvature
+from pinchflow.forms import Dims, mean_curvature, principal_decompose
 from pinchflow.lemmas import GRADIENT_IDS, InequalityCheck, REACTION_IDS
-from pinchflow.samplers import PointSample, SamplerSpec, sample_form
+from pinchflow.samplers import SamplerSpec, sample_form
 
 
 class TestDeterminism:
@@ -64,8 +64,8 @@ class TestConstrainedSamplers:
 
     def test_point_sample_has_positive_H(self):
         spec = SamplerSpec(Dims(6, 2), "pinched", c=4 / 18, seed=17)
-        pt = PointSample.from_form(sample_form(spec, 0))
-        assert pt.H.norm > 0
+        dec = principal_decompose(sample_form(spec, 0))
+        assert dec.H.norm > 0
 
 
 class TestCampaign:

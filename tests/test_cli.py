@@ -204,6 +204,23 @@ class TestSimulate:
         assert code == 2
         assert out == "" and "error: dt must be a positive finite step" in err
 
+    @pytest.mark.parametrize("family, params, named", [
+        ("hyperbolic", "r=-0.5", "radius r0=-0.5"),
+        ("hyperbolic", "r=inf", "radius r0=inf"),
+        ("sphere", "r=nan", "radius r0=nan"),
+        ("cylinder", "r=0", "radius r0=0.0"),
+        ("product", "a=-1,b=4", "radius a0=-1.0"),
+        ("product", "a=1,b=inf", "radius b0=inf"),
+        ("hyperbolic", "r=1,kbar=nan", "-inf < kbar < 0, got kbar=nan"),
+        ("hyperbolic", "r=1,kbar=-inf", "-inf < kbar < 0, got kbar=-inf"),
+        ("hyperbolic", "r=1,kbar=0", "-inf < kbar < 0, got kbar=0.0"),
+    ])
+    def test_bad_radius_or_kbar_is_named(self, capsys, family, params, named):
+        code, out, err = run(capsys, "simulate", "--family", family,
+                             "--params", params, "--dt", "1e-3", "--t-end", "0.01")
+        assert code == 2
+        assert out == "" and named in err
+
     def test_bad_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--family", "torus", "--params", "r=1")
         assert code == 2

@@ -106,9 +106,8 @@ class TestKappa:
 class TestPinchingQuantities:
     def test_f_sphere(self):
         dec = principal_decompose(sphere_form())
-        H = mean_curvature(sphere_form())
         k = PinchingConstants(Dims(8, 2), 1 / 6)
-        assert pinching_f(dec, H, k) == pytest.approx(2 / 3, abs=1e-14)
+        assert pinching_f(dec, k) == pytest.approx(2 / 3, abs=1e-14)
 
     def test_f_cylinder(self):
         # S^7(1) x R: |A|^2 = 7, |H|^2 = 49
@@ -118,7 +117,7 @@ class TestPinchingQuantities:
 
         A = SecondFundamentalForm.from_components(comps)
         k = PinchingConstants(Dims(8, 2), 1 / 6)
-        assert pinching_f(principal_decompose(A), mean_curvature(A), k) == pytest.approx(
+        assert pinching_f(principal_decompose(A), k) == pytest.approx(
             49 / 6 - 7, abs=1e-13
         )
 
@@ -128,9 +127,8 @@ class TestPinchingQuantities:
         rng = np.random.default_rng(3)
         pinched = sample_pinched(rng, Dims(8, 2), 1 / 6, 0.0)
         A = rescale_to_boundary(pinched, 1 / 6, 1.0)
-        H = mean_curvature(A)
         k = PinchingConstants(Dims(8, 2), 1 / 6, 1.0)
-        assert pinching_f(principal_decompose(A), H, k) == pytest.approx(0.0, abs=1e-10)
+        assert pinching_f(principal_decompose(A), k) == pytest.approx(0.0, abs=1e-10)
 
     def test_Q_hyperbolic_frozen(self):
         # umbilic geodesic sphere r = 0.5: |h|^2 = n coth(r)^2
@@ -145,7 +143,7 @@ class TestPinchingQuantities:
             k = PinchingConstants(
                 Dims(8, 2), 1 / 6, 4.0, regime="space_form", Kbar=-1.0
             )
-        q = pinching_Q(principal_decompose(A), mean_curvature(A), k)
+        q = pinching_Q(principal_decompose(A), k)
         assert q == pytest.approx(-8.487185004883118, abs=1e-12)
         assert q == pytest.approx(-8.488, abs=2e-3)
 
@@ -154,21 +152,19 @@ class TestPinchingQuantities:
         A = symmetric_gaussian(rng, Dims(8, 3))
         dec, H = principal_decompose(A), mean_curvature(A)
         k = PinchingConstants(Dims(8, 3), 1 / 6, 5.0, regime="space_form", Kbar=0.0)
-        assert pinching_Q(dec, H, k) == pytest.approx(
+        assert pinching_Q(dec, k) == pytest.approx(
             dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2, rel=1e-13
         )
 
     def test_Q_round_sphere_negative(self):
         dec = principal_decompose(sphere_form())
-        H = mean_curvature(sphere_form())
         k = PinchingConstants(Dims(8, 2), 1 / 6, 0.0, regime="space_form", Kbar=0.0)
-        assert pinching_Q(dec, H, k) == pytest.approx(-(1 / 6 - 1 / 8) * 16, abs=1e-12)
+        assert pinching_Q(dec, k) == pytest.approx(-(1 / 6 - 1 / 8) * 16, abs=1e-12)
 
     def test_Q_requires_space_form(self):
         dec = principal_decompose(sphere_form())
-        H = mean_curvature(sphere_form())
         with pytest.raises(InvalidConstants):
-            pinching_Q(dec, H, PinchingConstants(Dims(8, 2), 1 / 6))
+            pinching_Q(dec, PinchingConstants(Dims(8, 2), 1 / 6))
 
     def test_pinching_norm_identity(self):
         # ((nc - 1)/n)|H|^2 = |A^-|^2 + |h_ring|^2 + f + d

@@ -18,9 +18,8 @@ from pinchflow.forms import (
     symmetrize,
 )
 from pinchflow.samplers import (
-    PointSample,
-    sample_gradient,
     symmetric_gaussian,
+    symmetric_three_tensor,
     pure_trace_tensor,
 )
 
@@ -99,7 +98,8 @@ class TestPrincipalDecomposition:
                 worst_trace = np.max(
                     np.abs(np.einsum("...aii->...a", dec.a_minus.components))
                 )
-                worst_rec = np.max(np.abs(A.components - dec.reconstruct().components))
+                rec = dec.a_minus.components + dec.h[..., None, :, :] * dec.nu1[..., None, None]
+                worst_rec = np.max(np.abs(A.components - rec))
                 assert worst_pyth < 1e-10
                 assert worst_ring < 1e-10
                 assert worst_trace < 1e-12
@@ -156,12 +156,12 @@ class TestNormalCurvature:
         raw = rng.standard_normal((4, 4))
         comps[1] = 0.5 * (raw + raw.T) + np.eye(4)
         A = SecondFundamentalForm.from_components(comps)
-        rp = normal_curvature(A, principal_decompose(A))
+        rp = normal_curvature(principal_decompose(A))
         assert rp.norm2 == 0.0
 
     def test_commuting_diagonals_vanish(self):
         A = product_form()
-        rp = normal_curvature(A, principal_decompose(A))
+        rp = normal_curvature(principal_decompose(A))
         assert rp.norm2 == 0.0 and rp.hat_part_norm2 == 0.0
 
     def test_brute_force_oracle(self):
@@ -169,7 +169,7 @@ class TestNormalCurvature:
         for _ in range(20):
             A = symmetric_gaussian(rng, Dims(3, 3))
             dec = principal_decompose(A)
-            rp = normal_curvature(A, dec)
+            rp = normal_curvature(dec)
             assert rp.norm2 == pytest.approx(
                 brute_force_rperp_norm2(A.components), rel=1e-12
             )
@@ -180,7 +180,7 @@ class TestNormalCurvature:
         for _ in range(50):
             A = symmetric_gaussian(rng, Dims(5, 4))
             dec = principal_decompose(A)
-            rp = normal_curvature(A, dec)
+            rp = normal_curvature(dec)
             lhs = 2 * rp.norm2 - 2 * rp.principal_norm2
             rhs = 2 * rp.hat_part_norm2 + 2 * rp.principal_norm2
             assert abs(lhs - rhs) < 1e-10 * max(1.0, rp.norm2)
@@ -190,7 +190,7 @@ class TestNormalCurvature:
         for _ in range(50):
             A = symmetric_gaussian(rng, Dims(4, 3))
             dec = principal_decompose(A)
-            rp = normal_curvature(A, dec)
+            rp = normal_curvature(dec)
             comm = np.einsum("ip,bjp->ijb", dec.h_ring, dec.a_minus.components)
             comm = comm - comm.transpose(1, 0, 2)
             direct = float(np.sum(comm**2))
@@ -217,70 +217,63 @@ class TestNormalCurvature:
         )
         rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
         A = symmetrize(np.einsum("ab,bij->aij", rot, comps))
-        rp = normal_curvature(A, principal_decompose(A))
+        rp = normal_curvature(principal_decompose(A))
         assert rp.hat_part_norm2 == pytest.approx(truth, rel=1e-8, abs=0.0)
 
 
 class TestGradientSample:
     def _point(self, n=4, m=2, seed=3):
         rng = np.random.default_rng(seed)
-        return PointSample.from_form(symmetric_gaussian(rng, Dims(n, m))), rng
+        return principal_decompose(symmetric_gaussian(rng, Dims(n, m))), rng
 
     def test_projected_tensors_fully_symmetric(self):
-        point, rng = self._point()
-        grad = sample_gradient(rng, point)
+        dec, rng = self._point()
+        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
         proj = grad.nabla_h + grad.nabla_aminus_nu1
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.max(np.abs(proj - proj.transpose(*perm))) < 1e-12
 
     def test_trace_identities(self):
         # tracing the split tensors over the last index recovers d|H| and |H| d nu1
-        point, rng = self._point(n=5, m=3, seed=11)
-        grad = sample_gradient(rng, point)
+        dec, rng = self._point(n=5, m=3, seed=11)
+        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
         lhs1 = np.einsum("kik->i", grad.nabla_h + grad.nabla_aminus_nu1)
         assert np.max(np.abs(lhs1 - grad.nabla_normH)) < 1e-12
         hat_plus_h = grad.hat_nabla_aminus + np.einsum(
-            "jk,ai->aijk", point.decomp.h, grad.nabla_nu1
+            "jk,ai->aijk", dec.h, grad.nabla_nu1
         )
         lhs2 = np.einsum("akik->ai", hat_plus_h)
-        assert np.max(np.abs(lhs2 - grad.h_norm * grad.nabla_nu1)) < 1e-10
+        assert np.max(np.abs(lhs2 - dec.H.norm * grad.nabla_nu1)) < 1e-10
 
     def test_frame_identities_zero_grad(self):
-        point, _ = self._point()
-        grad = gradient_sample(point.decomp, point.H, np.zeros((2, 4, 4, 4)))
+        dec, _ = self._point()
+        grad = gradient_sample(dec, np.zeros((2, 4, 4, 4)))
         res = frame_identity_residuals(grad)
         assert max(abs(res.full), abs(res.mean), abs(res.a_minus)) == 0.0
 
     def test_frame_identities_pure_normH(self):
-        point, rng = self._point(n=6, m=3, seed=21)
+        dec, rng = self._point(n=6, m=3, seed=21)
         tensor = pure_trace_tensor(
-            point.decomp.dims,
-            point.decomp.nu1,
+            dec.dims,
+            dec.nu1,
             rng.standard_normal(6),
             np.zeros((3, 6)),
         )
-        grad = gradient_sample(point.decomp, point.H, tensor)
+        grad = gradient_sample(dec, tensor)
         res = frame_identity_residuals(grad)
         assert abs(res.mean) < 1e-12
 
     def test_frame_identities_random(self):
         for seed in range(10):
-            point, rng = self._point(n=4, m=2, seed=100 + seed)
-            grad = sample_gradient(rng, point)
+            dec, rng = self._point(n=4, m=2, seed=100 + seed)
+            grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
             res = frame_identity_residuals(grad)
             assert max(abs(res.full), abs(res.mean), abs(res.a_minus)) < 1e-10
 
     def test_invalid_sample_rejected(self):
-        point, _ = self._point()
+        dec, _ = self._point()
         tensor = np.zeros((2, 4, 4, 4))
         tensor[0, 0, 1, 2] = 1.0  # not symmetric in tangent indices
-        grad = gradient_sample(point.decomp, point.H, tensor)
+        grad = gradient_sample(dec, tensor)
         with pytest.raises(InvalidSample):
             frame_identity_residuals(grad)
-
-    def test_scaled_is_linear(self):
-        point, rng = self._point(seed=55)
-        grad = sample_gradient(rng, point)
-        doubled = grad.scaled(2.0)
-        assert np.array_equal(doubled.tensor, 2.0 * grad.tensor)
-        assert np.array_equal(doubled.nabla_h, 2.0 * grad.nabla_h)

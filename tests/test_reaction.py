@@ -23,7 +23,6 @@ from pinchflow.reaction import (
     reaction_gap,
 )
 from pinchflow.samplers import (
-    PointSample,
     rescale_to_boundary,
     sample_pinched,
     symmetric_gaussian,
@@ -81,7 +80,7 @@ class TestReactionGap:
     def test_sphere(self):
         A = sphere_form()
         dec = principal_decompose(A)
-        rp = normal_curvature(A, dec)
+        rp = normal_curvature(dec)
         assert reaction_gap(A, mean_curvature(A), rp, 1 / 6) == pytest.approx(
             32 / 6 - 4, abs=1e-12
         )
@@ -91,7 +90,7 @@ class TestReactionGap:
         comps[0, :7, :7] = np.eye(7)
         A = SecondFundamentalForm.from_components(comps)
         dec = principal_decompose(A)
-        rp = normal_curvature(A, dec)
+        rp = normal_curvature(dec)
         assert reaction_gap(A, mean_curvature(A), rp, 1 / 6) == pytest.approx(
             343 / 6 - 49, abs=1e-11
         )
@@ -107,7 +106,7 @@ class TestReactionGap:
         for _ in range(500):
             A = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
             dec = principal_decompose(A)
-            rp = normal_curvature(A, dec)
+            rp = normal_curvature(dec)
             gap = reaction_gap(A, mean_curvature(A), rp, 1 / 6)
             assert gap >= -1e-9 * max(1.0, abs(gap))
 
@@ -116,8 +115,7 @@ class TestLemma43:
     def test_umbilic_lhs_zero(self):
         A = sphere_form()
         dec = principal_decompose(A)
-        H = mean_curvature(A)
-        rep = lemma43_lower_bound(dec, H, 2 / 3, 1 / 6, 0.0)
+        rep = lemma43_lower_bound(dec, 2 / 3, 1 / 6, 0.0)
         assert rep.lhs_bound == pytest.approx(0.0, abs=1e-12)
         assert rep.slack >= 0.0
 
@@ -128,7 +126,7 @@ class TestLemma43:
             dec = principal_decompose(A)
             H = mean_curvature(A)
             f = (1 / 6) * H.norm2 - dec.a2 - 0.5
-            rep = lemma43_lower_bound(dec, H, f, 1 / 6, 0.5)
+            rep = lemma43_lower_bound(dec, f, 1 / 6, 0.5)
             assert rep.slack >= -1e-9 * max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
 
     def test_boundary_approach(self):
@@ -145,21 +143,21 @@ class TestLemma43:
             H = mean_curvature(A)
             f = (1 / 6) * H.norm2 - dec.a2 - 1.0
             assert f > 0
-            rep = lemma43_lower_bound(dec, H, f, 1 / 6, 1.0)
+            rep = lemma43_lower_bound(dec, f, 1 / 6, 1.0)
             assert rep.slack >= -1e-9 * max(1.0, abs(rep.rhs_bound))
 
     def test_not_pinched(self):
         A = sphere_form()
         with pytest.raises(NotPinched):
             lemma43_lower_bound(
-                principal_decompose(A), mean_curvature(A), -1.0, 1 / 6, 0.0
+                principal_decompose(A), -1.0, 1 / 6, 0.0
             )
 
     def test_bad_constants(self):
         A = sphere_form()
         with pytest.raises(InvalidConstants):
             lemma43_lower_bound(
-                principal_decompose(A), mean_curvature(A), 1.0, 0.5, 0.0
+                principal_decompose(A), 1.0, 0.5, 0.0
             )
 
 
@@ -168,7 +166,7 @@ class TestBoundaryBound:
         A = sphere_form()
         with pytest.raises(NotPinched):
             boundary_reaction_bound(
-                principal_decompose(A), mean_curvature(A), 1 / 6, 1.0
+                principal_decompose(A), 1 / 6, 1.0
             )
 
     def test_random_boundary_slack(self):
@@ -177,8 +175,7 @@ class TestBoundaryBound:
             raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
             A = rescale_to_boundary(raw, 1 / 6, 1.0)
             dec = principal_decompose(A)
-            H = mean_curvature(A)
-            rep = boundary_reaction_bound(dec, H, 1 / 6, 1.0)
+            rep = boundary_reaction_bound(dec, 1 / 6, 1.0)
             scale = max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
             assert rep.slack >= -1e-9 * scale
 
@@ -194,7 +191,7 @@ class TestConstantCurvatureBound:
     def test_hyperbolic_umbilic_equality_and_blowup(self):
         A, dec, H = self._hyperbolic_umbilic()
         q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 + 4.0
-        rep = cc_reaction_upper_bound(dec, H, q, 1 / 6, 4.0, -1.0)
+        rep = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
         scale = max(1.0, abs(rep.lhs_bound))
         # umbilic data saturates the multi-line bound
         assert abs(rep.slack) < 1e-9 * scale
@@ -206,7 +203,7 @@ class TestConstantCurvatureBound:
         # A = (|H|/n) I nu1 gives lhs = 2 (1/n) (1/n - c) |H|^4 <= 0
         A = sphere_form(n=8, m=2, r=2.0)
         dec, H = principal_decompose(A), mean_curvature(A)
-        rep = cc_reaction_upper_bound(dec, H, 0.0, 1 / 6, 0.0, 0.0)
+        rep = cc_reaction_upper_bound(dec, 0.0, 1 / 6, 0.0, 0.0)
         expected = 2 * (1 / 8) * (1 / 8 - 1 / 6) * H.norm2**2
         assert rep.lhs_bound == pytest.approx(expected, rel=1e-12)
         assert rep.lhs_bound <= 0
@@ -218,7 +215,7 @@ class TestConstantCurvatureBound:
             As = A.scaled(lam)
             decs, Hs = principal_decompose(As), mean_curvature(As)
             q = decs.a_ring2 - (1 / 6 - 1 / 8) * Hs.norm2  # d = 0 here
-            rep = cc_reaction_upper_bound(decs, Hs, q, 1 / 6, 0.0, -1.0)
+            rep = cc_reaction_upper_bound(decs, q, 1 / 6, 0.0, -1.0)
             assert abs(rep.lhs_bound) < 500 * lam**2
             assert abs(rep.rhs_bound) < 500 * lam**2
 
@@ -231,7 +228,7 @@ class TestConstantCurvatureBound:
             A = sample_pinched(rng, Dims(n, m), 1 / 6, 4.0)
             dec, H = principal_decompose(A), mean_curvature(A)
             q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 - 4.0 * kbar
-            rep = cc_reaction_upper_bound(dec, H, q, 1 / 6, 4.0, kbar)
+            rep = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, kbar)
             scale = max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
             assert rep.slack >= -1e-9 * scale
             if rep.blowup_slack is not None:
@@ -240,9 +237,9 @@ class TestConstantCurvatureBound:
         assert count_eligible > 0
 
     def test_invalid_constants(self):
-        A, dec, H = self._hyperbolic_umbilic()
+        _, dec, _ = self._hyperbolic_umbilic()
         with pytest.raises(InvalidConstants):
-            cc_reaction_upper_bound(dec, H, 0.0, 1 / 8, 4.0, -1.0)
+            cc_reaction_upper_bound(dec, 0.0, 1 / 8, 4.0, -1.0)
 
 
 class TestScaleCovariance:
@@ -251,26 +248,26 @@ class TestScaleCovariance:
         A = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
         H = mean_curvature(A)
         dec = principal_decompose(A)
-        rp = normal_curvature(A, dec)
+        rp = normal_curvature(dec)
         base = {
             "r1": r1(A),
             "r2": r2(A, H),
             "gap": reaction_gap(A, H, rp, 1 / 6),
         }
         f = (1 / 6) * H.norm2 - dec.a2
-        base["l43"] = lemma43_lower_bound(dec, H, f, 1 / 6, 0.0).slack
+        base["l43"] = lemma43_lower_bound(dec, f, 1 / 6, 0.0).slack
         for lam in (0.5, 2.0):
             As = A.scaled(lam)
             Hs = mean_curvature(As)
             decs = principal_decompose(As)
-            rps = normal_curvature(As, decs)
+            rps = normal_curvature(decs)
             assert r1(As) == pytest.approx(lam**4 * base["r1"], rel=1e-11)
             assert r2(As, Hs) == pytest.approx(lam**4 * base["r2"], rel=1e-11)
             assert reaction_gap(As, Hs, rps, 1 / 6) == pytest.approx(
                 lam**4 * base["gap"], rel=1e-10, abs=1e-12
             )
             fs = (1 / 6) * Hs.norm2 - decs.a2
-            assert lemma43_lower_bound(decs, Hs, fs, 1 / 6, 0.0).slack == pytest.approx(
+            assert lemma43_lower_bound(decs, fs, 1 / 6, 0.0).slack == pytest.approx(
                 lam**4 * base["l43"], rel=1e-9, abs=1e-11
             )
 
@@ -280,12 +277,12 @@ class TestScaleCovariance:
         A = sample_pinched(rng, Dims(8, 2), 1 / 6, 4.0)
         H, dec = mean_curvature(A), principal_decompose(A)
         q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 + 4.0
-        base = cc_reaction_upper_bound(dec, H, q, 1 / 6, 4.0, -1.0)
+        base = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
         for lam in (0.5, 2.0):
             As = A.scaled(lam)
             Hs, decs = mean_curvature(As), principal_decompose(As)
             qs = decs.a_ring2 - (1 / 6 - 1 / 8) * Hs.norm2 + 4.0 * lam**2
-            rep = cc_reaction_upper_bound(decs, Hs, qs, 1 / 6, 4.0, -(lam**2))
+            rep = cc_reaction_upper_bound(decs, qs, 1 / 6, 4.0, -(lam**2))
             assert qs == pytest.approx(lam**2 * q, rel=1e-11)
             assert rep.slack == pytest.approx(lam**4 * base.slack, rel=1e-9, abs=1e-10)
 
@@ -293,10 +290,7 @@ class TestScaleCovariance:
         rng = np.random.default_rng(71)
         raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
         A = rescale_to_boundary(raw, 1 / 6, 1.0)
-        dec, H = principal_decompose(A), mean_curvature(A)
-        base = boundary_reaction_bound(dec, H, 1 / 6, 1.0)
+        base = boundary_reaction_bound(principal_decompose(A), 1 / 6, 1.0)
         for lam in (0.5, 2.0):
-            As = A.scaled(lam)
-            decs, Hs = principal_decompose(As), mean_curvature(As)
-            rep = boundary_reaction_bound(decs, Hs, 1 / 6, lam**2 * 1.0)
+            rep = boundary_reaction_bound(principal_decompose(A.scaled(lam)), 1 / 6, lam**2 * 1.0)
             assert rep.slack == pytest.approx(lam**4 * base.slack, rel=1e-9, abs=1e-10)

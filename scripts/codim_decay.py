@@ -10,6 +10,8 @@ time series next to this script when --out is given.
 
 import argparse
 
+import numpy as np
+
 from pinchflow.constants import PinchingConstants
 from pinchflow.flow import ProductSpheresFlow, simulate, write_csv
 from pinchflow.forms import Dims
@@ -23,24 +25,25 @@ def main() -> None:
 
     family = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
     constants = PinchingConstants(Dims(family.n, family.m), 1 / 6)
-    records = simulate(
+    series = simulate(
         family, constants, dt=args.dt, t_end=0.9995 * family.blowup_time()
     )
-    f0 = records[0].f
-    rc0 = records[0].ratio_codim
+    f0 = series.f[0]
+    rc0 = series.ratio_codim[0]
 
     print(f"f(0) = {f0:.6f}, ratio_codim(0) = {rc0:.6f}, "
-          f"ratio_pinch(0) = {records[0].ratio_pinch:.6f}")
+          f"ratio_pinch(0) = {series.ratio_pinch[0]:.6f}")
     print(f"{'f/f(0)':>10} {'t':>12} {'a':>10} {'ratio_codim':>13} {'decay':>9}")
     for target in (1, 3, 10, 30, 100, 300, 1000):
-        hit = next((r for r in records if r.f >= target * f0), None)
-        if hit is None:
+        hit = np.flatnonzero(series.f >= target * f0)
+        if not hit.size:
             break
-        print(f"{target:>10} {hit.t:>12.7f} {hit.params[0]:>10.5f} "
-              f"{hit.ratio_codim:>13.3e} {rc0 / hit.ratio_codim:>9.1f}x")
+        i = hit[0]
+        print(f"{target:>10} {series.t[i]:>12.7f} {series.param1[i]:>10.5f} "
+              f"{series.ratio_codim[i]:>13.3e} {rc0 / series.ratio_codim[i]:>9.1f}x")
     if args.out:
-        write_csv(records, args.out)
-        print(f"wrote {len(records)} records to {args.out}")
+        write_csv(series, args.out)
+        print(f"wrote {len(series)} records to {args.out}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ under test.  Run it to regenerate the numbers pinned in the test suite:
 """
 
 import numpy as np
-from mpmath import mp, mpf, cosh, sinh, coth, findroot
+from mpmath import mp, mpf, cosh, coth, findroot
 
 mp.dps = 30
 

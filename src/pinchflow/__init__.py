@@ -41,7 +41,7 @@ from .flow import (
     HyperbolicSphereFlow,
     ProductSpheresFlow,
     SphereFlow,
-    TimeSeriesRecord,
+    TimeSeries,
     blowup_bound_check,
     diagnostics,
     evolution_residual,

@@ -212,27 +212,35 @@ def sample_trial_inputs(
     return inputs
 
 
-def _derivative_checks(
+def _form_checks(
     kato_ids: Sequence[str],
     gradient_ids: Sequence[str],
-    chunk: TrialInputs,
+    reaction_ids: Sequence[str],
+    unit: TrialInputs,
     config: CampaignConfig,
 ) -> list[lemmas.InequalityCheck]:
-    """The kato and gradient checks of a chunk of trials."""
-    grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
+    """The kato, gradient and flat reaction checks of a unit of trials, on
+    one principal split of its form."""
+    decomp = principal_decompose(unit.form)
     checks = []
+    if kato_ids or gradient_ids:
+        grad = gradient_sample(decomp, unit.grad_tensor)
     if "kato.3.1" in kato_ids:
         eta = config.eta if config.eta is not None else lemmas.default_kato_eta(
-            chunk.dims.n
+            unit.dims.n
         )
-        checks.append(lemmas.check_kato(grad, chunk.w, eta))
+        checks.append(lemmas.check_kato(grad, unit.w, eta))
     if "kato.3.2" in kato_ids:
-        checks.append(lemmas.check_kato_trace(grad, chunk.w))
+        checks.append(lemmas.check_kato_trace(grad, unit.w))
     if gradient_ids:
         checks.extend(
             lemmas.gradient_checks(
                 gradient_ids, grad, config.c, config.d, config.delta, config.eps0
             )
+        )
+    if reaction_ids:
+        checks.extend(
+            lemmas.reaction_checks(reaction_ids, decomp, config.c, config.d, config.delta)
         )
     return checks
 
@@ -246,9 +254,11 @@ def evaluate_trial(
     """Evaluate every requested inequality on a chunk of trials.
 
     ``chunk`` holds the inputs stacked along a leading axis, and each check
-    holds one lhs and rhs per trial.  li, the flat reaction estimates and the
-    boundary estimate run once on the stacked inputs; the kato and gradient
-    estimates run on stacked slices of ``DERIVATIVE_SLICE`` trials.
+    holds one lhs and rhs per trial.  li and the boundary estimate run once
+    on the stacked inputs.  The kato, gradient and flat reaction estimates
+    share one principal split per evaluation unit: the whole chunk, or
+    stacked slices of ``DERIVATIVE_SLICE`` trials when a kato or gradient
+    estimate is requested.
     """
     li_ids = [i for i in lemma_ids if i in lemmas.LI_IDS]
     kato_ids = [i for i in lemma_ids if i in lemmas.KATO_IDS]
@@ -256,30 +266,20 @@ def evaluate_trial(
     boundary_ids = [i for i in lemma_ids if i in lemmas.BOUNDARY_IDS]
     gradient_ids = [i for i in lemma_ids if i in lemmas.GRADIENT_IDS]
 
-    checks: list[lemmas.InequalityCheck] = []
-    for _ in li_ids:
-        checks.append(lemmas.check_li(chunk.matrices))
-    if kato_ids or gradient_ids:
-        slices = [
-            _derivative_checks(
-                kato_ids, gradient_ids,
-                chunk.trial(slice(start, start + DERIVATIVE_SLICE)), config,
-            )
+    checks = [lemmas.check_li(chunk.matrices) for _ in li_ids]
+    units = [chunk] if reaction_ids else []
+    if kato_ids or gradient_ids:  # each slice copied only when it is evaluated
+        units = (
+            chunk.trial(slice(start, start + DERIVATIVE_SLICE))
             for start in range(0, len(chunk.form.components), DERIVATIVE_SLICE)
-        ]
-        for parts in zip(*slices):
-            checks.append(lemmas.InequalityCheck(
-                parts[0].lemma_id,
-                np.concatenate([chk.lhs for chk in parts]),
-                np.concatenate([chk.rhs for chk in parts]),
-            ))
-    if reaction_ids:
-        checks.extend(
-            lemmas.reaction_checks(
-                reaction_ids, principal_decompose(chunk.form),
-                config.c, config.d, config.delta,
-            )
         )
+    per_unit = [_form_checks(kato_ids, gradient_ids, reaction_ids, u, config) for u in units]
+    for parts in zip(*per_unit):
+        checks.append(lemmas.InequalityCheck(
+            parts[0].lemma_id,
+            np.concatenate([chk.lhs for chk in parts]),
+            np.concatenate([chk.rhs for chk in parts]),
+        ))
     for _ in boundary_ids:
         checks.append(
             lemmas.boundary_check(

@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 at least one inequality violation (a
 replayable counterexample file is written), 2 usage or configuration error.
 The RNG seed is always echoed in machine-readable output; it defaults to the
-MCF_SEED environment variable and otherwise to fresh entropy.
+MCF_SEED environment variable and otherwise to fresh entropy.  simulate and
+rescale write the same CSV text to --out or, without it, to stdout.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from .constants import (
     space_form_d_lower,
 )
 from .errors import PinchflowError
-from .flow import FAMILY_KINDS, simulate, write_csv, record_row, CSV_HEADER, read_csv
+from .flow import FAMILY_KINDS, read_csv, simulate, write_csv, write_rows
 from .forms import Dims
-from .rescale import (
-    RESCALED_HEADER,
-    rescale as rescale_series,
-    rescaled_row,
-    write_rescaled_csv,
-)
+from .rescale import rescale as rescale_series, write_rescaled_csv
 from .samplers import SamplerSpec
 
 SUITES = {
@@ -198,25 +194,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         d = args.d if args.d is not None else 0.0
         constants = PinchingConstants(Dims(n, family.m), c, d)
     t_end = args.t_end if args.t_end is not None else family.blowup_time()
-    records = simulate(family, constants, dt=args.dt, t_end=t_end, every=args.every)
+    series = simulate(family, constants, dt=args.dt, t_end=t_end, every=args.every)
     if args.out:
-        write_csv(records, args.out)
+        write_csv(series, args.out)
     else:
-        print(CSV_HEADER)
-        for rec in records:
-            print(record_row(rec))
+        write_rows(series, sys.stdout)
     return 0
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    records = read_csv(args.infile)
-    series = rescale_series(records, args.base_row, kbar=args.kbar, d=args.d)
+    rescaled = rescale_series(read_csv(args.infile), args.base_row, kbar=args.kbar, d=args.d)
     if args.out:
-        write_rescaled_csv(series, args.out)
+        write_rescaled_csv(rescaled, args.out)
     else:
-        print(RESCALED_HEADER)
-        for rec in series.records:
-            print(rescaled_row(rec))
+        write_rows(rescaled.records, sys.stdout)
     return 0
 
 

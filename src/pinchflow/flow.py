@@ -16,13 +16,15 @@ cross-checked against exact solutions.  Supported families:
 The sphere and cylinder are the classical model solutions; the product and
 the hyperbolic geodesic sphere are artifact-chosen oracle families that let
 the codimension and space-form diagnostics be exercised with closed forms.
+A run's diagnostics form a :class:`TimeSeries`, one array per CSV column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import ClassVar, TextIO
 
 import numpy as np
 
@@ -213,53 +215,57 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
 
 
 @dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One diagnostics row; Q is NaN outside the space-form regime."""
+class TimeSeries:
+    """A diagnostics series, one float64 array per CSV column.
 
-    t: float
-    params: tuple[float, ...]
-    A2: float
-    H2: float
-    h2: float
-    Aminus2: float
-    f: float
-    Q: float
-    ratio_pinch: float
-    ratio_codim: float
-    ratio_cyl: float
-
-
-def diagnostics(
-    states: FlowState | list[FlowState], constants: PinchingConstants
-) -> TimeSeriesRecord | list[TimeSeriesRecord]:
-    """All scalar diagnostics of the snapshot forms at ``states``.
-
-    One state gives its record.  A list of states of one family gives their
-    records, evaluated together on the stacked forms; one state is the
-    batch of one.
+    ``param2`` is NaN for one-radius families and Q is NaN outside the
+    space-form regime.
     """
-    batch = [states] if isinstance(states, FlowState) else states
-    fam = batch[0].family
+
+    header: ClassVar[str] = CSV_HEADER
+    t: np.ndarray
+    param1: np.ndarray
+    param2: np.ndarray
+    A2: np.ndarray
+    H2: np.ndarray
+    h2: np.ndarray
+    Aminus2: np.ndarray
+    f: np.ndarray
+    Q: np.ndarray
+    ratio_pinch: np.ndarray
+    ratio_codim: np.ndarray
+    ratio_cyl: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def columns(self) -> list[np.ndarray]:
+        """Every column, in header order."""
+        return [getattr(self, field.name) for field in fields(self)]
+
+
+def diagnostics(states: list[FlowState], constants: PinchingConstants) -> TimeSeries:
+    """All scalar diagnostics of the snapshot forms at ``states``, a list of
+    states of one family, evaluated together on the stacked forms."""
+    fam = states[0].family
     if constants.regime == "space_form" and constants.Kbar != fam.kbar:
         raise InvalidConstants(
             f"constants Kbar={constants.Kbar} but family has kbar={fam.kbar}"
         )
-    dec = principal_decompose(fam.form(np.array([s.params for s in batch])))
+    params = np.array([s.params for s in states])
+    dec = principal_decompose(fam.form(params))
     H2 = dec.H.norm2
     f = pinching_f(dec, constants)
-    nan = np.full(len(batch), math.nan)
-    q = pinching_Q(dec, constants) if constants.regime == "space_form" else nan
-    columns = (
-        dec.a2, H2, dec.h2, dec.a_minus2, f, q,
+    nan = np.full(len(states), math.nan)
+    return TimeSeries(
+        np.array([s.t for s in states]), params[:, 0],
+        params[:, 1] if params.shape[1] > 1 else nan,
+        dec.a2, H2, dec.h2, dec.a_minus2, f,
+        pinching_Q(dec, constants) if constants.regime == "space_form" else nan,
         dec.a2 / H2,
         np.divide(dec.a_minus2, f, out=nan.copy(), where=f > 0),
         dec.a2 - H2 / (fam.n - 1),
     )
-    records = [
-        TimeSeriesRecord(s.t, s.params, *row)
-        for s, row in zip(batch, zip(*(col.tolist() for col in columns)))
-    ]
-    return records[0] if isinstance(states, FlowState) else records
 
 
 def simulate(
@@ -268,13 +274,13 @@ def simulate(
     dt: float,
     t_end: float,
     every: int = 1,
-) -> list[TimeSeriesRecord]:
+) -> TimeSeries:
     """Fixed-step RK4 time series with records every ``every`` steps.
 
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
     The radii are integrated first; the recorded states are then evaluated
-    in chunks of ``CHUNK``.
+    in chunks of ``CHUNK`` and joined into one series.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -285,7 +291,7 @@ def simulate(
     state = FlowState(family, 0.0, family.exact_params(0.0))
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once
-    records = diagnostics([state], constants)
+    parts = [diagnostics([state], constants)]
     recorded = []
     step = dt
     k = 0
@@ -302,11 +308,9 @@ def simulate(
         k += 1
         if k % every == 0:
             recorded.append(state)
-        if min(state.params) <= R_MIN:
-            break
     for start in range(0, len(recorded), CHUNK):
-        records += diagnostics(recorded[start:start + CHUNK], constants)
-    return records
+        parts.append(diagnostics(recorded[start:start + CHUNK], constants))
+    return TimeSeries(*map(np.concatenate, zip(*(part.columns() for part in parts))))
 
 
 @dataclass(frozen=True)
@@ -466,42 +470,37 @@ def quotient_identity_residual(
 # CSV time series
 # ----------------------------------------------------------------------
 
-def _csv_num(x: float) -> str:
-    return "NaN" if math.isnan(x) else format(x, ".17g")
+def write_rows(series: TimeSeries, fh: TextIO) -> None:
+    """Write ``series`` as CSV text to an open file: its header, then one
+    line per row, each value with 17 significant digits and NaN as ``NaN``."""
+    columns = series.columns()
+    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    fh.write(series.header + "\n")
+    fh.writelines(
+        line.format(*row).replace("nan", "NaN")
+        for row in zip(*(col.tolist() for col in columns))
+    )
 
 
-def record_row(rec: TimeSeriesRecord) -> str:
-    p1 = rec.params[0]
-    p2 = rec.params[1] if len(rec.params) > 1 else math.nan
-    vals = (rec.t, p1, p2, rec.A2, rec.H2, rec.h2, rec.Aminus2,
-            rec.f, rec.Q, rec.ratio_pinch, rec.ratio_codim, rec.ratio_cyl)
-    return ",".join(_csv_num(v) for v in vals)
-
-
-def write_csv(records: list[TimeSeriesRecord], path: str) -> None:
+def write_csv(series: TimeSeries, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(record_row(rec) + "\n")
+        write_rows(series, fh)
 
 
-def read_csv(path: str) -> list[TimeSeriesRecord]:
-    records = []
+def read_csv(path: str) -> TimeSeries:
+    """The series that :func:`write_csv` wrote; ValueError on a different
+    header or on a row whose field count is not the header's."""
+    width = len(fields(TimeSeries))
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 2):
+            tokens = line.strip().split(",")
+            if tokens == [""]:
                 continue
-            vals = [float(tok) for tok in line.split(",")]
-            params = (vals[1],) if math.isnan(vals[2]) else (vals[1], vals[2])
-            records.append(
-                TimeSeriesRecord(
-                    t=vals[0], params=params, A2=vals[3], H2=vals[4], h2=vals[5],
-                    Aminus2=vals[6], f=vals[7], Q=vals[8], ratio_pinch=vals[9],
-                    ratio_codim=vals[10], ratio_cyl=vals[11],
-                )
-            )
-    return records
+            if len(tokens) != width:
+                raise ValueError(f"line {lineno}: {len(tokens)} fields, the header has {width}")
+            rows.append([float(tok) for tok in tokens])
+    return TimeSeries(*np.array(rows, dtype=np.float64).reshape(-1, width).T)

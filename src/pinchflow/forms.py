@@ -217,7 +217,10 @@ def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
     """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks (..., k, n, n) of square
     matrices."""
     left, right = left[..., :, None, :, :], right[..., None, :, :, :]
-    return sum_sq(left @ right - right @ left, 4)
+    # in place: a third live product stack can make glibc trim the heap per chunk
+    comm = left @ right
+    comm -= right @ left
+    return sum_sq(comm, 4)
 
 
 def normal_curvature(decomp: PrincipalDecomposition) -> NormalCurvature:

@@ -10,31 +10,34 @@ fbar = 1.  Dimensionless ratios are unchanged record by record, and the
 rescaled background curvature kbar * rho flattens as the base f grows:
 the numerical shadow of blow-up limits living in flat space.
 
-Rescaling acts on the recorded scalars only; no immersion is transformed.
+Rescaling acts on the recorded scalars only, one array expression per
+column of the series; no immersion is transformed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotPinchedAtBase
-from .flow import CSV_HEADER, TimeSeriesRecord, _csv_num, record_row
+from .flow import CSV_HEADER, TimeSeries, write_rows
 
 RESCALED_HEADER = CSV_HEADER + ",tbar,fbar,Kresc"
 
 
 @dataclass(frozen=True)
-class RescaledRecord(TimeSeriesRecord):
-    """A transformed diagnostics row plus the dedicated rescaled columns.
+class RescaledTimeSeries(TimeSeries):
+    """A transformed diagnostics series plus the dedicated rescaled columns.
 
     ``t`` stays the original time, kept for joins; ``tbar`` is the rescaled
     time around the base record.
     """
 
-    tbar: float
-    fbar: float
-    kresc: float
+    header = RESCALED_HEADER
+    tbar: np.ndarray
+    fbar: np.ndarray
+    kresc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,11 @@ class RescaledSeries:
     base_index: int
     rho: float                # curvature^2 multiplier, 1/f(base)
     dbar: float               # rescaled pinching offset
-    records: tuple[RescaledRecord, ...]
+    records: RescaledTimeSeries
 
 
 def rescale(
-    records: list[TimeSeriesRecord],
+    series: TimeSeries,
     base_index: int,
     kbar: float = 0.0,
     d: float = 0.0,
@@ -54,41 +57,24 @@ def rescale(
     """Transform a diagnostics series so the base record has fbar = 1.
 
     Raises :class:`NotPinchedAtBase` when f at the base record is not
-    positive and ValueError when ``base_index`` is not a row of ``records``.
+    positive and ValueError when ``base_index`` is not a row of ``series``.
     """
-    if not 0 <= base_index < len(records):
-        raise ValueError(f"base row {base_index} outside 0..{len(records) - 1}")
-    base = records[base_index]
-    if not (base.f > 0):
-        raise NotPinchedAtBase(f"f(base) = {base.f} is not positive")
-    rho = 1.0 / base.f
-    out = []
-    for rec in records:
-        a2 = rho * rec.A2
-        h2_full = rho * rec.H2
-        f = rho * rec.f
-        am2 = rho * rec.Aminus2
-        out.append(
-            RescaledRecord(
-                t=rec.t,
-                params=rec.params,
-                A2=a2,
-                H2=h2_full,
-                h2=rho * rec.h2,
-                Aminus2=am2,
-                f=f,
-                Q=rho * rec.Q,
-                ratio_pinch=a2 / h2_full,
-                ratio_codim=am2 / f if f > 0 else math.nan,
-                ratio_cyl=rho * rec.ratio_cyl,
-                tbar=(rec.t - base.t) / rho,
-                fbar=f,
-                kresc=rho * kbar,
-            )
-        )
-    return RescaledSeries(
-        base_index=base_index, rho=rho, dbar=rho * d, records=tuple(out)
+    if not 0 <= base_index < len(series):
+        raise ValueError(f"base row {base_index} outside 0..{len(series) - 1}")
+    f_base = float(series.f[base_index])
+    if not (f_base > 0):
+        raise NotPinchedAtBase(f"f(base) = {f_base} is not positive")
+    rho = 1.0 / f_base
+    a2, h2_full, am2, f = (rho * col for col in (series.A2, series.H2, series.Aminus2, series.f))
+    records = RescaledTimeSeries(  # the columns in header order
+        series.t, series.param1, series.param2, a2, h2_full, rho * series.h2, am2, f,
+        rho * series.Q, a2 / h2_full,
+        np.divide(am2, f, out=np.full(len(f), np.nan), where=f > 0),
+        rho * series.ratio_cyl,
+        # tbar, fbar, kresc
+        (series.t - series.t[base_index]) / rho, f, np.full(len(f), rho * kbar),
     )
+    return RescaledSeries(base_index=base_index, rho=rho, dbar=rho * d, records=records)
 
 
 @dataclass(frozen=True)
@@ -101,33 +87,18 @@ class InvarianceReport:
     kresc: float
 
 
-def invariance_report(
-    records: list[TimeSeriesRecord], rescaled: RescaledSeries
-) -> InvarianceReport:
-    if len(records) != len(rescaled.records):
+def invariance_report(series: TimeSeries, rescaled: RescaledSeries) -> InvarianceReport:
+    if len(series) != len(rescaled.records):
         raise ValueError("series lengths differ")
-    pinch = 0.0
-    codim = 0.0
-    for orig, resc in zip(records, rescaled.records):
-        pinch = max(pinch, abs(orig.ratio_pinch - resc.ratio_pinch))
-        both_finite = not (math.isnan(orig.ratio_codim) or math.isnan(resc.ratio_codim))
-        if both_finite:
-            codim = max(codim, abs(orig.ratio_codim - resc.ratio_codim))
-    return InvarianceReport(
-        max_pinch_drift=pinch,
-        max_codim_drift=codim,
-        base_fbar=rescaled.records[rescaled.base_index].fbar,
-        kresc=rescaled.records[rescaled.base_index].kresc,
+    resc, base = rescaled.records, rescaled.base_index
+    # fmax skips the NaN of rows where either ratio is undefined
+    pinch, codim = (
+        float(np.fmax.reduce(np.abs(getattr(series, name) - getattr(resc, name)), initial=0.0))
+        for name in ("ratio_pinch", "ratio_codim")
     )
-
-
-def rescaled_row(rec: RescaledRecord) -> str:
-    tail = (rec.tbar, rec.fbar, rec.kresc)
-    return ",".join([record_row(rec)] + [_csv_num(v) for v in tail])
+    return InvarianceReport(pinch, codim, float(resc.fbar[base]), float(resc.kresc[base]))
 
 
 def write_rescaled_csv(series: RescaledSeries, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(RESCALED_HEADER + "\n")
-        for rec in series.records:
-            fh.write(rescaled_row(rec) + "\n")
+        write_rows(series.records, fh)

@@ -9,17 +9,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from pinchflow.campaign import CampaignConfig, run_campaign
-from pinchflow.constants import PinchingConstants
 from pinchflow.flow import (
     CylinderFlow,
     FlowState,
     HyperbolicSphereFlow,
     ProductSpheresFlow,
     SphereFlow,
-    blowup_bound_check,
     diagnostics,
     evolution_residual,
     exact_state,
@@ -122,18 +119,18 @@ def test_criterion_04_gradient_lemmas(tmp_path):
 
 def test_criterion_05_sphere_oracle():
     fam = SphereFlow(8, 2, 2.0)
-    recs = simulate(fam, FLAT_K, dt=1e-4, t_end=0.2)
+    series = simulate(fam, FLAT_K, dt=1e-4, t_end=0.2)
     worst_exact = worst_barrier = 0.0
-    h0sq = recs[0].H2
-    for rec in recs:
-        closed = 64.0 / (4.0 - 16.0 * rec.t)
-        worst_exact = max(worst_exact, abs(rec.H2 - closed) / closed)
-        barrier = 1.0 / (1.0 / h0sq - 2.0 * rec.t / 8.0)
-        worst_barrier = max(worst_barrier, abs(rec.H2 - barrier) / barrier)
+    h0sq = series.H2[0]
+    for t, H2 in zip(series.t, series.H2):
+        closed = 64.0 / (4.0 - 16.0 * t)
+        worst_exact = max(worst_exact, abs(H2 - closed) / closed)
+        barrier = 1.0 / (1.0 / h0sq - 2.0 * t / 8.0)
+        worst_barrier = max(worst_barrier, abs(H2 - barrier) / barrier)
     ok = (
         worst_exact < 1e-6
         and worst_barrier < 1e-6
-        and recs[-1].t >= 0.2 - 1e-9
+        and series.t[-1] >= 0.2 - 1e-9
         and abs(fam.blowup_time() - 0.25) < 1e-15
     )
     report(5, "sphere-oracle", ok,
@@ -161,49 +158,48 @@ def test_criterion_06_evolution_residuals():
 
 def test_criterion_07_pinching_preservation():
     fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
-    recs = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
-    q0 = recs[0].Q
-    qs = [r.Q for r in recs]
+    series = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
+    q0 = series.Q[0]
+    qs = series.Q.tolist()
     ok = (
         abs(q0 - ORACLE_HYPERBOLIC_Q0) < 1e-10
         and abs(q0 - (-8.488)) < 2e-3
         and all(q < 0 for q in qs)
         and all(b < a for a, b in zip(qs, qs[1:]))
-        and recs[-1].params[0] < 0.05  # ran deep towards the stop radius
+        and series.param1[-1] < 0.05  # ran deep towards the stop radius
     )
     report(7, "pinching-preservation", ok,
-           f"Q(0) = {q0:.12f}, {len(recs)} records, Q stays < 0 and decreases")
+           f"Q(0) = {q0:.12f}, {len(series)} records, Q stays < 0 and decreases")
 
 
 def test_criterion_08_codimension_decay():
     fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
-    recs = simulate(fam, FLAT_K, dt=1e-5, t_end=0.0710)
-    first = recs[0]
+    series = simulate(fam, FLAT_K, dt=1e-5, t_end=0.0710)
     pinched_initially = (
-        abs(first.ratio_pinch - ORACLE_PRODUCT_RATIO_PINCH0) < 1e-10
-        and first.ratio_pinch < 1 / 6
-        and abs(first.f - ORACLE_PRODUCT_F0) < 1e-10
-        and abs(first.Aminus2 - ORACLE_PRODUCT_AMINUS2) < 1e-10
+        abs(series.ratio_pinch[0] - ORACLE_PRODUCT_RATIO_PINCH0) < 1e-10
+        and series.ratio_pinch[0] < 1 / 6
+        and abs(series.f[0] - ORACLE_PRODUCT_F0) < 1e-10
+        and abs(series.Aminus2[0] - ORACLE_PRODUCT_AMINUS2) < 1e-10
     )
-    hit = next(r for r in recs if r.f >= 100.0 * first.f)
-    factor = first.ratio_codim / hit.ratio_codim
+    hit = next(i for i, f in enumerate(series.f) if f >= 100.0 * series.f[0])
+    factor = series.ratio_codim[0] / series.ratio_codim[hit]
     ok = (
         pinched_initially
         and factor >= 10.0
         and abs(factor - ORACLE_DECAY_FACTOR) / ORACLE_DECAY_FACTOR < 0.05
     )
     report(8, "codimension-decay", ok,
-           f"ratio_codim(0) = {first.ratio_codim:.6f}, decay factor {factor:.2f} "
+           f"ratio_codim(0) = {series.ratio_codim[0]:.6f}, decay factor {factor:.2f} "
            f"(oracle {ORACLE_DECAY_FACTOR:.2f})")
 
 
 def test_criterion_09_cylindrical_diagnostics():
-    cyl = diagnostics(exact_state(CylinderFlow(8, 2, 1.0), 0.0), FLAT_K)
-    cylinder_exact = cyl.ratio_cyl == 0.0 and cyl.ratio_pinch == 1 / 7
+    cyl = diagnostics([exact_state(CylinderFlow(8, 2, 1.0), 0.0)], FLAT_K)
+    cylinder_exact = cyl.ratio_cyl[0] == 0.0 and cyl.ratio_pinch[0] == 1 / 7
     fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
-    recs = simulate(fam, FLAT_K, dt=1e-5, t_end=0.0714)
-    hit = next(r for r in recs if r.params[0] <= 0.05)
-    drift = abs(hit.ratio_pinch - 1 / 7)
+    series = simulate(fam, FLAT_K, dt=1e-5, t_end=0.0714)
+    hit = next(i for i, a in enumerate(series.param1) if a <= 0.05)
+    drift = abs(series.ratio_pinch[hit] - 1 / 7)
     ok = cylinder_exact and drift < 1e-3
     report(9, "cylindrical-diagnostics", ok,
            f"static cylinder exact, product drift at a<=0.05: {drift:.2e}")
@@ -222,10 +218,10 @@ def test_criterion_10_rescaling():
     hrecs = simulate(hyp, hyperbolic_constants(), dt=1e-5, t_end=hyp.blowup_time())
     mags = []
     for target in (10.0, 30.0, 100.0, 300.0, 1000.0):
-        base = next(i for i, r in enumerate(hrecs) if r.f >= target)
+        base = next(i for i, f in enumerate(hrecs.f) if f >= target)
         series = rescale(hrecs, base, kbar=-1.0)
-        mags.append(abs(series.records[base].kresc))
-        worst_fbar = max(worst_fbar, abs(series.records[base].fbar - 1.0))
+        mags.append(abs(series.records.kresc[base]))
+        worst_fbar = max(worst_fbar, abs(series.records.fbar[base] - 1.0))
     monotone = all(b < a for a, b in zip(mags, mags[1:]))
     ok = worst_fbar <= 1e-12 and worst_ratio <= 1e-12 and monotone
     report(10, "rescaling", ok,

@@ -1,16 +1,14 @@
 """Campaign machinery: determinism, constrained samplers, shrinking, replay."""
 
 import json
-import os
 
 import numpy as np
-import pytest
 
+import pinchflow.campaign
 import pinchflow.lemmas
 from pinchflow.campaign import (
     CampaignConfig,
     CheckResult,
-    TrialInputs,
     load_counterexample,
     run_campaign,
     sample_trial_inputs,
@@ -94,6 +92,24 @@ class TestCampaign:
         assert {"lemma_id", "trials", "violations", "worst_slack", "seed"} <= set(
             payload
         )
+
+
+    def test_each_form_is_split_once(self, monkeypatch):
+        # the kato, gradient and flat reaction ids share one split of each
+        # slice; only the boundary form is split on its own
+        points = []
+        split = pinchflow.campaign.principal_decompose
+
+        def counted(A):
+            points.append(len(A.components))
+            return split(A)
+
+        monkeypatch.setattr(pinchflow.campaign, "principal_decompose", counted)
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.0, seed=1)
+        cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
+        results = run_campaign(spec, pinchflow.lemmas.ALL_IDS, 320, config=cfg)
+        assert all(r.violations == 0 for r in results)
+        assert sum(points) == 2 * 320
 
 
 class TestViolationPath:

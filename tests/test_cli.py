@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import pinchflow.cli as cli
@@ -137,9 +136,9 @@ class TestSimulate:
                          "--params", "p=7,q=1,a=1,b=4", "--dt", "1e-4",
                          "--t-end", "0.07", "--every", "10", "--out", str(out))
         assert code == 0
-        recs = read_csv(str(out))
-        assert recs[0].Aminus2 == pytest.approx(0.07133757961783438, abs=1e-10)
-        assert recs[0].params == (1.0, 4.0)
+        series = read_csv(str(out))
+        assert series.Aminus2[0] == pytest.approx(0.07133757961783438, abs=1e-10)
+        assert (series.param1[0], series.param2[0]) == (1.0, 4.0)
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run(capsys, "simulate", "--family", "sphere",
@@ -156,8 +155,8 @@ class TestSimulate:
                          "--params", "n=8,m=2,r=0.5", "--dt", "1e-4",
                          "--t-end", "0.01", "--out", str(out))
         assert code == 0
-        recs = read_csv(str(out))
-        assert not math.isnan(recs[0].Q)
+        series = read_csv(str(out))
+        assert not math.isnan(series.Q[0])
 
     def test_missing_param_is_config_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--family", "sphere",
@@ -253,6 +252,32 @@ class TestRescaleCommand:
                              "--base-row", base_row)
         assert code == 2
         assert out == "" and "outside 0..3" in err
+
+    @pytest.mark.parametrize("fields", [11, 13])
+    def test_row_of_wrong_width_is_config_error(self, capsys, tmp_path, fields):
+        series = tmp_path / "series.csv"
+        code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                         "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
+        assert code == 0
+        lines = series.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join(row[:fields] + ["1.0"] * (fields - len(row)))
+        series.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "0")
+        assert code == 2
+        assert out == "" and f"error: line 3: {fields} fields, the header has 12" in err
+
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        series, rescaled = tmp_path / "series.csv", tmp_path / "rescaled.csv"
+        simulate = ["simulate", "--family", "product", "--params", "p=7,q=1,a=1,b=4",
+                    "--dt", "1e-4", "--t-end", "0.06", "--every", "7"]
+        rescale = ["rescale", "--in", str(series), "--base-row", "5", "--kbar", "-1"]
+        for argv, path in ((simulate, series), (rescale, rescaled)):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            code, _, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 0
+            assert out.encode() == path.read_bytes()
 
     def test_missing_file_is_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rescale", "--in", str(tmp_path / "nope.csv"),

@@ -24,7 +24,7 @@ from pinchflow.errors import (
 )
 from pinchflow.forms import Dims, mean_curvature, principal_decompose
 from pinchflow.samplers import symmetric_gaussian
-from tests.test_forms import product_form, sphere_form
+from tests.test_forms import sphere_form
 
 
 class TestCoefficient:

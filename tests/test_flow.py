@@ -122,33 +122,33 @@ class TestRK4:
 
 class TestDiagnostics:
     def test_sphere_record(self):
-        rec = diagnostics(exact_state(SphereFlow(8, 2, 2.0), 0.0), FLAT_K)
-        assert rec.ratio_pinch == pytest.approx(1 / 8, abs=1e-15)
-        assert rec.f == pytest.approx(2 / 3, abs=1e-13)
-        assert rec.ratio_codim == pytest.approx(0.0, abs=1e-15)
-        assert math.isnan(rec.Q)
+        rec = diagnostics([exact_state(SphereFlow(8, 2, 2.0), 0.0)], FLAT_K)
+        assert rec.ratio_pinch[0] == pytest.approx(1 / 8, abs=1e-15)
+        assert rec.f[0] == pytest.approx(2 / 3, abs=1e-13)
+        assert rec.ratio_codim[0] == pytest.approx(0.0, abs=1e-15)
+        assert math.isnan(rec.Q[0])
 
     def test_static_cylinder_exact_ratios(self):
-        rec = diagnostics(exact_state(CylinderFlow(8, 2, 1.0), 0.0), FLAT_K)
-        assert rec.ratio_cyl == 0.0
-        assert rec.ratio_pinch == 1 / 7
+        rec = diagnostics([exact_state(CylinderFlow(8, 2, 1.0), 0.0)], FLAT_K)
+        assert rec.ratio_cyl[0] == 0.0
+        assert rec.ratio_pinch[0] == 1 / 7
 
     def test_product_record_frozen(self):
-        rec = diagnostics(exact_state(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), 0.0), FLAT_K)
-        assert rec.f == pytest.approx(1.1145833333333321, abs=1e-12)
-        assert rec.Aminus2 == pytest.approx(0.07133757961783438, abs=1e-12)
-        assert rec.ratio_codim == pytest.approx(0.06400380975058044, abs=1e-12)
+        rec = diagnostics([exact_state(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), 0.0)], FLAT_K)
+        assert rec.f[0] == pytest.approx(1.1145833333333321, abs=1e-12)
+        assert rec.Aminus2[0] == pytest.approx(0.07133757961783438, abs=1e-12)
+        assert rec.ratio_codim[0] == pytest.approx(0.06400380975058044, abs=1e-12)
 
     def test_hyperbolic_Q(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
-        rec = diagnostics(exact_state(fam, 0.0), hyperbolic_constants())
-        assert rec.Q == pytest.approx(-8.487185004883118, abs=1e-11)
-        assert rec.f == pytest.approx(-rec.Q, rel=1e-12)  # kbar = -1 makes f = -Q
+        rec = diagnostics([exact_state(fam, 0.0)], hyperbolic_constants())
+        assert rec.Q[0] == pytest.approx(-8.487185004883118, abs=1e-11)
+        assert rec.f[0] == pytest.approx(-rec.Q[0], rel=1e-12)  # kbar = -1 makes f = -Q
 
     def test_kbar_mismatch_rejected(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
         with pytest.raises(InvalidConstants):
-            diagnostics(exact_state(fam, 0.0), hyperbolic_constants(kbar=-2.0))
+            diagnostics([exact_state(fam, 0.0)], hyperbolic_constants(kbar=-2.0))
 
 
 class TestEvolutionResiduals:
@@ -206,39 +206,38 @@ class TestBlowupBarrier:
 
 class TestSimulate:
     def test_sphere_pinching_preserved(self):
-        recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=1e-3, t_end=0.24)
-        assert all(r.f > 0 for r in recs)
-        fs = [r.f for r in recs]
+        series = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=1e-3, t_end=0.24)
+        assert all(f > 0 for f in series.f)
+        fs = series.f.tolist()
         assert fs == sorted(fs)  # f grows towards blow-up
-        assert all(abs(r.ratio_pinch - 1 / 8) < 1e-12 for r in recs)
+        assert all(abs(r - 1 / 8) < 1e-12 for r in series.ratio_pinch)
 
     def test_hyperbolic_Q_decreasing_negative(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
-        recs = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
-        qs = [r.Q for r in recs]
+        series = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
+        qs = series.Q.tolist()
         assert all(q < 0 for q in qs)
         assert all(b < a for a, b in zip(qs, qs[1:]))
 
     def test_hyperbolic_Q_ode_barrier(self):
         # dQ/dt <= -(2/n)/(c - 1/n) Q^2 integrates to Q(t) <= 1/(1/Q0 + 6t)
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
-        recs = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
-        q0 = recs[0].Q
-        for rec in recs[1:]:
-            bound = 1.0 / (1.0 / q0 + 6.0 * rec.t)
-            assert rec.Q <= bound * (1 - 1e-9)
+        series = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
+        q0 = series.Q[0]
+        for t, q in zip(series.t[1:], series.Q[1:]):
+            bound = 1.0 / (1.0 / q0 + 6.0 * t)
+            assert q <= bound * (1 - 1e-9)
 
     def test_product_codim_ratio_decays(self):
         fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
-        recs = simulate(fam, FLAT_K, dt=1e-4, t_end=0.0712, every=2)
-        first = recs[0]
-        hit = next(r for r in recs if r.f >= 100.0)
-        assert hit.ratio_codim < first.ratio_codim
+        series = simulate(fam, FLAT_K, dt=1e-4, t_end=0.0712, every=2)
+        hit = next(i for i, f in enumerate(series.f) if f >= 100.0)
+        assert series.ratio_codim[hit] < series.ratio_codim[0]
 
     def test_radius_guard_stops(self):
         fam = SphereFlow(8, 2, 0.05)
-        recs = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
-        assert recs[-1].params[0] > 0
+        series = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
+        assert series.param1[-1] > 0
 
     @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
@@ -247,12 +246,13 @@ class TestSimulate:
         # record; the half step after them is not
         dt, every = 1e-4, 3
         constants = constants_for(fam)
-        recs = simulate(fam, constants, dt=dt, t_end=(every * count + 0.5) * dt, every=every)
-        assert len(recs) == count + 1
-        for rec in recs:
-            alone = diagnostics(FlowState(fam, rec.t, rec.params), constants)
-            for field in dataclasses.fields(rec):
-                got, want = getattr(rec, field.name), getattr(alone, field.name)
+        series = simulate(fam, constants, dt=dt, t_end=(every * count + 0.5) * dt, every=every)
+        assert len(series) == count + 1
+        for i in range(len(series)):
+            params = tuple(p for p in (series.param1[i], series.param2[i]) if not math.isnan(p))
+            alone = diagnostics([FlowState(fam, series.t[i], params)], constants)
+            for field in dataclasses.fields(series):
+                got, want = getattr(series, field.name)[i], getattr(alone, field.name)[0]
                 assert got == want or (math.isnan(got) and math.isnan(want)), field.name
 
     def test_kbar_mismatch_raised_before_any_step(self, monkeypatch):
@@ -310,21 +310,22 @@ class TestQuotientIdentity:
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        recs = simulate(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), FLAT_K, 1e-3, 0.05, 5)
+        series = simulate(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), FLAT_K, 1e-3, 0.05, 5)
         path = str(tmp_path / "series.csv")
-        write_csv(recs, path)
+        write_csv(series, path)
         back = read_csv(path)
-        assert len(back) == len(recs)
-        for a, b in zip(recs, back):
-            assert a.t == b.t  # 17 significant digits round-trip floats exactly
-            assert a.params == b.params
-            assert a.Aminus2 == b.Aminus2
-            assert math.isnan(b.Q)
+        assert len(back) == len(series)
+        # 17 significant digits round-trip floats exactly
+        assert np.array_equal(series.t, back.t)
+        assert np.array_equal(series.param1, back.param1)
+        assert np.array_equal(series.param2, back.param2)
+        assert np.array_equal(series.Aminus2, back.Aminus2)
+        assert all(math.isnan(q) for q in back.Q)
 
     def test_header_and_nan(self, tmp_path):
-        recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, 1e-3, 0.01)
+        series = simulate(SphereFlow(8, 2, 2.0), FLAT_K, 1e-3, 0.01)
         path = str(tmp_path / "sphere.csv")
-        write_csv(recs, path)
+        write_csv(series, path)
         with open(path) as fh:
             header = fh.readline().strip()
             row = fh.readline().strip()

@@ -1,6 +1,6 @@
 """Parabolic rescaling of diagnostics series."""
 
-import math
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -34,21 +34,21 @@ class TestRescale:
         recs = product_series()
         for base in (0, len(recs) // 2, len(recs) - 1):
             series = rescale(recs, base)
-            assert abs(series.records[base].fbar - 1.0) <= 1e-12
+            assert abs(series.records.fbar[base] - 1.0) <= 1e-12
 
     def test_identity_when_base_f_is_one(self):
-        # a record list whose base f is exactly 1 rescales to itself
+        # a series whose base f is exactly 1 rescales to itself
         recs = product_series()
-        base = min(range(len(recs)), key=lambda i: abs(recs[i].f - 1.0))
+        base = min(range(len(recs)), key=lambda i: abs(recs.f[i] - 1.0))
         series = rescale(recs, base)
         rho = series.rho
-        assert series.records[base].A2 == pytest.approx(recs[base].A2 * rho, rel=1e-15)
-        if abs(recs[base].f - 1.0) < 1e-3:
-            assert series.records[base].A2 == pytest.approx(recs[base].A2, rel=1e-2)
+        assert series.records.A2[base] == pytest.approx(recs.A2[base] * rho, rel=1e-15)
+        if abs(recs.f[base] - 1.0) < 1e-3:
+            assert series.records.A2[base] == pytest.approx(recs.A2[base], rel=1e-2)
 
     def test_ratio_invariance(self):
         recs = product_series()
-        base = next(i for i, r in enumerate(recs) if r.f >= 100.0)
+        base = next(i for i, f in enumerate(recs.f) if f >= 100.0)
         series = rescale(recs, base)
         report = invariance_report(recs, series)
         assert report.max_pinch_drift <= 1e-12
@@ -58,17 +58,17 @@ class TestRescale:
     def test_time_dilation(self):
         recs = product_series()
         series = rescale(recs, 10)
-        f_base = recs[10].f
-        for orig, resc in zip(recs, series.records):
-            assert resc.tbar == pytest.approx((orig.t - recs[10].t) * f_base, rel=1e-13)
+        f_base = recs.f[10]
+        for t, tbar in zip(recs.t, series.records.tbar):
+            assert tbar == pytest.approx((t - recs.t[10]) * f_base, rel=1e-13)
 
     def test_dbar_and_q_transform(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
         recs = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=0.012)
         series = rescale(recs, 5, kbar=-1.0, d=4.0)
-        rho = 1.0 / recs[5].f
+        rho = 1.0 / recs.f[5]
         assert series.dbar == pytest.approx(4.0 * rho, rel=1e-14)
-        assert series.records[5].Q == pytest.approx(recs[5].Q * rho, rel=1e-14)
+        assert series.records.Q[5] == pytest.approx(recs.Q[5] * rho, rel=1e-14)
 
     def test_background_flattening_monotone(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
@@ -76,8 +76,8 @@ class TestRescale:
         targets = [10.0, 30.0, 100.0, 300.0, 1000.0]
         kresc = []
         for target in targets:
-            base = next(i for i, r in enumerate(recs) if r.f >= target)
-            kresc.append(rescale(recs, base, kbar=-1.0).records[base].kresc)
+            base = next(i for i, f in enumerate(recs.f) if f >= target)
+            kresc.append(rescale(recs, base, kbar=-1.0).records.kresc[base])
         mags = [abs(k) for k in kresc]
         assert all(b < a for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-3
@@ -86,33 +86,32 @@ class TestRescale:
     def test_flat_kresc_zero(self):
         recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=1e-3, t_end=0.2)
         series = rescale(recs, 3, kbar=0.0)
-        assert all(r.kresc == 0.0 for r in series.records)
+        assert all(k == 0.0 for k in series.records.kresc)
 
     def test_not_pinched_at_base(self):
         recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=1e-3, t_end=0.2)
-        bad = recs[0].__class__(**{**recs[0].__dict__, "f": -1.0})
+        f = recs.f.copy()
+        f[0] = -1.0
+        bad = dataclasses.replace(recs, f=f)
         with pytest.raises(NotPinchedAtBase):
-            rescale([bad], 0)
+            rescale(bad, 0)
 
     @given(st.floats(1e-6, 1e6), st.integers(0, 40))
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_base_normalization(self, scale, base):
         # base normalization and ratio invariance hold at any base f scale
         recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=5e-3, t_end=0.2)
-        scaled = [
-            r.__class__(**{
-                **r.__dict__,
-                "A2": scale * r.A2, "H2": scale * r.H2, "h2": scale * r.h2,
-                "Aminus2": scale * r.Aminus2, "f": scale * r.f,
-                "ratio_cyl": scale * r.ratio_cyl,
-            })
-            for r in recs
-        ]
+        scaled = dataclasses.replace(
+            recs,
+            A2=scale * recs.A2, H2=scale * recs.H2, h2=scale * recs.h2,
+            Aminus2=scale * recs.Aminus2, f=scale * recs.f,
+            ratio_cyl=scale * recs.ratio_cyl,
+        )
         base = min(base, len(scaled) - 1)
         series = rescale(scaled, base)
-        assert abs(series.records[base].fbar - 1.0) <= 1e-12
-        for orig, resc in zip(scaled, series.records):
-            assert abs(orig.ratio_pinch - resc.ratio_pinch) <= 1e-12
+        assert abs(series.records.fbar[base] - 1.0) <= 1e-12
+        for orig, resc in zip(scaled.ratio_pinch, series.records.ratio_pinch):
+            assert abs(orig - resc) <= 1e-12
 
 
 class TestRescaledCsv:
@@ -134,4 +133,4 @@ class TestRescaledCsv:
         write_csv(recs, path)
         back = read_csv(path)
         series = rescale(back, 7)
-        assert series.records[7].fbar == pytest.approx(1.0, abs=1e-12)
+        assert series.records.fbar[7] == pytest.approx(1.0, abs=1e-12)

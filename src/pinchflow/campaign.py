@@ -5,7 +5,10 @@ A campaign draws ``trials`` independent samples from per-trial substreams of
 samples and evaluates chunks of ``CHUNK`` trials stacked along a leading
 axis; the kato and gradient estimates run on slices of ``DERIVATIVE_SLICE``
 trials of a chunk, which bounds the memory of their (m, n, n, n)
-temporaries.  A trial violates an inequality unless
+temporaries.  The substream states of each input kind are hashed once per
+block of ``BLOCK`` trials, and every chunk of the block draws from slices
+of them, so the hash is paid per block and its memory does not grow with
+the campaign.  A trial violates an inequality unless
 slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation.  On
 violation the offending inputs are halved while the violation persists and
 the shrunk witness is written to a replayable JSON file (all entries as
@@ -18,7 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,9 +29,11 @@ from . import lemmas
 from .errors import PinchflowError
 from .forms import CHUNK, Dims, SecondFundamentalForm, gradient_sample, principal_decompose
 from .samplers import (
+    TAG_FORM,
     TAG_GRADIENT,
     TAG_MATRICES,
     TAG_W,
+    Rng,
     SamplerSpec,
     rescale_to_boundary,
     sample_form,
@@ -43,6 +48,10 @@ MAX_SHRINK_STEPS = 64
 # trials per kato/gradient evaluation: a whole chunk's derivative temporaries
 # raise the peak memory of a campaign by about 6% and run no faster
 DERIVATIVE_SLICE = CHUNK // 4
+# trials whose substream states are hashed at once: 32 KB of states per kind
+BLOCK = CHUNK * CHUNK
+# the substream tag of each sampled input kind; "boundary" rescales the form
+_KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
 
 
 @dataclass(frozen=True)
@@ -185,14 +194,39 @@ def _needed_kinds(lemma_ids: Sequence[str]) -> set[str]:
     return kinds
 
 
+def _streams(seed: int, trials: int | Sequence[int], kinds: set[str]) -> dict[str, Rng]:
+    """The substreams of one trial or of a sequence of trials, by input kind."""
+    return {kind: trial_rngs(seed, trials, tag)
+            for kind, tag in _KIND_TAGS.items() if kind in kinds}
+
+
+def _chunk_streams(
+    seed: int, trials: int, kinds: set[str]
+) -> Iterator[tuple[int, dict[str, Rng]]]:
+    """The first trial and the substreams by kind of every chunk of a
+    campaign; the states are hashed once per block of ``BLOCK`` trials."""
+    for block in range(0, trials, BLOCK):
+        streams = _streams(seed, range(block, min(block + BLOCK, trials)), kinds)
+        for offset in range(0, min(BLOCK, trials - block), CHUNK):
+            yield block + offset, {
+                kind: s[offset:offset + CHUNK] for kind, s in streams.items()
+            }
+        del streams  # one block of states at a time
+
+
 def sample_trial_inputs(
-    spec: SamplerSpec, trials: int | Sequence[int], kinds: set[str]
+    spec: SamplerSpec, trials: int | Sequence[int] | Mapping[str, Rng], kinds: set[str]
 ) -> TrialInputs:
-    """The inputs of one trial, or of a sequence of trials stacked along a
-    leading axis; each kind of each trial comes from its own substream."""
+    """The inputs of one trial, or of a chunk of trials stacked along a
+    leading axis; each kind of each trial comes from its own substream.
+
+    ``trials`` is a trial number, a sequence of them, or the chunk's
+    substreams by input kind, as ``run_campaign`` passes them.
+    """
+    streams = trials if isinstance(trials, Mapping) else _streams(spec.seed, trials, kinds)
     inputs = TrialInputs(dims=spec.dims)
     if "form" in kinds:
-        inputs.form = sample_form(spec, trials)
+        inputs.form = sample_form(spec, streams["form"])
     if "boundary" in kinds:
         if spec.distribution == "boundary":
             inputs.boundary_form = inputs.form
@@ -201,14 +235,12 @@ def sample_trial_inputs(
             inputs.boundary_form = rescale_to_boundary(inputs.form, spec.c, d_boundary)
     if "matrices" in kinds:
         inputs.matrices = symmetric_matrices(
-            trial_rngs(spec.seed, trials, TAG_MATRICES),
-            spec.dims.n, max(1, spec.dims.m - 1), spec.sigma,
+            streams["matrices"], spec.dims.n, max(1, spec.dims.m - 1), spec.sigma
         )
     if "grad" in kinds:
-        rng = trial_rngs(spec.seed, trials, TAG_GRADIENT)
-        inputs.grad_tensor = symmetric_three_tensor(rng, spec.dims, spec.sigma)
+        inputs.grad_tensor = symmetric_three_tensor(streams["grad"], spec.dims, spec.sigma)
     if "w" in kinds:
-        inputs.w = sample_w(trial_rngs(spec.seed, trials, TAG_W), spec.dims, spec.sigma)
+        inputs.w = sample_w(streams["w"], spec.dims, spec.sigma)
     return inputs
 
 
@@ -387,8 +419,8 @@ def run_campaign(
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
-    for start in range(0, trials, CHUNK):
-        chunk = sample_trial_inputs(spec, range(start, min(start + CHUNK, trials)), kinds)
+    for start, streams in _chunk_streams(spec.seed, trials, kinds):
+        chunk = sample_trial_inputs(spec, streams, kinds)
         for check in evaluate_trial(lemma_ids, chunk, config, d_boundary):
             st = stats[check.lemma_id]
             # the first least slack of the chunk; NaN is never the worst
@@ -412,7 +444,7 @@ def run_campaign(
                         check.lemma_id, spec, config, trial,
                         shrunk_inputs, shrunk_check,
                     )
-        del chunk  # free it before the next one is sampled
+        del chunk, streams  # free them before the next ones are drawn
         kept = {st["trial"] for st in stats.values()}
         worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in kept}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}

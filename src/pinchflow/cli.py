@@ -10,7 +10,9 @@ rescale write the same CSV text to --out or, without it, to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -62,6 +64,10 @@ def _default_c(n: int) -> float:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    for name in ("c", "K1", "K2", "L", "Kbar"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     n, m = args.n, args.m
     regime = "general" if args.regime == "general" else "codim_estimate"
     c = c_n(n, regime) if args.c is None else args.c
@@ -228,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K2", type=float, default=0.0)
     p.add_argument("--L", type=float, default=0.0)
     p.add_argument("--Kbar", type=float, default=None)
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("verify", help="run a seeded inequality campaign")
     p.add_argument("--suite", choices=tuple(SUITES), required=True)
@@ -244,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="evolve a closed-form flow family")
     p.add_argument("--family", choices=tuple(FAMILY_KINDS), required=True)
@@ -255,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
     p.add_argument("--every", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("rescale", help="parabolic rescaling of a CSV series")
     p.add_argument("--in", dest="infile", required=True)
@@ -263,18 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kbar", type=float, default=0.0)
     p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rescale)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    # the command is looked up on every call, not bound into the cached
+    # parser, so a rebound module attribute cmd_* is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (PinchflowError, ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

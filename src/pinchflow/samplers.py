@@ -4,9 +4,11 @@ Every trial draws from its own substream ``default_rng((seed, trial, tag))``
 so a campaign reproduces bit-identically from (seed, spec) regardless of
 which lemmas are being checked.  A chunk of trials is drawn at once from the
 same substreams: :func:`substream_states` runs NumPy's seed hash over a
-vector of trial numbers, and :func:`trial_rngs` re-seeds one generator for
-each trial in turn.  The samplers take one generator, or one generator per
-trial and then stack the draws along a leading axis.  Constrained
+vector of trial numbers, and a :class:`Substreams` keeps those states with
+their trials, re-seeds one generator for each trial in turn and slices
+without hashing again, so a campaign hashes a block of trials once and draws
+its chunks from slices.  The samplers take one generator, or one generator
+per trial and then stack the draws along a leading axis.  Constrained
 distributions are produced by rejection plus exact radial rescaling: norm
 constraints are radial, so a single multiplicative factor lands on them to
 machine precision.
@@ -71,8 +73,12 @@ class SamplerSpec:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.distribution in ("pinched", "boundary") and self.c <= 1.0 / self.dims.n:
-            raise InvalidConstants("pinched/boundary sampling needs c > 1/n")
+        if self.distribution in ("pinched", "boundary"):
+            if self.c <= 1.0 / self.dims.n:
+                raise InvalidConstants("pinched/boundary sampling needs c > 1/n")
+            if self.d < 0:
+                raise InvalidConstants(f"d must be >= 0 for {self.distribution} sampling, "
+                                       f"got {self.d}")
 
 
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
@@ -171,13 +177,21 @@ class Substreams:
 
     One generator is re-seeded for each trial from its
     :func:`substream_states` row, so draw from it before taking the next.
+    ``streams[a:b]`` is the substreams of ``trials[a:b]``, with their states
+    sliced rather than hashed again.
     """
 
-    def __init__(self, seed: int, trials: Sequence[int], tag: int) -> None:
-        self.states = substream_states(seed, trials, tag)
+    def __init__(
+        self, seed: int, trials: Sequence[int], tag: int, states: np.ndarray | None = None
+    ) -> None:
+        self.seed, self.trials, self.tag = seed, trials, tag
+        self.states = substream_states(seed, trials, tag) if states is None else states
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def __getitem__(self, index: slice) -> "Substreams":
+        return Substreams(self.seed, self.trials[index], self.tag, self.states[index])
 
     def __iter__(self) -> Iterator[np.random.Generator]:
         bitgen = np.random.PCG64()
@@ -281,18 +295,18 @@ def sample_pinched(
 
 
 def _sample_pinched_chunk(
-    spec: SamplerSpec, trials: Sequence[int], d: float
+    spec: SamplerSpec, streams: Substreams, d: float
 ) -> SecondFundamentalForm:
-    """:func:`sample_pinched` of every trial, stacked.
+    """:func:`sample_pinched` of the trial of every substream, stacked.
 
     The first attempts of all trials run as one batch; a trial whose first
     attempt is rejected reruns ``sample_pinched`` from the start of its own
-    stream.
+    stream, ``trial_rng`` of its trial number.
     """
     dims = spec.dims
-    normals = np.empty((len(trials), dims.m * (1 + dims.n * dims.n) + 1))
-    u = np.empty(len(trials))
-    for i, rng in enumerate(Substreams(spec.seed, trials, TAG_FORM)):
+    normals = np.empty((len(streams), dims.m * (1 + dims.n * dims.n) + 1))
+    u = np.empty(len(streams))
+    for i, rng in enumerate(streams):
         rng.standard_normal(out=normals[i])
         u[i] = rng.random()
     form, pinched = pinched_attempt(normals, FIRST_CAP * u, dims, spec.c, d, spec.sigma)
@@ -300,7 +314,7 @@ def _sample_pinched_chunk(
         return form
     comps = form.components.copy()
     for i in np.flatnonzero(~pinched):
-        rng = trial_rng(spec.seed, trials[i], TAG_FORM)
+        rng = trial_rng(streams.seed, streams.trials[i], streams.tag)
         comps[i] = sample_pinched(rng, dims, spec.c, d, spec.sigma).components
     return SecondFundamentalForm(dims, comps)
 
@@ -323,19 +337,18 @@ def rescale_to_boundary(
     return SecondFundamentalForm(form.dims, lam[..., None, None, None] * form.components)
 
 
-def sample_form(spec: SamplerSpec, trials: int | Sequence[int]) -> SecondFundamentalForm:
+def sample_form(spec: SamplerSpec, trials: int | Sequence[int] | Rng) -> SecondFundamentalForm:
     """The form of one trial, or of a sequence of trials stacked along a
-    leading axis; either way each trial draws from its own substream."""
+    leading axis; either way each trial draws from its own substream.  The
+    ``TAG_FORM`` substreams of the trials may stand for the trials."""
+    rng = trials if isinstance(trials, Rng) else trial_rngs(spec.seed, trials, TAG_FORM)
     if spec.distribution == "gaussian":
-        return symmetric_gaussian(
-            trial_rngs(spec.seed, trials, TAG_FORM), spec.dims, spec.sigma
-        )
+        return symmetric_gaussian(rng, spec.dims, spec.sigma)
     d = spec.d if spec.distribution == "pinched" else 0.0
-    if np.ndim(trials) == 0:
-        rng = trial_rng(spec.seed, trials, TAG_FORM)
-        form = sample_pinched(rng, spec.dims, spec.c, d, spec.sigma)
+    if isinstance(rng, Substreams):
+        form = _sample_pinched_chunk(spec, rng, d)
     else:
-        form = _sample_pinched_chunk(spec, trials, d)
+        form = sample_pinched(rng, spec.dims, spec.c, d, spec.sigma)
     if spec.distribution == "boundary":
         form = rescale_to_boundary(form, spec.c, spec.d)
     return form

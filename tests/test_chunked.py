@@ -4,8 +4,10 @@
 estimate once on a stacked chunk of trials, and the kato and gradient
 estimates on stacked slices of ``DERIVATIVE_SLICE`` trials.  Every chunked
 value must match the per-point evaluator on the trial alone to 1e-12 of the
-check's scale, and a chunked campaign must keep the violations and worst
-trial of a campaign evaluated one trial at a time.
+check's scale, and a chunked campaign, which draws its chunks from
+substreams hashed per block of ``BLOCK`` trials, must keep the inputs,
+violations and worst trial of a campaign sampled and evaluated one trial at
+a time.
 """
 
 import itertools
@@ -14,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
+import pinchflow.campaign as campaign
 from pinchflow.campaign import (
+    BLOCK,
     CHUNK,
     DEFAULT_TOL,
     DERIVATIVE_SLICE,
@@ -97,19 +101,29 @@ def assert_chunk_matches_trials(ids, batch, config, d_bound):
     return checks
 
 
+def stacked(batches):
+    """Every input array of the given trials or chunks, stacked along one
+    leading trial axis."""
+    fields = [dict(batch.arrays()) for batch in batches]
+    return {name: np.concatenate([f[name] for f in fields]) for name in fields[0]}
+
+
 def one_at_a_time_campaign(spec, ids, trials, config):
-    """(violations, worst slack, worst digest) per id, trial by trial."""
+    """(violations, worst slack, worst digest) per id, trial by trial, and
+    the stacked inputs of all trials."""
     kinds = _needed_kinds(ids)
     out = {lemma_id: [0, np.inf, ""] for lemma_id in ids}
+    sampled = []
     for trial in range(trials):
         inputs = sample_trial_inputs(spec, trial, kinds)
+        sampled.append(TrialInputs.stack([inputs]))
         for lemma_id in ids:
             chk = one_trial(lemma_id, inputs, config, d_boundary(spec))
             entry = out[lemma_id]
             entry[0] += not chk.slack >= -DEFAULT_TOL * chk.scale
             if chk.slack < entry[1]:
                 entry[1], entry[2] = chk.slack, inputs.digest()
-    return out
+    return out, stacked(sampled)
 
 
 def config_of(spec, ids=()):
@@ -132,15 +146,28 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
 
 
 @pytest.mark.parametrize("spec, ids", SUITES)
-@pytest.mark.parametrize("trials", TRIALS)
-def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials):
+# BLOCK + 9 trials draw from two blocks of substreams
+@pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
+def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
     config = config_of(spec, ids)
-    expected = one_at_a_time_campaign(spec, ids, trials, config)
+    expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
+    chunks, sample = [], campaign.sample_trial_inputs
+
+    def recorded(*args):
+        chunks.append(sample(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
     for res in run_campaign(spec, ids, trials, config=config):
         violations, worst, digest = expected[res.lemma_id]
         assert res.violations == violations == 0
         assert res.worst_input_digest == digest
         assert abs(res.worst_slack - worst) <= REL * max(1.0, abs(worst))
+    assert len(chunks) == -(-trials // CHUNK)
+    got = stacked(chunks)
+    assert got.keys() == inputs.keys()
+    for name, expected_array in inputs.items():
+        assert np.array_equal(got[name], expected_array), name
 
 
 def test_li_equality_pair_in_a_chunk():

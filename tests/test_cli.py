@@ -42,6 +42,15 @@ class TestConstants:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("c", "nan"), ("K1", "nan"), ("K2", "inf"), ("L", "inf"), ("Kbar", "nan"),
+        ("Kbar", "inf"),
+    ])
+    def test_non_finite_input_names_itself(self, capsys, flag, value):
+        code, out, err = run(capsys, "constants", "--n", "8", "--m", "3", f"--{flag}", value)
+        assert code == 2
+        assert out == "" and f"error: {flag} must be a finite number" in err
+
 
 class TestVerify:
     def test_li_deterministic(self, capsys, tmp_path):
@@ -111,6 +120,11 @@ class TestVerify:
         ("reaction", "--sigma", "0", "sigma"),
         ("reaction", "--c", "nan", "c"),
         ("reaction", "--d", "nan", "d"),
+        # a negative d made NaN pinched forms instead of an error naming it
+        ("reaction", "--d", "-1", "d"),
+        ("kato", "--d", "-1", "d"),
+        ("gradient", "--d", "-0.5", "d"),
+        ("all", "--d", "-1", "d"),
         ("li", "--sigma", "inf", "sigma"),
     ])
     def test_bad_constant_names_itself(self, capsys, suite, flag, value, name):
@@ -287,3 +301,24 @@ class TestRescaleCommand:
 
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == 2
+
+
+def test_parser_built_once_and_commands_looked_up_per_call(capsys, monkeypatch):
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "constants", "--n", "8", "--m", "2")[0] == 0
+    assert run(capsys, "verify", "--suite", "li", "--trials", "5", "--seed", "1",
+               "--n", "3", "--m", "2")[0] == 0
+    assert builds == [1]
+    # a rebound cmd_* runs, as a tracer that wraps it by name expects
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.suite) or 0)
+    assert run(capsys, "verify", "--suite", "kato", "--n", "8", "--m", "3")[0] == 0
+    assert calls == ["kato"] and builds == [1]

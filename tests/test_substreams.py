@@ -2,17 +2,19 @@
 
 A campaign draws a chunk of trials at once, each trial still from its own
 ``default_rng((seed, trial, tag))`` substream: ``substream_states`` runs
-NumPy's seed hash over the trial numbers and ``trial_rngs`` re-seeds one
-generator per trial.  Every state, draw and sampled array of a chunk must
-equal the per-trial ``trial_rng`` path bit for bit, pinched forms included:
-they must equal the rejection sampler as written one draw at a time.
+NumPy's seed hash over the trial numbers of a block of chunks, and a slice
+of the block's ``Substreams`` re-seeds one generator per trial of a chunk.
+Every state, draw and sampled array of a chunk must equal the per-trial
+``trial_rng`` path bit for bit, pinched forms included: they must equal the
+rejection sampler as written one draw at a time.
 """
 
 import numpy as np
 import pytest
 
 import pinchflow.samplers as samplers
-from pinchflow.campaign import CHUNK, sample_trial_inputs
+from pinchflow.campaign import BLOCK, CHUNK, run_campaign, sample_trial_inputs
+from pinchflow.errors import InvalidConstants
 from pinchflow.forms import Dims, mean_curvature, symmetrize
 from pinchflow.samplers import (
     MAX_ATTEMPTS,
@@ -21,6 +23,7 @@ from pinchflow.samplers import (
     TAG_MATRICES,
     TAG_W,
     SamplerSpec,
+    Substreams,
     rescale_to_boundary,
     sample_w,
     substream_states,
@@ -60,10 +63,48 @@ def test_streams_match_default_rng(seed, tag, trials):
     assert drawn == len(trials)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64])
+@pytest.mark.parametrize("tag", TAGS)
+def test_slices_match_trial_rng(seed, tag):
+    trials = [*range(3, 3 + 2 * CHUNK), 2**32 - 1, 2**32, 2**40 + 7]
+    streams = Substreams(seed, trials, tag)
+    for index in (slice(0, CHUNK), slice(CHUNK - 5, 2 * CHUNK + 1), slice(2 * CHUNK, None)):
+        part = streams[index]
+        assert part.trials == trials[index]
+        assert np.array_equal(part.states, substream_states(seed, trials[index], tag))
+        drawn = 0
+        for trial, rng in zip(trials[index], part):
+            ref = trial_rng(seed, trial, tag)
+            assert np.array_equal(rng.standard_normal(17), ref.standard_normal(17))
+            assert rng.random() == ref.random()
+            drawn += 1
+        assert drawn == len(part) == len(trials[index])
+
+
+def test_campaign_hashes_once_per_block(monkeypatch):
+    # 1500 trials are 47 chunks but only 2 blocks of form substreams
+    hashed = []
+
+    def counted(seed, trials, tag):
+        hashed.append((tag, len(trials)))
+        return substream_states(seed, trials, tag)
+
+    monkeypatch.setattr(samplers, "substream_states", counted)
+    spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=1)
+    run_campaign(spec, ["4.5", "boundary"], 1500)
+    assert hashed == [(TAG_FORM, BLOCK), (TAG_FORM, 1500 - BLOCK)]
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_bad_seed_names_itself(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         SamplerSpec(Dims(4, 2), seed=seed)
+
+
+@pytest.mark.parametrize("distribution", ["pinched", "boundary"])
+def test_negative_d_names_itself(distribution):
+    with pytest.raises(InvalidConstants, match="d must be >= 0"):
+        SamplerSpec(Dims(8, 3), distribution, c=1 / 6, d=-0.5)
 
 
 ALL_KINDS = {"form", "boundary", "matrices", "grad", "w"}

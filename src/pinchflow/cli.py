@@ -209,7 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    rescaled = rescale_series(read_csv(args.infile), args.base_row, kbar=args.kbar, d=args.d)
+    rescaled = rescale_series(read_csv(args.infile), args.base_row, kbar=args.kbar)
     if args.out:
         write_rescaled_csv(rescaled, args.out)
     else:
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--base-row", dest="base_row", type=int, required=True)
     p.add_argument("--kbar", type=float, default=0.0)
-    p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--out", default=None)
     return parser
 

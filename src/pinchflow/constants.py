@@ -139,6 +139,10 @@ class PinchingConstants:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", float(self.c))
+        for name in ("c", "d", "K1", "K2", "L", "Kbar"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidConstants(f"{name} must be a finite number, got {value}")
         n = self.dims.n
         if self.regime not in REGIMES:
             raise InvalidConstants(f"unknown regime {self.regime!r}")

@@ -35,6 +35,7 @@ from .reaction import r1, r2
 
 R_MIN = 1e-6
 FD_STEP = 1e-5
+WRITE_ROWS = 1024  # rows formatted by one % in write_rows
 CSV_HEADER = "t,param1,param2,A2,H2,h2,Aminus2,f,Q,ratio_pinch,ratio_codim,ratio_cyl"
 
 
@@ -90,8 +91,12 @@ class SpheresFlow:
             raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
         return tuple(math.sqrt(s) for s in squares)
 
+    @cached_property
+    def factor_dims(self) -> tuple[int, ...]:
+        return tuple(k for k, _ in self.factors)
+
     def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(-k / r for (k, _), r in zip(self.factors, params))
+        return tuple([-k / r for k, r in zip(self.factor_dims, params)])
 
     def form(self, params: tuple[float, ...] | np.ndarray) -> SecondFundamentalForm:
         """The form at radii ``params``, shape (k,) or (..., k) for a batch."""
@@ -137,7 +142,7 @@ class HyperbolicSphereFlow:
         if not -math.inf < self.kbar < 0:
             raise ValueError(f"hyperbolic family needs -inf < kbar < 0, got kbar={self.kbar}")
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         return math.sqrt(-self.kbar)
 
@@ -190,28 +195,22 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
     """One classical fourth-order step of the radius ODE, in plain floats."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    fam = state.family
-    y = state.params
-
-    def rate(v: tuple[float, ...]) -> tuple[float, ...]:
-        if any(r <= R_MIN for r in v):
-            raise PastBlowup("radius collapsed inside an RK4 stage")
-        return fam.rates(v)
-
-    def shifted(h: float, slope: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(r + h * s for r, s in zip(y, slope))
-
-    k1 = rate(y)
-    k2 = rate(shifted(0.5 * dt, k1))
-    k3 = rate(shifted(0.5 * dt, k2))
-    k4 = rate(shifted(dt, k3))
-    new = tuple(
-        r + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for r, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-    if any(r <= R_MIN for r in new):
+    fam, y, half = state.family, state.params, 0.5 * dt
+    k1 = _stage_rates(fam, y)
+    k2 = _stage_rates(fam, [r + half * s for r, s in zip(y, k1)])
+    k3 = _stage_rates(fam, [r + half * s for r, s in zip(y, k2)])
+    k4 = _stage_rates(fam, [r + dt * s for r, s in zip(y, k3)])
+    new = tuple([r + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for r, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    if min(new) <= R_MIN:
         raise PastBlowup(f"radius fell to {min(new):.3e} <= r_min={R_MIN:.1e}")
     return FlowState(fam, state.t + dt, new)
+
+
+def _stage_rates(fam: Family, radii: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+    if min(radii) <= R_MIN:
+        raise PastBlowup("radius collapsed inside an RK4 stage")
+    return fam.rates(radii)
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,9 @@ def simulate(
 
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
-    The radii are integrated first; the recorded states are then evaluated
-    in chunks of ``CHUNK`` and joined into one series.
+    The radii are integrated first, one ``step_rk4`` call per step; the
+    recorded states are then evaluated in blocks whose stacked forms take at
+    most 1 MB (never fewer than ``CHUNK`` states) and joined into one series.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -297,9 +297,9 @@ def simulate(
     k = 0
     while state.t < t_end:
         rates = family.rates(state.params)
-        while any(
+        while step > 1e-12 and any([
             r < 10.0 * step * abs(v) for r, v in zip(state.params, rates)
-        ) and step > 1e-12:
+        ]):
             step *= 0.5
         try:
             state = step_rk4(state, min(step, t_end - state.t))
@@ -308,8 +308,9 @@ def simulate(
         k += 1
         if k % every == 0:
             recorded.append(state)
-    for start in range(0, len(recorded), CHUNK):
-        parts.append(diagnostics(recorded[start:start + CHUNK], constants))
+    block = max(CHUNK, 2**17 // (family.m * family.n**2))  # 2**17 float64 = 1 MB
+    for start in range(0, len(recorded), block):
+        parts.append(diagnostics(recorded[start:start + block], constants))
     return TimeSeries(*map(np.concatenate, zip(*(part.columns() for part in parts))))
 
 
@@ -472,14 +473,14 @@ def quotient_identity_residual(
 
 def write_rows(series: TimeSeries, fh: TextIO) -> None:
     """Write ``series`` as CSV text to an open file: its header, then one
-    line per row, each value with 17 significant digits and NaN as ``NaN``."""
+    line per row, each value with 17 significant digits and NaN as ``NaN``.
+    Blocks of ``WRITE_ROWS`` rows are formatted with one ``%`` each."""
     columns = series.columns()
-    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     fh.write(series.header + "\n")
-    fh.writelines(
-        line.format(*row).replace("nan", "NaN")
-        for row in zip(*(col.tolist() for col in columns))
-    )
+    for start in range(0, len(series), WRITE_ROWS):
+        block = np.stack([col[start:start + WRITE_ROWS] for col in columns], axis=1)
+        fh.write((line * len(block) % tuple(block.ravel().tolist())).replace("nan", "NaN"))
 
 
 def write_csv(series: TimeSeries, path: str) -> None:
@@ -488,19 +489,21 @@ def write_csv(series: TimeSeries, path: str) -> None:
 
 
 def read_csv(path: str) -> TimeSeries:
-    """The series that :func:`write_csv` wrote; ValueError on a different
-    header or on a row whose field count is not the header's."""
+    """The series that :func:`write_csv` wrote, empty for a header-only file;
+    ValueError on a different header or on a row whose field count is not
+    the header's.  Every field count is checked before NumPy parses all the
+    rows in one call, reading each number as ``float()`` does."""
     width = len(fields(TimeSeries))
-    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            tokens = line.strip().split(",")
-            if tokens == [""]:
-                continue
-            if len(tokens) != width:
-                raise ValueError(f"line {lineno}: {len(tokens)} fields, the header has {width}")
-            rows.append([float(tok) for tok in tokens])
-    return TimeSeries(*np.array(rows, dtype=np.float64).reshape(-1, width).T)
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, 2):
+        if line.strip() and line.count(",") != width - 1:
+            raise ValueError(f"line {lineno}: {line.count(',') + 1} fields, the header has {width}")
+    rows = [line for line in lines if line.strip()]
+    # loadtxt warns on empty input
+    table = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
+             else np.empty((0, width)))
+    return TimeSeries(*table.T)

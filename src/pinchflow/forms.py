@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DegenerateMeanCurvature, InvalidSample
 
 MAX_DIM = 16
-# points evaluated together by campaigns and flows; larger chunks cost more
-# memory than they save time (measurements in ROADMAP item 2)
+# trials a campaign evaluates together (larger chunks cost more memory than
+# they save time), and the smallest block of flow states simulate evaluates
 CHUNK = 32
 TOL_H = 1e-12
 TOL_CODAZZI = 1e-9

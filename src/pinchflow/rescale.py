@@ -16,6 +16,7 @@ column of the series; no immersion is transformed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,14 @@ def rescale(
     """Transform a diagnostics series so the base record has fbar = 1.
 
     Raises :class:`NotPinchedAtBase` when f at the base record is not
-    positive and ValueError when ``base_index`` is not a row of ``series``.
+    positive and ValueError when the series is empty, ``base_index`` is not
+    one of its rows, or ``kbar`` or ``d`` is not finite.
     """
+    for name, value in (("kbar", kbar), ("d", d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+    if not len(series):
+        raise ValueError("the series has no rows")
     if not 0 <= base_index < len(series):
         raise ValueError(f"base row {base_index} outside 0..{len(series) - 1}")
     f_base = float(series.f[base_index])

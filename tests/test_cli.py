@@ -7,7 +7,7 @@ import pytest
 
 import pinchflow.cli as cli
 from pinchflow.campaign import CheckResult
-from pinchflow.flow import read_csv
+from pinchflow.flow import CSV_HEADER, read_csv
 
 
 def run(capsys, *argv):
@@ -234,6 +234,21 @@ class TestSimulate:
         assert code == 2
         assert out == "" and named in err
 
+    @pytest.mark.parametrize("family, params, option, value", [
+        ("sphere", "r=2", "c", "nan"),
+        ("sphere", "r=2", "c", "inf"),
+        ("sphere", "r=2", "d", "inf"),
+        ("sphere", "r=2", "d", "nan"),
+        ("hyperbolic", "r=0.5", "c", "nan"),
+        ("hyperbolic", "r=0.5", "d", "-inf"),
+    ])
+    def test_non_finite_constant_is_config_error(self, capsys, family, params, option,
+                                                 value):
+        code, out, err = run(capsys, "simulate", "--family", family, "--params", params,
+                             f"--{option}={value}", "--dt", "1e-3", "--t-end", "0.01")
+        assert code == 2
+        assert out == "" and f"error: {option} must be a finite number" in err
+
     def test_bad_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--family", "torus", "--params", "r=1")
         assert code == 2
@@ -292,6 +307,35 @@ class TestRescaleCommand:
             code, _, _ = run(capsys, *argv, "--out", str(path))
             assert code == 0
             assert out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("kbar", ["nan", "inf", "-inf"])
+    def test_non_finite_kbar_is_config_error(self, capsys, tmp_path, kbar):
+        series = tmp_path / "series.csv"
+        code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                         "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
+        assert code == 0
+        code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "1",
+                             f"--kbar={kbar}")
+        assert code == 2
+        assert out == "" and "error: kbar must be a finite number" in err
+
+    def test_d_option_removed(self, capsys, tmp_path):
+        # the rescaled offset is not a CSV column, so --d had no output
+        series = tmp_path / "series.csv"
+        code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                         "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
+        assert code == 0
+        code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "1",
+                             "--d", "4")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --d 4" in err
+
+    def test_header_only_input_is_config_error(self, capsys, tmp_path):
+        series = tmp_path / "empty.csv"
+        series.write_text(CSV_HEADER + "\n")
+        code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "0")
+        assert code == 2
+        assert out == "" and "error: the series has no rows" in err
 
     def test_missing_file_is_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rescale", "--in", str(tmp_path / "nope.csv"),

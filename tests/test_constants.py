@@ -233,6 +233,14 @@ class TestPinchingConstantsValidation:
         with pytest.warns(UserWarning):
             PinchingConstants(Dims(8, 2), 1 / 6, 4.0, regime="space_form", Kbar=-1.0)
 
+    @pytest.mark.parametrize("regime", ["euclidean", "bounded_background", "space_form"])
+    @pytest.mark.parametrize("name", ["c", "d", "K1", "K2", "L", "Kbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_named(self, regime, name, value):
+        kwargs = {"c": 1 / 6, "d": 40.0, "regime": regime, name: value}
+        with pytest.raises(InvalidConstants, match=f"^{name} must be a finite number"):
+            PinchingConstants(Dims(8, 2), **kwargs)
+
 
 def test_kato_background_constant():
     assert kato_background_constant(8, 2.0) == pytest.approx(

@@ -1,6 +1,8 @@
 """Model flow families: exact solutions, integrator, diagnostics, barriers."""
 
 import dataclasses
+import hashlib
+import io
 import math
 import warnings
 
@@ -11,12 +13,15 @@ import pinchflow.flow
 from pinchflow.constants import PinchingConstants
 from pinchflow.errors import InvalidConstants, NonpositiveZ, PastBlowup
 from pinchflow.flow import (
+    CSV_HEADER,
+    WRITE_ROWS,
     CylinderFlow,
     FlowState,
     HyperbolicSphereFlow,
     ProductSpheresFlow,
     SphereFlow,
     SpheresFlow,
+    TimeSeries,
     blowup_bound_check,
     diagnostics,
     evolution_residual,
@@ -26,8 +31,10 @@ from pinchflow.flow import (
     simulate,
     step_rk4,
     write_csv,
+    write_rows,
 )
 from pinchflow.forms import CHUNK, Dims
+from pinchflow.rescale import rescale
 
 FLAT_K = PinchingConstants(Dims(8, 2), 1 / 6)
 
@@ -48,6 +55,15 @@ ALL_FAMILIES = [
     ProductSpheresFlow(7, 1, 2, 1.0, 4.0),
     HyperbolicSphereFlow(8, 2, 1.0, -1.0),
 ]
+
+# records per diagnostics block of simulate at n=8, m=2: (1024, 2, 8, 8) forms, 1 MB
+BLOCK = 2**17 // (2 * 8 * 8)
+
+# sha256 of the "{:.17g},{:.17g},{:.17g}" lines of (t, param1, param2) of the
+# product flow at dt=1e-4 to blow-up, recorded from the per-step closure
+# version of step_rk4; these columns are IEEE + - * / only, so the digest
+# holds on every platform
+PRODUCT_RADII_SHA256 = "8c233d888d2c0376b551dbde0e6fcd27fc1013cc2b2029b1b294aabd499f95d2"
 
 
 class TestExactStates:
@@ -107,6 +123,28 @@ class TestRK4:
     def test_bad_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be a positive finite step"):
             step_rk4(exact_state(SphereFlow(8, 2, 2.0), 0.0), dt)
+
+    def test_product_radii_pinned(self):
+        fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
+        series = simulate(fam, FLAT_K, dt=1e-4, t_end=fam.blowup_time())
+        text = "".join("{:.17g},{:.17g},{:.17g}\n".format(*row) for row in zip(
+            series.t.tolist(), series.param1.tolist(), series.param2.tolist()))
+        assert len(series) == 831
+        assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_RADII_SHA256
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_one_step_per_call(self, fam, monkeypatch):
+        # to blow-up, so the run halves its step and ends in a failed step
+        steps = []
+
+        def counted(state, dt):
+            steps.append(step_rk4(state, dt))
+            return steps[-1]
+
+        monkeypatch.setattr(pinchflow.flow, "step_rk4", counted)
+        series = simulate(fam, constants_for(fam), dt=1e-4, t_end=fam.blowup_time())
+        assert len(steps) == len(series) - 1
+        assert [s.t for s in steps] == series.t[1:].tolist()
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_tracks_exact_over_half_lifespan(self, fam):
@@ -239,12 +277,13 @@ class TestSimulate:
         series = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
         assert series.param1[-1] > 0
 
-    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_chunks_match_one_point_diagnostics(self, fam, count):
         # every third of 3 * count steps is recorded after the initial
-        # record; the half step after them is not
-        dt, every = 1e-4, 3
+        # record; the half step after them is not.  Block-sized runs take a
+        # smaller step to stay short of blow-up
+        dt, every = (1e-4 if count < BLOCK - 1 else 1e-5), 3
         constants = constants_for(fam)
         series = simulate(fam, constants, dt=dt, t_end=(every * count + 0.5) * dt, every=every)
         assert len(series) == count + 1
@@ -254,6 +293,25 @@ class TestSimulate:
             for field in dataclasses.fields(series):
                 got, want = getattr(series, field.name)[i], getattr(alone, field.name)[0]
                 assert got == want or (math.isnan(got) and math.isnan(want)), field.name
+
+    @pytest.mark.parametrize("fam, block", [
+        (SphereFlow(8, 2, 2.0), BLOCK),
+        (SphereFlow(16, 16, 2.0), CHUNK),  # 2**17 // 16**3 is CHUNK
+        (SphereFlow(5, 1, 2.0), 2**17 // 25),
+    ], ids=["n8m2", "n16m16", "n5m1"])
+    def test_diagnostics_blocks_of_at_most_1_MB(self, fam, block, monkeypatch):
+        sizes = []
+
+        def spy(states, constants):
+            sizes.append(len(states))
+            return diagnostics(states, constants)
+
+        monkeypatch.setattr(pinchflow.flow, "diagnostics", spy)
+        dt, every = 1e-5, 3
+        constants = PinchingConstants(Dims(fam.n, fam.m), 1 / 2)
+        series = simulate(fam, constants, dt=dt, t_end=(every * (2 * block + 5) + 0.5) * dt,
+                          every=every)
+        assert sizes == [1, block, block, 5] and len(series) == 2 * block + 6
 
     def test_kbar_mismatch_raised_before_any_step(self, monkeypatch):
         def no_step(state, dt):
@@ -308,7 +366,62 @@ class TestQuotientIdentity:
             )
 
 
+def reference_rows(series):
+    """The CSV text of ``series``, formatted one value at a time."""
+    rows = (",".join(format(x, ".17g") for x in row).replace("nan", "NaN") + "\n"
+            for row in zip(*(col.tolist() for col in series.columns())))
+    return series.header + "\n" + "".join(rows)
+
+
+def writer_series(name):
+    product = simulate(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), FLAT_K, 1e-4, 0.0712)
+    if name == "product":
+        return product
+    if name == "hyperbolic":  # 1613 rows, more than one formatting block
+        fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
+        return simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=fam.blowup_time())
+    if name == "rescaled":
+        return rescale(product, 400, kbar=-1.0).records
+    if name == "inf":
+        f = product.f.copy()
+        f[[0, 3, 7]] = [math.inf, -math.inf, -0.0]
+        return dataclasses.replace(product, f=f)
+    # two blocks and one row of values over the whole float range
+    rng = np.random.default_rng(11)
+    rows = 2 * WRITE_ROWS + 1
+    cols = rng.standard_normal((12, rows)) * 10.0 ** rng.integers(-320, 300, (12, rows))
+    cols[1, :9] = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 2.0**53 + 2, 1e22]
+    return TimeSeries(*cols)
+
+
 class TestCsv:
+    @pytest.mark.parametrize("name", ["product", "hyperbolic", "rescaled", "inf", "long"])
+    def test_writer_matches_per_row_reference(self, name, tmp_path):
+        series = writer_series(name)
+        out = io.StringIO()
+        write_rows(series, out)
+        got, want = out.getvalue().split("\n"), reference_rows(series).split("\n")
+        # the first differing line, not a diff of the whole text
+        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert bad is None, (bad, got[bad], want[bad])
+        assert len(got) == len(want)
+        if name != "rescaled":  # read_csv reads the flow header only
+            path = tmp_path / "series.csv"
+            path.write_text(out.getvalue())
+            back = read_csv(str(path))
+            for got, want in zip(back.columns(), series.columns()):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_header_only_file_is_an_empty_series(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = read_csv(str(path))
+        assert len(series) == 0
+        assert all(col.shape == (0,) for col in series.columns())
+
     def test_roundtrip(self, tmp_path):
         series = simulate(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), FLAT_K, 1e-3, 0.05, 5)
         path = str(tmp_path / "series.csv")

@@ -1,7 +1,9 @@
 """Parabolic rescaling of diagnostics series."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from pinchflow.flow import (
     HyperbolicSphereFlow,
     ProductSpheresFlow,
     SphereFlow,
+    TimeSeries,
     read_csv,
     simulate,
     write_csv,
@@ -82,6 +85,19 @@ class TestRescale:
         assert all(b < a for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-3
         assert all(k < 0 for k in kresc)
+
+    @pytest.mark.parametrize("name, value", [
+        ("kbar", math.nan), ("kbar", math.inf), ("kbar", -math.inf),
+        ("d", math.nan), ("d", math.inf),
+    ])
+    def test_non_finite_kbar_or_d_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            rescale(product_series(), 3, **{name: value})
+
+    def test_empty_series_rejected(self):
+        empty = TimeSeries(*np.empty((12, 0)))
+        with pytest.raises(ValueError, match="the series has no rows"):
+            rescale(empty, 0)
 
     def test_flat_kresc_zero(self):
         recs = simulate(SphereFlow(8, 2, 2.0), FLAT_K, dt=1e-3, t_end=0.2)

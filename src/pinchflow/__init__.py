@@ -18,7 +18,6 @@ from .forms import (
     MeanCurvature,
     PrincipalDecomposition,
     SecondFundamentalForm,
-    frame_identity_residuals,
     gradient_sample,
     mean_curvature,
     normal_curvature,

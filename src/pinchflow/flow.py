@@ -22,7 +22,7 @@ A run's diagnostics form a :class:`TimeSeries`, one array per CSV column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import ClassVar, TextIO
 
@@ -178,13 +178,21 @@ FAMILY_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowState:
     """A family at a given time, with the radii as the full state."""
 
     family: Family
     t: float
     params: tuple[float, ...]
+    _rates: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """The radius rates at ``params``, computed on first read."""
+        if self._rates is None:
+            object.__setattr__(self, "_rates", self.family.rates(self.params))
+        return self._rates
 
 
 def exact_state(family: Family, t: float) -> FlowState:
@@ -195,11 +203,11 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
     """One classical fourth-order step of the radius ODE, in plain floats."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    fam, y, half = state.family, state.params, 0.5 * dt
-    k1 = _stage_rates(fam, y)
-    k2 = _stage_rates(fam, [r + half * s for r, s in zip(y, k1)])
-    k3 = _stage_rates(fam, [r + half * s for r, s in zip(y, k2)])
-    k4 = _stage_rates(fam, [r + dt * s for r, s in zip(y, k3)])
+    fam, y, half = state.family, _stage(state.params), 0.5 * dt
+    k1 = state.rates  # the first stage, cached on the state
+    k2 = fam.rates(_stage([r + half * s for r, s in zip(y, k1)]))
+    k3 = fam.rates(_stage([r + half * s for r, s in zip(y, k2)]))
+    k4 = fam.rates(_stage([r + dt * s for r, s in zip(y, k3)]))
     new = tuple([r + dt / 6.0 * (a + 2 * b + 2 * c + d)
                  for r, a, b, c, d in zip(y, k1, k2, k3, k4)])
     if min(new) <= R_MIN:
@@ -207,10 +215,11 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
     return FlowState(fam, state.t + dt, new)
 
 
-def _stage_rates(fam: Family, radii: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+def _stage(radii: tuple[float, ...] | list[float]) -> tuple[float, ...] | list[float]:
+    """The radii of an RK4 stage, once none of them has collapsed."""
     if min(radii) <= R_MIN:
         raise PastBlowup("radius collapsed inside an RK4 stage")
-    return fam.rates(radii)
+    return radii
 
 
 @dataclass(frozen=True)
@@ -296,9 +305,8 @@ def simulate(
     step = dt
     k = 0
     while state.t < t_end:
-        rates = family.rates(state.params)
         while step > 1e-12 and any([
-            r < 10.0 * step * abs(v) for r, v in zip(state.params, rates)
+            r < 10.0 * step * abs(v) for r, v in zip(state.params, state.rates)
         ]):
             step *= 0.5
         try:

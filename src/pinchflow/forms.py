@@ -18,7 +18,9 @@ one point is then an array over those axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -240,8 +242,9 @@ class GradientSample:
     """A sample of the covariant derivative of A with its principal splitting.
 
     ``tensor[a, i, j, k]`` models the alpha-component of the derivative of
-    A_jk in the i-th tangent direction.  Derived slices store the pieces of
-    the splitting used by the gradient estimates:
+    A_jk in the i-th tangent direction, and ``decomp`` is the split of the
+    points it sits at.  The derived slices are the pieces of the splitting
+    used by the gradient estimates, each computed (read-only) on first read:
 
     * ``nabla_h[i, j, k]`` and ``nabla_aminus_nu1[i, j, k]`` (the nu1
       projection splits into these two; their sum is fully symmetric for a
@@ -256,113 +259,113 @@ class GradientSample:
     so the trace identities hold by construction whenever the raw tensor is
     fully symmetric in its three tangent indices.
 
-    ``decomp`` is the split of the points the tensors sit at.  Every field
-    carries their leading batch axes, and a scalar of one point is an array
-    over those axes.  ``codazzi_defect`` is :meth:`asymmetry`, scanned once
-    on construction.
+    Every slice carries the leading batch axes of the points, and a scalar
+    of one point is an array over those axes.  ``codazzi_defect`` is
+    :meth:`asymmetry`, scanned once on first read.
     """
 
     decomp: PrincipalDecomposition
-    tensor: np.ndarray            # (..., m, n, n, n)
-    nabla_H: np.ndarray           # (..., m, n)  derivative of the H vector
-    nabla_normH: np.ndarray       # (..., n)
-    nabla_nu1: np.ndarray         # (..., m, n)
-    nabla_h: np.ndarray           # (..., n, n, n)  [i, j, k]
-    nabla_aminus_nu1: np.ndarray  # (..., n, n, n)
-    hat_plus_h: np.ndarray        # (..., m, n, n, n)
-    hat_nabla_aminus: np.ndarray  # (..., m, n, n, n)
-    codazzi_defect: float | np.ndarray = field(init=False)
+    tensor: np.ndarray  # (..., m, n, n, n)
 
     def __post_init__(self) -> None:
-        for name in ("tensor", "nabla_H", "nabla_normH", "nabla_nu1",
-                     "nabla_h", "nabla_aminus_nu1", "hat_plus_h", "hat_nabla_aminus"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "codazzi_defect", self.asymmetry())
+        object.__setattr__(self, "tensor", _freeze(self.tensor))
 
-    @property
+    @cached_property
+    def nabla_H(self) -> np.ndarray:  # (..., m, n)  derivative of the H vector
+        return _freeze(np.einsum("...aijj->...ai", self.tensor))
+
+    @cached_property
+    def nabla_normH(self) -> np.ndarray:  # (..., n)
+        return _freeze(np.einsum("...a,...ai->...i", self.decomp.nu1, self.nabla_H))
+
+    @cached_property
+    def nabla_nu1(self) -> np.ndarray:  # (..., m, n)
+        nu1, norm = self.decomp.nu1, np.asarray(self.decomp.H.norm)[..., None, None]
+        return _freeze((self.nabla_H - nu1[..., :, None] * self.nabla_normH[..., None, :]) / norm)
+
+    @cached_property
+    def nabla_aminus_nu1(self) -> np.ndarray:  # (..., n, n, n) <dA^-, nu1> = -<A^-, d nu1>
+        am = self.decomp.a_minus.components
+        return _freeze(-np.einsum("...ajk,...ai->...ijk", am, self.nabla_nu1))
+
+    @cached_property
+    def _proj(self) -> np.ndarray:  # (..., n, n, n)  <dA, nu1>
+        return np.einsum("...a,...aijk->...ijk", self.decomp.nu1, self.tensor)
+
+    @cached_property
+    def nabla_h(self) -> np.ndarray:  # (..., n, n, n)  [i, j, k]
+        return _freeze(self._proj - self.nabla_aminus_nu1)
+
+    @cached_property
+    def hat_plus_h(self) -> np.ndarray:  # (..., m, n, n, n)
+        nu1 = self.decomp.nu1
+        return _freeze(self.tensor - self._proj[..., None, :, :, :] * nu1[..., :, None, None, None])
+
+    @cached_property
+    def hat_nabla_aminus(self) -> np.ndarray:  # (..., m, n, n, n)
+        h_dnu1 = np.einsum("...jk,...ai->...aijk", self.decomp.h, self.nabla_nu1)
+        return _freeze(self.hat_plus_h - h_dnu1)
+
+    @cached_property
     def norm2(self) -> float | np.ndarray:
         return sum_sq(self.tensor, 4)
 
-    @property
+    @cached_property
     def nabla_H_norm2(self) -> float | np.ndarray:
         return sum_sq(self.nabla_H, 2)
 
+    @cached_property
+    def codazzi_defect(self) -> float | np.ndarray:
+        return self.asymmetry()
+
+    @cached_property
+    def codazzi_scale(self) -> np.ndarray:
+        """max(1, max|T|) per point, the scale of its Codazzi bound."""
+        return np.maximum(1.0, np.max(np.abs(self.tensor), axis=(-4, -3, -2, -1)))
+
     def asymmetry(self) -> float | np.ndarray:
         """Max deviation of T[a, i, j, k] from full symmetry in (i, j, k), per
-        point."""
-        T = self.tensor
-        lead = T.ndim - 3
-        worst = 0.0
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            dev = np.abs(T - T.transpose(*range(lead), *(lead + p for p in perm)))
-            worst = np.maximum(worst, np.max(dev, axis=(-4, -3, -2, -1)))
-        return _scalar(worst)
+        point: the largest spread max - min of T over the permutations of a
+        triple, which rounds as the largest |T - T o sigma| does."""
+        T, n = self.tensor, self.tensor.shape[-1]
+        orbits = np.take(T.reshape(*T.shape[:-3], n**3), _orbit_index(n), axis=-1)
+        # abs only clears the sign of a NaN, as |T - T o sigma| does
+        spread = np.abs(np.max(orbits, axis=-2) - np.min(orbits, axis=-2))
+        if np.isinf(spread).any():
+            # |T - T o sigma| also meets each infinity with an equal one: NaN
+            for inf in (np.inf, -np.inf):
+                spread[np.count_nonzero(orbits == inf, axis=-2) > 1] = np.nan
+        return _scalar(np.max(spread, axis=(-2, -1)))
+
+
+@cache
+def _orbit_index(n: int) -> np.ndarray:
+    """Flat (i, j, k) indices of the six permutations of every triple
+    i <= j <= k, one column per triple; a repeated index repeats entries."""
+    triples = itertools.combinations_with_replacement(range(n), 3)
+    index = np.array([[(p * n + q) * n + r for p, q, r in itertools.permutations(t)]
+                      for t in triples]).T
+    index.setflags(write=False)
+    return index
 
 
 def gradient_sample(decomp: PrincipalDecomposition, tensor: np.ndarray) -> GradientSample:
-    """Split raw derivative tensors (..., m, n, n, n) at the points ``decomp``."""
+    """The raw derivative tensors (..., m, n, n, n) at the points ``decomp``."""
     tensor = np.asarray(tensor, dtype=np.float64)
     m, n = decomp.dims.m, decomp.dims.n
-    nu1 = decomp.nu1
-    if tensor.shape != nu1.shape[:-1] + (m, n, n, n):
-        raise ValueError(
-            f"tensor shape {tensor.shape}, expected {nu1.shape[:-1] + (m, n, n, n)}"
-        )
-    nabla_H = np.einsum("...aijj->...ai", tensor)
-    nabla_normH = np.einsum("...a,...ai->...i", nu1, nabla_H)
-    norm = np.asarray(decomp.H.norm)[..., None, None]
-    nabla_nu1 = (nabla_H - nu1[..., :, None] * nabla_normH[..., None, :]) / norm
-    # <dA^-, nu1> = -<A^-, d nu1>
-    nabla_aminus_nu1 = -np.einsum("...ajk,...ai->...ijk", decomp.a_minus.components, nabla_nu1)
-    proj = np.einsum("...a,...aijk->...ijk", nu1, tensor)
-    hat_plus_h = tensor - proj[..., None, :, :, :] * nu1[..., :, None, None, None]
-    return GradientSample(
-        decomp=decomp,
-        tensor=tensor,
-        nabla_H=nabla_H,
-        nabla_normH=nabla_normH,
-        nabla_nu1=nabla_nu1,
-        nabla_h=proj - nabla_aminus_nu1,
-        nabla_aminus_nu1=nabla_aminus_nu1,
-        hat_plus_h=hat_plus_h,
-        hat_nabla_aminus=hat_plus_h - np.einsum("...jk,...ai->...aijk", decomp.h, nabla_nu1),
-    )
+    lead = decomp.nu1.shape[:-1]
+    if tensor.shape != lead + (m, n, n, n):
+        raise ValueError(f"tensor shape {tensor.shape}, expected {lead + (m, n, n, n)}")
+    return GradientSample(decomp, tensor)
 
 
 def require_codazzi(grad: GradientSample) -> None:
     """Raise :class:`InvalidSample` when a sample breaks the Codazzi (full
     tangent-index symmetry) constraint beyond TOL_CODAZZI times its scale
     max(1, max|T|); each point of a batch is held to its own scale."""
-    scale = np.maximum(1.0, np.max(np.abs(grad.tensor), axis=(-4, -3, -2, -1)))
-    broken = np.extract(grad.codazzi_defect > TOL_CODAZZI * scale, grad.codazzi_defect)
+    defect = grad.codazzi_defect
+    broken = np.extract(defect > TOL_CODAZZI * grad.codazzi_scale, defect)
     if broken.size:
         raise InvalidSample(
             f"derivative tensor asymmetry {broken.max():.3e} exceeds {TOL_CODAZZI:.1e} x scale"
         )
-
-
-@dataclass(frozen=True)
-class FrameIdentityResiduals:
-    """Residuals of the three splitting identities of the derivative norms."""
-
-    full: float | np.ndarray       # |dA|^2 vs sum of the two projected squares
-    mean: float | np.ndarray       # |dH|^2 vs |H|^2 |d nu1|^2 + |d|H||^2
-    a_minus: float | np.ndarray    # |dA^-|^2 vs hat part + nu1 projection
-
-
-def frame_identity_residuals(grad: GradientSample) -> FrameIdentityResiduals:
-    """Check the orthogonal-splitting identities of the derivative norms.
-
-    Raises :class:`InvalidSample` as :func:`require_codazzi` does.
-    """
-    require_codazzi(grad)
-    proj_sum = grad.nabla_aminus_nu1 + grad.nabla_h
-    full = grad.norm2 - (sum_sq(grad.hat_plus_h, 4) + sum_sq(proj_sum, 3))
-    mean = grad.nabla_H_norm2 - (
-        grad.decomp.H.norm**2 * sum_sq(grad.nabla_nu1, 2) + sum_sq(grad.nabla_normH, 1)
-    )
-    nabla_aminus = grad.hat_nabla_aminus + (
-        grad.nabla_aminus_nu1[..., None, :, :, :] * grad.decomp.nu1[..., :, None, None, None]
-    )
-    hat_am2, proj_am2 = sum_sq(grad.hat_nabla_aminus, 4), sum_sq(grad.nabla_aminus_nu1, 3)
-    return FrameIdentityResiduals(full, mean, sum_sq(nabla_aminus, 4) - (hat_am2 + proj_am2))

@@ -357,26 +357,16 @@ def sample_form(spec: SamplerSpec, trials: int | Sequence[int] | Rng) -> SecondF
 def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
     """Gaussian (..., m, n, n, n) tensor symmetrized over its tangent indices."""
     raw = _normals(rng, (dims.m, dims.n, dims.n, dims.n))
-    raw *= sigma  # in place: a chunk of these tensors is large
+    if sigma != 1.0:
+        raw *= sigma  # in place: a chunk of these tensors is large
     lead = raw.ndim - 3
-    acc = np.zeros_like(raw)
-    for perm in itertools.permutations(range(lead, lead + 3)):
-        acc += raw.transpose(*range(lead), *perm)
+    p0, p1, *rest = (raw.transpose(*range(lead), *perm)
+                     for perm in itertools.permutations(range(lead, lead + 3)))
+    acc = p0 + p1
+    for p in rest:
+        acc += p
     acc /= 6.0
     return acc
-
-
-def pure_trace_tensor(
-    dims: Dims, nu1: np.ndarray, nabla_normH: np.ndarray, scaled_nabla_nu1: np.ndarray
-) -> np.ndarray:
-    """The trace-type tensor built from given d|H| and |H| d nu1 slices.
-
-    This is the minimizer of the sharp Kato inequality; feeding it back
-    through the splitting reproduces the two trace inequalities with
-    equality.
-    """
-    dH = nu1[:, None] * nabla_normH[None, :] + scaled_nabla_nu1  # (m, n)
-    return kato_e_tensor(dims, dH)
 
 
 def kato_e_tensor(

@@ -9,6 +9,8 @@ import pinchflow.lemmas
 from pinchflow.campaign import (
     CampaignConfig,
     CheckResult,
+    _decode_array,
+    _encode_array,
     load_counterexample,
     run_campaign,
     sample_trial_inputs,
@@ -164,6 +166,24 @@ class TestViolationPath:
         sample_entry = payload["inputs"]["form"]["entries"][0]
         assert isinstance(sample_entry, str)
         assert float(sample_entry) == inputs.form.components.ravel()[0]
+
+    def test_encoded_entries_are_17_digit_format(self):
+        # one % over a repeated %.17g template writes what format(x, ".17g")
+        # writes, for non-finite, signed-zero, subnormal and extreme entries
+        edge = np.array([
+            np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+            np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+            1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17, 2.0**53 + 2,
+        ])
+        bits = np.random.default_rng(3).integers(0, 2**64, 4096, dtype=np.uint64)
+        for a in (edge, edge.reshape(4, 2, 2), bits.view(np.float64), np.zeros((0, 3))):
+            encoded = _encode_array(a)
+            assert encoded["shape"] == list(a.shape)
+            assert encoded["entries"] == [format(float(x), ".17g") for x in a.ravel()]
+            decoded = _decode_array(encoded)
+            finite = ~np.isnan(a)
+            assert np.isnan(decoded[~finite]).all()
+            assert decoded[finite].tobytes() == a[finite].tobytes()
 
     def test_halved_inputs(self):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=0.3, d=0.2, seed=37)

@@ -37,6 +37,7 @@ from pinchflow.forms import (
     SecondFundamentalForm,
     gradient_sample,
     principal_decompose,
+    symmetrize,
 )
 from pinchflow.lemmas import (
     GRADIENT_IDS,
@@ -50,7 +51,13 @@ from pinchflow.lemmas import (
     gradient_checks,
     reaction_checks,
 )
-from pinchflow.samplers import SamplerSpec, kato_e_tensor, pure_trace_tensor
+from pinchflow.samplers import (
+    TAG_GRADIENT,
+    SamplerSpec,
+    Substreams,
+    kato_e_tensor,
+    symmetric_three_tensor,
+)
 
 REL = 1e-12
 CHUNKED_IDS = ("li", *REACTION_IDS, "boundary")
@@ -230,7 +237,8 @@ def test_derivative_equality_cases_in_a_chunk():
         dec = principal_decompose(batch[i].form)
         v = rng.standard_normal((m, n))
         v -= np.outer(dec.nu1, dec.nu1 @ v)  # |H| d nu1 must be normal to nu1
-        batch[i].grad_tensor = pure_trace_tensor(dec.dims, dec.nu1, rng.standard_normal(n), v)
+        dH = np.outer(dec.nu1, rng.standard_normal(n)) + v  # the pure-trace tensor's dH
+        batch[i].grad_tensor = kato_e_tensor(dec.dims, dH)
     for i in e_slots:
         batch[i].grad_tensor = kato_e_tensor(PINCHED.dims, rng.standard_normal((m, n)))
     config = config_of(PINCHED, DERIVATIVE_IDS)
@@ -275,20 +283,85 @@ def test_codazzi_bound_is_per_trial():
     evaluate_trial(ids, TrialInputs.stack(batch[1:]), config, 1.0)
 
 
+def loop_asymmetry(tensor):
+    """max |T - T o sigma| over the five other orders of the tangent indices,
+    per point."""
+    lead = tensor.ndim - 3
+    worst = 0.0
+    for perm in list(itertools.permutations((0, 1, 2)))[1:]:
+        dev = np.abs(tensor - tensor.transpose(*range(lead), *(lead + p for p in perm)))
+        worst = np.maximum(worst, np.max(dev, axis=(-4, -3, -2, -1)))
+    return worst
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 def test_asymmetry_matches_a_loop_over_permutations():
-    batch = [sample_trial_inputs(PINCHED, trial, {"form"}) for trial in range(9)]
-    dec = principal_decompose(TrialInputs.stack(batch).form)
+    # the one-gather scan must give the loop's value bit for bit, NaN and
+    # infinities included: a NaN entry, or an infinity met by an equal one
+    # (its own place in an orbit with a repeated index), gives NaN
     rng = np.random.default_rng(71)
-    tensors = rng.standard_normal((9, 3, 8, 8, 8)) * rng.uniform(0.01, 10.0, (9, 1, 1, 1, 1))
-    grad = gradient_sample(dec, tensors)
-    for i, tensor in enumerate(tensors):
-        loop = max(
-            float(np.max(np.abs(tensor - tensor.transpose(0, *perm))))
-            for perm in itertools.permutations((1, 2, 3))
-        )
-        alone = principal_decompose(batch[i].form)
-        assert grad.codazzi_defect[i] == loop
-        assert gradient_sample(alone, tensor).asymmetry() == loop
+    non_finite = [
+        [((0, 0, 0), np.inf)],
+        [((0, 0, 1), -np.inf)],
+        [((0, 1, 2), np.inf)],
+        [((0, 1, 2), np.inf), ((2, 1, 0), np.inf)],
+        [((0, 1, 2), np.inf), ((1, 0, 2), -np.inf)],
+        [((1, 1, 0), np.nan)],
+        [((0, 1, 1), np.inf), ((1, 0, 1), np.inf), ((1, 1, 0), np.inf)],
+        [((0, 2, 1), -np.nan)],  # the loop's abs clears the sign of a NaN
+    ]
+    for n, points in ((2, 9), (8, 9), (16, 3)):
+        dims = Dims(n, 3)
+        forms = symmetrize(rng.standard_normal((points, 3, n, n)))
+        dec = principal_decompose(forms)
+        gaussian = rng.standard_normal((points, 3, n, n, n)) * rng.uniform(
+            0.01, 10.0, (points, 1, 1, 1, 1))
+        # a symmetrized tensor's defect is at the ulp level
+        symmetric = symmetric_three_tensor(Substreams(5, range(points), TAG_GRADIENT), dims)
+        patched = gaussian.copy(), symmetric.copy()
+        for tensors in patched:
+            for i, entries in enumerate(non_finite[:points]):
+                for index, value in entries:
+                    tensors[(i, -1, *(min(k, n - 1) for k in index))] = value
+        for tensors in (gaussian, symmetric, *patched):
+            with np.errstate(invalid="ignore"):
+                grad = gradient_sample(dec, tensors)
+                loop = loop_asymmetry(tensors)
+                assert bits(grad.codazzi_defect) == bits(loop)
+                for i, tensor in enumerate(tensors):
+                    alone = principal_decompose(SecondFundamentalForm(dims, forms.components[i]))
+                    assert bits(gradient_sample(alone, tensor).asymmetry()) == bits(loop[i])
+        assert 0 < np.max(loop_asymmetry(symmetric)) < 1e-14
+        if n == 8:  # every pattern, none of them clipped
+            defect = grad.codazzi_defect
+            assert np.isnan(defect[[0, 1, 3, 5, 6, 7]]).all() and np.isinf(defect[[2, 4]]).all()
+
+
+def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
+    # the kato ids read |dA|^2, |dH|^2 and the Codazzi scan; a slice the
+    # gradient estimates alone read is built only on their first read
+    samples = []
+
+    def kept(decomp, tensor):
+        samples.append(gradient_sample(decomp, tensor))
+        return samples[-1]
+
+    monkeypatch.setattr(campaign, "gradient_sample", kept)
+    gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
+                     "hat_plus_h", "hat_nabla_aminus"}
+    chunk = sample_trial_inputs(PINCHED, range(CHUNK), _needed_kinds(KATO_IDS))
+    evaluate_trial(KATO_IDS, chunk, config_of(PINCHED, KATO_IDS), 1.0)
+    assert len(samples) == CHUNK // DERIVATIVE_SLICE
+    for grad in samples:
+        assert not gradient_only & set(vars(grad))
+        assert {"norm2", "nabla_H_norm2", "codazzi_defect"} <= set(vars(grad))
+    samples.clear()
+    evaluate_trial(DERIVATIVE_IDS, chunk, config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+    assert all(gradient_only <= set(vars(grad)) for grad in samples)
+    assert not samples[0].nabla_h.flags.writeable
 
 
 # verify --suite S --n 8 --m 3 --trials 300 --seed 1, recorded when kato and

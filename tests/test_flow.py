@@ -65,6 +65,20 @@ BLOCK = 2**17 // (2 * 8 * 8)
 # holds on every platform
 PRODUCT_RADII_SHA256 = "8c233d888d2c0376b551dbde0e6fcd27fc1013cc2b2029b1b294aabd499f95d2"
 
+# (row, t, param1) of the hyperbolic flow r0=0.5, kbar=-1 at dt=1e-4 to
+# t=0.004 (42 rows); its rates and start go through libm's tanh, cosh and
+# acosh, so the radii are pinned to HYPERBOLIC_ULPS rather than by digest.
+# A kappa one ulp off moves every pinned radius by 5 or 6 ulps.
+HYPERBOLIC_RADII = [
+    (0, 0.0, 0.49999999999999983),
+    (8, 0.0008000000000000001, 0.48598278786768606),
+    (16, 0.0016000000000000005, 0.4716095782696307),
+    (24, 0.0024, 0.4568466238370332),
+    (32, 0.0031999999999999984, 0.4416546898406117),
+    (40, 0.0039999999999999975, 0.4259877237894873),
+]
+HYPERBOLIC_ULPS = 3
+
 
 class TestExactStates:
     def test_sphere(self):
@@ -131,6 +145,14 @@ class TestRK4:
             series.t.tolist(), series.param1.tolist(), series.param2.tolist()))
         assert len(series) == 831
         assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_RADII_SHA256
+
+    def test_hyperbolic_radii_pinned(self):
+        fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
+        series = simulate(fam, hyperbolic_constants(), dt=1e-4, t_end=0.004)
+        assert len(series) == 42
+        for row, t, radius in HYPERBOLIC_RADII:
+            assert series.t[row] == t
+            assert abs(series.param1[row] - radius) <= HYPERBOLIC_ULPS * math.ulp(radius), row
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_one_step_per_call(self, fam, monkeypatch):

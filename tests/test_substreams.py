@@ -9,6 +9,8 @@ Every state, draw and sampled array of a chunk must equal the per-trial
 rejection sampler as written one draw at a time.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,21 @@ def test_chunk_sampling_matches_trial_rng(name, monkeypatch):
         assert reruns
     elif spec.distribution == "gaussian":
         assert not reruns
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_symmetric_three_tensor_is_the_six_permutation_loop(sigma):
+    # the sum starts at the first two permutations and skips a unit sigma;
+    # it must equal a zero-started sum of all six, bit for bit
+    dims = Dims(8, 3)
+    for make in (lambda: trial_rng(9, 4, TAG_GRADIENT),
+                 lambda: Substreams(9, range(4, 12), TAG_GRADIENT)):
+        got = symmetric_three_tensor(make(), dims, sigma)
+        raw = samplers._normals(make(), (dims.m, dims.n, dims.n, dims.n))
+        raw *= sigma
+        lead = raw.ndim - 3
+        acc = np.zeros_like(raw)
+        for perm in itertools.permutations(range(lead, lead + 3)):
+            acc += raw.transpose(*range(lead), *perm)
+        acc /= 6.0
+        assert got.tobytes() == acc.tobytes()

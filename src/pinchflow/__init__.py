@@ -7,7 +7,6 @@ from .constants import (
     c_n,
     d_lower_bound,
     kappa_n,
-    kato_background_constant,
     pinching_Q,
     pinching_f,
     space_form_d_lower,
@@ -28,7 +27,6 @@ from .reaction import (
     ReactionReport,
     boundary_reaction_bound,
     cc_reaction_upper_bound,
-    lemma43_lower_bound,
     r1,
     r2,
     reaction_gap,

@@ -3,12 +3,12 @@
 A campaign draws ``trials`` independent samples from per-trial substreams of
 (seed, trial, input-kind) and evaluates a set of inequalities on each.  It
 samples and evaluates chunks of ``CHUNK`` trials stacked along a leading
-axis; the kato and gradient estimates run on slices of ``DERIVATIVE_SLICE``
-trials of a chunk, which bounds the memory of their (m, n, n, n)
-temporaries.  The substream states of each input kind are hashed once per
-block of ``BLOCK`` trials, and every chunk of the block draws from slices
-of them, so the hash is paid per block and its memory does not grow with
-the campaign.  A trial violates an inequality unless
+axis; when an inequality reads a derivative tensor, all of them run on
+slices of ``DERIVATIVE_SLICE`` trials of a chunk, which bounds the memory
+of the (m, n, n, n) temporaries.  The substream states of each input kind
+are hashed once per block of ``BLOCK`` trials, and every chunk of the block
+draws from slices of them, so the hash is paid per block and its memory
+does not grow with the campaign.  A trial violates an inequality unless
 slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation.  On
 violation the offending inputs are halved while the violation persists and
 the shrunk witness is written to a replayable JSON file (all entries as
@@ -17,10 +17,11 @@ decimal strings with 17 significant digits).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -66,14 +67,7 @@ class CheckResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "worst_input_digest": self.worst_input_digest,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -177,21 +171,13 @@ class CampaignConfig:
 
 
 def _needed_kinds(lemma_ids: Sequence[str]) -> set[str]:
-    kinds: set[str] = set()
+    """The input kinds the ids read; each id must be in the table, once."""
     for lemma_id in lemma_ids:
-        if lemma_id in lemmas.LI_IDS:
-            kinds.add("matrices")
-        elif lemma_id in lemmas.KATO_IDS:
-            kinds.update(("form", "grad", "w"))
-        elif lemma_id in lemmas.REACTION_IDS:
-            kinds.add("form")
-        elif lemma_id in lemmas.BOUNDARY_IDS:
-            kinds.update(("form", "boundary"))
-        elif lemma_id in lemmas.GRADIENT_IDS:
-            kinds.update(("form", "grad"))
-        else:
+        if lemma_id not in lemmas.LEMMAS:
             raise ValueError(f"unknown lemma id {lemma_id!r}")
-    return kinds
+        if lemma_ids.count(lemma_id) > 1:
+            raise ValueError(f"lemma id {lemma_id!r} requested twice")
+    return set().union(*(lemmas.LEMMAS[lemma_id].kinds for lemma_id in lemma_ids))
 
 
 def _streams(seed: int, trials: int | Sequence[int], kinds: set[str]) -> dict[str, Rng]:
@@ -244,37 +230,24 @@ def sample_trial_inputs(
     return inputs
 
 
-def _form_checks(
-    kato_ids: Sequence[str],
-    gradient_ids: Sequence[str],
-    reaction_ids: Sequence[str],
-    unit: TrialInputs,
-    config: CampaignConfig,
-) -> list[lemmas.InequalityCheck]:
-    """The kato, gradient and flat reaction checks of a unit of trials, on
-    one principal split of its form."""
-    decomp = principal_decompose(unit.form)
-    checks = []
-    if kato_ids or gradient_ids:
-        grad = gradient_sample(decomp, unit.grad_tensor)
-    if "kato.3.1" in kato_ids:
-        eta = config.eta if config.eta is not None else lemmas.default_kato_eta(
-            unit.dims.n
-        )
-        checks.append(lemmas.check_kato(grad, unit.w, eta))
-    if "kato.3.2" in kato_ids:
-        checks.append(lemmas.check_kato_trace(grad, unit.w))
-    if gradient_ids:
-        checks.extend(
-            lemmas.gradient_checks(
-                gradient_ids, grad, config.c, config.d, config.delta, config.eps0
-            )
-        )
-    if reaction_ids:
-        checks.extend(
-            lemmas.reaction_checks(reaction_ids, decomp, config.c, config.d, config.delta)
-        )
-    return checks
+class _Unit:
+    """An evaluation unit's inputs and the points its groups share, each built on first read."""
+
+    def __init__(self, inputs: TrialInputs, d_boundary: float):
+        self.inputs, self.d_boundary = inputs, d_boundary
+        self.dims, self.matrices, self.w = inputs.dims, inputs.matrices, inputs.w
+
+    @functools.cached_property
+    def decomp(self):
+        return principal_decompose(self.inputs.form)
+
+    @functools.cached_property
+    def boundary_decomp(self):
+        return principal_decompose(self.inputs.boundary_form)
+
+    @functools.cached_property
+    def grad(self):
+        return gradient_sample(self.decomp, self.inputs.grad_tensor)
 
 
 def evaluate_trial(
@@ -285,40 +258,41 @@ def evaluate_trial(
 ) -> list[lemmas.InequalityCheck]:
     """Evaluate every requested inequality on a chunk of trials.
 
-    ``chunk`` holds the inputs stacked along a leading axis, and each check
-    holds one lhs and rhs per trial.  li and the boundary estimate run once
-    on the stacked inputs.  The kato, gradient and flat reaction estimates
-    share one principal split per evaluation unit: the whole chunk, or
-    stacked slices of ``DERIVATIVE_SLICE`` trials when a kato or gradient
-    estimate is requested.
+    ``chunk`` holds the inputs stacked along a leading axis; each check holds
+    one lhs and rhs per trial, in the order of ``lemma_ids``.  Each group of
+    the lemma table runs once per evaluation unit (the whole chunk, or slices
+    of ``DERIVATIVE_SLICE`` trials when an id reads a derivative tensor),
+    which splits each of its forms once and builds one derivative sample.
     """
-    li_ids = [i for i in lemma_ids if i in lemmas.LI_IDS]
-    kato_ids = [i for i in lemma_ids if i in lemmas.KATO_IDS]
-    reaction_ids = [i for i in lemma_ids if i in lemmas.REACTION_IDS]
-    boundary_ids = [i for i in lemma_ids if i in lemmas.BOUNDARY_IDS]
-    gradient_ids = [i for i in lemma_ids if i in lemmas.GRADIENT_IDS]
-
-    checks = [lemmas.check_li(chunk.matrices) for _ in li_ids]
-    units = [chunk] if reaction_ids else []
-    if kato_ids or gradient_ids:  # each slice copied only when it is evaluated
+    kinds = _needed_kinds(lemma_ids)
+    groups = [
+        (evaluate, [i for i in lemma_ids if lemmas.LEMMAS[i].evaluate is evaluate])
+        for evaluate in lemmas.GROUPS
+    ]
+    units: Iterable[TrialInputs] = [chunk]
+    if "grad" in kinds:  # each slice copied only when it is evaluated
         units = (
             chunk.trial(slice(start, start + DERIVATIVE_SLICE))
             for start in range(0, len(chunk.form.components), DERIVATIVE_SLICE)
         )
-    per_unit = [_form_checks(kato_ids, gradient_ids, reaction_ids, u, config) for u in units]
-    for parts in zip(*per_unit):
-        checks.append(lemmas.InequalityCheck(
+    per_unit = []
+    for inputs in units:
+        unit, checks = _Unit(inputs, d_boundary), {}
+        for evaluate, ids in groups:
+            if ids:
+                checks.update(zip(ids, evaluate(ids, unit, config)))
+        per_unit.append([checks[lemma_id] for lemma_id in lemma_ids])
+        del unit  # its points are freed before the next slice is copied
+    if len(per_unit) == 1:
+        return per_unit[0]
+    return [
+        lemmas.InequalityCheck(
             parts[0].lemma_id,
             np.concatenate([chk.lhs for chk in parts]),
             np.concatenate([chk.rhs for chk in parts]),
-        ))
-    for _ in boundary_ids:
-        checks.append(
-            lemmas.boundary_check(
-                principal_decompose(chunk.boundary_form), config.c, d_boundary
-            )
         )
-    return checks
+        for parts in zip(*per_unit)
+    ]
 
 
 def _violated(check: lemmas.InequalityCheck, tol: float) -> np.ndarray:
@@ -363,11 +337,7 @@ def write_counterexample(
         "lemma_id": lemma_id,
         "seed": spec.seed,
         "trial": trial,
-        "constants": {
-            "c": _fmt(config.c), "d": _fmt(config.d), "delta": _fmt(config.delta),
-            "eta": None if config.eta is None else _fmt(config.eta),
-            "eps0": None if config.eps0 is None else _fmt(config.eps0),
-        },
+        "constants": {k: None if v is None else _fmt(v) for k, v in asdict(config).items()},
         "lhs": _fmt(check.lhs),
         "rhs": _fmt(check.rhs),
         "slack": _fmt(check.slack),
@@ -380,14 +350,9 @@ def write_counterexample(
 def load_counterexample(path: str) -> tuple[str, TrialInputs, CampaignConfig]:
     with open(path) as fh:
         payload = json.load(fh)
-    consts = payload["constants"]
-    config = CampaignConfig(
-        c=float(consts["c"]),
-        d=float(consts["d"]),
-        delta=float(consts["delta"]),
-        eta=None if consts["eta"] is None else float(consts["eta"]),
-        eps0=None if consts["eps0"] is None else float(consts["eps0"]),
-    )
+    config = CampaignConfig(**{
+        k: None if v is None else float(v) for k, v in payload["constants"].items()
+    })
     return payload["lemma_id"], TrialInputs.decode(payload["inputs"]), config
 
 
@@ -401,8 +366,8 @@ def run_campaign(
 ) -> list[CheckResult]:
     """Run ``trials`` seeded trials of every inequality in ``lemma_ids``.
 
-    Results come back in the order the ids were given; an empty id list
-    yields an empty result list.  Identical (seed, spec, ids) reproduce
+    Results come back in the order the ids were given, and an id given
+    twice is a ``ValueError``; an empty id list yields an empty result list.  Identical (seed, spec, ids) reproduce
     bit-identical inputs and results.
     """
     if trials < 1:

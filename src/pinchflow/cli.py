@@ -33,13 +33,12 @@ from .forms import Dims
 from .rescale import rescale as rescale_series, write_rescaled_csv
 from .samplers import SamplerSpec
 
+# the ids of each suite of the lemma table, in report order, and all of them
 SUITES = {
-    "li": list(lemmas.LI_IDS),
-    "kato": list(lemmas.KATO_IDS),
-    "reaction": list(lemmas.REACTION_IDS) + list(lemmas.BOUNDARY_IDS),
-    "gradient": list(lemmas.GRADIENT_IDS),
-    "all": list(lemmas.ALL_IDS),
+    suite: [i for i, lemma in lemmas.LEMMAS.items() if lemma.suite == suite]
+    for suite in dict.fromkeys(lemma.suite for lemma in lemmas.LEMMAS.values())
 }
+SUITES["all"] = list(lemmas.LEMMAS)
 
 _FMT = ".17g"
 
@@ -97,19 +96,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     seed = _resolve_seed(args.seed)
     ids = SUITES[args.suite]
-    if args.c is not None:
-        c = args.c
-    elif args.suite == "li":
-        c = 0.0  # matrix inequality needs no pinching coefficient
-    else:
-        c = _default_c(n)
-    if args.delta is not None:
-        delta = args.delta
-    elif args.suite in ("gradient", "all"):
-        delta = 1.0 / (5 * n - 8)
-    else:
-        delta = 0.5
-    dist = "gaussian" if args.suite == "li" else "pinched"
+    # inequalities of matrices alone need no pinched form and no coefficient
+    reads_form = any("form" in lemmas.LEMMAS[i].kinds for i in ids)
+    c = args.c if args.c is not None else (_default_c(n) if reads_form else 0.0)
+    delta = args.delta if args.delta is not None else lemmas.default_delta(ids, n)
+    dist = "pinched" if reads_form else "gaussian"
     spec = SamplerSpec(
         dims=Dims(n, m), distribution=dist, sigma=args.sigma,
         c=c, d=args.d, seed=seed,

@@ -100,17 +100,6 @@ def kappa_n(n: int, c: float | Fraction) -> float:
     return kappa
 
 
-def kato_background_constant(n: int, d: float) -> float:
-    """Coefficient C(n, d) = n^4 d / (2 (n-1) (2n+1)) bounding the |w|^2 term.
-
-    ``d`` is a caller-supplied positive parameter (the trace tensor w depends
-    on the full background curvature, which is only tracked through bounds).
-    """
-    if d <= 0:
-        raise InvalidConstants("C(n, d) needs d > 0")
-    return n**4 * d / (2.0 * (n - 1) * (2 * n + 1))
-
-
 def space_form_d_lower(n: int, c: float | Fraction) -> float:
     """Minimal offset 2n - 2/c preserving Q <= 0 in a negative space form."""
     return 2.0 * n - 2.0 / float(c)

@@ -362,9 +362,10 @@ def gradient_sample(decomp: PrincipalDecomposition, tensor: np.ndarray) -> Gradi
 def require_codazzi(grad: GradientSample) -> None:
     """Raise :class:`InvalidSample` when a sample breaks the Codazzi (full
     tangent-index symmetry) constraint beyond TOL_CODAZZI times its scale
-    max(1, max|T|); each point of a batch is held to its own scale."""
+    max(1, max|T|); each point of a batch is held to its own scale, and a
+    NaN defect breaks it."""
     defect = grad.codazzi_defect
-    broken = np.extract(defect > TOL_CODAZZI * grad.codazzi_scale, defect)
+    broken = np.extract(~(defect <= TOL_CODAZZI * grad.codazzi_scale), defect)
     if broken.size:
         raise InvalidSample(
             f"derivative tensor asymmetry {broken.max():.3e} exceeds {TOL_CODAZZI:.1e} x scale"

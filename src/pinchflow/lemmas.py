@@ -2,23 +2,11 @@
 
 Each evaluator computes both sides of one inequality exactly from the
 sampled data and reports them normalized as ``lhs <= rhs`` with
-``slack = rhs - lhs``.  Identifiers:
-
-* ``li``                     symmetric-matrix inequality (trace squares plus
-                             commutators against 3/2 the total norm squared)
-* ``kato.3.1``, ``kato.3.2`` sharpened Kato inequalities for the derivative
-                             of A against the derivative of H
-* ``4.5``, ``4.6``, ``4.10``, ``4.12``, ``4.14``
-                             reaction estimates, flat specialization
-* ``boundary``               boundary reaction estimate (data on the pinching
-                             boundary)
-* ``4.20``, ``4.21``, ``4.22``
-                             trace inequalities for the split derivative
-* ``L4.6`` .. ``L4.9``       Bochner / gradient-term estimates
-
-``DEGREES`` records the homogeneity degree of each slack under the
-documented scaling (forms scale linearly for the quartic reaction bounds,
-derivative samples scale linearly for the quadratic gradient bounds).
+``slack = rhs - lhs``.  :data:`LEMMAS` describes every identifier once, in
+report order: what it bounds, its ``verify`` suite, the sampled input kinds
+it reads, the homogeneity degree of its slack (forms scale linearly for the
+quartic reaction bounds, derivative samples for the quadratic gradient
+bounds) and the evaluator of its group.
 
 A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the
 result of ``principal_decompose(A)``, which carries the form A and its mean
@@ -34,7 +22,7 @@ and a precondition such as f > 0 must hold at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,20 +36,6 @@ from .forms import (
     sum_sq,
 )
 from .reaction import boundary_reaction_bound, gram_norm2, reaction_gap
-
-LI_IDS = ("li",)
-KATO_IDS = ("kato.3.1", "kato.3.2")
-REACTION_IDS = ("4.5", "4.6", "4.10", "4.12", "4.14")
-BOUNDARY_IDS = ("boundary",)
-GRADIENT_IDS = ("4.20", "4.21", "4.22", "L4.6", "L4.7", "L4.8", "L4.9")
-ALL_IDS = LI_IDS + KATO_IDS + REACTION_IDS + BOUNDARY_IDS + GRADIENT_IDS
-
-DEGREES = {
-    "li": 4, "kato.3.1": 2, "kato.3.2": 2,
-    "4.5": 4, "4.6": 4, "4.10": 4, "4.12": 4, "4.14": 4, "boundary": 4,
-    "4.20": 2, "4.21": 2, "4.22": 2,
-    "L4.6": 2, "L4.7": 2, "L4.8": 2, "L4.9": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -360,3 +334,77 @@ def gradient_checks(
         else:
             raise ValueError(f"unknown gradient lemma {lemma_id!r}")
     return out
+
+
+# ----------------------------------------------------------------------
+# the lemma table
+# ----------------------------------------------------------------------
+# A group's evaluator takes the group's requested ids, one evaluation unit
+# of a campaign (the ``dims``, ``matrices`` and ``w`` of its trials, the
+# splits ``decomp`` and ``boundary_decomp`` of its forms, its derivative
+# sample ``grad`` and ``d_boundary``) and the campaign's config.  It calls
+# the checks by module attribute, so a rebound attribute is the one that runs.
+
+def _li_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
+    return [check_li(unit.matrices) for _ in ids]
+
+
+def _kato_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
+    eta = config.eta if config.eta is not None else default_kato_eta(unit.dims.n)
+    return [
+        check_kato(unit.grad, unit.w, eta) if lemma_id == "kato.3.1"
+        else check_kato_trace(unit.grad, unit.w)
+        for lemma_id in ids
+    ]
+
+
+def _gradient_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
+    return gradient_checks(ids, unit.grad, config.c, config.d, config.delta, config.eps0)
+
+
+def _reaction_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
+    return reaction_checks(ids, unit.decomp, config.c, config.d, config.delta)
+
+
+def _boundary_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
+    return [boundary_check(unit.boundary_decomp, config.c, unit.d_boundary) for _ in ids]
+
+
+# the order in which a unit runs its groups, which fixes the first error raised
+GROUPS = (_li_group, _kato_group, _gradient_group, _reaction_group, _boundary_group)
+
+
+@dataclass(frozen=True)
+class Lemma:
+    suite: str             # the ``verify --suite`` that reports it
+    kinds: frozenset[str]  # the sampled input kinds it reads
+    degree: int            # the homogeneity degree of its slack
+    evaluate: Callable[..., list[InequalityCheck]]  # its group's evaluator
+
+
+def _entries(suite: str, ids: Sequence[str], kinds: set[str], degree: int, evaluate):
+    return {lemma_id: Lemma(suite, frozenset(kinds), degree, evaluate) for lemma_id in ids}
+
+
+# every inequality id, in report order
+LEMMAS: dict[str, Lemma] = {
+    # trace squares plus commutators of symmetric matrices against 3/2 the
+    # total norm squared
+    **_entries("li", ["li"], {"matrices"}, 4, _li_group),
+    # sharpened Kato inequalities for the derivative of A against that of H
+    **_entries("kato", ["kato.3.1", "kato.3.2"], {"form", "grad", "w"}, 2, _kato_group),
+    # reaction estimates, flat specialization
+    **_entries("reaction", ["4.5", "4.6", "4.10", "4.12", "4.14"], {"form"}, 4, _reaction_group),
+    # the reaction estimate on the pinching boundary
+    **_entries("reaction", ["boundary"], {"form", "boundary"}, 4, _boundary_group),
+    # trace inequalities for the split derivative (4.20-4.22) and Bochner /
+    # gradient-term estimates (L4.6-L4.9)
+    **_entries("gradient", ["4.20", "4.21", "4.22", "L4.6", "L4.7", "L4.8", "L4.9"],
+               {"form", "grad"}, 2, _gradient_group),
+}
+
+
+def default_delta(lemma_ids: Sequence[str], n: int) -> float:
+    """The case-1 gradient bound 1/(5n-8) when a gradient estimate is requested, else 1/2."""
+    gradient = any(LEMMAS[lemma_id].suite == "gradient" for lemma_id in lemma_ids)
+    return 1.0 / (5 * n - 8) if gradient else 0.5

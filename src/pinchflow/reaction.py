@@ -3,9 +3,9 @@
 R1 and R2 are the two quartic contractions driving d|A|^2/dt and d|H|^2/dt;
 ``reaction_gap`` is the combination whose nonnegativity on pinched data makes
 the pinching function f a supersolution.  The remaining functions evaluate
-both sides of the closed-form reaction estimates (flat specialization, the
-boundary estimate, and the constant-curvature estimate for Q) and report the
-slack.  The bounds take a point as its principal split, which carries the
+both sides of the closed-form reaction estimates (the boundary estimate and
+the constant-curvature estimate for Q; the flat ones are in ``lemmas``) and
+report the slack.  The bounds take a point as its principal split, which carries the
 form and its mean curvature.  The contractions and the boundary estimate
 also take a batch of points along leading axes, as the forms module does.
 """
@@ -23,7 +23,6 @@ from .forms import (
     PrincipalDecomposition,
     SecondFundamentalForm,
     commutator_norm2,
-    normal_curvature,
     sum_sq,
 )
 
@@ -82,29 +81,6 @@ class ReactionReport:
     @property
     def blowup_slack(self) -> float | None:
         return None if self.blowup_rhs is None else self.blowup_rhs - self.lhs_bound
-
-
-def lemma43_lower_bound(
-    decomp: PrincipalDecomposition,
-    f: float,
-    c: float,
-    d: float,
-) -> ReactionReport:
-    """Lower bound for the reaction part of the evolution of f (flat case).
-
-    rhs_bound is the exact reaction gap, lhs_bound the closed-form
-    2/(nc-1) f |A^-|^2 + nc/(nc-1) f |h_ring|^2; the gap dominates it for
-    1/n < c <= 4/(3n), f > 0, d >= 0.
-    """
-    n = decomp.dims.n
-    if f <= 0:
-        raise NotPinched(f"reaction lower bound needs f > 0, got {f}")
-    if not (1.0 / n < c <= 4.0 / (3 * n) * (1 + 1e-12)):
-        raise InvalidConstants(f"reaction lower bound needs 1/n < c <= 4/(3n), got c={c}")
-    gap = reaction_gap(decomp.form, decomp.H, normal_curvature(decomp), c)
-    ncm1 = n * c - 1.0
-    lhs = (2.0 / ncm1) * f * decomp.a_minus2 + (n * c / ncm1) * f * decomp.h_ring2
-    return ReactionReport(lhs, gap)
 
 
 def boundary_reaction_bound(

@@ -24,10 +24,11 @@ from pinchflow.flow import (
     simulate,
 )
 from pinchflow.forms import Dims, gradient_sample, principal_decompose
-from pinchflow.lemmas import GRADIENT_IDS, REACTION_IDS, default_kato_eta
+from pinchflow.lemmas import default_kato_eta
 from pinchflow.rescale import invariance_report, rescale
 from pinchflow.samplers import SamplerSpec, kato_e_tensor, sample_pinched
 from tests.test_flow import FLAT_K, hyperbolic_constants
+from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS
 
 # pre-build oracle values (scripts/oracle_values.py)
 ORACLE_PRODUCT_AMINUS2 = 0.07133757961783438

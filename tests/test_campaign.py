@@ -3,22 +3,27 @@
 import json
 
 import numpy as np
+import pytest
 
 import pinchflow.campaign
 import pinchflow.lemmas
 from pinchflow.campaign import (
     CampaignConfig,
     CheckResult,
+    TrialInputs,
     _decode_array,
     _encode_array,
+    _needed_kinds,
+    evaluate_trial,
     load_counterexample,
     run_campaign,
     sample_trial_inputs,
     write_counterexample,
 )
 from pinchflow.forms import Dims, mean_curvature, principal_decompose
-from pinchflow.lemmas import GRADIENT_IDS, InequalityCheck, REACTION_IDS
+from pinchflow.lemmas import LEMMAS, InequalityCheck
 from pinchflow.samplers import SamplerSpec, sample_form
+from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS
 
 
 class TestDeterminism:
@@ -88,6 +93,33 @@ class TestCampaign:
             assert len(r.worst_input_digest) == 16
         assert list(tmp_path.iterdir()) == []
 
+    def test_unknown_lemma_id(self):
+        spec = SamplerSpec(Dims(4, 2), "gaussian", seed=1)
+        with pytest.raises(ValueError, match="unknown lemma id 'li2'"):
+            run_campaign(spec, ["li", "li2"], 3)
+
+    def test_duplicate_lemma_id(self):
+        # a repeated id would share one stats entry and count each violation twice
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, seed=1)
+        with pytest.raises(ValueError, match="lemma id '4.5' requested twice"):
+            run_campaign(spec, ["4.5", "li", "4.5"], 3)
+
+    def test_checks_come_back_in_the_requested_order(self):
+        # a shuffled list that mixes every group, evaluated on slices of a
+        # chunk: each check is the one its id gives alone
+        ids = ["L4.8", "4.12", "kato.3.2", "boundary", "li", "4.20", "4.5",
+               "kato.3.1", "L4.9", "4.14", "4.21", "4.6", "L4.6", "4.10", "4.22", "L4.7"]
+        assert sorted(ids) == sorted(LEMMAS)
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=19)
+        cfg = CampaignConfig(c=1 / 6, d=0.3, delta=1 / 32)
+        chunk = sample_trial_inputs(spec, range(12), _needed_kinds(ids))
+        checks = evaluate_trial(ids, chunk, cfg, 0.3)
+        assert [chk.lemma_id for chk in checks] == ids
+        for chk in checks:
+            (alone,) = evaluate_trial([chk.lemma_id], chunk, cfg, 0.3)
+            assert np.allclose(chk.lhs, alone.lhs, rtol=1e-12, atol=0)
+            assert np.allclose(chk.rhs, alone.rhs, rtol=1e-12, atol=0)
+
     def test_json_schema_keys(self):
         res = CheckResult("li", 10, 0, 1.0, "ab", 3)
         payload = res.to_json_dict()
@@ -109,7 +141,7 @@ class TestCampaign:
         monkeypatch.setattr(pinchflow.campaign, "principal_decompose", counted)
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.0, seed=1)
         cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
-        results = run_campaign(spec, pinchflow.lemmas.ALL_IDS, 320, config=cfg)
+        results = run_campaign(spec, list(LEMMAS), 320, config=cfg)
         assert all(r.violations == 0 for r in results)
         assert sum(points) == 2 * 320
 

@@ -40,9 +40,6 @@ from pinchflow.forms import (
     symmetrize,
 )
 from pinchflow.lemmas import (
-    GRADIENT_IDS,
-    KATO_IDS,
-    REACTION_IDS,
     boundary_check,
     check_kato,
     check_kato_trace,
@@ -58,7 +55,9 @@ from pinchflow.samplers import (
     kato_e_tensor,
     symmetric_three_tensor,
 )
+from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS, group_ids
 
+KATO_IDS = group_ids("kato.3.1")
 REL = 1e-12
 CHUNKED_IDS = ("li", *REACTION_IDS, "boundary")
 DERIVATIVE_IDS = (*KATO_IDS, *GRADIENT_IDS)
@@ -281,6 +280,20 @@ def test_codazzi_bound_is_per_trial():
         with pytest.raises(InvalidSample):
             evaluate_trial([lemma_id], chunk, config, 1.0)
     evaluate_trial(ids, TrialInputs.stack(batch[1:]), config, 1.0)
+    # one NaN entry gives a NaN defect, which no bound admits
+    batch[1].grad_tensor[0, 0, 1, 2] = np.nan
+    chunk = TrialInputs.stack(batch[1:])
+    grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
+    assert np.isnan(grad.codazzi_defect[0])
+    with pytest.raises(InvalidSample):
+        check_kato(grad, chunk.w, default_kato_eta(8))
+    with pytest.raises(InvalidSample):
+        check_kato_trace(grad, chunk.w)
+    with pytest.raises(InvalidSample):
+        gradient_checks(["4.20"], grad, config.c, config.d, config.delta)
+    for lemma_id in ids:
+        with pytest.raises(InvalidSample):
+            evaluate_trial([lemma_id], chunk, config, 1.0)
 
 
 def loop_asymmetry(tensor):

@@ -143,6 +143,29 @@ class TestVerify:
         }
 
 
+# the ids of each suite, in report order, as the README documents them
+DOCUMENTED_IDS = {
+    "li": ["li"],
+    "kato": ["kato.3.1", "kato.3.2"],
+    "reaction": ["4.5", "4.6", "4.10", "4.12", "4.14", "boundary"],
+    "gradient": ["4.20", "4.21", "4.22", "L4.6", "L4.7", "L4.8", "L4.9"],
+}
+DOCUMENTED_IDS["all"] = [i for ids in DOCUMENTED_IDS.values() for i in ids]
+
+
+@pytest.mark.parametrize("suite", list(DOCUMENTED_IDS))
+def test_suite_reports_its_documented_ids(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "2",
+                       "--seed", "1", "--n", "8", "--m", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert [r["lemma_id"] for r in report["results"]] == DOCUMENTED_IDS[suite]
+    # li alone reads no form: no coefficient; the gradient estimates take
+    # the case-1 delta 1/(5n - 8)
+    assert report["constants"]["c"] == (0.0 if suite == "li" else 1 / 6)
+    assert report["constants"]["delta"] == (1 / 32 if suite in ("gradient", "all") else 0.5)
+
+
 class TestSimulate:
     def test_product_csv(self, capsys, tmp_path):
         out = tmp_path / "prod.csv"

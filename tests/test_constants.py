@@ -12,7 +12,6 @@ from pinchflow.constants import (
     c_n,
     d_lower_bound,
     kappa_n,
-    kato_background_constant,
     pinching_Q,
     pinching_f,
     space_form_d_lower,
@@ -240,23 +239,3 @@ class TestPinchingConstantsValidation:
         kwargs = {"c": 1 / 6, "d": 40.0, "regime": regime, name: value}
         with pytest.raises(InvalidConstants, match=f"^{name} must be a finite number"):
             PinchingConstants(Dims(8, 2), **kwargs)
-
-
-def test_kato_background_constant():
-    assert kato_background_constant(8, 2.0) == pytest.approx(
-        8**4 * 2 / (2 * 7 * 17), rel=1e-15
-    )
-    with pytest.raises(InvalidConstants):
-        kato_background_constant(8, 0.0)
-
-
-def test_kato_background_constant_dominates_w_bound():
-    # when every entry of w is bounded by n (K1 + K2) / 2 and the free
-    # parameter is at least the codimension, the w-term coefficient
-    # 2n/((n-1)(2n+1)) |w|^2 stays below C(n, d) (K1 + K2)^2
-    for n in (5, 8, 12):
-        for m in (1, 2, 4):
-            K = 1.3
-            w_norm2_max = n * m * (n * K / 2) ** 2
-            lhs = 2 * n / ((n - 1) * (2 * n + 1)) * w_norm2_max
-            assert lhs <= kato_background_constant(n, m) * K**2 * (1 + 1e-12)

@@ -13,11 +13,11 @@ from pinchflow.forms import (
     normal_curvature,
     principal_decompose,
 )
+from pinchflow.lemmas import reaction_checks
 from pinchflow.reaction import (
     boundary_reaction_bound,
     cc_reaction_upper_bound,
     gram_norm2,
-    lemma43_lower_bound,
     r1,
     r2,
     reaction_gap,
@@ -112,22 +112,23 @@ class TestReactionGap:
 
 
 class TestLemma43:
+    # lemma 4.3's lower bound for the reaction terms of f is the estimate 4.12
+    # multiplied by f / |A^-|^2, so it is checked as 4.12
+
     def test_umbilic_lhs_zero(self):
         A = sphere_form()
         dec = principal_decompose(A)
-        rep = lemma43_lower_bound(dec, 2 / 3, 1 / 6, 0.0)
-        assert rep.lhs_bound == pytest.approx(0.0, abs=1e-12)
-        assert rep.slack >= 0.0
+        chk = reaction_checks(["4.12"], dec, 1 / 6, 0.0)[0]
+        assert chk.lhs == pytest.approx(0.0, abs=1e-12)
+        assert chk.slack >= 0.0
 
     def test_random_pinched(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             A = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.5)
             dec = principal_decompose(A)
-            H = mean_curvature(A)
-            f = (1 / 6) * H.norm2 - dec.a2 - 0.5
-            rep = lemma43_lower_bound(dec, f, 1 / 6, 0.5)
-            assert rep.slack >= -1e-9 * max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
+            chk = reaction_checks(["4.12"], dec, 1 / 6, 0.5)[0]
+            assert chk.slack >= -1e-9 * max(1.0, abs(chk.lhs), abs(chk.rhs))
 
     def test_boundary_approach(self):
         # shrink f towards 0 by scaling |H| down along a fixed shape
@@ -143,22 +144,19 @@ class TestLemma43:
             H = mean_curvature(A)
             f = (1 / 6) * H.norm2 - dec.a2 - 1.0
             assert f > 0
-            rep = lemma43_lower_bound(dec, f, 1 / 6, 1.0)
-            assert rep.slack >= -1e-9 * max(1.0, abs(rep.rhs_bound))
+            chk = reaction_checks(["4.12"], dec, 1 / 6, 1.0)[0]
+            assert chk.slack >= -1e-9 * max(1.0, abs(chk.rhs))
 
     def test_not_pinched(self):
+        # d beyond c |H|^2 - |A|^2 leaves f < 0
         A = sphere_form()
         with pytest.raises(NotPinched):
-            lemma43_lower_bound(
-                principal_decompose(A), -1.0, 1 / 6, 0.0
-            )
+            reaction_checks(["4.12"], principal_decompose(A), 1 / 6, 1.0)
 
     def test_bad_constants(self):
         A = sphere_form()
         with pytest.raises(InvalidConstants):
-            lemma43_lower_bound(
-                principal_decompose(A), 1.0, 0.5, 0.0
-            )
+            reaction_checks(["4.12"], principal_decompose(A), 0.5, 0.0)
 
 
 class TestBoundaryBound:
@@ -254,8 +252,7 @@ class TestScaleCovariance:
             "r2": r2(A, H),
             "gap": reaction_gap(A, H, rp, 1 / 6),
         }
-        f = (1 / 6) * H.norm2 - dec.a2
-        base["l43"] = lemma43_lower_bound(dec, f, 1 / 6, 0.0).slack
+        base["4.12"] = reaction_checks(["4.12"], dec, 1 / 6, 0.0)[0].slack
         for lam in (0.5, 2.0):
             As = A.scaled(lam)
             Hs = mean_curvature(As)
@@ -266,9 +263,8 @@ class TestScaleCovariance:
             assert reaction_gap(As, Hs, rps, 1 / 6) == pytest.approx(
                 lam**4 * base["gap"], rel=1e-10, abs=1e-12
             )
-            fs = (1 / 6) * Hs.norm2 - decs.a2
-            assert lemma43_lower_bound(decs, fs, 1 / 6, 0.0).slack == pytest.approx(
-                lam**4 * base["l43"], rel=1e-9, abs=1e-11
+            assert reaction_checks(["4.12"], decs, 1 / 6, 0.0)[0].slack == pytest.approx(
+                lam**4 * base["4.12"], rel=1e-9, abs=1e-11
             )
 
     def test_cc_scaling_with_background(self):

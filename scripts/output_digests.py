@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output of a fixed set of CLI runs.
+
+The runs write into a temporary directory:
+
+- ``verify`` of the li, kato, reaction, gradient and all suites at n=8,
+  m=3, and of li at n=2 and n=4, each at seeds 1 and 7;
+- ``simulate`` of the four flow families;
+- one ``rescale`` of the product series.
+
+Each file they leave, reports and counterexample files alike, gets one
+``sha256  name`` line, so checking that a change keeps every output is a
+diff of two runs, one in each checkout:
+
+    python scripts/output_digests.py > digests.txt
+
+No digest is pinned: BLAS builds round differently.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# digest the code of the checkout this script is in, whatever is installed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pinchflow import cli  # noqa: E402
+
+# (suite, n) of the verify runs, all at m=3
+VERIFY = [("li", 8), ("kato", 8), ("reaction", 8), ("gradient", 8), ("all", 8),
+          ("li", 2), ("li", 4)]
+SEEDS = (1, 7)
+TRIALS = 1500  # more than one block of 1024 substream states
+SIMULATE = {
+    "sphere": ["--params", "n=8,m=2,r=1"],
+    "cylinder": ["--params", "n=8,m=2,r=1"],
+    "product": ["--params", "p=7,q=1,a=1,b=4", "--t-end", "0.07"],
+    "hyperbolic": ["--params", "n=8,m=2,r=1,kbar=-1"],
+}
+
+
+def runs(out: str) -> list[list[str]]:
+    """The argument lists of every run, writing into ``out``."""
+    argvs = [
+        ["verify", "--suite", suite, "--n", str(n), "--m", "3", "--trials", str(TRIALS),
+         "--seed", str(seed), "--out", os.path.join(out, f"verify_{suite}_n{n}_s{seed}.json")]
+        for suite, n in VERIFY for seed in SEEDS
+    ]
+    argvs += [
+        ["simulate", "--family", family, *params, "--dt", "1e-4",
+         "--out", os.path.join(out, f"simulate_{family}.csv")]
+        for family, params in SIMULATE.items()
+    ]
+    argvs.append(["rescale", "--in", os.path.join(out, "simulate_product.csv"),
+                  "--base-row", "120", "--out", os.path.join(out, "rescale_product.csv")])
+    return argvs
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as out:
+        for argv in runs(out):
+            if cli.main(argv) not in (0, 1):  # 1 is a violation, still an output
+                sys.exit(f"pinchflow {' '.join(argv)} failed")
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -62,7 +62,7 @@ class CheckResult:
     lemma_id: str
     trials: int
     violations: int
-    worst_slack: float
+    worst_slack: float | None  # None when the least slack is not finite
     worst_input_digest: str
     seed: int
 
@@ -418,7 +418,7 @@ def run_campaign(
             lemma_id=lem,
             trials=trials,
             violations=stats[lem]["violations"],
-            worst_slack=float(stats[lem]["worst"]),
+            worst_slack=float(stats[lem]["worst"]) if np.isfinite(stats[lem]["worst"]) else None,
             worst_input_digest=digests.get(stats[lem]["trial"], ""),
             seed=spec.seed,
         )

@@ -62,11 +62,15 @@ def _default_c(n: int) -> float:
     return float(c_n(n, "general"))
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
-    for name in ("c", "K1", "K2", "L", "Kbar"):
+def _require_finite(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
+
+
+def cmd_constants(args: argparse.Namespace) -> int:
+    _require_finite(args, "c", "K1", "K2", "L", "Kbar")
     n, m = args.n, args.m
     regime = "general" if args.regime == "general" else "codim_estimate"
     c = c_n(n, regime) if args.c is None else args.c
@@ -94,6 +98,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
+    _require_finite(args, "delta", "eta", "eps0")
     seed = _resolve_seed(args.seed)
     ids = SUITES[args.suite]
     # inequalities of matrices alone need no pinched form and no coefficient
@@ -122,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "results": [r.to_json_dict() for r in results],
     }
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

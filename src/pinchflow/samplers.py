@@ -5,10 +5,10 @@ so a campaign reproduces bit-identically from (seed, spec) regardless of
 which lemmas are being checked.  A chunk of trials is drawn at once from the
 same substreams: :func:`substream_states` runs NumPy's seed hash over a
 vector of trial numbers, and a :class:`Substreams` keeps those states with
-their trials, re-seeds one generator for each trial in turn and slices
-without hashing again, so a campaign hashes a block of trials once and draws
-its chunks from slices.  The samplers take one generator, or one generator
-per trial and then stack the draws along a leading axis.  Constrained
+their trials, hands each trial's state to NumPy's own PCG64 seeding and
+slices without hashing again, so a campaign hashes a block of trials once
+and draws its chunks from slices.  The samplers take one generator, or one
+generator per trial and then stack the draws along a leading axis.  Constrained
 distributions are produced by rejection plus exact radial rescaling: norm
 constraints are radial, so a single multiplicative factor lands on them to
 machine precision.
@@ -41,14 +41,12 @@ TAG_MATRICES = 1
 TAG_GRADIENT = 2
 TAG_W = 3
 
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx, NEP 19) and the
-# PCG64 seeding of default_rng, with their constants
+# the constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx, NEP 19)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -172,20 +170,34 @@ def substream_states(seed: int, trials: Sequence[int], tag: int) -> np.ndarray:
     return states
 
 
+@dataclass
+class _KnownState(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one trial: its :func:`substream_states` row is the
+    ``generate_state(4, np.uint64)`` that ``default_rng`` seeds PCG64 from."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"only generate_state(4, uint64) is known, got ({n_words}, {dtype})")
+        return self.state
+
+
 class Substreams:
     """The substream generators of a sequence of trials, in turn.
 
-    One generator is re-seeded for each trial from its
-    :func:`substream_states` row, so draw from it before taking the next.
-    ``streams[a:b]`` is the substreams of ``trials[a:b]``, with their states
-    sliced rather than hashed again.
+    Each trial's PCG64 is seeded by NumPy from its :func:`substream_states`
+    row, which PCG64 reads straight from the buffer, so the states are held
+    C-contiguous.  ``streams[a:b]`` is the substreams of ``trials[a:b]``,
+    with their states sliced rather than hashed again.
     """
 
     def __init__(
         self, seed: int, trials: Sequence[int], tag: int, states: np.ndarray | None = None
     ) -> None:
         self.seed, self.trials, self.tag = seed, trials, tag
-        self.states = substream_states(seed, trials, tag) if states is None else states
+        states = substream_states(seed, trials, tag) if states is None else states
+        self.states = np.ascontiguousarray(states, dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -194,20 +206,8 @@ class Substreams:
         return Substreams(self.seed, self.trials[index], self.tag, self.states[index])
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        bitgen = np.random.PCG64()
-        rng = np.random.Generator(bitgen)
-        for s_high, s_low, i_high, i_low in self.states.tolist():
-            # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from
-            # state 0 with the seed added in between
-            inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-            state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        for state in self.states:
+            yield np.random.Generator(np.random.PCG64(_KnownState(state)))
 
 
 # what the samplers draw from: one generator, or the substreams of a chunk
@@ -222,25 +222,27 @@ def trial_rngs(seed: int, trials: int | Sequence[int], tag: int = TAG_FORM) -> R
     return Substreams(seed, trials, tag)
 
 
-def _normals(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of ``shape`` from one generator, or from each of the
-    substreams, stacked along a leading axis."""
+def _normals(rng: Rng, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
+    """Normals of ``shape`` and scale ``sigma`` from one generator, or from
+    each of the substreams, stacked along a leading axis."""
     if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    out = np.empty((len(rng), *shape))
-    for row, r in zip(out, rng):
-        r.standard_normal(out=row)
+        out = rng.standard_normal(shape)
+    else:
+        out = np.empty((len(rng), *shape))
+        for row, r in zip(out, rng):
+            r.standard_normal(out=row)
+    if sigma != 1.0:
+        out *= sigma  # in place: a chunk of derivative tensors is large
     return out
 
 
 def symmetric_gaussian(rng: Rng, dims: Dims, sigma: float = 1.0) -> SecondFundamentalForm:
-    raw = sigma * _normals(rng, (dims.m, dims.n, dims.n))
-    return symmetrize(raw)
+    return symmetrize(_normals(rng, (dims.m, dims.n, dims.n), sigma))
 
 
 def symmetric_matrices(rng: Rng, n: int, count: int, sigma: float = 1.0) -> np.ndarray:
     """``count`` independent symmetric n x n Gaussian matrices, (..., count, n, n)."""
-    raw = sigma * _normals(rng, (count, n, n))
+    raw = _normals(rng, (count, n, n), sigma)
     return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
@@ -264,7 +266,7 @@ def pinched_attempt(
     pert = 0.5 * (pert + pert.swapaxes(-1, -2))
     pert = pert / dot_norm(pert.reshape(*lead, m * n * n))[..., None, None, None]
     tau = u * s
-    A = symmetrize(base + tau[..., None, None, None] * pert)
+    A = SecondFundamentalForm(dims, base + tau[..., None, None, None] * pert)
     return A, c * mean_curvature(A).norm2 - A.norm2 - d > 0
 
 
@@ -356,9 +358,7 @@ def sample_form(spec: SamplerSpec, trials: int | Sequence[int] | Rng) -> SecondF
 
 def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
     """Gaussian (..., m, n, n, n) tensor symmetrized over its tangent indices."""
-    raw = _normals(rng, (dims.m, dims.n, dims.n, dims.n))
-    if sigma != 1.0:
-        raw *= sigma  # in place: a chunk of these tensors is large
+    raw = _normals(rng, (dims.m, dims.n, dims.n, dims.n), sigma)
     lead = raw.ndim - 3
     p0, p1, *rest = (raw.transpose(*range(lead), *perm)
                      for perm in itertools.permutations(range(lead, lead + 3)))
@@ -390,4 +390,4 @@ def kato_e_tensor(
 
 
 def sample_w(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
-    return sigma * _normals(rng, (dims.m, dims.n))
+    return _normals(rng, (dims.m, dims.n), sigma)

@@ -179,7 +179,21 @@ class TestViolationPath:
 
         monkeypatch.setattr(pinchflow.lemmas, "check_li", nan_li)
         spec = SamplerSpec(Dims(3, 2), "gaussian", seed=5)
-        assert run_campaign(spec, ["li"], 5)[0].violations == 5
+        (result,) = run_campaign(spec, ["li"], 5)
+        assert result.violations == 5
+        # no slack is the worst: null in the report, not Infinity
+        assert result.worst_slack is None and result.worst_input_digest == ""
+
+    def test_infinite_worst_slack_is_null(self, monkeypatch):
+        def overflowed_li(matrices):
+            lhs = np.full(np.shape(matrices)[:-3], np.inf)
+            return InequalityCheck("li", lhs, np.zeros_like(lhs))
+
+        monkeypatch.setattr(pinchflow.lemmas, "check_li", overflowed_li)
+        spec = SamplerSpec(Dims(3, 2), "gaussian", seed=5)
+        (result,) = run_campaign(spec, ["li"], 5)
+        assert result.worst_slack is None and result.worst_input_digest
+        json.dumps(result.to_json_dict(), allow_nan=False)
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)

@@ -3,11 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import pinchflow.cli as cli
+import pinchflow.lemmas as lemmas
 from pinchflow.campaign import CheckResult
 from pinchflow.flow import CSV_HEADER, read_csv
+from pinchflow.lemmas import InequalityCheck
 
 
 def run(capsys, *argv):
@@ -126,12 +129,34 @@ class TestVerify:
         ("gradient", "--d", "-0.5", "d"),
         ("all", "--d", "-1", "d"),
         ("li", "--sigma", "inf", "sigma"),
+        # an option the suite does not read still lands in the report
+        ("li", "--delta", "nan", "delta"),
+        ("reaction", "--eta", "inf", "eta"),
+        ("gradient", "--eps0", "nan", "eps0"),
     ])
     def test_bad_constant_names_itself(self, capsys, suite, flag, value, name):
         code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "5",
                              "--seed", "1", "--n", "8", "--m", "3", flag, value)
         assert code == 2
         assert out == "" and f"error: {name} must be" in err
+
+    def test_report_is_strict_json(self, capsys, monkeypatch, tmp_path):
+        # every slack NaN: there is no worst slack, and the report says null
+        # rather than Infinity; the counterexamples go to the working directory
+        monkeypatch.chdir(tmp_path)
+        def nan_li(matrices):
+            nan = np.full(np.shape(matrices)[:-3], np.nan)
+            return InequalityCheck("li", nan, nan)
+
+        def refuse(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        monkeypatch.setattr(lemmas, "check_li", nan_li)
+        code, out, _ = run(capsys, "verify", "--suite", "li", "--trials", "5",
+                           "--seed", "1", "--n", "2", "--m", "2")
+        assert code == 1
+        (entry,) = json.loads(out, parse_constant=refuse)["results"]
+        assert entry["violations"] == 5 and entry["worst_slack"] is None
 
     def test_reaction_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "reaction", "--trials", "50",

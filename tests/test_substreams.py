@@ -3,7 +3,8 @@
 A campaign draws a chunk of trials at once, each trial still from its own
 ``default_rng((seed, trial, tag))`` substream: ``substream_states`` runs
 NumPy's seed hash over the trial numbers of a block of chunks, and a slice
-of the block's ``Substreams`` re-seeds one generator per trial of a chunk.
+of the block's ``Substreams`` seeds one PCG64 per trial of a chunk through
+NumPy's own seeding.
 Every state, draw and sampled array of a chunk must equal the per-trial
 ``trial_rng`` path bit for bit, pinched forms included: they must equal the
 rejection sampler as written one draw at a time.
@@ -81,6 +82,41 @@ def test_slices_match_trial_rng(seed, tag):
             assert rng.random() == ref.random()
             drawn += 1
         assert drawn == len(part) == len(trials[index])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64])
+@pytest.mark.parametrize("layout", ["C", "F", "step"])
+def test_every_generator_has_the_trial_rng_state(seed, layout):
+    # PCG64 reads its four seed words straight from the buffer, so a states
+    # array of any layout must reach it as contiguous rows
+    trials = [*range(3, 3 + CHUNK), 2**32 - 1, 2**32, 2**40 + 7]
+    states = substream_states(seed, trials, TAG_MATRICES)
+    if layout == "F":
+        states = np.asfortranarray(states)
+    streams = Substreams(seed, trials, TAG_MATRICES, states)
+    if layout == "step":
+        trials, streams = trials[::3], streams[::3]
+    got = [rng.bit_generator.state for rng in streams]
+    assert got == [trial_rng(seed, t, TAG_MATRICES).bit_generator.state for t in trials]
+
+
+def test_yielded_generators_are_independent():
+    streams = iter(Substreams(4, range(10, 12), TAG_FORM))
+    first = next(streams)
+    first.standard_normal(5)
+    second = next(streams)
+    first.standard_normal(5)  # after the next trial's generator is taken
+    assert np.array_equal(second.standard_normal(9),
+                          trial_rng(4, 11, TAG_FORM).standard_normal(9))
+
+
+@pytest.mark.parametrize("words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                          (3, np.uint64), (4, np.int64)])
+def test_known_state_refuses_other_requests(words, dtype):
+    seq = samplers._KnownState(substream_states(1, [0], TAG_FORM)[0])
+    assert np.array_equal(seq.generate_state(4, np.uint64), seq.generate_state(4, "uint64"))
+    with pytest.raises(ValueError, match="only generate_state"):
+        seq.generate_state(words, dtype)
 
 
 def test_campaign_hashes_once_per_block(monkeypatch):

@@ -4,7 +4,9 @@
 The runs write into a temporary directory:
 
 - ``verify`` of the li, kato, reaction, gradient and all suites at n=8,
-  m=3, and of li at n=2 and n=4, each at seeds 1 and 7;
+  m=3, of li at n=2 and n=4 (m=3) and at n=2, m=2, and of reaction and kato
+  at n=5, m=2, each at seeds 1 and 7; away from n=8, m=3 campaigns run in
+  chunks of more than 32 trials;
 - ``simulate`` of the four flow families;
 - one ``rescale`` of the product series.
 
@@ -28,9 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pinchflow import cli  # noqa: E402
 
-# (suite, n) of the verify runs, all at m=3
-VERIFY = [("li", 8), ("kato", 8), ("reaction", 8), ("gradient", 8), ("all", 8),
-          ("li", 2), ("li", 4)]
+# (suite, n, m) of the verify runs
+VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), ("all", 8, 3),
+          ("li", 2, 3), ("li", 4, 3), ("li", 2, 2), ("reaction", 5, 2), ("kato", 5, 2)]
 SEEDS = (1, 7)
 TRIALS = 1500  # more than one block of 1024 substream states
 SIMULATE = {
@@ -44,9 +46,10 @@ SIMULATE = {
 def runs(out: str) -> list[list[str]]:
     """The argument lists of every run, writing into ``out``."""
     argvs = [
-        ["verify", "--suite", suite, "--n", str(n), "--m", "3", "--trials", str(TRIALS),
-         "--seed", str(seed), "--out", os.path.join(out, f"verify_{suite}_n{n}_s{seed}.json")]
-        for suite, n in VERIFY for seed in SEEDS
+        ["verify", "--suite", suite, "--n", str(n), "--m", str(m), "--trials", str(TRIALS),
+         "--seed", str(seed),
+         "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s{seed}.json")]
+        for suite, n, m in VERIFY for seed in SEEDS
     ]
     argvs += [
         ["simulate", "--family", family, *params, "--dt", "1e-4",

@@ -2,17 +2,21 @@
 
 A campaign draws ``trials`` independent samples from per-trial substreams of
 (seed, trial, input-kind) and evaluates a set of inequalities on each.  It
-samples and evaluates chunks of ``CHUNK`` trials stacked along a leading
-axis; when an inequality reads a derivative tensor, all of them run on
-slices of ``DERIVATIVE_SLICE`` trials of a chunk, which bounds the memory
-of the (m, n, n, n) temporaries.  The substream states of each input kind
-are hashed once per block of ``BLOCK`` trials, and every chunk of the block
-draws from slices of them, so the hash is paid per block and its memory
-does not grow with the campaign.  A trial violates an inequality unless
-slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation.  On
-violation the offending inputs are halved while the violation persists and
-the shrunk witness is written to a replayable JSON file (all entries as
-decimal strings with 17 significant digits).
+samples and evaluates chunks of trials stacked along a leading axis, and
+sizes them by the bytes they stack (:func:`chunk_size`): the largest power
+of two whose widest per-trial stack stays within ``STACK_BUDGET`` float64
+values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``.  When an
+inequality reads a derivative tensor, all of them run on slices of a chunk
+sized by the same budget (:func:`derivative_slice`, at least 8 trials),
+which bounds the memory of the (m, n, n, n) temporaries.  The substream
+states of each input kind are hashed once per block of ``BLOCK`` trials,
+and every chunk of the block draws from slices of them, so the hash is paid
+per block and its memory does not grow with the campaign.  A trial violates
+an inequality unless slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack
+is a violation, and so is a slack of -inf.  On violation the offending
+inputs are halved while the violation persists and the shrunk witness is
+written to a replayable JSON file (all entries as decimal strings with 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ from .samplers import (
 
 DEFAULT_TOL = 1e-9
 MAX_SHRINK_STEPS = 64
-# trials per kato/gradient evaluation: a whole chunk's derivative temporaries
-# raise the peak memory of a campaign by about 6% and run no faster
-DERIVATIVE_SLICE = CHUNK // 4
 # trials whose substream states are hashed at once: 32 KB of states per kind
 BLOCK = CHUNK * CHUNK
+# float64 values the widest stack of a chunk or derivative slice may hold:
+# 128 KB, glibc's default mmap threshold
+STACK_BUDGET = 2**14
 # the substream tag of each sampled input kind; "boundary" rescales the form
 _KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
 
@@ -180,6 +184,32 @@ def _needed_kinds(lemma_ids: Sequence[str]) -> set[str]:
     return set().union(*(lemmas.LEMMAS[lemma_id].kinds for lemma_id in lemma_ids))
 
 
+def _within_budget(width: int) -> int:
+    """The largest power of two p with p * width <= STACK_BUDGET, or 1."""
+    return 1 << max(0, (STACK_BUDGET // width).bit_length() - 1)
+
+
+def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
+    """Trials a campaign of ``lemma_ids`` samples and evaluates together.
+
+    The widest per-trial stack is the (m, n, n, n) tensor for an id that
+    reads a derivative sample, else the (k, k, n, n) commutator stack, at
+    most (m n)^2 values.  A chunk keeps it within ``STACK_BUDGET`` but holds
+    at least ``CHUNK`` and at most ``BLOCK`` trials, so it divides a block.
+    """
+    m, n = dims.m, dims.n
+    width = max(m * n**3 if "grad" in lemmas.LEMMAS[lemma_id].kinds else (m * n) ** 2
+                for lemma_id in lemma_ids)
+    return min(BLOCK, max(CHUNK, _within_budget(width)))
+
+
+def derivative_slice(dims: Dims, lemma_ids: Iterable[str]) -> int:
+    """Trials per evaluation unit of a chunk when an id reads a derivative
+    tensor: at least 8, no more than the chunk, and within ``STACK_BUDGET``
+    for the (m, n, n, n) tensors when it can be."""
+    return min(chunk_size(dims, lemma_ids), max(8, _within_budget(dims.m * dims.n**3)))
+
+
 def _streams(seed: int, trials: int | Sequence[int], kinds: set[str]) -> dict[str, Rng]:
     """The substreams of one trial or of a sequence of trials, by input kind."""
     return {kind: trial_rngs(seed, trials, tag)
@@ -187,15 +217,16 @@ def _streams(seed: int, trials: int | Sequence[int], kinds: set[str]) -> dict[st
 
 
 def _chunk_streams(
-    seed: int, trials: int, kinds: set[str]
+    seed: int, trials: int, kinds: set[str], chunk: int
 ) -> Iterator[tuple[int, dict[str, Rng]]]:
-    """The first trial and the substreams by kind of every chunk of a
-    campaign; the states are hashed once per block of ``BLOCK`` trials."""
+    """The first trial and the substreams by kind of every chunk of
+    ``chunk`` trials of a campaign (a divisor of ``BLOCK``); the states are
+    hashed once per block of ``BLOCK`` trials."""
     for block in range(0, trials, BLOCK):
         streams = _streams(seed, range(block, min(block + BLOCK, trials)), kinds)
-        for offset in range(0, min(BLOCK, trials - block), CHUNK):
+        for offset in range(0, min(BLOCK, trials - block), chunk):
             yield block + offset, {
-                kind: s[offset:offset + CHUNK] for kind, s in streams.items()
+                kind: s[offset:offset + chunk] for kind, s in streams.items()
             }
         del streams  # one block of states at a time
 
@@ -250,6 +281,19 @@ class _Unit:
         return gradient_sample(self.decomp, self.inputs.grad_tensor)
 
 
+@functools.cache
+def _plan(lemma_ids: tuple[str, ...], dims: Dims) -> tuple[tuple, int | None]:
+    """The lemma groups that ``lemma_ids`` run, each with its requested ids,
+    and the trials of each evaluation unit (None: the whole chunk), found
+    once per id list."""
+    kinds = _needed_kinds(lemma_ids)
+    groups = tuple(
+        (evaluate, ids) for evaluate in lemmas.GROUPS
+        if (ids := tuple(i for i in lemma_ids if lemmas.LEMMAS[i].evaluate is evaluate))
+    )
+    return groups, derivative_slice(dims, lemma_ids) if "grad" in kinds else None
+
+
 def evaluate_trial(
     lemma_ids: Sequence[str],
     chunk: TrialInputs,
@@ -261,26 +305,21 @@ def evaluate_trial(
     ``chunk`` holds the inputs stacked along a leading axis; each check holds
     one lhs and rhs per trial, in the order of ``lemma_ids``.  Each group of
     the lemma table runs once per evaluation unit (the whole chunk, or slices
-    of ``DERIVATIVE_SLICE`` trials when an id reads a derivative tensor),
+    of :func:`derivative_slice` trials when an id reads a derivative tensor),
     which splits each of its forms once and builds one derivative sample.
     """
-    kinds = _needed_kinds(lemma_ids)
-    groups = [
-        (evaluate, [i for i in lemma_ids if lemmas.LEMMAS[i].evaluate is evaluate])
-        for evaluate in lemmas.GROUPS
-    ]
+    groups, slice_trials = _plan(tuple(lemma_ids), chunk.dims)
     units: Iterable[TrialInputs] = [chunk]
-    if "grad" in kinds:  # each slice copied only when it is evaluated
-        units = (
-            chunk.trial(slice(start, start + DERIVATIVE_SLICE))
-            for start in range(0, len(chunk.form.components), DERIVATIVE_SLICE)
+    if slice_trials is not None and slice_trials < len(chunk.grad_tensor):
+        units = (  # each slice copied only when it is evaluated
+            chunk.trial(slice(start, start + slice_trials))
+            for start in range(0, len(chunk.grad_tensor), slice_trials)
         )
     per_unit = []
     for inputs in units:
         unit, checks = _Unit(inputs, d_boundary), {}
         for evaluate, ids in groups:
-            if ids:
-                checks.update(zip(ids, evaluate(ids, unit, config)))
+            checks.update(zip(ids, evaluate(ids, unit, config)))
         per_unit.append([checks[lemma_id] for lemma_id in lemma_ids])
         del unit  # its points are freed before the next slice is copied
     if len(per_unit) == 1:
@@ -296,7 +335,9 @@ def evaluate_trial(
 
 
 def _violated(check: lemmas.InequalityCheck, tol: float) -> np.ndarray:
-    return ~(check.slack >= -tol * check.scale)
+    # an lhs of +inf over a finite rhs has scale inf: its -inf slack would
+    # otherwise meet the bound -inf
+    return ~(check.slack >= -tol * check.scale) | (check.slack == -np.inf)
 
 
 def _shrink(
@@ -380,11 +421,12 @@ def run_campaign(
     if config is None:
         config = CampaignConfig(c=spec.c, d=spec.d)
     kinds = _needed_kinds(lemma_ids)
+    chunk_trials = chunk_size(spec.dims, lemma_ids)
     d_boundary = spec.d if spec.d > 0 else 1.0
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
-    for start, streams in _chunk_streams(spec.seed, trials, kinds):
+    for start, streams in _chunk_streams(spec.seed, trials, kinds, chunk_trials):
         chunk = sample_trial_inputs(spec, streams, kinds)
         for check in evaluate_trial(lemma_ids, chunk, config, d_boundary):
             st = stats[check.lemma_id]

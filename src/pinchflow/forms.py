@@ -27,8 +27,9 @@ import numpy as np
 from .errors import DegenerateMeanCurvature, InvalidSample
 
 MAX_DIM = 16
-# trials a campaign evaluates together (larger chunks cost more memory than
-# they save time), and the smallest block of flow states simulate evaluates
+# the fewest trials a campaign evaluates together (campaign.chunk_size grows a
+# chunk of small matrices up to a byte budget), and the smallest block of flow
+# states simulate evaluates
 CHUNK = 32
 TOL_H = 1e-12
 TOL_CODAZZI = 1e-9

@@ -22,6 +22,7 @@ and a precondition such as f > 0 must hold at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ class InequalityCheck:
     lhs: float | np.ndarray
     rhs: float | np.ndarray
 
-    @property
+    @cached_property  # a campaign reads it for the worst trial and the verdict
     def slack(self) -> float | np.ndarray:
         return self.rhs - self.lhs
 

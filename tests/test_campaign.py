@@ -14,6 +14,7 @@ from pinchflow.campaign import (
     _decode_array,
     _encode_array,
     _needed_kinds,
+    _violated,
     evaluate_trial,
     load_counterexample,
     run_campaign,
@@ -194,6 +195,23 @@ class TestViolationPath:
         (result,) = run_campaign(spec, ["li"], 5)
         assert result.worst_slack is None and result.worst_input_digest
         json.dumps(result.to_json_dict(), allow_nan=False)
+
+    def test_infinitely_exceeded_bound_is_a_violation(self):
+        # lhs = +inf over a finite rhs: slack -inf and scale inf, whose bound
+        # -tol * scale is -inf as well; +inf slack still holds
+        chk = InequalityCheck("li", np.array([np.inf, 2.0, 0.0, 1.0]),
+                              np.array([0.0, 1.0, np.inf, 1.0]))
+        assert _violated(chk, 1e-9).tolist() == [True, True, False, False]
+
+    def test_overflowed_lhs_counts_every_trial(self, monkeypatch):
+        def overflowed_li(matrices):
+            lhs = np.full(np.shape(matrices)[:-3], np.inf)
+            return InequalityCheck("li", lhs, np.zeros_like(lhs))
+
+        monkeypatch.setattr(pinchflow.lemmas, "check_li", overflowed_li)
+        spec = SamplerSpec(Dims(3, 2), "gaussian", seed=5)
+        (result,) = run_campaign(spec, ["li"], 5)
+        assert result.violations == 5
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)

@@ -2,12 +2,14 @@
 
 ``evaluate_trial`` runs li, the flat reaction estimates and the boundary
 estimate once on a stacked chunk of trials, and the kato and gradient
-estimates on stacked slices of ``DERIVATIVE_SLICE`` trials.  Every chunked
-value must match the per-point evaluator on the trial alone to 1e-12 of the
-check's scale, and a chunked campaign, which draws its chunks from
-substreams hashed per block of ``BLOCK`` trials, must keep the inputs,
-violations and worst trial of a campaign sampled and evaluated one trial at
-a time.
+estimates on stacked slices of ``derivative_slice`` trials.  A campaign's
+chunk (``chunk_size``) and slice are the largest powers of two whose widest
+per-trial stack stays within ``STACK_BUDGET`` float64 values; at n=8, m=3
+they are ``CHUNK`` = 32 and 8 trials.  Every chunked value must match the
+per-point evaluator on the trial alone to 1e-12 of the check's scale, and a
+chunked campaign, which draws its chunks from substreams hashed per block
+of ``BLOCK`` trials, must keep the inputs, violations and worst trial of a
+campaign sampled and evaluated one trial at a time.
 """
 
 import itertools
@@ -21,10 +23,12 @@ from pinchflow.campaign import (
     BLOCK,
     CHUNK,
     DEFAULT_TOL,
-    DERIVATIVE_SLICE,
+    STACK_BUDGET,
     CampaignConfig,
     TrialInputs,
     _needed_kinds,
+    chunk_size,
+    derivative_slice,
     evaluate_trial,
     run_campaign,
     sample_trial_inputs,
@@ -66,6 +70,8 @@ BOUNDARY_IDS = ("li", "4.5", "4.6", "4.10", "boundary")
 
 PINCHED = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=41)
 ON_BOUNDARY = SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=43)
+# the trials of a derivative slice at n=8, m=3
+DERIVATIVE_SLICE = derivative_slice(PINCHED.dims, DERIVATIVE_IDS)
 
 
 def d_boundary(spec):
@@ -151,10 +157,9 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
     assert_chunk_matches_trials(ids, batch, config_of(spec, ids), d_boundary(spec))
 
 
-@pytest.mark.parametrize("spec, ids", SUITES)
-# BLOCK + 9 trials draw from two blocks of substreams
-@pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
-def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
+def campaign_chunks(spec, ids, trials, monkeypatch):
+    """The chunks a campaign samples, after checking that it keeps the
+    inputs, verdicts and worst trial of one trial at a time."""
     config = config_of(spec, ids)
     expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
     chunks, sample = [], campaign.sample_trial_inputs
@@ -169,11 +174,66 @@ def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch)
         assert res.violations == violations == 0
         assert res.worst_input_digest == digest
         assert abs(res.worst_slack - worst) <= REL * max(1.0, abs(worst))
-    assert len(chunks) == -(-trials // CHUNK)
     got = stacked(chunks)
     assert got.keys() == inputs.keys()
     for name, expected_array in inputs.items():
         assert np.array_equal(got[name], expected_array), name
+    return chunks
+
+
+@pytest.mark.parametrize("spec, ids", SUITES)
+# BLOCK + 9 trials draw from two blocks of substreams
+@pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
+def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
+    chunks = campaign_chunks(spec, ids, trials, monkeypatch)
+    assert len(chunks) == -(-trials // CHUNK)
+
+
+ALL_IDS = (*CHUNKED_IDS, *DERIVATIVE_IDS)
+RULE_IDS = [("li",), REACTION_IDS, KATO_IDS, GRADIENT_IDS, ALL_IDS]
+
+
+@pytest.mark.parametrize("ids", RULE_IDS)
+def test_chunk_and_slice_at_n8_m3(ids):
+    assert chunk_size(Dims(8, 3), ids) == CHUNK == 32
+    assert derivative_slice(Dims(8, 3), ids) == 8
+
+
+def is_power_of_two(k):
+    return k > 0 and k & (k - 1) == 0
+
+
+@pytest.mark.parametrize("ids", RULE_IDS)
+def test_chunk_and_slice_keep_the_budget(ids):
+    for n, m in itertools.product(range(2, 17), range(1, 17)):
+        dims = Dims(n, m)
+        derivative = m * n**3
+        width = derivative if set(ids) & set(DERIVATIVE_IDS) else (m * n) ** 2
+        if set(ids) & set(CHUNKED_IDS):
+            width = max(width, (m * n) ** 2)
+        chunk, piece = chunk_size(dims, ids), derivative_slice(dims, ids)
+        assert is_power_of_two(chunk) and BLOCK % chunk == 0 and chunk >= CHUNK, dims
+        assert chunk * width <= STACK_BUDGET or chunk == CHUNK, dims
+        assert 2 * chunk * width > STACK_BUDGET or chunk == BLOCK, dims
+        assert is_power_of_two(piece) and 8 <= piece <= chunk, dims
+        assert piece * derivative <= STACK_BUDGET or piece == 8, dims
+        assert 2 * piece * derivative > STACK_BUDGET or piece == chunk, dims
+
+
+GROWN = [
+    (SamplerSpec(Dims(2, 2), "gaussian", seed=73), ("li",), 1024),
+    (SamplerSpec(Dims(5, 2), "pinched", c=4 / 15, d=0.3, seed=79),
+     (*REACTION_IDS, "boundary"), 128),
+]
+
+
+@pytest.mark.parametrize("spec, ids, chunk", GROWN)
+def test_grown_chunks_keep_verdicts_and_worst_trial(spec, ids, chunk, monkeypatch):
+    assert chunk_size(spec.dims, ids) == chunk
+    trials = BLOCK + 9
+    chunks = campaign_chunks(spec, ids, trials, monkeypatch)
+    assert len(chunks) == BLOCK // chunk + 1
+    assert [len(next(b.arrays())[1]) for b in chunks] == [chunk] * (BLOCK // chunk) + [9]
 
 
 def test_li_equality_pair_in_a_chunk():

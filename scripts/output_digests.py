@@ -4,9 +4,10 @@
 The runs write into a temporary directory:
 
 - ``verify`` of the li, kato, reaction, gradient and all suites at n=8,
-  m=3, of li at n=2 and n=4 (m=3) and at n=2, m=2, and of reaction and kato
-  at n=5, m=2, each at seeds 1 and 7; away from n=8, m=3 campaigns run in
-  chunks of more than 32 trials;
+  m=3, of li at n=2 and n=4 (m=3) and at n=2, m=2, of reaction and kato
+  at n=5, m=2, and of gradient at n=6, m=2 (the case-2 default constants),
+  each at seeds 1 and 7; away from n=8, m=3 campaigns run in chunks of more
+  than 32 trials;
 - ``simulate`` of the four flow families;
 - one ``rescale`` of the product series.
 
@@ -32,7 +33,8 @@ from pinchflow import cli  # noqa: E402
 
 # (suite, n, m) of the verify runs
 VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), ("all", 8, 3),
-          ("li", 2, 3), ("li", 4, 3), ("li", 2, 2), ("reaction", 5, 2), ("kato", 5, 2)]
+          ("li", 2, 3), ("li", 4, 3), ("li", 2, 2), ("reaction", 5, 2), ("kato", 5, 2),
+          ("gradient", 6, 2)]
 SEEDS = (1, 7)
 TRIALS = 1500  # more than one block of 1024 substream states
 SIMULATE = {

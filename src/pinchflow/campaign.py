@@ -7,16 +7,18 @@ sizes them by the bytes they stack (:func:`chunk_size`): the largest power
 of two whose widest per-trial stack stays within ``STACK_BUDGET`` float64
 values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``.  When an
 inequality reads a derivative tensor, all of them run on slices of a chunk
-sized by the same budget (:func:`derivative_slice`, at least 8 trials),
-which bounds the memory of the (m, n, n, n) temporaries.  The substream
-states of each input kind are hashed once per block of ``BLOCK`` trials,
-and every chunk of the block draws from slices of them, so the hash is paid
-per block and its memory does not grow with the campaign.  A trial violates
-an inequality unless slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack
-is a violation, and so is a slack of -inf.  On violation the offending
-inputs are halved while the violation persists and the shrunk witness is
-written to a replayable JSON file (all entries as decimal strings with 17
-significant digits).
+sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
+each slice draws its own (m, n, n, n) tensors from its trials' substreams
+right before it is evaluated, so no more than a slice of them exists at
+once.  The substream states of each input kind are hashed once per block of
+``BLOCK`` trials, and every chunk of the block draws from slices of them, so
+the hash is paid per block and its memory does not grow with the campaign.
+A trial violates an inequality unless slack >= -tol * max(1, |lhs|, |rhs|),
+so a NaN slack is a violation, and so is a slack of -inf; the verdicts of
+every inequality on a chunk are judged in one pass.  On violation the
+offending inputs are halved while the violation persists and the shrunk
+witness is written to a replayable JSON file (all entries as decimal strings
+with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import lemmas
 from .errors import PinchflowError
-from .forms import CHUNK, Dims, SecondFundamentalForm, gradient_sample, principal_decompose
+from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, gradient_sample,
+                    principal_decompose)
 from .samplers import (
     TAG_FORM,
     TAG_GRADIENT,
@@ -52,9 +55,6 @@ DEFAULT_TOL = 1e-9
 MAX_SHRINK_STEPS = 64
 # trials whose substream states are hashed at once: 32 KB of states per kind
 BLOCK = CHUNK * CHUNK
-# float64 values the widest stack of a chunk or derivative slice may hold:
-# 128 KB, glibc's default mmap threshold
-STACK_BUDGET = 2**14
 # the substream tag of each sampled input kind; "boundary" rescales the form
 _KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
 
@@ -135,10 +135,17 @@ class TrialInputs:
             (name, np.array([f[name] for f in fields], dtype=np.float64)) for name in fields[0]
         ))
 
-    def trial(self, i: int | slice) -> "TrialInputs":
-        """Trial ``i`` of a chunk on its own, or the trials of a slice ``i``
-        as a smaller chunk, copied out of the chunk."""
-        return self.of_arrays(self.dims, ((name, a[i].copy()) for name, a in self.arrays()))
+    def trial(self, i: int | slice, draw: Callable[[slice], np.ndarray] | None = None
+              ) -> "TrialInputs":
+        """Trial ``i`` of a chunk on its own, copied out of the chunk, or the
+        trials of a slice ``i`` as a smaller chunk of views into it; ``draw``
+        gives the derivative tensors of a slice of a chunk that holds none."""
+        one = not isinstance(i, slice)
+        part = self.of_arrays(self.dims, ((name, a[i].copy() if one else a[i])
+                                          for name, a in self.arrays()))
+        if draw is not None:
+            part.grad_tensor = draw(slice(i, i + 1))[0] if one else draw(i)
+        return part
 
     def encode(self) -> dict:
         out: dict = {"dims": {"n": self.dims.n, "m": self.dims.m}}
@@ -299,6 +306,7 @@ def evaluate_trial(
     chunk: TrialInputs,
     config: CampaignConfig,
     d_boundary: float,
+    draw: Callable[[slice], np.ndarray] | None = None,
 ) -> list[lemmas.InequalityCheck]:
     """Evaluate every requested inequality on a chunk of trials.
 
@@ -307,21 +315,21 @@ def evaluate_trial(
     the lemma table runs once per evaluation unit (the whole chunk, or slices
     of :func:`derivative_slice` trials when an id reads a derivative tensor),
     which splits each of its forms once and builds one derivative sample.
+    A chunk that holds no derivative tensors takes ``draw``, which gives
+    those of a slice of its trials right before the slice is evaluated.
     """
     groups, slice_trials = _plan(tuple(lemma_ids), chunk.dims)
-    units: Iterable[TrialInputs] = [chunk]
-    if slice_trials is not None and slice_trials < len(chunk.grad_tensor):
-        units = (  # each slice copied only when it is evaluated
-            chunk.trial(slice(start, start + slice_trials))
-            for start in range(0, len(chunk.grad_tensor), slice_trials)
-        )
+    trials = len(next(chunk.arrays())[1])
     per_unit = []
-    for inputs in units:
+    for start in range(0, trials, slice_trials or trials):
+        # a slice's inputs are views of the chunk's, and its tensors its own
+        inputs = chunk if slice_trials is None else chunk.trial(
+            slice(start, start + slice_trials), draw)
         unit, checks = _Unit(inputs, d_boundary), {}
         for evaluate, ids in groups:
             checks.update(zip(ids, evaluate(ids, unit, config)))
         per_unit.append([checks[lemma_id] for lemma_id in lemma_ids])
-        del unit  # its points are freed before the next slice is copied
+        del unit, inputs  # its points and tensors are freed before the next slice is drawn
     if len(per_unit) == 1:
         return per_unit[0]
     return [
@@ -427,31 +435,37 @@ def run_campaign(
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
     for start, streams in _chunk_streams(spec.seed, trials, kinds, chunk_trials):
-        chunk = sample_trial_inputs(spec, streams, kinds)
-        for check in evaluate_trial(lemma_ids, chunk, config, d_boundary):
-            st = stats[check.lemma_id]
-            # the first least slack of the chunk; NaN is never the worst
-            slack = np.where(np.isnan(check.slack), np.inf, check.slack)
-            worst = int(np.argmin(slack))
-            if slack[worst] < st["worst"]:
-                st["worst"], st["trial"] = slack[worst], start + worst
+        chunk = sample_trial_inputs(spec, streams, kinds - {"grad"})
+        grad = streams.get("grad")  # each slice of the chunk draws its own tensors
+        draw = None if grad is None else lambda index: symmetric_three_tensor(
+            grad[index], spec.dims, spec.sigma)
+        checks = evaluate_trial(lemma_ids, chunk, config, d_boundary, draw)
+        # every id's verdicts as one (ids, trials) check
+        judged = lemmas.InequalityCheck("", np.array([chk.lhs for chk in checks]),
+                                        np.array([chk.rhs for chk in checks]))
+        # the first least slack of each id in the chunk; NaN is never the worst
+        slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
+        worst = np.argmin(slack, axis=1)
+        for lemma_id, i, least in zip(lemma_ids, worst.tolist(), slack.min(axis=1).tolist()):
+            st = stats[lemma_id]
+            if least < st["worst"]:
+                st["worst"], st["trial"] = least, start + i
                 if st["trial"] not in worst_inputs:
-                    worst_inputs[st["trial"]] = chunk.trial(worst)
-            for i in np.flatnonzero(_violated(check, tol)):
-                trial = start + int(i)
-                st["violations"] += 1
-                shrunk_inputs, shrunk_check = _shrink(
-                    check.lemma_id, chunk.trial(i), config, d_boundary, tol
+                    worst_inputs[st["trial"]] = chunk.trial(i, draw)
+        for k, i in zip(*np.nonzero(_violated(judged, tol))):
+            lemma_id, trial = lemma_ids[k], start + int(i)
+            stats[lemma_id]["violations"] += 1
+            shrunk_inputs, shrunk_check = _shrink(
+                lemma_id, chunk.trial(int(i), draw), config, d_boundary, tol
+            )
+            if counterexample_dir is not None:
+                os.makedirs(counterexample_dir, exist_ok=True)
+                name = f"counterexample_{lemma_id.replace('.', '_')}_{trial}.json"
+                write_counterexample(
+                    os.path.join(counterexample_dir, name),
+                    lemma_id, spec, config, trial, shrunk_inputs, shrunk_check,
                 )
-                if counterexample_dir is not None:
-                    os.makedirs(counterexample_dir, exist_ok=True)
-                    name = f"counterexample_{check.lemma_id.replace('.', '_')}_{trial}.json"
-                    write_counterexample(
-                        os.path.join(counterexample_dir, name),
-                        check.lemma_id, spec, config, trial,
-                        shrunk_inputs, shrunk_check,
-                    )
-        del chunk, streams  # free them before the next ones are drawn
+        del chunk, streams, grad, draw  # free them before the next ones are drawn
         kept = {st["trial"] for st in stats.values()}
         worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in kept}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}

@@ -58,10 +58,6 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return int(np.random.SeedSequence().entropy) % (2**63)
 
 
-def _default_c(n: int) -> float:
-    return float(c_n(n, "general"))
-
-
 def _require_finite(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
@@ -101,16 +97,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _require_finite(args, "delta", "eta", "eps0")
     seed = _resolve_seed(args.seed)
     ids = SUITES[args.suite]
-    # inequalities of matrices alone need no pinched form and no coefficient
-    reads_form = any("form" in lemmas.LEMMAS[i].kinds for i in ids)
-    c = args.c if args.c is not None else (_default_c(n) if reads_form else 0.0)
-    delta = args.delta if args.delta is not None else lemmas.default_delta(ids, n)
-    dist = "pinched" if reads_form else "gaussian"
+    c, delta, eps0 = lemmas.default_constants(ids, n, args.c, args.delta, args.eps0)
+    # inequalities of matrices alone need no pinched form
+    dist = "pinched" if any("form" in lemmas.LEMMAS[i].kinds for i in ids) else "gaussian"
     spec = SamplerSpec(
         dims=Dims(n, m), distribution=dist, sigma=args.sigma,
         c=c, d=args.d, seed=seed,
     )
-    config = CampaignConfig(c=c, d=args.d, delta=delta, eta=args.eta, eps0=args.eps0)
+    config = CampaignConfig(c=c, d=args.d, delta=delta, eta=args.eta, eps0=eps0)
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
     results = run_campaign(
         spec, ids, args.trials, tol=args.tol, config=config,
@@ -122,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "dims": {"n": n, "m": m},
         "constants": {
             "c": c, "d": args.d, "delta": delta,
-            "eta": args.eta, "eps0": args.eps0,
+            "eta": args.eta, "eps0": eps0,
         },
         "trials": args.trials,
         "results": [r.to_json_dict() for r in results],
@@ -186,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     family = _build_family(args.family, params)
     n = family.n
-    c = args.c if args.c is not None else _default_c(n)
+    c = args.c if args.c is not None else float(c_n(n, "general"))
     if args.family == "hyperbolic":
         d = args.d if args.d is not None else space_form_d_lower(n, c)
         constants = PinchingConstants(

@@ -147,7 +147,7 @@ class PinchingConstants:
             if self.d == lower and lower > 0:
                 warnings.warn(
                     "d equals its lower bound; preservation needs strict inequality",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         else:
             if self.Kbar < 0:
@@ -159,7 +159,7 @@ class PinchingConstants:
                 if self.d == lower:
                     warnings.warn(
                         "d equals 2n - 2/c; preservation needs strict inequality",
-                        stacklevel=2,
+                        stacklevel=3,
                     )
 
     @property

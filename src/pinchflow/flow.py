@@ -30,7 +30,8 @@ import numpy as np
 
 from .constants import PinchingConstants, pinching_Q, pinching_f
 from .errors import InvalidConstants, NonpositiveZ, PastBlowup
-from .forms import CHUNK, Dims, SecondFundamentalForm, mean_curvature, principal_decompose
+from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, mean_curvature,
+                    principal_decompose)
 from .reaction import r1, r2
 
 R_MIN = 1e-6
@@ -288,8 +289,8 @@ def simulate(
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
     The radii are integrated first, one ``step_rk4`` call per step; the
-    recorded states are then evaluated in blocks whose stacked forms take at
-    most 1 MB (never fewer than ``CHUNK`` states) and joined into one series.
+    recorded states are then evaluated in blocks whose forms hold at most
+    ``STACK_BUDGET`` values (never fewer than ``CHUNK`` states), then joined.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -316,7 +317,7 @@ def simulate(
         k += 1
         if k % every == 0:
             recorded.append(state)
-    block = max(CHUNK, 2**17 // (family.m * family.n**2))  # 2**17 float64 = 1 MB
+    block = max(CHUNK, STACK_BUDGET // (family.m * family.n**2))
     for start in range(0, len(recorded), block):
         parts.append(diagnostics(recorded[start:start + block], constants))
     return TimeSeries(*map(np.concatenate, zip(*(part.columns() for part in parts))))

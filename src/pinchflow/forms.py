@@ -31,6 +31,9 @@ MAX_DIM = 16
 # chunk of small matrices up to a byte budget), and the smallest block of flow
 # states simulate evaluates
 CHUNK = 32
+# float64 values the widest stack of a campaign chunk, a derivative slice or a
+# block of flow states may hold: 128 KB, glibc's default mmap threshold
+STACK_BUDGET = 2**14
 TOL_H = 1e-12
 TOL_CODAZZI = 1e-9
 

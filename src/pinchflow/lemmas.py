@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .constants import c_n
 from .errors import InvalidConstants, NotPinched
 from .forms import (
     GradientSample,
@@ -405,7 +406,26 @@ LEMMAS: dict[str, Lemma] = {
 }
 
 
-def default_delta(lemma_ids: Sequence[str], n: int) -> float:
-    """The case-1 gradient bound 1/(5n-8) when a gradient estimate is requested, else 1/2."""
+def default_constants(lemma_ids: Sequence[str], n: int, c: float | None = None,
+                      delta: float | None = None, eps0: float | None = None
+                      ) -> tuple[float, float, float | None]:
+    """The c, delta and eps0 of a campaign of ``lemma_ids`` at tangent
+    dimension n, each one not given (None) filled in.
+
+    c is min(4/(3n), 1/(n-2)) when an id reads a form, else 0, and delta is
+    the case-1 bound 1/(5n-8) when a gradient estimate is requested, else
+    1/2.  A gradient estimate at 5 <= n < 8 without eps0 takes the case-2
+    constants: eps0 = 0.005, c = 3(n+1)/(2n(n+2)) - eps0 and
+    delta = min(1/2, 2n(n+2) eps0/(3(n-1))).
+    """
     gradient = any(LEMMAS[lemma_id].suite == "gradient" for lemma_id in lemma_ids)
-    return 1.0 / (5 * n - 8) if gradient else 0.5
+    if gradient and 5 <= n < 8 and eps0 is None:
+        eps0 = 0.005
+        c = float(c_n(n, "codim_estimate")) - eps0 if c is None else c
+        delta = min(0.5, 2.0 * n * (n + 2) * eps0 / (3 * (n - 1))) if delta is None else delta
+    if c is None:
+        reads_form = any("form" in LEMMAS[lemma_id].kinds for lemma_id in lemma_ids)
+        c = float(c_n(n, "general")) if reads_form else 0.0
+    if delta is None:
+        delta = 1.0 / (5 * n - 8) if gradient else 0.5
+    return c, delta, eps0

@@ -213,6 +213,32 @@ class TestViolationPath:
         (result,) = run_campaign(spec, ["li"], 5)
         assert result.violations == 5
 
+    def test_kept_trials_draw_their_tensors_again(self, tmp_path, monkeypatch):
+        # a false kato.3.2 holds on every trial but the one with the largest
+        # derivative tensor, and again once that one is halved: its
+        # counterexample and worst-trial digest carry the tensor drawn again
+        # from the trial's substream, which must be the one sampled alone
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=23)
+        ids, trials = ["kato.3.1", "kato.3.2"], 67
+        alone = [sample_trial_inputs(spec, t, _needed_kinds(ids)) for t in range(trials)]
+        sizes = [np.sum(inputs.grad_tensor**2) for inputs in alone]
+        second, first = sorted(sizes)[-2:]
+        top = sizes.index(first)
+
+        def false_trace(grad, w):
+            size = np.sum(grad.tensor**2, axis=(-4, -3, -2, -1))
+            return InequalityCheck("kato.3.2", size, np.full_like(size, (first + second) / 2))
+
+        monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
+        results = run_campaign(spec, ids, trials, counterexample_dir=str(tmp_path))
+        assert [r.violations for r in results] == [0, 1]
+        assert results[1].worst_input_digest == alone[top].digest()
+        (path,) = tmp_path.iterdir()
+        assert path.name == f"counterexample_kato_3_2_{top}.json"
+        _, inputs, _ = load_counterexample(str(path))
+        for name, array in alone[top].arrays():
+            assert dict(inputs.arrays())[name].tobytes() == array.tobytes(), name
+
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)
         inputs = sample_trial_inputs(spec, 0, {"form", "grad", "w"})

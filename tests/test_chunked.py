@@ -8,7 +8,8 @@ per-trial stack stays within ``STACK_BUDGET`` float64 values; at n=8, m=3
 they are ``CHUNK`` = 32 and 8 trials.  Every chunked value must match the
 per-point evaluator on the trial alone to 1e-12 of the check's scale, and a
 chunked campaign, which draws its chunks from substreams hashed per block
-of ``BLOCK`` trials, must keep the inputs, violations and worst trial of a
+of ``BLOCK`` trials and the derivative tensors of each slice as the slice
+is evaluated, must keep the inputs, violations and worst trial of a
 campaign sampled and evaluated one trial at a time.
 """
 
@@ -158,35 +159,67 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
 
 
 def campaign_chunks(spec, ids, trials, monkeypatch):
-    """The chunks a campaign samples, after checking that it keeps the
-    inputs, verdicts and worst trial of one trial at a time."""
+    """The chunks a campaign samples and the trials of each derivative
+    tensor draw, after checking that it keeps the inputs, verdicts and worst
+    trial of one trial at a time."""
     config = config_of(spec, ids)
     expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
     chunks, sample = [], campaign.sample_trial_inputs
+    draws, tensors, draw = [], {}, campaign.symmetric_three_tensor
 
     def recorded(*args):
         chunks.append(sample(*args))
         return chunks[-1]
 
+    def drawn(streams, *args):
+        draws.append(len(streams))
+        out = draw(streams, *args)
+        for trial, tensor in zip(streams.trials, out):
+            # a worst trial's tensor is drawn again, bit for bit
+            assert bits(tensors.setdefault(trial, tensor)) == bits(tensor), trial
+        return out
+
     monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
+    monkeypatch.setattr(campaign, "symmetric_three_tensor", drawn)
     for res in run_campaign(spec, ids, trials, config=config):
         violations, worst, digest = expected[res.lemma_id]
         assert res.violations == violations == 0
         assert res.worst_input_digest == digest
         assert abs(res.worst_slack - worst) <= REL * max(1.0, abs(worst))
     got = stacked(chunks)
+    assert "grad_tensor" not in got  # drawn by the slices that read them
+    if tensors:
+        assert sorted(tensors) == list(range(trials))
+        got["grad_tensor"] = np.array([tensors[trial] for trial in range(trials)])
     assert got.keys() == inputs.keys()
     for name, expected_array in inputs.items():
         assert np.array_equal(got[name], expected_array), name
-    return chunks
+    return chunks, draws
 
 
 @pytest.mark.parametrize("spec, ids", SUITES)
 # BLOCK + 9 trials draw from two blocks of substreams
 @pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
 def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
-    chunks = campaign_chunks(spec, ids, trials, monkeypatch)
+    chunks, _ = campaign_chunks(spec, ids, trials, monkeypatch)
     assert len(chunks) == -(-trials // CHUNK)
+
+
+# at n=5, m=2 the derivative slice of kato is its whole chunk of 64 trials
+SLICED = [(PINCHED, KATO_IDS), (PINCHED, GRADIENT_IDS), (PINCHED, CHUNKED_IDS + DERIVATIVE_IDS),
+          (SamplerSpec(Dims(5, 2), "pinched", c=4 / 15, d=0.3, seed=83), KATO_IDS)]
+
+
+@pytest.mark.parametrize("spec, ids", SLICED)
+def test_campaign_draws_no_more_than_a_slice_of_tensors_at_once(spec, ids, monkeypatch):
+    piece, chunk = derivative_slice(spec.dims, ids), chunk_size(spec.dims, ids)
+    trials = 2 * chunk + 3
+    _, draws = campaign_chunks(spec, ids, trials, monkeypatch)
+    assert max(draws) == piece == (64 if spec.dims.n == 5 else 8)
+    # each slice once, in order (the last chunk is one slice of 3 trials);
+    # a worst trial kept is drawn again on its own
+    assert [k for k in draws if k > 1] == [piece] * (2 * chunk // piece) + [3]
+    assert 1 in draws
 
 
 ALL_IDS = (*CHUNKED_IDS, *DERIVATIVE_IDS)
@@ -231,7 +264,7 @@ GROWN = [
 def test_grown_chunks_keep_verdicts_and_worst_trial(spec, ids, chunk, monkeypatch):
     assert chunk_size(spec.dims, ids) == chunk
     trials = BLOCK + 9
-    chunks = campaign_chunks(spec, ids, trials, monkeypatch)
+    chunks, _ = campaign_chunks(spec, ids, trials, monkeypatch)
     assert len(chunks) == BLOCK // chunk + 1
     assert [len(next(b.arrays())[1]) for b in chunks] == [chunk] * (BLOCK // chunk) + [9]
 

@@ -158,6 +158,22 @@ class TestVerify:
         (entry,) = json.loads(out, parse_constant=refuse)["results"]
         assert entry["violations"] == 5 and entry["worst_slack"] is None
 
+    @pytest.mark.parametrize("suite", ["gradient", "all"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_gradient_defaults_hold_from_n5(self, capsys, suite, n):
+        # below n = 8 the gradient estimates take the case-2 constants
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "4",
+                             "--seed", "1", "--n", str(n), "--m", "2")
+        assert code == 0, err
+        constants = json.loads(out)["constants"]
+        if n < 8:
+            eps0 = 0.005
+            assert constants["eps0"] == eps0
+            assert constants["c"] == 3 * (n + 1) / (2 * n * (n + 2)) - eps0
+            assert constants["delta"] == min(0.5, 2 * n * (n + 2) * eps0 / (3 * (n - 1)))
+        else:
+            assert constants["eps0"] is None and constants["delta"] == 1 / (5 * n - 8)
+
     def test_reaction_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "reaction", "--trials", "50",
                            "--seed", "5", "--n", "8", "--m", "3", "--d", "0.5")
@@ -213,9 +229,10 @@ class TestSimulate:
 
     def test_hyperbolic_defaults(self, capsys, tmp_path):
         out = tmp_path / "hyp.csv"
-        code, _, _ = run(capsys, "simulate", "--family", "hyperbolic",
-                         "--params", "n=8,m=2,r=0.5", "--dt", "1e-4",
-                         "--t-end", "0.01", "--out", str(out))
+        with pytest.warns(UserWarning, match="2n - 2/c"):
+            code, _, _ = run(capsys, "simulate", "--family", "hyperbolic",
+                             "--params", "n=8,m=2,r=0.5", "--dt", "1e-4",
+                             "--t-end", "0.01", "--out", str(out))
         assert code == 0
         series = read_csv(str(out))
         assert not math.isnan(series.Q[0])

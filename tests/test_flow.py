@@ -33,7 +33,7 @@ from pinchflow.flow import (
     write_csv,
     write_rows,
 )
-from pinchflow.forms import CHUNK, Dims
+from pinchflow.forms import CHUNK, STACK_BUDGET, Dims
 from pinchflow.rescale import rescale
 
 FLAT_K = PinchingConstants(Dims(8, 2), 1 / 6)
@@ -56,8 +56,9 @@ ALL_FAMILIES = [
     HyperbolicSphereFlow(8, 2, 1.0, -1.0),
 ]
 
-# records per diagnostics block of simulate at n=8, m=2: (1024, 2, 8, 8) forms, 1 MB
-BLOCK = 2**17 // (2 * 8 * 8)
+# records per diagnostics block of simulate at n=8, m=2: (128, 2, 8, 8) forms,
+# STACK_BUDGET float64 values (128 KB)
+BLOCK = STACK_BUDGET // (2 * 8 * 8)
 
 # sha256 of the "{:.17g},{:.17g},{:.17g}" lines of (t, param1, param2) of the
 # product flow at dt=1e-4 to blow-up, recorded from the per-step closure
@@ -299,7 +300,9 @@ class TestSimulate:
         series = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
         assert series.param1[-1] > 0
 
-    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    # about one block and about eight blocks (1024 records) at n=8, m=2
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1])
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_chunks_match_one_point_diagnostics(self, fam, count):
         # every third of 3 * count steps is recorded after the initial
@@ -318,8 +321,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fam, block", [
         (SphereFlow(8, 2, 2.0), BLOCK),
-        (SphereFlow(16, 16, 2.0), CHUNK),  # 2**17 // 16**3 is CHUNK
-        (SphereFlow(5, 1, 2.0), 2**17 // 25),
+        (SphereFlow(16, 16, 2.0), CHUNK),  # STACK_BUDGET // 16**3 is below CHUNK
+        (SphereFlow(5, 1, 2.0), STACK_BUDGET // 25),
     ], ids=["n8m2", "n16m16", "n5m1"])
     def test_diagnostics_blocks_of_at_most_1_MB(self, fam, block, monkeypatch):
         sizes = []

@@ -8,6 +8,10 @@ The runs write into a temporary directory:
   at n=5, m=2, and of gradient at n=6, m=2 (the case-2 default constants),
   each at seeds 1 and 7; away from n=8, m=3 campaigns run in chunks of more
   than 32 trials;
+- ``verify`` of li at n=4, m=3 (8 trials) and of gradient at n=8, m=3
+  (12 trials), seed 1, each with a false bound (the rhs of ``check_li``,
+  or of every ``gradient_checks`` result, times 0.1), so that shrinking,
+  the kept worst trial and the counterexample files are digested too;
 - ``simulate`` of the four flow families;
 - one ``rescale`` of the product series.
 
@@ -29,7 +33,7 @@ from pathlib import Path
 # digest the code of the checkout this script is in, whatever is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pinchflow import cli  # noqa: E402
+from pinchflow import cli, lemmas  # noqa: E402
 
 # (suite, n, m) of the verify runs
 VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), ("all", 8, 3),
@@ -37,6 +41,8 @@ VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), 
           ("gradient", 6, 2)]
 SEEDS = (1, 7)
 TRIALS = 1500  # more than one block of 1024 substream states
+# (lemma attribute, suite, n, m, trials) of the verify runs with a false bound
+FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12)]
 SIMULATE = {
     "sphere": ["--params", "n=8,m=2,r=1"],
     "cylinder": ["--params", "n=8,m=2,r=1"],
@@ -63,11 +69,36 @@ def runs(out: str) -> list[list[str]]:
     return argvs
 
 
+def run(argv: list[str]) -> None:
+    if cli.main(argv) not in (0, 1):  # 1 is a violation, still an output
+        sys.exit(f"pinchflow {' '.join(argv)} failed")
+
+
+def tenth_of_rhs(evaluate):
+    """``evaluate`` with the rhs of each check it returns times 0.1."""
+
+    def false(*args):
+        checks = evaluate(*args)
+        if isinstance(checks, lemmas.InequalityCheck):
+            return lemmas.InequalityCheck(checks.lemma_id, checks.lhs, 0.1 * checks.rhs)
+        return [lemmas.InequalityCheck(c.lemma_id, c.lhs, 0.1 * c.rhs) for c in checks]
+
+    return false
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as out:
         for argv in runs(out):
-            if cli.main(argv) not in (0, 1):  # 1 is a violation, still an output
-                sys.exit(f"pinchflow {' '.join(argv)} failed")
+            run(argv)
+        for name, suite, n, m, trials in FALSE:
+            true = getattr(lemmas, name)
+            setattr(lemmas, name, tenth_of_rhs(true))
+            try:
+                run(["verify", "--suite", suite, "--n", str(n), "--m", str(m),
+                     "--trials", str(trials), "--seed", "1",
+                     "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s1_false.json")])
+            finally:
+                setattr(lemmas, name, true)
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
                 print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")

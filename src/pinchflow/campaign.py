@@ -15,10 +15,10 @@ once.  The substream states of each input kind are hashed once per block of
 the hash is paid per block and its memory does not grow with the campaign.
 A trial violates an inequality unless slack >= -tol * max(1, |lhs|, |rhs|),
 so a NaN slack is a violation, and so is a slack of -inf; the verdicts of
-every inequality on a chunk are judged in one pass.  On violation the
-offending inputs are halved while the violation persists and the shrunk
-witness is written to a replayable JSON file (all entries as decimal strings
-with 17 significant digits).
+every inequality on a chunk are judged in one pass over one (ids, trials)
+check.  On violation the offending trial, as a chunk of one, is halved while
+the violation persists and the shrunk witness is written to a replayable
+JSON file (all entries as decimal strings with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from .samplers import (
     TAG_GRADIENT,
     TAG_MATRICES,
     TAG_W,
-    Rng,
     SamplerSpec,
+    Substreams,
     rescale_to_boundary,
     sample_form,
     sample_w,
     symmetric_matrices,
     symmetric_three_tensor,
-    trial_rngs,
 )
 
 DEFAULT_TOL = 1e-9
@@ -69,9 +68,6 @@ class CheckResult:
     worst_slack: float | None  # None when the least slack is not finite
     worst_input_digest: str
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -97,8 +93,8 @@ _ARRAYS = ("matrices", "grad_tensor", "w")
 
 @dataclass
 class TrialInputs:
-    """Raw sampled inputs of one trial (pre-derivation), for replay, or of a
-    chunk of trials stacked along a leading axis."""
+    """Raw sampled inputs (pre-derivation) of a chunk of trials stacked
+    along a leading axis; a trial on its own is a chunk of one."""
 
     dims: Dims
     form: SecondFundamentalForm | None = None
@@ -127,38 +123,33 @@ class TrialInputs:
             setattr(inputs, name, SecondFundamentalForm(dims, value) if name in _FORMS else value)
         return inputs
 
-    @classmethod
-    def stack(cls, trials: Sequence["TrialInputs"]) -> "TrialInputs":
-        """The chunk of the given trials, stacked along a leading axis."""
-        fields = [dict(inputs.arrays()) for inputs in trials]
-        return cls.of_arrays(trials[0].dims, (
-            (name, np.array([f[name] for f in fields], dtype=np.float64)) for name in fields[0]
-        ))
-
     def trial(self, i: int | slice, draw: Callable[[slice], np.ndarray] | None = None
               ) -> "TrialInputs":
-        """Trial ``i`` of a chunk on its own, copied out of the chunk, or the
-        trials of a slice ``i`` as a smaller chunk of views into it; ``draw``
+        """The trials of a slice ``i`` as a smaller chunk of views into this
+        one, or trial ``i`` as a chunk of one copied out of it; ``draw``
         gives the derivative tensors of a slice of a chunk that holds none."""
         one = not isinstance(i, slice)
+        i = slice(i, i + 1) if one else i
         part = self.of_arrays(self.dims, ((name, a[i].copy() if one else a[i])
                                           for name, a in self.arrays()))
         if draw is not None:
-            part.grad_tensor = draw(slice(i, i + 1))[0] if one else draw(i)
+            part.grad_tensor = draw(i)
         return part
 
     def encode(self) -> dict:
+        """The JSON of the one trial of the chunk, without its leading axis."""
         out: dict = {"dims": {"n": self.dims.n, "m": self.dims.m}}
-        for name, a in self.arrays():
+        for name, (a,) in self.arrays():
             out[name] = [_encode_array(b) for b in a] if name == "matrices" else _encode_array(a)
         return out
 
     @classmethod
     def decode(cls, payload: dict) -> "TrialInputs":
+        """The chunk of one trial that :meth:`encode` wrote."""
         dims = Dims(payload["dims"]["n"], payload["dims"]["m"])
         return cls.of_arrays(dims, (
-            (name, np.array([_decode_array(b) for b in payload[name]]) if name == "matrices"
-             else _decode_array(payload[name]))
+            (name, np.array([[_decode_array(b) for b in payload[name]]]) if name == "matrices"
+             else _decode_array(payload[name])[None])
             for name in _FORMS + _ARRAYS if name in payload
         ))
 
@@ -217,20 +208,16 @@ def derivative_slice(dims: Dims, lemma_ids: Iterable[str]) -> int:
     return min(chunk_size(dims, lemma_ids), max(8, _within_budget(dims.m * dims.n**3)))
 
 
-def _streams(seed: int, trials: int | Sequence[int], kinds: set[str]) -> dict[str, Rng]:
-    """The substreams of one trial or of a sequence of trials, by input kind."""
-    return {kind: trial_rngs(seed, trials, tag)
-            for kind, tag in _KIND_TAGS.items() if kind in kinds}
-
-
 def _chunk_streams(
     seed: int, trials: int, kinds: set[str], chunk: int
-) -> Iterator[tuple[int, dict[str, Rng]]]:
+) -> Iterator[tuple[int, dict[str, Substreams]]]:
     """The first trial and the substreams by kind of every chunk of
     ``chunk`` trials of a campaign (a divisor of ``BLOCK``); the states are
     hashed once per block of ``BLOCK`` trials."""
     for block in range(0, trials, BLOCK):
-        streams = _streams(seed, range(block, min(block + BLOCK, trials)), kinds)
+        numbers = range(block, min(block + BLOCK, trials))
+        streams = {kind: Substreams(seed, numbers, tag)
+                   for kind, tag in _KIND_TAGS.items() if kind in kinds}
         for offset in range(0, min(BLOCK, trials - block), chunk):
             yield block + offset, {
                 kind: s[offset:offset + chunk] for kind, s in streams.items()
@@ -239,15 +226,10 @@ def _chunk_streams(
 
 
 def sample_trial_inputs(
-    spec: SamplerSpec, trials: int | Sequence[int] | Mapping[str, Rng], kinds: set[str]
+    spec: SamplerSpec, streams: Mapping[str, Substreams], kinds: set[str]
 ) -> TrialInputs:
-    """The inputs of one trial, or of a chunk of trials stacked along a
-    leading axis; each kind of each trial comes from its own substream.
-
-    ``trials`` is a trial number, a sequence of them, or the chunk's
-    substreams by input kind, as ``run_campaign`` passes them.
-    """
-    streams = trials if isinstance(trials, Mapping) else _streams(spec.seed, trials, kinds)
+    """The ``kinds`` of inputs of a chunk of trials, stacked along a leading
+    axis, each kind of each trial from its own substream in ``streams``."""
     inputs = TrialInputs(dims=spec.dims)
     if "form" in kinds:
         inputs.form = sample_form(spec, streams["form"])
@@ -290,12 +272,12 @@ class _Unit:
 
 @functools.cache
 def _plan(lemma_ids: tuple[str, ...], dims: Dims) -> tuple[tuple, int | None]:
-    """The lemma groups that ``lemma_ids`` run, each with its requested ids,
-    and the trials of each evaluation unit (None: the whole chunk), found
-    once per id list."""
+    """The lemma groups that ``lemma_ids`` run, each with its requested ids
+    and their rows in ``lemma_ids``, and the trials of each evaluation unit
+    (None: the whole chunk), found once per id list."""
     kinds = _needed_kinds(lemma_ids)
     groups = tuple(
-        (evaluate, ids) for evaluate in lemmas.GROUPS
+        (evaluate, ids, tuple(map(lemma_ids.index, ids))) for evaluate in lemmas.GROUPS
         if (ids := tuple(i for i in lemma_ids if lemmas.LEMMAS[i].evaluate is evaluate))
     )
     return groups, derivative_slice(dims, lemma_ids) if "grad" in kinds else None
@@ -307,39 +289,31 @@ def evaluate_trial(
     config: CampaignConfig,
     d_boundary: float,
     draw: Callable[[slice], np.ndarray] | None = None,
-) -> list[lemmas.InequalityCheck]:
+) -> lemmas.InequalityCheck:
     """Evaluate every requested inequality on a chunk of trials.
 
-    ``chunk`` holds the inputs stacked along a leading axis; each check holds
-    one lhs and rhs per trial, in the order of ``lemma_ids``.  Each group of
-    the lemma table runs once per evaluation unit (the whole chunk, or slices
-    of :func:`derivative_slice` trials when an id reads a derivative tensor),
-    which splits each of its forms once and builds one derivative sample.
-    A chunk that holds no derivative tensors takes ``draw``, which gives
-    those of a slice of its trials right before the slice is evaluated.
+    ``chunk`` holds the inputs stacked along a leading axis; the check has
+    one row of lhs and rhs per id of ``lemma_ids`` and one column per trial.
+    Each group of the lemma table runs once per evaluation unit (the whole
+    chunk, or slices of :func:`derivative_slice` trials when an id reads a
+    derivative tensor), which splits each of its forms once and builds one
+    derivative sample.  A chunk that holds no derivative tensors takes
+    ``draw``, which gives those of a slice of its trials right before the
+    slice is evaluated.
     """
     groups, slice_trials = _plan(tuple(lemma_ids), chunk.dims)
     trials = len(next(chunk.arrays())[1])
-    per_unit = []
+    lhs, rhs = np.empty((len(lemma_ids), trials)), np.empty((len(lemma_ids), trials))
     for start in range(0, trials, slice_trials or trials):
         # a slice's inputs are views of the chunk's, and its tensors its own
-        inputs = chunk if slice_trials is None else chunk.trial(
-            slice(start, start + slice_trials), draw)
-        unit, checks = _Unit(inputs, d_boundary), {}
-        for evaluate, ids in groups:
-            checks.update(zip(ids, evaluate(ids, unit, config)))
-        per_unit.append([checks[lemma_id] for lemma_id in lemma_ids])
+        part = slice(start, start + (slice_trials or trials))
+        inputs = chunk if slice_trials is None else chunk.trial(part, draw)
+        unit = _Unit(inputs, d_boundary)
+        for evaluate, ids, rows in groups:
+            for row, check in zip(rows, evaluate(ids, unit, config)):
+                lhs[row, part], rhs[row, part] = check.lhs, check.rhs
         del unit, inputs  # its points and tensors are freed before the next slice is drawn
-    if len(per_unit) == 1:
-        return per_unit[0]
-    return [
-        lemmas.InequalityCheck(
-            parts[0].lemma_id,
-            np.concatenate([chk.lhs for chk in parts]),
-            np.concatenate([chk.rhs for chk in parts]),
-        )
-        for parts in zip(*per_unit)
-    ]
+    return lemmas.InequalityCheck(",".join(lemma_ids), lhs, rhs)
 
 
 def _violated(check: lemmas.InequalityCheck, tol: float) -> np.ndarray:
@@ -357,20 +331,18 @@ def _shrink(
 ) -> tuple[TrialInputs, lemmas.InequalityCheck]:
     """Halve the inputs while the violation persists; return the last witness."""
     current = inputs
-    check = evaluate_trial([lemma_id], TrialInputs.stack([current]), config, d_boundary)[0]
+    check = evaluate_trial([lemma_id], current, config, d_boundary)
     for _ in range(MAX_SHRINK_STEPS):
         candidate = current.halved()
         try:
-            cand_check = evaluate_trial(
-                [lemma_id], TrialInputs.stack([candidate]), config, d_boundary
-            )[0]
+            cand_check = evaluate_trial([lemma_id], candidate, config, d_boundary)
         except PinchflowError:
             break
-        if _violated(cand_check, tol)[0]:
+        if _violated(cand_check, tol)[0, 0]:
             current, check = candidate, cand_check
         else:
             break
-    return current, lemmas.InequalityCheck(lemma_id, check.lhs[0], check.rhs[0])
+    return current, lemmas.InequalityCheck(lemma_id, check.lhs[0, 0], check.rhs[0, 0])
 
 
 def write_counterexample(
@@ -439,10 +411,7 @@ def run_campaign(
         grad = streams.get("grad")  # each slice of the chunk draws its own tensors
         draw = None if grad is None else lambda index: symmetric_three_tensor(
             grad[index], spec.dims, spec.sigma)
-        checks = evaluate_trial(lemma_ids, chunk, config, d_boundary, draw)
-        # every id's verdicts as one (ids, trials) check
-        judged = lemmas.InequalityCheck("", np.array([chk.lhs for chk in checks]),
-                                        np.array([chk.rhs for chk in checks]))
+        judged = evaluate_trial(lemma_ids, chunk, config, d_boundary, draw)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
         worst = np.argmin(slack, axis=1)

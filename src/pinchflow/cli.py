@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "eta": args.eta, "eps0": eps0,
         },
         "trials": args.trials,
-        "results": [r.to_json_dict() for r in results],
+        "results": [asdict(r) for r in results],
     }
     text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if args.out:

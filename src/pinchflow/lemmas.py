@@ -414,13 +414,13 @@ def default_constants(lemma_ids: Sequence[str], n: int, c: float | None = None,
 
     c is min(4/(3n), 1/(n-2)) when an id reads a form, else 0, and delta is
     the case-1 bound 1/(5n-8) when a gradient estimate is requested, else
-    1/2.  A gradient estimate at 5 <= n < 8 without eps0 takes the case-2
-    constants: eps0 = 0.005, c = 3(n+1)/(2n(n+2)) - eps0 and
-    delta = min(1/2, 2n(n+2) eps0/(3(n-1))).
+    1/2.  A gradient estimate at 5 <= n < 8 takes the case-2 constants:
+    eps0 = 0.005, c = 3(n+1)/(2n(n+2)) - eps0 and
+    delta = min(1/2, 2n(n+2) eps0/(3(n-1))), with the eps0 given if any.
     """
     gradient = any(LEMMAS[lemma_id].suite == "gradient" for lemma_id in lemma_ids)
-    if gradient and 5 <= n < 8 and eps0 is None:
-        eps0 = 0.005
+    if gradient and 5 <= n < 8:
+        eps0 = 0.005 if eps0 is None else eps0
         c = float(c_n(n, "codim_estimate")) - eps0 if c is None else c
         delta = min(0.5, 2.0 * n * (n + 2) * eps0 / (3 * (n - 1))) if delta is None else delta
     if c is None:

@@ -7,11 +7,11 @@ same substreams: :func:`substream_states` runs NumPy's seed hash over a
 vector of trial numbers, and a :class:`Substreams` keeps those states with
 their trials, hands each trial's state to NumPy's own PCG64 seeding and
 slices without hashing again, so a campaign hashes a block of trials once
-and draws its chunks from slices.  The samplers take one generator, or one
-generator per trial and then stack the draws along a leading axis.  Constrained
-distributions are produced by rejection plus exact radial rescaling: norm
-constraints are radial, so a single multiplicative factor lands on them to
-machine precision.
+and draws its chunks from slices.  :func:`sample_form` takes substreams
+only, so a trial drawn alone is a chunk of one; the low-level samplers also
+take one generator, :func:`trial_rng` of a trial.  Constrained distributions
+are produced by rejection plus exact radial rescaling: norm constraints are
+radial, so a single multiplicative factor lands on them to machine precision.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -214,14 +214,6 @@ class Substreams:
 Rng = np.random.Generator | Substreams
 
 
-def trial_rngs(seed: int, trials: int | Sequence[int], tag: int = TAG_FORM) -> Rng:
-    """The substream generator of one trial, ``trial_rng(seed, trial, tag)``,
-    or the :class:`Substreams` of a sequence of trials."""
-    if np.ndim(trials) == 0:
-        return trial_rng(seed, trials, tag)
-    return Substreams(seed, trials, tag)
-
-
 def _normals(rng: Rng, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
     """Normals of ``shape`` and scale ``sigma`` from one generator, or from
     each of the substreams, stacked along a leading axis."""
@@ -296,31 +288,6 @@ def sample_pinched(
     raise NotPinched(f"no pinched sample found in {MAX_ATTEMPTS} attempts")
 
 
-def _sample_pinched_chunk(
-    spec: SamplerSpec, streams: Substreams, d: float
-) -> SecondFundamentalForm:
-    """:func:`sample_pinched` of the trial of every substream, stacked.
-
-    The first attempts of all trials run as one batch; a trial whose first
-    attempt is rejected reruns ``sample_pinched`` from the start of its own
-    stream, ``trial_rng`` of its trial number.
-    """
-    dims = spec.dims
-    normals = np.empty((len(streams), dims.m * (1 + dims.n * dims.n) + 1))
-    u = np.empty(len(streams))
-    for i, rng in enumerate(streams):
-        rng.standard_normal(out=normals[i])
-        u[i] = rng.random()
-    form, pinched = pinched_attempt(normals, FIRST_CAP * u, dims, spec.c, d, spec.sigma)
-    if pinched.all():
-        return form
-    comps = form.components.copy()
-    for i in np.flatnonzero(~pinched):
-        rng = trial_rng(streams.seed, streams.trials[i], streams.tag)
-        comps[i] = sample_pinched(rng, dims, spec.c, d, spec.sigma).components
-    return SecondFundamentalForm(dims, comps)
-
-
 def rescale_to_boundary(
     form: SecondFundamentalForm, c: float, d: float
 ) -> SecondFundamentalForm:
@@ -339,18 +306,29 @@ def rescale_to_boundary(
     return SecondFundamentalForm(form.dims, lam[..., None, None, None] * form.components)
 
 
-def sample_form(spec: SamplerSpec, trials: int | Sequence[int] | Rng) -> SecondFundamentalForm:
-    """The form of one trial, or of a sequence of trials stacked along a
-    leading axis; either way each trial draws from its own substream.  The
-    ``TAG_FORM`` substreams of the trials may stand for the trials."""
-    rng = trials if isinstance(trials, Rng) else trial_rngs(spec.seed, trials, TAG_FORM)
+def sample_form(spec: SamplerSpec, streams: Substreams) -> SecondFundamentalForm:
+    """The forms of the trials of the ``TAG_FORM`` substreams, stacked.
+
+    The first pinched attempts of all trials run as one batch; a trial whose
+    first attempt is rejected reruns :func:`sample_pinched` from the start
+    of its own stream, ``trial_rng`` of its trial number.
+    """
+    dims = spec.dims
     if spec.distribution == "gaussian":
-        return symmetric_gaussian(rng, spec.dims, spec.sigma)
+        return symmetric_gaussian(streams, dims, spec.sigma)
     d = spec.d if spec.distribution == "pinched" else 0.0
-    if isinstance(rng, Substreams):
-        form = _sample_pinched_chunk(spec, rng, d)
-    else:
-        form = sample_pinched(rng, spec.dims, spec.c, d, spec.sigma)
+    normals = np.empty((len(streams), dims.m * (1 + dims.n * dims.n) + 1))
+    u = np.empty(len(streams))
+    for i, rng in enumerate(streams):
+        rng.standard_normal(out=normals[i])
+        u[i] = rng.random()
+    form, pinched = pinched_attempt(normals, FIRST_CAP * u, dims, spec.c, d, spec.sigma)
+    if not pinched.all():
+        comps = form.components.copy()
+        for i in np.flatnonzero(~pinched):
+            rng = trial_rng(streams.seed, streams.trials[i], streams.tag)
+            comps[i] = sample_pinched(rng, dims, spec.c, d, spec.sigma).components
+        form = SecondFundamentalForm(dims, comps)
     if spec.distribution == "boundary":
         form = rescale_to_boundary(form, spec.c, spec.d)
     return form

@@ -1,6 +1,7 @@
 """Campaign machinery: determinism, constrained samplers, shrinking, replay."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,15 +26,20 @@ from pinchflow.forms import Dims, mean_curvature, principal_decompose
 from pinchflow.lemmas import LEMMAS, InequalityCheck
 from pinchflow.samplers import SamplerSpec, sample_form
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS
+from tests.test_substreams import substreams
+
+
+def form_of(spec, trial):
+    return sample_form(spec, substreams(spec, [trial])["form"])
 
 
 class TestDeterminism:
     def test_identical_inputs(self):
         spec = SamplerSpec(Dims(5, 3), "pinched", c=4 / 15, d=0.5, seed=99)
-        a = sample_form(spec, 7)
-        b = sample_form(spec, 7)
+        a = form_of(spec, 7)
+        b = form_of(spec, 7)
         assert np.array_equal(a.components, b.components)
-        other = sample_form(spec, 8)
+        other = form_of(spec, 8)
         assert not np.array_equal(a.components, other.components)
 
     def test_identical_results(self):
@@ -47,8 +53,9 @@ class TestDeterminism:
         # input substreams are keyed by kind, so adding lemmas to the set
         # leaves each kind's draw unchanged
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, seed=3)
-        only_form = sample_trial_inputs(spec, 5, {"form"})
-        everything = sample_trial_inputs(spec, 5, {"form", "grad", "w", "matrices"})
+        only_form = sample_trial_inputs(spec, substreams(spec, [5]), {"form"})
+        everything = sample_trial_inputs(spec, substreams(spec, [5]),
+                                         {"form", "grad", "w", "matrices"})
         assert np.array_equal(only_form.form.components, everything.form.components)
 
 
@@ -56,21 +63,21 @@ class TestConstrainedSamplers:
     def test_pinched_always_pinched(self):
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.7, seed=11)
         for trial in range(400):
-            A = sample_form(spec, trial)
+            A = form_of(spec, trial)
             H = mean_curvature(A)
             assert (1 / 6) * H.norm2 - A.norm2 - 0.7 > 0
 
     def test_boundary_exact(self):
         spec = SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=13)
         for trial in range(400):
-            A = sample_form(spec, trial)
+            A = form_of(spec, trial)
             H = mean_curvature(A)
             resid = A.norm2 - (1 / 6) * H.norm2 + 1.0
             assert abs(resid) <= 1e-12 * max(1.0, A.norm2)
 
     def test_point_sample_has_positive_H(self):
         spec = SamplerSpec(Dims(6, 2), "pinched", c=4 / 18, seed=17)
-        dec = principal_decompose(sample_form(spec, 0))
+        dec = principal_decompose(form_of(spec, 0))
         assert dec.H.norm > 0
 
 
@@ -113,17 +120,18 @@ class TestCampaign:
         assert sorted(ids) == sorted(LEMMAS)
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=19)
         cfg = CampaignConfig(c=1 / 6, d=0.3, delta=1 / 32)
-        chunk = sample_trial_inputs(spec, range(12), _needed_kinds(ids))
+        chunk = sample_trial_inputs(spec, substreams(spec, range(12)), _needed_kinds(ids))
         checks = evaluate_trial(ids, chunk, cfg, 0.3)
-        assert [chk.lemma_id for chk in checks] == ids
-        for chk in checks:
-            (alone,) = evaluate_trial([chk.lemma_id], chunk, cfg, 0.3)
-            assert np.allclose(chk.lhs, alone.lhs, rtol=1e-12, atol=0)
-            assert np.allclose(chk.rhs, alone.rhs, rtol=1e-12, atol=0)
+        # one row per id, in the requested order
+        assert checks.lemma_id == ",".join(ids) and checks.lhs.shape == (len(ids), 12)
+        for lemma_id, lhs, rhs in zip(ids, checks.lhs, checks.rhs):
+            alone = evaluate_trial([lemma_id], chunk, cfg, 0.3)
+            assert np.allclose(lhs, alone.lhs[0], rtol=1e-12, atol=0)
+            assert np.allclose(rhs, alone.rhs[0], rtol=1e-12, atol=0)
 
     def test_json_schema_keys(self):
         res = CheckResult("li", 10, 0, 1.0, "ab", 3)
-        payload = res.to_json_dict()
+        payload = asdict(res)
         assert {"lemma_id", "trials", "violations", "worst_slack", "seed"} <= set(
             payload
         )
@@ -194,7 +202,7 @@ class TestViolationPath:
         spec = SamplerSpec(Dims(3, 2), "gaussian", seed=5)
         (result,) = run_campaign(spec, ["li"], 5)
         assert result.worst_slack is None and result.worst_input_digest
-        json.dumps(result.to_json_dict(), allow_nan=False)
+        json.dumps(asdict(result), allow_nan=False)
 
     def test_infinitely_exceeded_bound_is_a_violation(self):
         # lhs = +inf over a finite rhs: slack -inf and scale inf, whose bound
@@ -220,7 +228,8 @@ class TestViolationPath:
         # from the trial's substream, which must be the one sampled alone
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=23)
         ids, trials = ["kato.3.1", "kato.3.2"], 67
-        alone = [sample_trial_inputs(spec, t, _needed_kinds(ids)) for t in range(trials)]
+        alone = [sample_trial_inputs(spec, substreams(spec, [t]), _needed_kinds(ids))
+                 for t in range(trials)]
         sizes = [np.sum(inputs.grad_tensor**2) for inputs in alone]
         second, first = sorted(sizes)[-2:]
         top = sizes.index(first)
@@ -241,7 +250,7 @@ class TestViolationPath:
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)
-        inputs = sample_trial_inputs(spec, 0, {"form", "grad", "w"})
+        inputs = sample_trial_inputs(spec, substreams(spec, [0]), {"form", "grad", "w"})
         path = str(tmp_path / "ce.json")
         write_counterexample(
             path, "kato.3.1", spec, CampaignConfig(c=spec.c, d=spec.d), 0,
@@ -277,7 +286,7 @@ class TestViolationPath:
 
     def test_halved_inputs(self):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=0.3, d=0.2, seed=37)
-        inputs = sample_trial_inputs(spec, 0, {"form", "grad", "w"})
+        inputs = sample_trial_inputs(spec, substreams(spec, [0]), {"form", "grad", "w"})
         half = inputs.halved()
         assert np.array_equal(half.form.components, 0.5 * inputs.form.components)
         assert np.array_equal(half.grad_tensor, 0.5 * inputs.grad_tensor)

@@ -45,6 +45,7 @@ from pinchflow.forms import (
     symmetrize,
 )
 from pinchflow.lemmas import (
+    InequalityCheck,
     boundary_check,
     check_kato,
     check_kato_trace,
@@ -61,6 +62,7 @@ from pinchflow.samplers import (
     symmetric_three_tensor,
 )
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS, group_ids
+from tests.test_substreams import substreams
 
 KATO_IDS = group_ids("kato.3.1")
 REL = 1e-12
@@ -79,8 +81,20 @@ def d_boundary(spec):
     return spec.d if spec.d > 0 else 1.0
 
 
+def sample_chunk(spec, trials, kinds):
+    """The inputs of a sequence of trials, sampled as one chunk."""
+    return sample_trial_inputs(spec, substreams(spec, trials), kinds)
+
+
+def point(inputs):
+    """The inputs of a chunk of one trial, without the leading axis."""
+    return TrialInputs.of_arrays(inputs.dims, ((name, a) for name, (a,) in inputs.arrays()))
+
+
 def one_trial(lemma_id, inputs, config, d_bound):
-    """The per-point evaluator of ``lemma_id`` on one trial, no batch axis."""
+    """The per-point evaluator of ``lemma_id`` on a chunk of one trial, run
+    without the batch axis."""
+    inputs = point(inputs)
     if lemma_id == "li":
         return check_li(inputs.matrices)
     if lemma_id == "boundary":
@@ -100,8 +114,21 @@ def one_trial(lemma_id, inputs, config, d_bound):
     )[0]
 
 
+def chunk_of(batch):
+    """The chunk of the given chunks, stacked along one leading trial axis."""
+    return TrialInputs.of_arrays(batch[0].dims, stacked(batch).items())
+
+
+def per_id(check, ids):
+    """The rows of an (ids, trials) check, one check per id."""
+    return [InequalityCheck(lemma_id, lhs, rhs)
+            for lemma_id, lhs, rhs in zip(ids, check.lhs, check.rhs)]
+
+
 def assert_chunk_matches_trials(ids, batch, config, d_bound):
-    checks = evaluate_trial(ids, TrialInputs.stack(batch), config, d_bound)
+    judged = evaluate_trial(ids, chunk_of(batch), config, d_bound)
+    assert judged.lhs.shape == judged.rhs.shape == (len(ids), len(batch))
+    checks = per_id(judged, ids)
     assert [chk.lemma_id for chk in checks] == list(ids)
     for chk in checks:
         assert np.shape(chk.lhs) == np.shape(chk.rhs) == (len(batch),)
@@ -128,8 +155,8 @@ def one_at_a_time_campaign(spec, ids, trials, config):
     out = {lemma_id: [0, np.inf, ""] for lemma_id in ids}
     sampled = []
     for trial in range(trials):
-        inputs = sample_trial_inputs(spec, trial, kinds)
-        sampled.append(TrialInputs.stack([inputs]))
+        inputs = sample_chunk(spec, [trial], kinds)
+        sampled.append(inputs)
         for lemma_id in ids:
             chk = one_trial(lemma_id, inputs, config, d_boundary(spec))
             entry = out[lemma_id]
@@ -154,7 +181,7 @@ TRIALS = [1, CHUNK + 3, DERIVATIVE_SLICE + 1]
 @pytest.mark.parametrize("trials", TRIALS)
 def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
     kinds = _needed_kinds(ids)
-    batch = [sample_trial_inputs(spec, trial, kinds) for trial in range(trials)]
+    batch = [sample_chunk(spec, [trial], kinds) for trial in range(trials)]
     assert_chunk_matches_trials(ids, batch, config_of(spec, ids), d_boundary(spec))
 
 
@@ -274,12 +301,12 @@ def test_li_equality_pair_in_a_chunk():
     # matrices [[0,1],[1,0]] and [[1,0],[0,-1]] give lhs = rhs exactly
     dims = Dims(4, 3)
     spec = SamplerSpec(dims, "gaussian", seed=47)
-    batch = [sample_trial_inputs(spec, trial, {"matrices"}) for trial in range(CHUNK + 3)]
+    batch = [sample_chunk(spec, [trial], {"matrices"}) for trial in range(CHUNK + 3)]
     for i, lam in ((0, 1.0), (7, 0.3), (CHUNK + 1, 2.5)):
         b1, b2 = np.zeros((4, 4)), np.zeros((4, 4))
         b1[0, 1] = b1[1, 0] = lam
         b2[0, 0], b2[1, 1] = lam, -lam
-        batch[i] = TrialInputs(dims, matrices=[b1, b2])
+        batch[i] = TrialInputs(dims, matrices=[[b1, b2]])
     (chk,) = assert_chunk_matches_trials(["li"], batch, CampaignConfig(), 1.0)
     for i in (0, 7, CHUNK + 1):
         assert chk.lhs[i] > 0
@@ -297,10 +324,10 @@ def test_tight_reaction_inputs_in_a_chunk():
     codim_one = np.zeros((3, 8, 8))
     codim_one[0] = np.diag(1.0 + 0.1 * rng.standard_normal(8))
     tight = [umbilic, codim_one]
-    batch = [sample_trial_inputs(PINCHED, trial, {"form"}) for trial in range(CHUNK + 3)]
+    batch = [sample_chunk(PINCHED, [trial], {"form"}) for trial in range(CHUNK + 3)]
     slots = (3, CHUNK + 2)
     for i, comps in zip(slots, tight):
-        batch[i] = TrialInputs(dims, form=SecondFundamentalForm(dims, comps))
+        batch[i] = TrialInputs(dims, form=SecondFundamentalForm(dims, comps[None]))
     checks = assert_chunk_matches_trials(REACTION_IDS, batch, config_of(PINCHED), 1.0)
     for chk in checks[:2]:  # 4.5 and 4.6
         for i in slots:
@@ -320,26 +347,26 @@ def test_derivative_equality_cases_in_a_chunk():
     # of random tensors
     n, m = PINCHED.dims.n, PINCHED.dims.m
     batch = [
-        sample_trial_inputs(PINCHED, trial, _needed_kinds(DERIVATIVE_IDS))
+        sample_chunk(PINCHED, [trial], _needed_kinds(DERIVATIVE_IDS))
         for trial in range(CHUNK + 3)
     ]
     rng = np.random.default_rng(61)
     trace_slots, e_slots = (0, DERIVATIVE_SLICE + 1, CHUNK + 2), (3, CHUNK)
     for i in trace_slots:
-        dec = principal_decompose(batch[i].form)
+        dec = principal_decompose(point(batch[i]).form)
         v = rng.standard_normal((m, n))
         v -= np.outer(dec.nu1, dec.nu1 @ v)  # |H| d nu1 must be normal to nu1
         dH = np.outer(dec.nu1, rng.standard_normal(n)) + v  # the pure-trace tensor's dH
-        batch[i].grad_tensor = kato_e_tensor(dec.dims, dH)
+        batch[i].grad_tensor = kato_e_tensor(dec.dims, dH)[None]
     for i in e_slots:
-        batch[i].grad_tensor = kato_e_tensor(PINCHED.dims, rng.standard_normal((m, n)))
+        batch[i].grad_tensor = kato_e_tensor(PINCHED.dims, rng.standard_normal((m, n)))[None]
     config = config_of(PINCHED, DERIVATIVE_IDS)
     checks = assert_chunk_matches_trials(["4.20", "4.21"], batch, config, 1.0)
     for chk in checks:
         for i in trace_slots:
             assert chk.lhs[i] > 0
             assert chk.lhs[i] == pytest.approx(chk.rhs[i], rel=1e-10), (chk.lemma_id, i)
-    chunk = TrialInputs.stack(batch)
+    chunk = chunk_of(batch)
     grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
     minimal = 3.0 / (n + 2) * grad.nabla_H_norm2
     for i in range(CHUNK + 3):
@@ -353,11 +380,11 @@ def test_codazzi_bound_is_per_trial():
     # asymmetry 2e-9 at max|T| = 0.1 breaks its own bound TOL_CODAZZI * 1;
     # a bound taken from the chunk's max|T| = 10 would be 1e-8 and pass it
     ids = DERIVATIVE_IDS
-    batch = [sample_trial_inputs(PINCHED, trial, _needed_kinds(ids)) for trial in range(2)]
+    batch = [sample_chunk(PINCHED, [trial], _needed_kinds(ids)) for trial in range(2)]
     for inputs, top in zip(batch, (0.1, 10.0)):
         inputs.grad_tensor = top * inputs.grad_tensor / np.max(np.abs(inputs.grad_tensor))
-    batch[0].grad_tensor[0, 0, 1, 2] += 2e-9
-    chunk = TrialInputs.stack(batch)
+    batch[0].grad_tensor[0, 0, 0, 1, 2] += 2e-9
+    chunk = chunk_of(batch)
     grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
     assert grad.codazzi_defect[0] == pytest.approx(2e-9, rel=1e-6)
     assert grad.codazzi_defect[1] <= TOL_CODAZZI
@@ -372,10 +399,10 @@ def test_codazzi_bound_is_per_trial():
     for lemma_id in ids:
         with pytest.raises(InvalidSample):
             evaluate_trial([lemma_id], chunk, config, 1.0)
-    evaluate_trial(ids, TrialInputs.stack(batch[1:]), config, 1.0)
+    evaluate_trial(ids, chunk_of(batch[1:]), config, 1.0)
     # one NaN entry gives a NaN defect, which no bound admits
-    batch[1].grad_tensor[0, 0, 1, 2] = np.nan
-    chunk = TrialInputs.stack(batch[1:])
+    batch[1].grad_tensor[0, 0, 0, 1, 2] = np.nan
+    chunk = chunk_of(batch[1:])
     grad = gradient_sample(principal_decompose(chunk.form), chunk.grad_tensor)
     assert np.isnan(grad.codazzi_defect[0])
     with pytest.raises(InvalidSample):
@@ -458,7 +485,7 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     monkeypatch.setattr(campaign, "gradient_sample", kept)
     gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
                      "hat_plus_h", "hat_nabla_aminus"}
-    chunk = sample_trial_inputs(PINCHED, range(CHUNK), _needed_kinds(KATO_IDS))
+    chunk = sample_chunk(PINCHED, range(CHUNK), _needed_kinds(KATO_IDS))
     evaluate_trial(KATO_IDS, chunk, config_of(PINCHED, KATO_IDS), 1.0)
     assert len(samples) == CHUNK // DERIVATIVE_SLICE
     for grad in samples:
@@ -518,10 +545,10 @@ def test_verify_keeps_one_trial_at_a_time_results(suite, tmp_path):
 @pytest.mark.parametrize("lemma_id", ["4.12", "L4.7"])
 def test_one_unpinched_trial_stops_the_chunk(lemma_id):
     ids = [lemma_id]
-    batch = [sample_trial_inputs(PINCHED, trial, _needed_kinds(ids)) for trial in range(12)]
+    batch = [sample_chunk(PINCHED, [trial], _needed_kinds(ids)) for trial in range(12)]
     gaussian = SamplerSpec(PINCHED.dims, "gaussian", seed=67)
-    batch[DERIVATIVE_SLICE + 2].form = sample_trial_inputs(gaussian, 0, {"form"}).form
+    batch[DERIVATIVE_SLICE + 2].form = sample_chunk(gaussian, [0], {"form"}).form
     with pytest.raises(NotPinched):
-        evaluate_trial(ids, TrialInputs.stack(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+        evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)
     del batch[DERIVATIVE_SLICE + 2]
-    evaluate_trial(ids, TrialInputs.stack(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+    evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)

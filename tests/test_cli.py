@@ -55,6 +55,16 @@ class TestConstants:
         assert out == "" and f"error: {flag} must be a finite number" in err
 
 
+# every suite at n = 2..12, m = 2..4, without and with --eps0; a case is
+# named n-suite, plus its m unless it is 2 and its eps0 if one is given
+DEFAULTS_GRID = [
+    pytest.param(suite, n, m, eps0, id=f"{n}-{suite}" + (f"-m{m}" if m != 2 else "")
+                 + (f"-eps0={eps0}" if eps0 else ""))
+    for n in range(2, 13) for suite in cli.SUITES for m in range(2, 5)
+    for eps0 in (None, "0.005", "0.01")
+]
+
+
 class TestVerify:
     def test_li_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
@@ -158,20 +168,32 @@ class TestVerify:
         (entry,) = json.loads(out, parse_constant=refuse)["results"]
         assert entry["violations"] == 5 and entry["worst_slack"] is None
 
-    @pytest.mark.parametrize("suite", ["gradient", "all"])
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_gradient_defaults_hold_from_n5(self, capsys, suite, n):
-        # below n = 8 the gradient estimates take the case-2 constants
-        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "4",
-                             "--seed", "1", "--n", str(n), "--m", "2")
+    @pytest.mark.parametrize("suite, n, m, eps0", DEFAULTS_GRID)
+    def test_gradient_defaults_hold_from_n5(self, capsys, suite, n, m, eps0):
+        # every suite runs on its default constants from n = 5; below n = 8
+        # the gradient estimates take the case-2 constants of the eps0 given,
+        # or of 0.005; below n = 5 a suite that reads a form has no default c
+        def verify(*extra):
+            return run(capsys, "verify", "--suite", suite, "--trials", "4",
+                       "--seed", "1", "--n", str(n), "--m", str(m), *extra)
+
+        code, out, err = verify(*(() if eps0 is None else ("--eps0", eps0)))
+        ids = cli.SUITES[suite]
+        if n < 5 and any("form" in lemmas.LEMMAS[i].kinds for i in ids):
+            assert code == 2 and "pinching coefficient undefined" in err
+            return
         assert code == 0, err
         constants = json.loads(out)["constants"]
+        if not any(lemmas.LEMMAS[i].suite == "gradient" for i in ids):
+            return
         if n < 8:
-            eps0 = 0.005
-            assert constants["eps0"] == eps0
-            assert constants["c"] == 3 * (n + 1) / (2 * n * (n + 2)) - eps0
-            assert constants["delta"] == min(0.5, 2 * n * (n + 2) * eps0 / (3 * (n - 1)))
-        else:
+            e = 0.005 if eps0 is None else float(eps0)
+            assert constants["eps0"] == e
+            assert constants["c"] == 3 * (n + 1) / (2 * n * (n + 2)) - e
+            assert constants["delta"] == min(0.5, 2 * n * (n + 2) * e / (3 * (n - 1)))
+            if eps0 == "0.005":  # the value the defaults take without --eps0
+                assert json.loads(verify()[1])["constants"] == constants
+        elif eps0 is None:
             assert constants["eps0"] is None and constants["delta"] == 1 / (5 * n - 8)
 
     def test_reaction_suite_small(self, capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pinchflow.samplers as samplers
-from pinchflow.campaign import BLOCK, CHUNK, run_campaign, sample_trial_inputs
+from pinchflow.campaign import _KIND_TAGS, BLOCK, CHUNK, run_campaign, sample_trial_inputs
 from pinchflow.errors import InvalidConstants
 from pinchflow.forms import Dims, mean_curvature, symmetrize
 from pinchflow.samplers import (
@@ -34,7 +34,6 @@ from pinchflow.samplers import (
     symmetric_matrices,
     symmetric_three_tensor,
     trial_rng,
-    trial_rngs,
 )
 
 # a seed >= 2**32 adds entropy words; 2**64 gives five, which takes the
@@ -48,6 +47,13 @@ TRIALS = {
 }
 
 
+def substreams(spec, trials):
+    """The substreams of every input kind of a sequence of trial numbers,
+    as a campaign passes them to ``sample_trial_inputs``; ``["form"]`` is
+    what ``sample_form`` takes."""
+    return {kind: Substreams(spec.seed, trials, tag) for kind, tag in _KIND_TAGS.items()}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("trials", TRIALS.values(), ids=TRIALS.keys())
@@ -55,7 +61,7 @@ def test_streams_match_default_rng(seed, tag, trials):
     states = substream_states(seed, trials, tag)
     assert states.shape == (len(trials), 4)
     drawn = 0
-    for trial, state, rng in zip(trials, states, trial_rngs(seed, trials, tag)):
+    for trial, state, rng in zip(trials, states, Substreams(seed, trials, tag)):
         expected = np.random.SeedSequence((seed, trial, tag)).generate_state(4, np.uint64)
         assert np.array_equal(state, expected)
         ref = trial_rng(seed, trial, tag)
@@ -220,14 +226,14 @@ def test_chunk_sampling_matches_trial_rng(name, monkeypatch):
 
     monkeypatch.setattr(samplers, "sample_pinched", counted)
     trials = range(7, 7 + CHUNK + 3)
-    chunk = sample_trial_inputs(spec, trials, kinds)
+    chunk = sample_trial_inputs(spec, substreams(spec, trials), kinds)
     monkeypatch.undo()
     assert chunk.form.components.shape == (len(trials), spec.dims.m, spec.dims.n, spec.dims.n)
     for i, trial in enumerate(trials):
         alone = chunk.trial(i)
         for key, expected in one_trial(spec, trial, kinds).items():
             got = getattr(alone, key)
-            got = got.components if key.endswith("form") else got
+            (got,) = got.components if key.endswith("form") else got  # a chunk of one
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (key, trial)
     if name == "rejecting":
         assert reruns

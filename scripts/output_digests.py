@@ -12,8 +12,10 @@ The runs write into a temporary directory:
   (12 trials), seed 1, each with a false bound (the rhs of ``check_li``,
   or of every ``gradient_checks`` result, times 0.1), so that shrinking,
   the kept worst trial and the counterexample files are digested too;
-- ``simulate`` of the four flow families;
-- one ``rescale`` of the product series.
+- ``simulate`` of the four flow families at dt = 1e-4, and of the product
+  and hyperbolic families to blow-up at dt = 1e-5, as the ``flow``
+  benchmark workload runs them;
+- ``rescale`` of both product series, the dt = 1e-5 one at its middle row.
 
 Each file they leave, reports and counterexample files alike, gets one
 ``sha256  name`` line, so checking that a change keeps every output is a
@@ -43,12 +45,18 @@ SEEDS = (1, 7)
 TRIALS = 1500  # more than one block of 1024 substream states
 # (lemma attribute, suite, n, m, trials) of the verify runs with a false bound
 FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12)]
-SIMULATE = {
-    "sphere": ["--params", "n=8,m=2,r=1"],
-    "cylinder": ["--params", "n=8,m=2,r=1"],
-    "product": ["--params", "p=7,q=1,a=1,b=4", "--t-end", "0.07"],
-    "hyperbolic": ["--params", "n=8,m=2,r=1,kbar=-1"],
-}
+# (output name, family, arguments) of the simulate runs
+SIMULATE = [
+    ("sphere", "sphere", ["--params", "n=8,m=2,r=1", "--dt", "1e-4"]),
+    ("cylinder", "cylinder", ["--params", "n=8,m=2,r=1", "--dt", "1e-4"]),
+    ("product", "product", ["--params", "p=7,q=1,a=1,b=4", "--dt", "1e-4", "--t-end", "0.07"]),
+    ("hyperbolic", "hyperbolic", ["--params", "n=8,m=2,r=1,kbar=-1", "--dt", "1e-4"]),
+    ("product_dt1e-5", "product", ["--params", "p=7,q=1,a=1,b=4", "--dt", "1e-5"]),
+    ("hyperbolic_dt1e-5", "hyperbolic", ["--params", "r=0.5,kbar=-1", "--dt", "1e-5"]),
+]
+# (simulate output name, base row) of the rescale runs; the dt = 1e-5
+# product series has 7254 rows
+RESCALE = [("product", 120), ("product_dt1e-5", 3627)]
 
 
 def runs(out: str) -> list[list[str]]:
@@ -60,12 +68,14 @@ def runs(out: str) -> list[list[str]]:
         for suite, n, m in VERIFY for seed in SEEDS
     ]
     argvs += [
-        ["simulate", "--family", family, *params, "--dt", "1e-4",
-         "--out", os.path.join(out, f"simulate_{family}.csv")]
-        for family, params in SIMULATE.items()
+        ["simulate", "--family", family, *args, "--out", os.path.join(out, f"simulate_{name}.csv")]
+        for name, family, args in SIMULATE
     ]
-    argvs.append(["rescale", "--in", os.path.join(out, "simulate_product.csv"),
-                  "--base-row", "120", "--out", os.path.join(out, "rescale_product.csv")])
+    argvs += [
+        ["rescale", "--in", os.path.join(out, f"simulate_{name}.csv"), "--base-row", str(row),
+         "--out", os.path.join(out, f"rescale_{name}.csv")]
+        for name, row in RESCALE
+    ]
     return argvs
 
 

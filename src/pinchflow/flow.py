@@ -22,9 +22,10 @@ A run's diagnostics form a :class:`TimeSeries`, one array per CSV column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
-from typing import ClassVar, TextIO
+import operator
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from typing import Callable, ClassVar, NamedTuple, TextIO
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, mean_curva
 from .reaction import r1, r2
 
 R_MIN = 1e-6
+_COLLAPSED = "radius collapsed inside an RK4 stage"
 FD_STEP = 1e-5
 WRITE_ROWS = 1024  # rows formatted by one % in write_rows
 CSV_HEADER = "t,param1,param2,A2,H2,h2,Aminus2,f,Q,ratio_pinch,ratio_codim,ratio_cyl"
@@ -93,11 +95,9 @@ class SpheresFlow:
         return tuple(math.sqrt(s) for s in squares)
 
     @cached_property
-    def factor_dims(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.factors)
-
-    def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple([-k / r for k, r in zip(self.factor_dims, params)])
+    def radius_rates(self) -> tuple[Callable[[float], float], ...]:
+        """Each radius's rate as a function of that radius: r -> -k_i / r."""
+        return tuple(partial(operator.truediv, -k) for k, _ in self.factors)
 
     def form(self, params: tuple[float, ...] | np.ndarray) -> SecondFundamentalForm:
         """The form at radii ``params``, shape (k,) or (..., k) for a batch."""
@@ -107,8 +107,8 @@ class SpheresFlow:
 
 
 def _require_radius(name: str, r: float) -> float:
-    if not 0 < r < math.inf:
-        raise ValueError(f"radius {name}={r} must satisfy 0 < {name} < inf")
+    if not R_MIN < r < math.inf:
+        raise ValueError(f"radius {name}={r} must satisfy r_min={R_MIN:g} < {name} < inf")
     return r
 
 
@@ -157,9 +157,11 @@ class HyperbolicSphereFlow:
             raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
         return (math.acosh(ch) / self.kappa,)
 
-    def rates(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        kr = self.kappa * params[0]
-        return (-self.n * self.kappa / math.tanh(kr),)
+    @cached_property
+    def radius_rates(self) -> tuple[Callable[[float], float]]:
+        """The radius's rate as a function of it: r -> -n kappa / tanh(kappa r)."""
+        scale, kappa, tanh = -self.n * self.kappa, self.kappa, math.tanh
+        return (lambda r: scale / tanh(kappa * r),)
 
     def form(self, params: tuple[float, ...] | np.ndarray) -> SecondFundamentalForm:
         """The form at radius ``params``, shape (1,) or (..., 1) for a batch."""
@@ -179,48 +181,50 @@ FAMILY_KINDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class FlowState:
-    """A family at a given time, with the radii as the full state."""
+class FlowState(NamedTuple):
+    """A family at time ``t`` with radii ``params``, the full state, and
+    the radius rates at ``params`` (None: ``step_rk4`` computes them)."""
 
     family: Family
     t: float
     params: tuple[float, ...]
-    _rates: tuple[float, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    rates: tuple[float, ...] | None = None
 
-    @property
-    def rates(self) -> tuple[float, ...]:
-        """The radius rates at ``params``, computed on first read."""
-        if self._rates is None:
-            object.__setattr__(self, "_rates", self.family.rates(self.params))
-        return self._rates
+
+def rates(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
+    """The radius rates at ``params``, each from its radius alone."""
+    return tuple([rate(r) for rate, r in zip(family.radius_rates, params)])
 
 
 def exact_state(family: Family, t: float) -> FlowState:
-    return FlowState(family, t, family.exact_params(t))
+    params = family.exact_params(t)
+    return FlowState(family, t, params, rates(family, params))
 
 
 def step_rk4(state: FlowState, dt: float) -> FlowState:
-    """One classical fourth-order step of the radius ODE, in plain floats."""
+    """One classical fourth-order step of the decoupled radius ODEs, radius
+    by radius in plain floats.  PastBlowup when a radius is at or below R_MIN
+    at the start, at a stage or at the end; the new state carries its rates."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    fam, y, half = state.family, _stage(state.params), 0.5 * dt
-    k1 = state.rates  # the first stage, cached on the state
-    k2 = fam.rates(_stage([r + half * s for r, s in zip(y, k1)]))
-    k3 = fam.rates(_stage([r + half * s for r, s in zip(y, k2)]))
-    k4 = fam.rates(_stage([r + dt * s for r, s in zip(y, k3)]))
-    new = tuple([r + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for r, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    fam, y, half = state.family, state.params, 0.5 * dt
+    if min(y) <= R_MIN:
+        raise PastBlowup(_COLLAPSED)
+    new = []
+    for rate, r, a in zip(fam.radius_rates, y, state.rates or rates(fam, y)):
+        if (s := r + half * a) <= R_MIN:
+            raise PastBlowup(_COLLAPSED)
+        b = rate(s)
+        if (s := r + half * b) <= R_MIN:
+            raise PastBlowup(_COLLAPSED)
+        c = rate(s)
+        if (s := r + dt * c) <= R_MIN:
+            raise PastBlowup(_COLLAPSED)
+        d = rate(s)
+        new.append(r + dt / 6.0 * (a + 2 * b + 2 * c + d))
     if min(new) <= R_MIN:
         raise PastBlowup(f"radius fell to {min(new):.3e} <= r_min={R_MIN:.1e}")
-    return FlowState(fam, state.t + dt, new)
-
-
-def _stage(radii: tuple[float, ...] | list[float]) -> tuple[float, ...] | list[float]:
-    """The radii of an RK4 stage, once none of them has collapsed."""
-    if min(radii) <= R_MIN:
-        raise PastBlowup("radius collapsed inside an RK4 stage")
-    return radii
+    return FlowState(fam, state.t + dt, tuple(new), rates(fam, new))
 
 
 @dataclass(frozen=True)
@@ -298,7 +302,7 @@ def simulate(
         raise ValueError(f"t_end must be a positive time, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    state = FlowState(family, 0.0, family.exact_params(0.0))
+    state = exact_state(family, 0.0)
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once
     parts = [diagnostics([state], constants)]
@@ -359,15 +363,8 @@ def evolution_residual(state: FlowState, h: float = FD_STEP) -> EvolutionResidua
     kbar, n = fam.kbar, fam.n
     reaction_A2 = 2 * r1(A) + 4 * kbar * H.norm2 - 2 * n * kbar * A.norm2
     reaction_H2 = 2 * r2(A, H) + 2 * n * kbar * H.norm2
-    return EvolutionResidual(
-        t=t,
-        dA2_dt=dA2,
-        dH2_dt=dH2,
-        reaction_A2=reaction_A2,
-        reaction_H2=reaction_H2,
-        residual_A2=abs(dA2 - reaction_A2) / max(1.0, abs(reaction_A2)),
-        residual_H2=abs(dH2 - reaction_H2) / max(1.0, abs(reaction_H2)),
-    )
+    return EvolutionResidual(t, dA2, dH2, reaction_A2, reaction_H2, *[
+        abs(d - r) / max(1.0, abs(r)) for d, r in ((dA2, reaction_A2), (dH2, reaction_H2))])
 
 
 @dataclass(frozen=True)

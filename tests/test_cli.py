@@ -321,6 +321,21 @@ class TestSimulate:
         assert code == 2
         assert out == "" and named in err
 
+    # a start radius at or below R_MIN, where no step can be taken, is
+    # refused before any row is written, and before a blow-up time that
+    # rounds to 0 (r=1e-300) could be taken as a bad --t-end
+    @pytest.mark.parametrize("family, params, named", [
+        ("cylinder", "n=8,m=2,r=1e-7", "radius r0=1e-07"),
+        ("hyperbolic", "n=8,m=2,r=1e-300,kbar=-1", "radius r0=1e-300"),
+        ("sphere", "r=1e-6", "radius r0=1e-06"),
+        ("product", "a=1,b=1e-6", "radius b0=1e-06"),
+    ])
+    def test_start_radius_at_or_below_r_min_is_config_error(self, capsys, family, params,
+                                                            named):
+        code, out, err = run(capsys, "simulate", "--family", family, "--params", params)
+        assert code == 2
+        assert out == "" and named in err and "r_min=1e-06" in err
+
     @pytest.mark.parametrize("family, params, option, value", [
         ("sphere", "r=2", "c", "nan"),
         ("sphere", "r=2", "c", "inf"),

@@ -14,6 +14,7 @@ from pinchflow.constants import PinchingConstants
 from pinchflow.errors import InvalidConstants, NonpositiveZ, PastBlowup
 from pinchflow.flow import (
     CSV_HEADER,
+    R_MIN,
     WRITE_ROWS,
     CylinderFlow,
     FlowState,
@@ -79,6 +80,37 @@ HYPERBOLIC_RADII = [
     (40, 0.0039999999999999975, 0.4259877237894873),
 ]
 HYPERBOLIC_ULPS = 3
+
+
+def reference_rates(fam, radii):
+    """Every radius rate at ``radii`` from one formula per family."""
+    if fam.kind == "hyperbolic":
+        return (-fam.n * fam.kappa / math.tanh(fam.kappa * radii[0]),)
+    return tuple([-k / r for (k, _), r in zip(fam.factors, radii)])
+
+
+def reference_stage(radii):
+    if min(radii) <= R_MIN:
+        raise PastBlowup("radius collapsed inside an RK4 stage")
+    return radii
+
+
+def reference_step(fam, params, dt):
+    """The new radii of one RK4 step taken on whole lists of radii, stage
+    by stage; PastBlowup as step_rk4 raises it."""
+    y, half = reference_stage(params), 0.5 * dt
+    k1 = reference_rates(fam, y)
+    k2 = reference_rates(fam, reference_stage([r + half * s for r, s in zip(y, k1)]))
+    k3 = reference_rates(fam, reference_stage([r + half * s for r, s in zip(y, k2)]))
+    k4 = reference_rates(fam, reference_stage([r + dt * s for r, s in zip(y, k3)]))
+    new = tuple([r + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for r, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    if min(new) <= R_MIN:
+        raise PastBlowup("radius fell below r_min")
+    return new
+
+
+ORACLE_FAMILIES = ALL_FAMILIES + [HyperbolicSphereFlow(5, 3, 0.3, -4.0)]
 
 
 class TestExactStates:
@@ -179,6 +211,85 @@ class TestRK4:
         exact = fam.exact_params(st.t)
         for got, want in zip(st.params, exact):
             assert abs(got - want) / want < 1e-9
+
+
+class TestStepOracle:
+    """step_rk4 against the whole-list reference step, bit for bit."""
+
+    @staticmethod
+    def radii(fam, rng, dt, near_collapse):
+        """Random radii in units of sqrt(2 k dt), the radius that a rate
+        -k/r takes to 0 in one step: from 3 to 3000 of them, or near
+        collapse one radius from 0 to 1.5 of them."""
+        ks = [fam.n] if fam.kind == "hyperbolic" else [k for k, _ in fam.factors]
+        units = [float(10.0 ** rng.uniform(0.5, 3.5)) for _ in ks]
+        if near_collapse:
+            units[int(rng.integers(len(ks)))] = float(rng.uniform(0.0, 1.5))
+        return tuple(u * math.sqrt(2.0 * k * dt) for u, k in zip(units, ks))
+
+    @pytest.mark.parametrize("near_collapse", [False, True], ids=["bulk", "collapse"])
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_matches_reference_step(self, fam, near_collapse):
+        rng = np.random.default_rng([7, len(fam.radius_rates), fam.n, int(near_collapse)])
+        raised = 0
+        for _ in range(400):
+            dt = float(10.0 ** rng.uniform(-8, -2))
+            params = self.radii(fam, rng, dt, near_collapse)
+            try:
+                want = reference_step(fam, params, dt)
+            except PastBlowup:
+                want = None
+            for state in (FlowState(fam, 0.5, params),
+                          FlowState(fam, 0.5, params, reference_rates(fam, params))):
+                if want is None:
+                    with pytest.raises(PastBlowup):
+                        step_rk4(state, dt)
+                    continue
+                got = step_rk4(state, dt)
+                assert got.params == want and got.t == 0.5 + dt
+                assert got.rates == reference_rates(fam, want)
+            raised += want is None
+        # near collapse both outcomes occur; in the bulk a step never fails
+        assert (0 < raised < 400) if near_collapse else raised == 0
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_collapse_boundary(self, fam):
+        # bisect the first radius to the two floats where the reference
+        # step starts to fail: from the lower one it lands in (0, R_MIN],
+        # with every stage still above R_MIN
+        dt, rest = 1e-4, fam.exact_params(0.0)[1:]
+        lo, hi = R_MIN, 1.0
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            try:
+                reference_step(fam, (mid, *rest), dt)
+                hi = mid
+            except PastBlowup:
+                lo = mid
+        for r in (0.0, R_MIN, lo):
+            with pytest.raises(PastBlowup):
+                step_rk4(FlowState(fam, 0.0, (r, *rest)), dt)
+        want = reference_step(fam, (hi, *rest), dt)
+        assert step_rk4(FlowState(fam, 0.0, (hi, *rest)), dt).params == want
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_stepped_state_equals_user_built_one(self, fam):
+        # to blow-up at dt = 1e-3: every step carries its rates forward, and
+        # a state rebuilt from t and params alone steps to the same state
+        dt, want = 1e-3, fam.exact_params(0.0)
+        state = FlowState(fam, 0.0, want)
+        while True:
+            try:
+                want = reference_step(fam, want, dt)
+            except PastBlowup:
+                with pytest.raises(PastBlowup):
+                    step_rk4(state, dt)
+                break
+            stepped = step_rk4(state, dt)
+            assert stepped == step_rk4(FlowState(fam, state.t, state.params), dt)
+            assert stepped.params == want
+            state = stepped
+        assert state.t > 0.5 * fam.blowup_time()
 
 
 class TestDiagnostics:

@@ -24,7 +24,6 @@ from .forms import (
     symmetrize,
 )
 from .reaction import (
-    ReactionReport,
     boundary_reaction_bound,
     cc_reaction_upper_bound,
     r1,

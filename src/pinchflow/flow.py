@@ -142,6 +142,9 @@ class HyperbolicSphereFlow:
         _require_radius("r0", self.r0)
         if not -math.inf < self.kbar < 0:
             raise ValueError(f"hyperbolic family needs -inf < kbar < 0, got kbar={self.kbar}")
+        if not self.blowup_time() > 0:  # cosh(kappa r0) rounds to 1
+            raise ValueError(f"hyperbolic family at r0={self.r0}, kbar={self.kbar} blows up at "
+                             "t=0 in floating point; use the sphere family for so small a kbar")
 
     @cached_property
     def kappa(self) -> float:

@@ -1,17 +1,18 @@
 """Two-sided evaluators for every standalone algebraic inequality.
 
 Each evaluator computes both sides of one inequality exactly from the
-sampled data and reports them normalized as ``lhs <= rhs`` with
-``slack = rhs - lhs``.  :data:`LEMMAS` describes every identifier once, in
-report order: what it bounds, its ``verify`` suite, the sampled input kinds
-it reads, the homogeneity degree of its slack (forms scale linearly for the
+sampled data and reports them as an :class:`InequalityCheck` of
+``lhs <= rhs`` with ``slack = rhs - lhs``; the reaction bounds of
+:mod:`~pinchflow.reaction` return their two sides, which the lemma table
+wraps as checks.  :data:`LEMMAS` describes every identifier once, in report
+order: what it bounds, its ``verify`` suite, the sampled input kinds it
+reads, the homogeneity degree of its slack (forms scale linearly for the
 quartic reaction bounds, derivative samples for the quadratic gradient
 bounds) and the evaluator of its group.
 
-A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the
-result of ``principal_decompose(A)``, which carries the form A and its mean
-curvature H: :func:`reaction_checks` and :func:`boundary_check` take it
-alone, and the gradient evaluators take a
+A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the result
+of ``principal_decompose(A)``, which carries the form A and its mean
+curvature H: the reaction evaluators take it alone, and the gradient ones a
 :class:`~pinchflow.forms.GradientSample`, which carries it as ``decomp``.
 
 Every evaluator also takes a batch of points (and of derivative samples)
@@ -161,11 +162,6 @@ def reaction_checks(
         else:
             raise ValueError(f"unknown reaction lemma {lemma_id!r}")
     return out
-
-
-def boundary_check(dec: PrincipalDecomposition, c: float, d: float) -> InequalityCheck:
-    report = boundary_reaction_bound(dec, c, d)
-    return InequalityCheck("boundary", report.lhs_bound, report.rhs_bound)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +365,8 @@ def _reaction_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
 
 
 def _boundary_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    return [boundary_check(unit.boundary_decomp, config.c, unit.d_boundary) for _ in ids]
+    sides = boundary_reaction_bound(unit.boundary_decomp, config.c, unit.d_boundary)
+    return [InequalityCheck("boundary", *sides) for _ in ids]
 
 
 # the order in which a unit runs its groups, which fixes the first error raised

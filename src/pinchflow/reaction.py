@@ -5,14 +5,13 @@ R1 and R2 are the two quartic contractions driving d|A|^2/dt and d|H|^2/dt;
 the pinching function f a supersolution.  The remaining functions evaluate
 both sides of the closed-form reaction estimates (the boundary estimate and
 the constant-curvature estimate for Q; the flat ones are in ``lemmas``) and
-report the slack.  The bounds take a point as its principal split, which carries the
-form and its mean curvature.  The contractions and the boundary estimate
-also take a batch of points along leading axes, as the forms module does.
+return the two sides of ``lhs <= rhs``; the lemma table wraps them as checks.
+The bounds take a point as its principal split, which carries the form and its
+mean curvature.  The contractions and the boundary estimate also take a batch
+of points along leading axes, as the forms module does.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,34 +59,11 @@ def reaction_gap(
     return c * r2(A, H) - gram_norm2(A.components, A.components) - rperp.norm2
 
 
-@dataclass(frozen=True)
-class ReactionReport:
-    """Two-sided evaluation of a reaction estimate.
-
-    ``slack = rhs_bound - lhs_bound``; a verified bound has slack above
-    -tol at the working scale.  The bounds are arrays for a batch of points.  ``blowup_rhs`` is filled only by the
-    constant-curvature estimate when the stronger -const * Q^2 bound
-    applies; ``blowup_slack`` is None otherwise.
-    """
-
-    lhs_bound: float | np.ndarray
-    rhs_bound: float | np.ndarray
-    blowup_rhs: float | None = None
-
-    @property
-    def slack(self) -> float | np.ndarray:
-        return self.rhs_bound - self.lhs_bound
-
-    @property
-    def blowup_slack(self) -> float | None:
-        return None if self.blowup_rhs is None else self.blowup_rhs - self.lhs_bound
-
-
 def boundary_reaction_bound(
     decomp: PrincipalDecomposition,
     c: float,
     d: float,
-) -> ReactionReport:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Upper bound for 2 R1 - 2 c R2 on the pinching boundary |A|^2 = c|H|^2 - d.
 
     The substitution |H|^2 = (|Aring|^2 + d) / (c - 1/n) only holds on the
@@ -114,7 +90,7 @@ def boundary_reaction_bound(
         - 4 * d / (n * g) * am2
         - 2 * d * d / (n * g)
     )
-    return ReactionReport(lhs, rhs)
+    return lhs, rhs
 
 
 def cc_reaction_upper_bound(
@@ -123,15 +99,15 @@ def cc_reaction_upper_bound(
     c: float,
     d: float,
     kbar: float,
-) -> ReactionReport:
-    """Zeroth-order estimate for the evolution of Q in a space form.
+) -> tuple[float, float, float | None]:
+    """Zeroth-order estimate (lhs, rhs, blowup_rhs) of dQ/dt in a space form.
 
     lhs = 2 R1 - 2 c R2 - 2 n Kbar |Aring|^2 - 2 n Kbar (c - 1/n) |H|^2 (the
     exact homogeneous dQ/dt), rhs the displayed multi-line bound in terms of
     |h_ring|^2, |A^-|^2, Kbar and Q.  When Q <= 0, Kbar < 0,
-    c <= min{4/(3n), 3/(n+2)} and d >= 2n - 2/c the report additionally
-    carries the stronger bound lhs <= -(2/n)/(c - 1/n) Q^2 that forces Q to
-    blow up in finite time.
+    c <= min{4/(3n), 3/(n+2)} and d >= 2n - 2/c, ``blowup_rhs`` is the rhs of
+    the stronger bound lhs <= -(2/n)/(c - 1/n) Q^2 that forces Q to blow up in
+    finite time; it is None otherwise.
     """
     n = decomp.dims.n
     g = c - 1.0 / n
@@ -159,4 +135,4 @@ def cc_reaction_upper_bound(
         and d >= (2 * n - 2 / c) * (1 - 1e-12)
     )
     blowup_rhs = -(2.0 / n) / g * Q * Q if eligible else None
-    return ReactionReport(lhs, rhs, blowup_rhs)
+    return lhs, rhs, blowup_rhs

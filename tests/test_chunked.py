@@ -46,7 +46,6 @@ from pinchflow.forms import (
 )
 from pinchflow.lemmas import (
     InequalityCheck,
-    boundary_check,
     check_kato,
     check_kato_trace,
     check_li,
@@ -54,6 +53,7 @@ from pinchflow.lemmas import (
     gradient_checks,
     reaction_checks,
 )
+from pinchflow.reaction import boundary_reaction_bound
 from pinchflow.samplers import (
     TAG_GRADIENT,
     SamplerSpec,
@@ -98,7 +98,8 @@ def one_trial(lemma_id, inputs, config, d_bound):
     if lemma_id == "li":
         return check_li(inputs.matrices)
     if lemma_id == "boundary":
-        return boundary_check(principal_decompose(inputs.boundary_form), config.c, d_bound)
+        dec = principal_decompose(inputs.boundary_form)
+        return InequalityCheck("boundary", *boundary_reaction_bound(dec, config.c, d_bound))
     dec = principal_decompose(inputs.form)
     if lemma_id in REACTION_IDS:
         return reaction_checks([lemma_id], dec, config.c, config.d, config.delta)[0]

@@ -321,6 +321,14 @@ class TestSimulate:
         assert code == 2
         assert out == "" and named in err
 
+    def test_hyperbolic_too_flat_names_its_parameters(self, capsys):
+        # no --t-end: the refusal is the family's, not a zero blow-up time's
+        code, out, err = run(capsys, "simulate", "--family", "hyperbolic",
+                             "--params", "r=1,kbar=-1e-20")
+        assert code == 2
+        assert out == "" and "r0=1.0, kbar=-1e-20" in err and "sphere family" in err
+        assert "t_end" not in err
+
     # a start radius at or below R_MIN, where no step can be taken, is
     # refused before any row is written, and before a blow-up time that
     # rounds to 0 (r=1e-300) could be taken as a bad --t-end

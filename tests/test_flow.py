@@ -144,6 +144,12 @@ class TestExactStates:
         st = exact_state(SphereFlow(8, 2, 2.0), -0.1)
         assert st.params[0] > 2.0
 
+    @pytest.mark.parametrize("kbar", [-1e-20, -1e-300])
+    def test_hyperbolic_blowing_up_at_once_rejected(self, kbar):
+        # cosh(kappa r0) rounds to 1, so the blow-up time would be 0.0
+        with pytest.raises(ValueError, match=rf"r0=1.0, kbar={kbar}.*sphere family"):
+            HyperbolicSphereFlow(8, 2, 1.0, kbar)
+
 
 class TestRK4:
     def test_single_step_matches_exact(self):

@@ -173,9 +173,9 @@ class TestBoundaryBound:
             raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
             A = rescale_to_boundary(raw, 1 / 6, 1.0)
             dec = principal_decompose(A)
-            rep = boundary_reaction_bound(dec, 1 / 6, 1.0)
-            scale = max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
-            assert rep.slack >= -1e-9 * scale
+            lhs, rhs = boundary_reaction_bound(dec, 1 / 6, 1.0)
+            scale = max(1.0, abs(lhs), abs(rhs))
+            assert rhs - lhs >= -1e-9 * scale
 
 
 class TestConstantCurvatureBound:
@@ -189,22 +189,22 @@ class TestConstantCurvatureBound:
     def test_hyperbolic_umbilic_equality_and_blowup(self):
         A, dec, H = self._hyperbolic_umbilic()
         q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 + 4.0
-        rep = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
-        scale = max(1.0, abs(rep.lhs_bound))
+        lhs, rhs, blowup_rhs = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
+        scale = max(1.0, abs(lhs))
         # umbilic data saturates the multi-line bound
-        assert abs(rep.slack) < 1e-9 * scale
-        assert rep.blowup_rhs is not None
-        assert rep.blowup_rhs == pytest.approx(-(2 / 8) / (1 / 6 - 1 / 8) * q * q, rel=1e-13)
-        assert rep.blowup_slack >= -1e-9 * scale
+        assert abs(rhs - lhs) < 1e-9 * scale
+        assert blowup_rhs is not None
+        assert blowup_rhs == pytest.approx(-(2 / 8) / (1 / 6 - 1 / 8) * q * q, rel=1e-13)
+        assert blowup_rhs - lhs >= -1e-9 * scale
 
     def test_flat_umbilic_closed_form(self):
         # A = (|H|/n) I nu1 gives lhs = 2 (1/n) (1/n - c) |H|^4 <= 0
         A = sphere_form(n=8, m=2, r=2.0)
         dec, H = principal_decompose(A), mean_curvature(A)
-        rep = cc_reaction_upper_bound(dec, 0.0, 1 / 6, 0.0, 0.0)
+        lhs, _, _ = cc_reaction_upper_bound(dec, 0.0, 1 / 6, 0.0, 0.0)
         expected = 2 * (1 / 8) * (1 / 8 - 1 / 6) * H.norm2**2
-        assert rep.lhs_bound == pytest.approx(expected, rel=1e-12)
-        assert rep.lhs_bound <= 0
+        assert lhs == pytest.approx(expected, rel=1e-12)
+        assert lhs <= 0
 
     def test_vanishes_with_form(self):
         # both sides go to zero quartically as the form shrinks
@@ -213,9 +213,9 @@ class TestConstantCurvatureBound:
             As = A.scaled(lam)
             decs, Hs = principal_decompose(As), mean_curvature(As)
             q = decs.a_ring2 - (1 / 6 - 1 / 8) * Hs.norm2  # d = 0 here
-            rep = cc_reaction_upper_bound(decs, q, 1 / 6, 0.0, -1.0)
-            assert abs(rep.lhs_bound) < 500 * lam**2
-            assert abs(rep.rhs_bound) < 500 * lam**2
+            lhs, rhs, _ = cc_reaction_upper_bound(decs, q, 1 / 6, 0.0, -1.0)
+            assert abs(lhs) < 500 * lam**2
+            assert abs(rhs) < 500 * lam**2
 
     def test_random_pinched_space_form(self):
         rng = np.random.default_rng(53)
@@ -226,12 +226,12 @@ class TestConstantCurvatureBound:
             A = sample_pinched(rng, Dims(n, m), 1 / 6, 4.0)
             dec, H = principal_decompose(A), mean_curvature(A)
             q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 - 4.0 * kbar
-            rep = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, kbar)
-            scale = max(1.0, abs(rep.lhs_bound), abs(rep.rhs_bound))
-            assert rep.slack >= -1e-9 * scale
-            if rep.blowup_slack is not None:
+            lhs, rhs, blowup_rhs = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, kbar)
+            scale = max(1.0, abs(lhs), abs(rhs))
+            assert rhs - lhs >= -1e-9 * scale
+            if blowup_rhs is not None:
                 count_eligible += 1
-                assert rep.blowup_slack >= -1e-9 * scale
+                assert blowup_rhs - lhs >= -1e-9 * scale
         assert count_eligible > 0
 
     def test_invalid_constants(self):
@@ -273,20 +273,21 @@ class TestScaleCovariance:
         A = sample_pinched(rng, Dims(8, 2), 1 / 6, 4.0)
         H, dec = mean_curvature(A), principal_decompose(A)
         q = dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2 + 4.0
-        base = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
+        lhs, rhs, _ = cc_reaction_upper_bound(dec, q, 1 / 6, 4.0, -1.0)
         for lam in (0.5, 2.0):
             As = A.scaled(lam)
             Hs, decs = mean_curvature(As), principal_decompose(As)
             qs = decs.a_ring2 - (1 / 6 - 1 / 8) * Hs.norm2 + 4.0 * lam**2
-            rep = cc_reaction_upper_bound(decs, qs, 1 / 6, 4.0, -(lam**2))
+            lhs_s, rhs_s, _ = cc_reaction_upper_bound(decs, qs, 1 / 6, 4.0, -(lam**2))
             assert qs == pytest.approx(lam**2 * q, rel=1e-11)
-            assert rep.slack == pytest.approx(lam**4 * base.slack, rel=1e-9, abs=1e-10)
+            assert rhs_s - lhs_s == pytest.approx(lam**4 * (rhs - lhs), rel=1e-9, abs=1e-10)
 
     def test_boundary_scaling(self):
         rng = np.random.default_rng(71)
         raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
         A = rescale_to_boundary(raw, 1 / 6, 1.0)
-        base = boundary_reaction_bound(principal_decompose(A), 1 / 6, 1.0)
+        lhs, rhs = boundary_reaction_bound(principal_decompose(A), 1 / 6, 1.0)
         for lam in (0.5, 2.0):
-            rep = boundary_reaction_bound(principal_decompose(A.scaled(lam)), 1 / 6, lam**2 * 1.0)
-            assert rep.slack == pytest.approx(lam**4 * base.slack, rel=1e-9, abs=1e-10)
+            decs = principal_decompose(A.scaled(lam))
+            lhs_s, rhs_s = boundary_reaction_bound(decs, 1 / 6, lam**2 * 1.0)
+            assert rhs_s - lhs_s == pytest.approx(lam**4 * (rhs - lhs), rel=1e-9, abs=1e-10)

@@ -15,7 +15,10 @@ The runs write into a temporary directory:
 - ``simulate`` of the four flow families at dt = 1e-4, and of the product
   and hyperbolic families to blow-up at dt = 1e-5, as the ``flow``
   benchmark workload runs them;
-- ``rescale`` of both product series, the dt = 1e-5 one at its middle row.
+- ``rescale`` of both product series, the dt = 1e-5 one at its middle row;
+- the model checks of the five ``barrier_sweep.py`` families, written to
+  ``model_checks.txt``: the ``repr`` of ``blowup_bound_check`` and of
+  ``evolution_residual`` at fixed fractions of the blow-up time.
 
 Each file they leave, reports and counterexample files alike, gets one
 ``sha256  name`` line, so checking that a change keeps every output is a
@@ -35,7 +38,9 @@ from pathlib import Path
 # digest the code of the checkout this script is in, whatever is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pinchflow import cli, lemmas  # noqa: E402
+from pinchflow import cli, flow, lemmas  # noqa: E402
+
+import barrier_sweep  # noqa: E402  (this script's directory is on the path)
 
 # (suite, n, m) of the verify runs
 VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), ("all", 8, 3),
@@ -57,6 +62,9 @@ SIMULATE = [
 # (simulate output name, base row) of the rescale runs; the dt = 1e-5
 # product series has 7254 rows
 RESCALE = [("product", 120), ("product_dt1e-5", 3627)]
+# fractions of each barrier_sweep family's blow-up time at which its
+# evolution residual is written
+RESIDUAL_TIMES = (0.0, 0.25, 0.5, 0.75)
 
 
 def runs(out: str) -> list[list[str]]:
@@ -96,10 +104,23 @@ def tenth_of_rhs(evaluate):
     return false
 
 
+def model_checks(path: str) -> None:
+    """Write one ``repr`` a line: for each ``barrier_sweep.py`` family, its
+    ``blowup_bound_check`` and its ``evolution_residual`` at
+    ``RESIDUAL_TIMES``."""
+    with open(path, "w") as fh:
+        for name, family in barrier_sweep.FAMILIES:
+            fh.write(f"{name}: {flow.blowup_bound_check(family)!r}\n")
+            for frac in RESIDUAL_TIMES:
+                state = flow.exact_state(family, frac * family.blowup_time())
+                fh.write(f"{name}: {flow.evolution_residual(state)!r}\n")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as out:
         for argv in runs(out):
             run(argv)
+        model_checks(os.path.join(out, "model_checks.txt"))
         for name, suite, n, m, trials in FALSE:
             true = getattr(lemmas, name)
             setattr(lemmas, name, tenth_of_rhs(true))

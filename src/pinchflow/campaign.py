@@ -388,8 +388,8 @@ def run_campaign(
     """Run ``trials`` seeded trials of every inequality in ``lemma_ids``.
 
     Results come back in the order the ids were given, and an id given
-    twice is a ``ValueError``; an empty id list yields an empty result list.  Identical (seed, spec, ids) reproduce
-    bit-identical inputs and results.
+    twice is a ``ValueError``; an empty id list yields an empty result list.
+    Identical (seed, spec, ids) reproduce bit-identical inputs and results.
     """
     if trials < 1:
         raise ValueError(f"a campaign needs at least one trial, got {trials}")

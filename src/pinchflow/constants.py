@@ -26,6 +26,7 @@ from .errors import InvalidConstants, NonpositiveKappa, UnsupportedDimension
 from .forms import Dims, PrincipalDecomposition
 
 REGIMES = ("euclidean", "bounded_background", "space_form")
+RHO = THETA = VARTHETA = 1.0  # the Young parameters of d_lower_bound
 
 
 def c_n(n: int, regime: str = "general") -> Fraction:
@@ -46,21 +47,12 @@ def c_n(n: int, regime: str = "general") -> Fraction:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def d_lower_bound(
-    n: int,
-    m: int,
-    c: float | Fraction,
-    K1: float,
-    K2: float,
-    L: float,
-    rho: float = 1.0,
-    theta: float = 1.0,
-    vartheta: float = 1.0,
-) -> float:
+def d_lower_bound(n: int, m: int, c: float | Fraction, K1: float, K2: float, L: float) -> float:
     """Lower bound for the pinching offset d under the background bounds.
 
     Assembles the four constants C1..C4 from (n, m, c, K1, K2, L) and the
-    free Young parameters rho, theta, vartheta (all default 1) and returns
+    free Young parameters rho, theta, vartheta (the constants ``RHO``,
+    ``THETA`` and ``VARTHETA``, all 1) and returns
 
         max{ C1 (c - 1/n) / (2c),
              C2 n (c - 1/n) / 4,
@@ -73,18 +65,16 @@ def d_lower_bound(
         raise InvalidConstants(f"need c > 1/n, got c={c} for n={n}")
     if min(K1, K2, L) < 0:
         raise InvalidConstants("curvature bounds K1, K2, L must be nonnegative")
-    if min(rho, theta, vartheta) <= 0:
-        raise InvalidConstants("rho, theta, vartheta must be positive")
     if K1 + K2 == 0 and L == 0:
         return 0.0
     g = c - 1.0 / n
     base = 4 * n * K1 + 2 * n * K2 + 2 * (n * c * K1 + K2) / g
-    C1 = base + (rho * n * (m - 1) + n * (m - 2)
-                 + 16.0 / 3.0 * rho * (n - 1) * (m - 1)) * (K1 + K2) + theta
-    C2 = base + (n / rho + 16.0 / (3.0 * rho) * (n - 1)
-                 + 8.0 / 3.0 * math.sqrt(n - 1) * (m - 2)) * (K1 + K2) + n * vartheta
+    C1 = base + (RHO * n * (m - 1) + n * (m - 2)
+                 + 16.0 / 3.0 * RHO * (n - 1) * (m - 1)) * (K1 + K2) + THETA
+    C2 = base + (n / RHO + 16.0 / (3.0 * RHO) * (n - 1)
+                 + 8.0 / 3.0 * math.sqrt(n - 1) * (m - 2)) * (K1 + K2) + n * VARTHETA
     C3 = 2 * (n * c * K1 + K2) / g
-    C4 = L * L / theta + 4 * L * L / vartheta if K1 + K2 != 0 else 0.0
+    C4 = L * L / THETA + 4 * L * L / VARTHETA if K1 + K2 != 0 else 0.0
     return max(
         C1 * g / (2 * c),
         C2 * n * g / 4,

@@ -80,6 +80,7 @@ class SpheresFlow:
             _require_radius(f"r_{i}", r)
         if self.m < len(self.factors):
             raise ValueError("each sphere factor needs its own normal slot (m too small)")
+        _require_blowup(self, ", ".join(f"r_{i}={r}" for i, (_, r) in enumerate(self.factors, 1)))
 
     @cached_property
     def n(self) -> int:
@@ -112,6 +113,19 @@ def _require_radius(name: str, r: float) -> float:
     return r
 
 
+def _require_blowup(family: Family, named: str) -> None:
+    """Refuse a family, naming its parameters, unless its blow-up time is a
+    finite positive float."""
+    try:
+        t_max = family.blowup_time()
+    except OverflowError:  # r**2 or cosh(kappa r0) past the largest float
+        t_max = math.inf
+    if not 0 < t_max < math.inf:
+        hint = "; use the sphere family for so small a kbar" if t_max == 0 else ""
+        raise ValueError(f"{family.kind} family at {named} has blow-up time {t_max} "
+                         f"in floating point, not a finite positive time{hint}")
+
+
 def SphereFlow(n: int, m: int, r0: float) -> SpheresFlow:
     """Round sphere S^n(r0) in flat space, n >= 2, any codimension."""
     return SpheresFlow(((n, _require_radius("r0", r0)),), 0, m, "sphere")
@@ -142,9 +156,7 @@ class HyperbolicSphereFlow:
         _require_radius("r0", self.r0)
         if not -math.inf < self.kbar < 0:
             raise ValueError(f"hyperbolic family needs -inf < kbar < 0, got kbar={self.kbar}")
-        if not self.blowup_time() > 0:  # cosh(kappa r0) rounds to 1
-            raise ValueError(f"hyperbolic family at r0={self.r0}, kbar={self.kbar} blows up at "
-                             "t=0 in floating point; use the sphere family for so small a kbar")
+        _require_blowup(self, f"r0={self.r0}, kbar={self.kbar}")
 
     @cached_property
     def kappa(self) -> float:
@@ -343,29 +355,23 @@ class EvolutionResidual:
     residual_H2: float
 
 
-def evolution_residual(state: FlowState, h: float = FD_STEP) -> EvolutionResidual:
+def evolution_residual(state: FlowState) -> EvolutionResidual:
     """Centered finite difference of |A|^2, |H|^2 against the reaction terms.
 
     For homogeneous families the Laplacian and all gradient squares vanish,
     so the exact time derivatives must match 2 R1 (plus the space-form
-    terms 4 Kbar |H|^2 - 2n Kbar |A|^2) and 2 R2 + 2n Kbar |H|^2.
+    terms 4 Kbar |H|^2 - 2n Kbar |A|^2) and 2 R2 + 2n Kbar |H|^2.  The forms
+    at t + h, t - h and t, h = ``FD_STEP``, are evaluated together.
     """
-    fam = state.family
-    t = state.t
-
-    def norms(tt: float) -> tuple[float, float]:
-        A = fam.form(fam.exact_params(tt))
-        return A.norm2, mean_curvature(A).norm2
-
-    a_plus, h_plus = norms(t + h)
-    a_minus_, h_minus_ = norms(t - h)
-    dA2 = (a_plus - a_minus_) / (2 * h)
-    dH2 = (h_plus - h_minus_) / (2 * h)
-    A = fam.form(fam.exact_params(t))
+    fam, t, h = state.family, state.t, FD_STEP
+    A = fam.form([fam.exact_params(s) for s in (t + h, t - h, t)])
     H = mean_curvature(A)
+    a2, h2 = A.norm2, H.norm2
+    dA2 = float((a2[0] - a2[1]) / (2 * h))
+    dH2 = float((h2[0] - h2[1]) / (2 * h))
     kbar, n = fam.kbar, fam.n
-    reaction_A2 = 2 * r1(A) + 4 * kbar * H.norm2 - 2 * n * kbar * A.norm2
-    reaction_H2 = 2 * r2(A, H) + 2 * n * kbar * H.norm2
+    reaction_A2 = float(2 * r1(A)[2] + 4 * kbar * h2[2] - 2 * n * kbar * a2[2])
+    reaction_H2 = float(2 * r2(A, H)[2] + 2 * n * kbar * h2[2])
     return EvolutionResidual(t, dA2, dH2, reaction_A2, reaction_H2, *[
         abs(d - r) / max(1.0, abs(r)) for d, r in ((dA2, reaction_A2), (dH2, reaction_H2))])
 
@@ -391,49 +397,36 @@ class BlowupVerdict:
     worst_adjusted_margin: float
 
 
-def _flat_barrier(h0sq: float, n: int, t: float) -> float:
-    denom = 1.0 / h0sq - 2.0 * t / n
-    return math.inf if denom <= 0 else 1.0 / denom
-
-
-def _adjusted_barrier(h0sq: float, n: int, kbar: float, t: float) -> float:
-    if kbar == 0.0:
-        return _flat_barrier(h0sq, n, t)
-    c = n * n * kbar
-    denom = math.exp(-2.0 * n * kbar * t) * (1.0 / h0sq + 1.0 / c) - 1.0 / c
-    return math.inf if denom <= 0 else 1.0 / denom
-
-
 def blowup_bound_check(family: Family) -> BlowupVerdict:
-    """Sweep the barrier inequalities along the exact solution."""
+    """Sweep the barrier inequalities along the exact solution, all sample
+    times in one batch; the flat barrier is the kbar = 0 case."""
     n_times, rel_tol = 1000, 1e-9
     if family.kbar > 0:
         raise InvalidConstants("barrier sweep assumes kbar <= 0")
     n = family.n
     t_max = family.blowup_time()
-    A0 = family.form(family.exact_params(0.0))
-    h0sq = mean_curvature(A0).norm2
-    worst = math.inf
-    worst_adj = math.inf
-    equality = True
-    for i in range(n_times):
-        t = t_max * i / n_times
-        A = family.form(family.exact_params(t))
-        h2 = mean_curvature(A).norm2
-        bar = _flat_barrier(h0sq, n, t)
-        margin = h2 / bar - 1.0 if math.isfinite(bar) else -1.0
-        worst = min(worst, margin)
-        if abs(margin) > 1e-6:
-            equality = False
-        adj = _adjusted_barrier(h0sq, n, family.kbar, t)
-        worst_adj = min(worst_adj, h2 / adj - 1.0 if math.isfinite(adj) else -1.0)
+    t = t_max * np.arange(n_times) / n_times
+    h2 = mean_curvature(family.form([family.exact_params(s) for s in t.tolist()])).norm2
+    h0sq = float(h2[0])
+    margins = []
+    for kbar in (0.0, family.kbar):  # the flat barrier, then the adjusted one
+        if kbar == 0.0:
+            denom = 1.0 / h0sq - 2.0 * t / n
+        else:
+            c = n * n * kbar
+            # math.exp time by time: np.exp can round the last bit otherwise
+            growth = np.array([math.exp(-2.0 * n * kbar * s) for s in t.tolist()])
+            denom = growth * (1.0 / h0sq + 1.0 / c) - 1.0 / c
+        barrier = np.divide(1.0, denom, out=np.full(n_times, math.inf), where=denom > 0)
+        margins.append(h2 / barrier - 1.0)  # -1 where the barrier is infinite
+    flat, adjusted = margins
     return BlowupVerdict(
-        barrier_ok=worst >= -rel_tol,
-        equality=equality,
-        adjusted_ok=worst_adj >= -rel_tol,
+        barrier_ok=bool(flat.min() >= -rel_tol),
+        equality=not np.any(np.abs(flat) > 1e-6),
+        adjusted_ok=bool(adjusted.min() >= -rel_tol),
         tmax_ok=t_max <= n / (2.0 * h0sq) * (1 + rel_tol),
-        worst_margin=worst,
-        worst_adjusted_margin=worst_adj,
+        worst_margin=float(flat.min()),
+        worst_adjusted_margin=float(adjusted.min()),
     )
 
 

@@ -8,7 +8,8 @@ wraps as checks.  :data:`LEMMAS` describes every identifier once, in report
 order: what it bounds, its ``verify`` suite, the sampled input kinds it
 reads, the homogeneity degree of its slack (forms scale linearly for the
 quartic reaction bounds, derivative samples for the quadratic gradient
-bounds) and the evaluator of its group.
+bounds) and the evaluator of its group.  Each gradient lemma L4.6-L4.9 is
+one formula; each of its two cases of c supplies coefficients to it.
 
 A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the result
 of ``principal_decompose(A)``, which carries the form A and its mean
@@ -123,19 +124,15 @@ def reaction_checks(
     gram_am2 = gram_norm2(am, am)
     am2, hr2 = dec.a_minus2, dec.h_ring2
     out: list[InequalityCheck] = []
-    f = None
-    gap = None
-
-    def need_f() -> tuple[float | np.ndarray, float | np.ndarray]:
-        nonlocal f, gap
-        if f is None:
-            f = c * dec.H.norm2 - dec.a2 - d
-            if np.any(f <= 0):
-                raise NotPinched(f"reaction lemma needs f > 0, got {np.min(f)}")
-            if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
-                raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
-            gap = reaction_gap(dec.form, dec.H, rperp, c)
-        return f, gap
+    if "4.12" in ids or "4.14" in ids:
+        if "4.14" in ids and not (0 < delta <= 0.5):
+            raise InvalidConstants(f"the reaction estimate needs 0 < delta <= 1/2, got {delta}")
+        f = c * dec.H.norm2 - dec.a2 - d
+        if np.any(f <= 0):
+            raise NotPinched(f"reaction lemma needs f > 0, got {np.min(f)}")
+        if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
+            raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
+        gap = reaction_gap(dec.form, dec.H, rperp, c)
 
     for lemma_id in ids:
         if lemma_id == "4.5":
@@ -149,16 +146,12 @@ def reaction_checks(
                 )
             )
         elif lemma_id == "4.12":
-            fv, gv = need_f()
             ncm1 = n * c - 1.0
             lhs = (2.0 / ncm1) * am2 * am2 + (n * c / ncm1) * hr2 * am2
-            out.append(InequalityCheck("4.12", lhs, am2 / fv * gv))
+            out.append(InequalityCheck("4.12", lhs, am2 / f * gap))
         elif lemma_id == "4.14":
-            if not (0 < delta <= 0.5):
-                raise InvalidConstants(f"the reaction estimate needs 0 < delta <= 1/2, got {delta}")
-            fv, gv = need_f()
             lhs = gram_am2 + hat2 + princ2
-            out.append(InequalityCheck("4.14", lhs, (1 - delta) * am2 / fv * gv))
+            out.append(InequalityCheck("4.14", lhs, (1 - delta) * am2 / f * gap))
         else:
             raise ValueError(f"unknown reaction lemma {lemma_id!r}")
     return out
@@ -218,16 +211,27 @@ def gradient_quantities(grad: GradientSample) -> GradientQuantities:
     )
 
 
-def _gradient_case(n: int, c: float, eps0: float | None) -> int:
-    """1 when the 4/(3n) regime applies (n >= 8), else 2; raise otherwise."""
+def _gradient_case(n: int, c: float, eps0: float | None) -> tuple[tuple, tuple, tuple, float, str]:
+    """Case 1 when the 4/(3n) regime applies (n >= 8), else case 2; raise
+    outside both.  A case is its coefficients of the terms of L4.6, L4.7 and
+    L4.8, each in formula order (the first of L4.8 is None in case 2 without
+    eps0 > 0), its cap on the delta of L4.9 and the refusal of a delta above
+    that cap."""
     if n >= 8 and _c_in_range(c, 4.0 / (3 * n)):
-        return 1
+        return (
+            ((4.0 * n - 10) / (n + 2), 6.0 * (n - 1) / (n + 2)),
+            ((5.0 * n - 8) / (3 * (n - 1)), (10.0 * n - 16) / (n + 2)),
+            ((5.0 * n - 9) / (3 * (n - 1)), 3.0 * (n - 1) / (n - 3), 2.0 * (n + 2) / (n + 3)),
+            1.0 / (5 * n - 8), "case-1 gradient estimate needs 0 < delta <= 1/(5n-8)",
+        )
     limit = 3.0 * (n + 1) / (2 * n * (n + 2)) - (eps0 or 0.0)
     if _c_in_range(c, limit):
-        return 2
-    raise InvalidConstants(
-        f"c={c} outside both gradient-lemma regimes for n={n} (eps0={eps0})"
-    )
+        eps = 2.0 * n * (n + 2) / (3 * (n - 1)) * (eps0 or 0.0)
+        ring = None if eps0 is None or eps0 <= 0 else (1 - eps) * 1.5
+        cap = min(0.5, eps)
+        rule = f"case-2 gradient estimate needs 0 < delta <= {cap}"
+        return (2, 4), (1.5, 6), (ring, 4, 2), cap, rule
+    raise InvalidConstants(f"c={c} outside both gradient-lemma regimes for n={n} (eps0={eps0})")
 
 
 def gradient_checks(
@@ -247,87 +251,41 @@ def gradient_checks(
         raise InvalidConstants(f"need c > 1/n, got c={c}")
     gq = gradient_quantities(grad)
     f = c * H.norm2 - dec.a2 - d
-    am2, hr2 = dec.a_minus2, dec.h_ring2
+    am2, hr2, nu12 = dec.a_minus2, dec.h_ring2, gq.nabla_nu12
     out: list[InequalityCheck] = []
-
-    def need_pinched() -> float | np.ndarray:
-        if np.any(f <= 0):
-            raise NotPinched(f"gradient lemma needs f > 0, got {np.min(f)}")
-        return f
-
     for lemma_id in ids:
+        if lemma_id in ("L4.6", "L4.7", "L4.8", "L4.9"):
+            if np.any(f <= 0):
+                raise NotPinched(f"gradient lemma needs f > 0, got {np.min(f)}")
+            l46, l47, l48, delta_cap, delta_rule = _gradient_case(n, c, eps0)
         if lemma_id == "4.20":
-            lhs = 3.0 / (n + 2) * H.norm2 * gq.nabla_nu12
+            lhs = 3.0 / (n + 2) * H.norm2 * nu12
             out.append(InequalityCheck("4.20", lhs, gq.hat_plus_h2))
         elif lemma_id == "4.21":
             lhs = 2.0 * (n - 1) / (n * (n + 2)) * gq.nabla_normH2
             out.append(InequalityCheck("4.21", lhs, gq.ring_proj2))
         elif lemma_id == "4.22":
-            lhs = 2.0 * (n - 1) / (n * (n + 2)) * H.norm2 * gq.nabla_nu12
+            lhs = 2.0 * (n - 1) / (n * (n + 2)) * H.norm2 * nu12
             out.append(InequalityCheck("4.22", lhs, gq.hat_plus_hring2))
         elif lemma_id == "L4.6":
-            fv = need_pinched()
-            case = _gradient_case(n, c, eps0)
-            if case == 1:
-                lhs = (
-                    (4.0 * n - 10) / (n + 2) * hr2 * gq.nabla_nu12
-                    + 6.0 * (n - 1) / (n + 2) * (am2 + fv + d) * gq.nabla_nu12
-                )
-            else:
-                lhs = 2 * hr2 * gq.nabla_nu12 + 4 * (am2 + fv + d) * gq.nabla_nu12
+            a, b = l46
+            lhs = a * hr2 * nu12 + b * (am2 + f + d) * nu12
             out.append(InequalityCheck("L4.6", lhs, 2 * gq.hat_am2))
         elif lemma_id == "L4.7":
-            fv = need_pinched()
-            case = _gradient_case(n, c, eps0)
-            rhs = 2 * am2 / fv * (gq.nablaA2 - c * gq.nablaH2)
-            if case == 1:
-                lhs = (
-                    (5.0 * n - 8) / (3 * (n - 1)) * am2 / fv * gq.ring_proj2
-                    + (10.0 * n - 16) / (n + 2) * am2 * gq.nabla_nu12
-                )
-            else:
-                lhs = 1.5 * am2 / fv * gq.ring_proj2 + 6 * am2 * gq.nabla_nu12
-            out.append(InequalityCheck("L4.7", lhs, rhs))
+            a, b = l47
+            lhs = a * am2 / f * gq.ring_proj2 + b * am2 * nu12
+            out.append(InequalityCheck("L4.7", lhs, 2 * am2 / f * (gq.nablaA2 - c * gq.nablaH2)))
         elif lemma_id == "L4.8":
-            fv = need_pinched()
-            case = _gradient_case(n, c, eps0)
-            if case == 1:
-                rhs = (
-                    2 * gq.proj_am2
-                    + (5.0 * n - 9) / (3 * (n - 1)) * am2 / fv * gq.ring_proj2
-                    + 2 * am2 * gq.nabla_nu12
-                    + 3.0 * (n - 1) / (n - 3) * fv * gq.nabla_nu12
-                    + 2.0 * (n + 2) / (n + 3) * hr2 * gq.nabla_nu12
-                )
-            else:
-                if eps0 is None or eps0 <= 0:
-                    raise InvalidConstants("case-2 gradient lemma needs eps0 > 0")
-                eps = 2.0 * n * (n + 2) / (3 * (n - 1)) * eps0
-                rhs = (
-                    2 * gq.proj_am2
-                    + (1 - eps) * 1.5 * am2 / fv * gq.ring_proj2
-                    + 2 * am2 * gq.nabla_nu12
-                    + 4 * fv * gq.nabla_nu12
-                    + 2 * hr2 * gq.nabla_nu12
-                )
+            a, b, e = l48
+            if a is None:
+                raise InvalidConstants("case-2 gradient lemma needs eps0 > 0")
+            rhs = (2 * gq.proj_am2 + a * am2 / f * gq.ring_proj2 + 2 * am2 * nu12
+                   + b * f * nu12 + e * hr2 * nu12)
             out.append(InequalityCheck("L4.8", gq.q_pairing, rhs))
         elif lemma_id == "L4.9":
-            fv = need_pinched()
-            case = _gradient_case(n, c, eps0)
-            if case == 1:
-                if not (0 < delta <= 1.0 / (5 * n - 8) * (1 + 1e-12)):
-                    raise InvalidConstants(
-                        f"case-1 gradient estimate needs 0 < delta <= 1/(5n-8), got {delta}"
-                    )
-            else:
-                cap = min(0.5, 2.0 * n * (n + 2) / (3 * (n - 1)) * (eps0 or 0.0))
-                if not (0 < delta <= cap * (1 + 1e-12)):
-                    raise InvalidConstants(
-                        f"case-2 gradient estimate needs 0 < delta <= {cap}, got {delta}"
-                    )
-            rhs = 2 * gq.nabla_am2 + 2 * (1 - delta) * am2 / fv * (
-                gq.nablaA2 - c * gq.nablaH2
-            )
+            if not (0 < delta <= delta_cap * (1 + 1e-12)):
+                raise InvalidConstants(f"{delta_rule}, got {delta}")
+            rhs = 2 * gq.nabla_am2 + 2 * (1 - delta) * am2 / f * (gq.nablaA2 - c * gq.nablaH2)
             out.append(InequalityCheck("L4.9", gq.q_pairing, rhs))
         else:
             raise ValueError(f"unknown gradient lemma {lemma_id!r}")

@@ -329,6 +329,20 @@ class TestSimulate:
         assert out == "" and "r0=1.0, kbar=-1e-20" in err and "sphere family" in err
         assert "t_end" not in err
 
+    # a family whose exact solution overflows the float range is refused
+    # when it is built, not by an OverflowError traceback with exit code 1
+    @pytest.mark.parametrize("family, params, named", [
+        ("hyperbolic", "r=1000", "r0=1000.0, kbar=-1.0"),
+        ("hyperbolic", "r=1,kbar=-1e300", "r0=1.0, kbar=-1e+300"),
+        ("sphere", "r=1e200", "r_1=1e+200"),
+        ("cylinder", "r=1e155", "r_1=1e+155"),
+        ("product", "a=1,b=1e200", "r_1=1.0, r_2=1e+200"),
+    ])
+    def test_overflowing_parameters_exit_2(self, capsys, family, params, named):
+        code, out, err = run(capsys, "simulate", "--family", family, "--params", params)
+        assert code == 2
+        assert out == "" and named in err and "not a finite positive time" in err
+
     # a start radius at or below R_MIN, where no step can be taken, is
     # refused before any row is written, and before a blow-up time that
     # rounds to 0 (r=1e-300) could be taken as a bad --t-end

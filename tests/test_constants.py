@@ -88,8 +88,6 @@ class TestDLowerBound:
             d_lower_bound(8, 2, 1 / 8, 1.0, 1.0, 0.0)
         with pytest.raises(InvalidConstants):
             d_lower_bound(8, 2, 1 / 6, -1.0, 0.0, 0.0)
-        with pytest.raises(InvalidConstants):
-            d_lower_bound(8, 2, 1 / 6, 1.0, 1.0, 0.0, rho=0.0)
 
 
 class TestKappa:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -149,6 +150,19 @@ class TestExactStates:
         # cosh(kappa r0) rounds to 1, so the blow-up time would be 0.0
         with pytest.raises(ValueError, match=rf"r0=1.0, kbar={kbar}.*sphere family"):
             HyperbolicSphereFlow(8, 2, 1.0, kbar)
+
+
+    # r**2 or cosh(kappa r0) overflows, so the blow-up time is no float
+    @pytest.mark.parametrize("build, named", [
+        (lambda: HyperbolicSphereFlow(8, 2, 1000.0, -1.0), "r0=1000.0, kbar=-1.0"),
+        (lambda: HyperbolicSphereFlow(8, 2, 1.0, -1e300), "r0=1.0, kbar=-1e+300"),
+        (lambda: SphereFlow(8, 2, 1e200), "sphere family at r_1=1e+200"),
+        (lambda: CylinderFlow(8, 2, 1e155), "cylinder family at r_1=1e+155"),
+        (lambda: ProductSpheresFlow(7, 1, 2, 1.0, 1e200), "r_1=1.0, r_2=1e+200"),
+    ], ids=["hyperbolic-r0", "hyperbolic-kbar", "sphere", "cylinder", "product"])
+    def test_overflowing_parameters_rejected(self, build, named):
+        with pytest.raises(ValueError, match=re.escape(named) + ".*not a finite positive"):
+            build()
 
 
 class TestRK4:

@@ -12,8 +12,10 @@ from pinchflow.lemmas import (
     check_kato,
     check_kato_trace,
     check_li,
+    default_constants,
     default_kato_eta,
     gradient_checks,
+    gradient_quantities,
     reaction_checks,
 )
 from pinchflow.samplers import (
@@ -270,6 +272,76 @@ class TestGradientChecks:
         grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
         with pytest.raises(NotPinched):
             gradient_checks(["L4.7"], grad, 1 / 6, 1e9, 1 / 32)
+
+
+def reference_gradient_sides(lemma_id, grad, c, d, delta, eps0):
+    """Both sides of L4.6-L4.9 written out once per case of c, term for term
+    and in the order gradient_checks evaluates them."""
+    dec = grad.decomp
+    n = dec.dims.n
+    gq = gradient_quantities(grad)
+    fv = c * dec.H.norm2 - dec.a2 - d
+    am2, hr2 = dec.a_minus2, dec.h_ring2
+    case = 1 if n >= 8 and c <= 4.0 / (3 * n) * (1 + 1e-12) else 2
+    if lemma_id == "L4.6":
+        if case == 1:
+            lhs = (
+                (4.0 * n - 10) / (n + 2) * hr2 * gq.nabla_nu12
+                + 6.0 * (n - 1) / (n + 2) * (am2 + fv + d) * gq.nabla_nu12
+            )
+        else:
+            lhs = 2 * hr2 * gq.nabla_nu12 + 4 * (am2 + fv + d) * gq.nabla_nu12
+        return lhs, 2 * gq.hat_am2
+    if lemma_id == "L4.7":
+        rhs = 2 * am2 / fv * (gq.nablaA2 - c * gq.nablaH2)
+        if case == 1:
+            lhs = (
+                (5.0 * n - 8) / (3 * (n - 1)) * am2 / fv * gq.ring_proj2
+                + (10.0 * n - 16) / (n + 2) * am2 * gq.nabla_nu12
+            )
+        else:
+            lhs = 1.5 * am2 / fv * gq.ring_proj2 + 6 * am2 * gq.nabla_nu12
+        return lhs, rhs
+    if lemma_id == "L4.8":
+        if case == 1:
+            rhs = (
+                2 * gq.proj_am2
+                + (5.0 * n - 9) / (3 * (n - 1)) * am2 / fv * gq.ring_proj2
+                + 2 * am2 * gq.nabla_nu12
+                + 3.0 * (n - 1) / (n - 3) * fv * gq.nabla_nu12
+                + 2.0 * (n + 2) / (n + 3) * hr2 * gq.nabla_nu12
+            )
+        else:
+            eps = 2.0 * n * (n + 2) / (3 * (n - 1)) * eps0
+            rhs = (
+                2 * gq.proj_am2
+                + (1 - eps) * 1.5 * am2 / fv * gq.ring_proj2
+                + 2 * am2 * gq.nabla_nu12
+                + 4 * fv * gq.nabla_nu12
+                + 2 * hr2 * gq.nabla_nu12
+            )
+        return gq.q_pairing, rhs
+    rhs = 2 * gq.nabla_am2 + 2 * (1 - delta) * am2 / fv * (gq.nablaA2 - c * gq.nablaH2)
+    return gq.q_pairing, rhs
+
+
+class TestGradientCoefficients:
+    # n=8 takes case 1, n=6 and n=7 case 2 with eps0 = 0.005; every side
+    # must equal the written-out formula of its case exactly
+    @pytest.mark.parametrize("n", [8, 6, 7])
+    def test_sides_match_each_case(self, n):
+        ids = ["L4.6", "L4.7", "L4.8", "L4.9"]
+        c, delta, eps0 = default_constants(GRADIENT_IDS, n)
+        assert (eps0 is None) == (n == 8)
+        rng = np.random.default_rng(n)
+        dims = Dims(n, 2)
+        forms = np.stack([sample_pinched(rng, dims, c, 0.0).components for _ in range(16)])
+        dec = principal_decompose(SecondFundamentalForm(dims, forms))
+        tensors = np.stack([symmetric_three_tensor(rng, dims) for _ in range(16)])
+        grad = gradient_sample(dec, tensors)
+        for chk in gradient_checks(ids, grad, c, 0.0, delta, eps0):
+            lhs, rhs = reference_gradient_sides(chk.lemma_id, grad, c, 0.0, delta, eps0)
+            assert np.array_equal(chk.lhs, lhs) and np.array_equal(chk.rhs, rhs), chk.lemma_id
 
 
 class TestScaleCovariance:

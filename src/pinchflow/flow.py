@@ -36,6 +36,7 @@ from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, mean_curva
 from .reaction import r1, r2
 
 R_MIN = 1e-6
+MAX_STEPS = 10**7  # fixed steps, ceil(t_end / dt), that simulate accepts
 _COLLAPSED = "radius collapsed inside an RK4 stage"
 FD_STEP = 1e-5
 WRITE_ROWS = 1024  # rows formatted by one % in write_rows
@@ -216,17 +217,16 @@ def exact_state(family: Family, t: float) -> FlowState:
     return FlowState(family, t, params, rates(family, params))
 
 
-def step_rk4(state: FlowState, dt: float) -> FlowState:
-    """One classical fourth-order step of the decoupled radius ODEs, radius
-    by radius in plain floats.  PastBlowup when a radius is at or below R_MIN
-    at the start, at a stage or at the end; the new state carries its rates."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be a positive finite step, got {dt}")
-    fam, y, half = state.family, state.params, 0.5 * dt
-    if min(y) <= R_MIN:
-        raise PastBlowup(_COLLAPSED)
+def _rk4_radii(radius_rates: tuple[Callable[[float], float], ...], y: tuple[float, ...],
+               k1: tuple[float, ...], dt: float) -> tuple[float, ...]:
+    """The radii one classical fourth-order step of the decoupled radius ODEs
+    takes from radii ``y`` with rates ``k1``, radius by radius in plain
+    floats.  PastBlowup when a radius is at or below R_MIN at a stage or at
+    the end; every rate is negative, so a radius already there fails its
+    first stage."""
+    half = 0.5 * dt
     new = []
-    for rate, r, a in zip(fam.radius_rates, y, state.rates or rates(fam, y)):
+    for rate, r, a in zip(radius_rates, y, k1):
         if (s := r + half * a) <= R_MIN:
             raise PastBlowup(_COLLAPSED)
         b = rate(s)
@@ -239,7 +239,21 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
         new.append(r + dt / 6.0 * (a + 2 * b + 2 * c + d))
     if min(new) <= R_MIN:
         raise PastBlowup(f"radius fell to {min(new):.3e} <= r_min={R_MIN:.1e}")
-    return FlowState(fam, state.t + dt, tuple(new), rates(fam, new))
+    return tuple(new)
+
+
+def step_rk4(state: FlowState, dt: float) -> FlowState:
+    """One RK4 step of ``state``'s radii through the routine that
+    :func:`simulate` steps with.  PastBlowup when a radius is at or below
+    R_MIN at the start (checked before any rate is taken), at a stage or at
+    the end; the new state carries its rates."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive finite step, got {dt}")
+    fam, y = state.family, state.params
+    if min(y) <= R_MIN:
+        raise PastBlowup(_COLLAPSED)
+    new = _rk4_radii(fam.radius_rates, y, state.rates or rates(fam, y), dt)
+    return FlowState(fam, state.t + dt, new, rates(fam, new))
 
 
 @dataclass(frozen=True)
@@ -272,27 +286,28 @@ class TimeSeries:
         return [getattr(self, field.name) for field in fields(self)]
 
 
-def diagnostics(states: list[FlowState], constants: PinchingConstants) -> TimeSeries:
-    """All scalar diagnostics of the snapshot forms at ``states``, a list of
-    states of one family, evaluated together on the stacked forms."""
-    fam = states[0].family
-    if constants.regime == "space_form" and constants.Kbar != fam.kbar:
+def diagnostics(family: Family, t: np.ndarray | list[float],
+                params: np.ndarray | list[tuple[float, ...]],
+                constants: PinchingConstants) -> TimeSeries:
+    """All scalar diagnostics of ``family`` at times ``t``, shape (k,), and
+    radii ``params``, shape (k, j), evaluated together on the stacked forms."""
+    if constants.regime == "space_form" and constants.Kbar != family.kbar:
         raise InvalidConstants(
-            f"constants Kbar={constants.Kbar} but family has kbar={fam.kbar}"
+            f"constants Kbar={constants.Kbar} but family has kbar={family.kbar}"
         )
-    params = np.array([s.params for s in states])
-    dec = principal_decompose(fam.form(params))
+    params = np.asarray(params, dtype=np.float64)
+    dec = principal_decompose(family.form(params))
     H2 = dec.H.norm2
     f = pinching_f(dec, constants)
-    nan = np.full(len(states), math.nan)
+    nan = np.full(len(params), math.nan)
     return TimeSeries(
-        np.array([s.t for s in states]), params[:, 0],
+        np.asarray(t, dtype=np.float64), params[:, 0],
         params[:, 1] if params.shape[1] > 1 else nan,
         dec.a2, H2, dec.h2, dec.a_minus2, f,
         pinching_Q(dec, constants) if constants.regime == "space_form" else nan,
         dec.a2 / H2,
         np.divide(dec.a_minus2, f, out=nan.copy(), where=f > 0),
-        dec.a2 - H2 / (fam.n - 1),
+        dec.a2 - H2 / (family.n - 1),
     )
 
 
@@ -307,9 +322,12 @@ def simulate(
 
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
-    The radii are integrated first, one ``step_rk4`` call per step; the
-    recorded states are then evaluated in blocks whose forms hold at most
-    ``STACK_BUDGET`` values (never fewer than ``CHUNK`` states), then joined.
+    A run of more than ``MAX_STEPS`` fixed steps, ceil(t_end / dt), is
+    refused.  The radii are integrated first, in plain floats through the
+    RK4 routine that ``step_rk4`` wraps, keeping only the time and radii of
+    each recorded step; they are then evaluated in blocks whose forms hold
+    at most ``STACK_BUDGET`` values (never fewer than ``CHUNK`` records),
+    then joined.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -317,28 +335,35 @@ def simulate(
         raise ValueError(f"t_end must be a positive time, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    state = exact_state(family, 0.0)
+    if (steps := t_end / dt) > MAX_STEPS:
+        steps = math.ceil(steps) if steps < math.inf else steps
+        raise ValueError(f"t_end={t_end} at dt={dt} takes {steps} fixed steps, "
+                         f"more than MAX_STEPS={MAX_STEPS}")
+    _, t, y, v = exact_state(family, 0.0)
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once
-    parts = [diagnostics([state], constants)]
-    recorded = []
+    parts = [diagnostics(family, [t], [y], constants)]
+    radius_rates, times, radii = family.radius_rates, [], []
     step = dt
     k = 0
-    while state.t < t_end:
-        while step > 1e-12 and any([
-            r < 10.0 * step * abs(v) for r, v in zip(state.params, state.rates)
-        ]):
+    while t < t_end:
+        while step > 1e-12 and any([r < 10.0 * step * abs(a) for r, a in zip(y, v)]):
             step *= 0.5
+        h = min(step, t_end - t)
         try:
-            state = step_rk4(state, min(step, t_end - state.t))
+            y = _rk4_radii(radius_rates, y, v, h)
         except PastBlowup:
             break
+        t += h
+        v = rates(family, y)
         k += 1
         if k % every == 0:
-            recorded.append(state)
+            times.append(t)
+            radii.append(y)
     block = max(CHUNK, STACK_BUDGET // (family.m * family.n**2))
-    for start in range(0, len(recorded), block):
-        parts.append(diagnostics(recorded[start:start + block], constants))
+    for start in range(0, len(times), block):
+        parts.append(diagnostics(family, times[start:start + block],
+                                 radii[start:start + block], constants))
     return TimeSeries(*map(np.concatenate, zip(*(part.columns() for part in parts))))
 
 
@@ -493,19 +518,27 @@ def write_csv(series: TimeSeries, path: str) -> None:
 def read_csv(path: str) -> TimeSeries:
     """The series that :func:`write_csv` wrote, empty for a header-only file;
     ValueError on a different header or on a row whose field count is not
-    the header's.  Every field count is checked before NumPy parses all the
-    rows in one call, reading each number as ``float()`` does."""
+    the header's.  NumPy parses all the rows in one call, reading each
+    number as ``float()`` does; only when that fails, or the table is not
+    as wide as the header, are the lines scanned for the first bad row."""
     width = len(fields(TimeSeries))
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
         lines = fh.read().split("\n")
-    for lineno, line in enumerate(lines, 2):
-        if line.strip() and line.count(",") != width - 1:
-            raise ValueError(f"line {lineno}: {line.count(',') + 1} fields, the header has {width}")
     rows = [line for line in lines if line.strip()]
-    # loadtxt warns on empty input
-    table = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
-             else np.empty((0, width)))
+    if not rows:  # loadtxt warns on empty input
+        return TimeSeries(*np.empty((width, 0)))
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != width:
+            raise ValueError(f"{table.shape[1]} fields a row, the header has {width}")
+    except ValueError:
+        for lineno, line in enumerate(lines, 2):
+            if line.strip() and line.count(",") != width - 1:
+                raise ValueError(
+                    f"line {lineno}: {line.count(',') + 1} fields, the header has {width}"
+                ) from None
+        raise
     return TimeSeries(*table.T)

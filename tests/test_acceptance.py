@@ -19,7 +19,6 @@ from pinchflow.flow import (
     SphereFlow,
     diagnostics,
     evolution_residual,
-    exact_state,
     quotient_identity_residual,
     simulate,
 )
@@ -195,7 +194,7 @@ def test_criterion_08_codimension_decay():
 
 
 def test_criterion_09_cylindrical_diagnostics():
-    cyl = diagnostics([exact_state(CylinderFlow(8, 2, 1.0), 0.0)], FLAT_K)
+    cyl = diagnostics(CylinderFlow(8, 2, 1.0), [0.0], [[1.0]], FLAT_K)
     cylinder_exact = cyl.ratio_cyl[0] == 0.0 and cyl.ratio_pinch[0] == 1 / 7
     fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
     series = simulate(fam, FLAT_K, dt=1e-5, t_end=0.0714)

@@ -9,7 +9,7 @@ import pytest
 import pinchflow.cli as cli
 import pinchflow.lemmas as lemmas
 from pinchflow.campaign import CheckResult
-from pinchflow.flow import CSV_HEADER, read_csv
+from pinchflow.flow import CSV_HEADER, MAX_STEPS, read_csv
 from pinchflow.lemmas import InequalityCheck
 
 
@@ -304,6 +304,15 @@ class TestSimulate:
         assert code == 2
         assert out == "" and "error: dt must be a positive finite step" in err
 
+    def test_step_count_over_the_cap_is_config_error(self, capsys):
+        # blow-up at t = 6.25e10 is 6.25e14 steps of 1e-4: refused before any step
+        code, out, err = run(capsys, "simulate", "--family", "sphere", "--params", "r=1e6",
+                             "--dt", "1e-4")
+        assert code == 2
+        assert out == "" and (f"error: t_end=62500000000.0 at dt=0.0001 takes "
+                              f"625000000000000 fixed steps, more than MAX_STEPS={MAX_STEPS}"
+                              in err)
+
     @pytest.mark.parametrize("family, params, named", [
         ("hyperbolic", "r=-0.5", "radius r0=-0.5"),
         ("hyperbolic", "r=inf", "radius r0=inf"),
@@ -406,19 +415,37 @@ class TestRescaleCommand:
         assert code == 2
         assert out == "" and "outside 0..3" in err
 
-    @pytest.mark.parametrize("fields", [11, 13])
-    def test_row_of_wrong_width_is_config_error(self, capsys, tmp_path, fields):
+    # one row of 11 or 13 fields, or two whose counts add up to two rows of
+    # 12: the first wrong row is named
+    @pytest.mark.parametrize("widths", [(11,), (13,), (11, 13)], ids=["11", "13", "11-13"])
+    def test_row_of_wrong_width_is_config_error(self, capsys, tmp_path, widths):
         series = tmp_path / "series.csv"
         code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
                          "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
         assert code == 0
         lines = series.read_text().splitlines()
-        row = lines[2].split(",")
-        lines[2] = ",".join(row[:fields] + ["1.0"] * (fields - len(row)))
+        for i, fields in enumerate(widths, 2):
+            row = lines[i].split(",")
+            lines[i] = ",".join(row[:fields] + ["1.0"] * (fields - len(row)))
         series.write_text("\n".join(lines) + "\n")
         code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "0")
         assert code == 2
-        assert out == "" and f"error: line 3: {fields} fields, the header has 12" in err
+        assert out == "" and f"error: line 3: {widths[0]} fields, the header has 12" in err
+
+    def test_non_numeric_field_is_config_error(self, capsys, tmp_path):
+        series = tmp_path / "series.csv"
+        code, _, _ = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                         "--dt", "1e-3", "--t-end", "0.003", "--out", str(series))
+        assert code == 0
+        lines = series.read_text().splitlines()
+        row = lines[3].split(",")
+        lines[3] = ",".join(row[:4] + ["H2"] + row[5:])
+        series.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="H2"):
+            read_csv(str(series))
+        code, out, err = run(capsys, "rescale", "--in", str(series), "--base-row", "0")
+        assert code == 2
+        assert out == "" and "error:" in err and "H2" in err
 
     def test_stdout_matches_out_file(self, capsys, tmp_path):
         series, rescaled = tmp_path / "series.csv", tmp_path / "rescaled.csv"

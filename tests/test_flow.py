@@ -111,6 +111,11 @@ def reference_step(fam, params, dt):
     return new
 
 
+def initial_record(fam, constants):
+    """The diagnostics of ``fam`` at t = 0 alone."""
+    return diagnostics(fam, [0.0], [fam.exact_params(0.0)], constants)
+
+
 ORACLE_FAMILIES = ALL_FAMILIES + [HyperbolicSphereFlow(5, 3, 0.3, -4.0)]
 
 
@@ -208,18 +213,27 @@ class TestRK4:
             assert abs(series.param1[row] - radius) <= HYPERBOLIC_ULPS * math.ulp(radius), row
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
-    def test_one_step_per_call(self, fam, monkeypatch):
-        # to blow-up, so the run halves its step and ends in a failed step
-        steps = []
-
-        def counted(state, dt):
-            steps.append(step_rk4(state, dt))
-            return steps[-1]
-
-        monkeypatch.setattr(pinchflow.flow, "step_rk4", counted)
-        series = simulate(fam, constants_for(fam), dt=1e-4, t_end=fam.blowup_time())
-        assert len(steps) == len(series) - 1
-        assert [s.t for s in steps] == series.t[1:].tolist()
+    def test_one_step_per_call(self, fam):
+        # every simulate record is one step_rk4 call of a reference loop
+        # under the same halving rule, bit for bit; to blow-up, so the run
+        # halves its step and ends in a failed step
+        dt, t_end = 1e-4, fam.blowup_time()
+        states, step = [exact_state(fam, 0.0)], dt
+        while states[-1].t < t_end:
+            state = states[-1]
+            while step > 1e-12 and any(
+                    r < 10.0 * step * abs(v) for r, v in zip(state.params, state.rates)):
+                step *= 0.5
+            try:
+                states.append(step_rk4(state, min(step, t_end - state.t)))
+            except PastBlowup:
+                break
+        series = simulate(fam, constants_for(fam), dt=dt, t_end=t_end)
+        assert step < dt and states[-1].t < t_end
+        assert series.t.tolist() == [s.t for s in states]
+        assert series.param1.tolist() == [s.params[0] for s in states]
+        param2 = [s.params[1] if len(s.params) > 1 else math.nan for s in states]
+        assert np.array_equal(series.param2, param2, equal_nan=True)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_tracks_exact_over_half_lifespan(self, fam):
@@ -314,33 +328,33 @@ class TestStepOracle:
 
 class TestDiagnostics:
     def test_sphere_record(self):
-        rec = diagnostics([exact_state(SphereFlow(8, 2, 2.0), 0.0)], FLAT_K)
+        rec = initial_record(SphereFlow(8, 2, 2.0), FLAT_K)
         assert rec.ratio_pinch[0] == pytest.approx(1 / 8, abs=1e-15)
         assert rec.f[0] == pytest.approx(2 / 3, abs=1e-13)
         assert rec.ratio_codim[0] == pytest.approx(0.0, abs=1e-15)
         assert math.isnan(rec.Q[0])
 
     def test_static_cylinder_exact_ratios(self):
-        rec = diagnostics([exact_state(CylinderFlow(8, 2, 1.0), 0.0)], FLAT_K)
+        rec = initial_record(CylinderFlow(8, 2, 1.0), FLAT_K)
         assert rec.ratio_cyl[0] == 0.0
         assert rec.ratio_pinch[0] == 1 / 7
 
     def test_product_record_frozen(self):
-        rec = diagnostics([exact_state(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), 0.0)], FLAT_K)
+        rec = initial_record(ProductSpheresFlow(7, 1, 2, 1.0, 4.0), FLAT_K)
         assert rec.f[0] == pytest.approx(1.1145833333333321, abs=1e-12)
         assert rec.Aminus2[0] == pytest.approx(0.07133757961783438, abs=1e-12)
         assert rec.ratio_codim[0] == pytest.approx(0.06400380975058044, abs=1e-12)
 
     def test_hyperbolic_Q(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
-        rec = diagnostics([exact_state(fam, 0.0)], hyperbolic_constants())
+        rec = initial_record(fam, hyperbolic_constants())
         assert rec.Q[0] == pytest.approx(-8.487185004883118, abs=1e-11)
         assert rec.f[0] == pytest.approx(-rec.Q[0], rel=1e-12)  # kbar = -1 makes f = -Q
 
     def test_kbar_mismatch_rejected(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
         with pytest.raises(InvalidConstants):
-            diagnostics([exact_state(fam, 0.0)], hyperbolic_constants(kbar=-2.0))
+            initial_record(fam, hyperbolic_constants(kbar=-2.0))
 
 
 class TestEvolutionResiduals:
@@ -426,6 +440,21 @@ class TestSimulate:
         hit = next(i for i, f in enumerate(series.f) if f >= 100.0)
         assert series.ratio_codim[hit] < series.ratio_codim[0]
 
+    def test_step_cap(self, monkeypatch):
+        # ceil(t_end / dt) fixed steps are taken up to MAX_STEPS and refused
+        # past it, an infinite count (t_end = inf, or t_end / dt overflowing)
+        # included
+        monkeypatch.setattr(pinchflow.flow, "MAX_STEPS", 10)
+        fam, dt = SphereFlow(8, 2, 2.0), 2.0**-10
+        assert len(simulate(fam, FLAT_K, dt, 10 * dt)) == 11
+        with pytest.raises(ValueError, match=r"dt=0.0009765625 takes 11 fixed steps, "
+                                             r"more than MAX_STEPS=10"):
+            simulate(fam, FLAT_K, dt, 10.5 * dt)
+        for t_end, step in ((math.inf, dt), (1e300, 1e-300)):
+            named = f"t_end={t_end} at dt={step} takes inf fixed steps"
+            with pytest.raises(ValueError, match=re.escape(named)):
+                simulate(fam, FLAT_K, step, t_end)
+
     def test_radius_guard_stops(self):
         fam = SphereFlow(8, 2, 0.05)
         series = simulate(fam, FLAT_K, dt=1e-4, t_end=1.0)
@@ -445,7 +474,7 @@ class TestSimulate:
         assert len(series) == count + 1
         for i in range(len(series)):
             params = tuple(p for p in (series.param1[i], series.param2[i]) if not math.isnan(p))
-            alone = diagnostics([FlowState(fam, series.t[i], params)], constants)
+            alone = diagnostics(fam, [series.t[i]], [params], constants)
             for field in dataclasses.fields(series):
                 got, want = getattr(series, field.name)[i], getattr(alone, field.name)[0]
                 assert got == want or (math.isnan(got) and math.isnan(want)), field.name
@@ -458,9 +487,9 @@ class TestSimulate:
     def test_diagnostics_blocks_of_at_most_1_MB(self, fam, block, monkeypatch):
         sizes = []
 
-        def spy(states, constants):
-            sizes.append(len(states))
-            return diagnostics(states, constants)
+        def spy(family, t, params, constants):
+            sizes.append(len(t))
+            return diagnostics(family, t, params, constants)
 
         monkeypatch.setattr(pinchflow.flow, "diagnostics", spy)
         dt, every = 1e-5, 3
@@ -470,10 +499,10 @@ class TestSimulate:
         assert sizes == [1, block, block, 5] and len(series) == 2 * block + 6
 
     def test_kbar_mismatch_raised_before_any_step(self, monkeypatch):
-        def no_step(state, dt):
+        def no_step(*args):
             raise AssertionError("stepped before the constants were checked")
 
-        monkeypatch.setattr(pinchflow.flow, "step_rk4", no_step)
+        monkeypatch.setattr(pinchflow.flow, "_rk4_radii", no_step)
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
         with pytest.raises(InvalidConstants):
             simulate(fam, hyperbolic_constants(kbar=-2.0), dt=1e-4, t_end=0.01)

@@ -187,24 +187,34 @@ def _within_budget(width: int) -> int:
     return 1 << max(0, (STACK_BUDGET // width).bit_length() - 1)
 
 
+def li_matrices(dims: Dims) -> int:
+    """The k = max(1, m - 1) symmetric matrices a trial of the li suite draws."""
+    return max(1, dims.m - 1)
+
+
 def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
     """Trials a campaign of ``lemma_ids`` samples and evaluates together.
 
-    The widest per-trial stack is the (m, n, n, n) tensor for an id that
-    reads a derivative sample, else the (k, k, n, n) commutator stack, at
-    most (m n)^2 values.  A chunk keeps it within ``STACK_BUDGET`` but holds
-    at least ``CHUNK`` and at most ``BLOCK`` trials, so it divides a block.
+    Each id is charged one stack per trial: the (m, n, n, n) tensor, m n^3
+    values, when it reads a derivative tensor, else the (m, m, n, n)
+    commutator of A, (m n)^2, when it reads a form, else the (k, k, n, n)
+    commutator of li's k matrices, (k n)^2.  A chunk keeps the largest
+    charge within ``STACK_BUDGET`` but holds at least ``CHUNK`` and at most
+    ``BLOCK`` trials, so it divides a block.  A derivative slice's Codazzi
+    gather is wider and not charged (:func:`derivative_slice`).
     """
-    m, n = dims.m, dims.n
-    width = max(m * n**3 if "grad" in lemmas.LEMMAS[lemma_id].kinds else (m * n) ** 2
-                for lemma_id in lemma_ids)
+    m, n, k = dims.m, dims.n, li_matrices(dims)
+    width = max(m * n**3 if "grad" in kinds else (m * n) ** 2 if "form" in kinds else (k * n) ** 2
+                for kinds in (lemmas.LEMMAS[lemma_id].kinds for lemma_id in lemma_ids))
     return min(BLOCK, max(CHUNK, _within_budget(width)))
 
 
 def derivative_slice(dims: Dims, lemma_ids: Iterable[str]) -> int:
     """Trials per evaluation unit of a chunk when an id reads a derivative
     tensor: at least 8, no more than the chunk, and within ``STACK_BUDGET``
-    for the (m, n, n, n) tensors when it can be."""
+    for the (m, n, n, n) tensors when it can be.  The Codazzi orbit gather
+    of ``GradientSample.asymmetry``, 6 C(n+2, 3) m values a trial, is wider
+    and not counted: a slice of 8 at n=8, m=3 gathers 17,280 (135 KiB)."""
     return min(chunk_size(dims, lemma_ids), max(8, _within_budget(dims.m * dims.n**3)))
 
 
@@ -241,7 +251,7 @@ def sample_trial_inputs(
             inputs.boundary_form = rescale_to_boundary(inputs.form, spec.c, d_boundary)
     if "matrices" in kinds:
         inputs.matrices = symmetric_matrices(
-            streams["matrices"], spec.dims.n, max(1, spec.dims.m - 1), spec.sigma
+            streams["matrices"], spec.dims.n, li_matrices(spec.dims), spec.sigma
         )
     if "grad" in kinds:
         inputs.grad_tensor = symmetric_three_tensor(streams["grad"], spec.dims, spec.sigma)

@@ -36,7 +36,7 @@ from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, mean_curva
 from .reaction import r1, r2
 
 R_MIN = 1e-6
-MAX_STEPS = 10**7  # fixed steps, ceil(t_end / dt), that simulate accepts
+MAX_STEPS = 10**7  # fixed steps, ceil(min(t_end, blow-up time) / dt), that simulate accepts
 _COLLAPSED = "radius collapsed inside an RK4 stage"
 FD_STEP = 1e-5
 WRITE_ROWS = 1024  # rows formatted by one % in write_rows
@@ -322,12 +322,12 @@ def simulate(
 
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
-    A run of more than ``MAX_STEPS`` fixed steps, ceil(t_end / dt), is
-    refused.  The radii are integrated first, in plain floats through the
-    RK4 routine that ``step_rk4`` wraps, keeping only the time and radii of
-    each recorded step; they are then evaluated in blocks whose forms hold
-    at most ``STACK_BUDGET`` values (never fewer than ``CHUNK`` records),
-    then joined.
+    A run of more than ``MAX_STEPS`` fixed steps, ceil(min(t_end, T) / dt)
+    with T the family's blow-up time, is refused.  The radii are integrated
+    first, in plain floats through the RK4 routine that ``step_rk4`` wraps,
+    keeping only the time and radii of each recorded step; they are then
+    evaluated in blocks whose forms hold at most ``STACK_BUDGET`` values
+    (never fewer than ``CHUNK`` records), then joined.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -335,10 +335,12 @@ def simulate(
         raise ValueError(f"t_end must be a positive time, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
-    if (steps := t_end / dt) > MAX_STEPS:
+    t_max = family.blowup_time()
+    if (steps := min(t_end, t_max) / dt) > MAX_STEPS:
         steps = math.ceil(steps) if steps < math.inf else steps
         raise ValueError(f"t_end={t_end} at dt={dt} takes {steps} fixed steps, "
-                         f"more than MAX_STEPS={MAX_STEPS}")
+                         f"more than MAX_STEPS={MAX_STEPS}, counted to "
+                         f"min(t_end, blow-up time {t_max})")
     _, t, y, v = exact_state(family, 0.0)
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once

@@ -313,6 +313,16 @@ class TestSimulate:
                               f"625000000000000 fixed steps, more than MAX_STEPS={MAX_STEPS}"
                               in err)
 
+    def test_steps_past_blowup_do_not_count(self, capsys, tmp_path):
+        # t_end=1e5 at dt=1e-3 is 1e8 fixed steps, but blow-up at T = 0.25
+        # comes after 250 of them: the run goes to blow-up and stops there
+        out = tmp_path / "capped.csv"
+        code, _, err = run(capsys, "simulate", "--family", "sphere", "--params", "r=2",
+                           "--dt", "1e-3", "--t-end", "1e5", "--out", str(out))
+        assert code == 0 and err == ""
+        series = read_csv(str(out))
+        assert len(series) > 250 and 0.249 < series.t[-1] < 0.25
+
     @pytest.mark.parametrize("family, params, named", [
         ("hyperbolic", "r=-0.5", "radius r0=-0.5"),
         ("hyperbolic", "r=inf", "radius r0=inf"),

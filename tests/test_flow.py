@@ -441,17 +441,23 @@ class TestSimulate:
         assert series.ratio_codim[hit] < series.ratio_codim[0]
 
     def test_step_cap(self, monkeypatch):
-        # ceil(t_end / dt) fixed steps are taken up to MAX_STEPS and refused
-        # past it, an infinite count (t_end = inf, or t_end / dt overflowing)
-        # included
+        # ceil(min(t_end, T) / dt) fixed steps, T the blow-up time, are taken
+        # up to MAX_STEPS and refused past it, an infinite count (the count
+        # overflowing) included
         monkeypatch.setattr(pinchflow.flow, "MAX_STEPS", 10)
         fam, dt = SphereFlow(8, 2, 2.0), 2.0**-10
+        assert fam.blowup_time() == 0.25
         assert len(simulate(fam, FLAT_K, dt, 10 * dt)) == 11
         with pytest.raises(ValueError, match=r"dt=0.0009765625 takes 11 fixed steps, "
                                              r"more than MAX_STEPS=10"):
             simulate(fam, FLAT_K, dt, 10.5 * dt)
-        for t_end, step in ((math.inf, dt), (1e300, 1e-300)):
-            named = f"t_end={t_end} at dt={step} takes inf fixed steps"
+        # past T only the steps to T count: 8 of 1/32 run to blow-up, and
+        # 256 of 2^-10 are refused whatever t_end is, inf included
+        series = simulate(fam, FLAT_K, 1 / 32, 1e300)
+        assert 0.2 < series.t[-1] < 0.25
+        for t_end, step, steps in ((math.inf, dt, 256), (1e300, dt, 256), (1e300, 5e-324, "inf")):
+            named = (f"t_end={t_end} at dt={step} takes {steps} fixed steps, more than "
+                     f"MAX_STEPS=10, counted to min(t_end, blow-up time 0.25)")
             with pytest.raises(ValueError, match=re.escape(named)):
                 simulate(fam, FLAT_K, step, t_end)
 

@@ -8,10 +8,12 @@ The runs write into a temporary directory:
   at n=5, m=2, and of gradient at n=6, m=2 (the case-2 default constants),
   each at seeds 1 and 7; away from n=8, m=3 campaigns run in chunks of more
   than 32 trials;
-- ``verify`` of li at n=4, m=3 (8 trials) and of gradient at n=8, m=3
-  (12 trials), seed 1, each with a false bound (the rhs of ``check_li``,
-  or of every ``gradient_checks`` result, times 0.1), so that shrinking,
-  the kept worst trial and the counterexample files are digested too;
+- ``verify`` of li at n=4, m=3 (8 trials), and of gradient and kato at
+  n=8, m=3 (12 trials each), seed 1, each with a false bound (the rhs of
+  ``check_li``, of every ``gradient_checks`` result, or of
+  ``check_kato_trace``, times 0.1), so that shrinking, the kept worst
+  trial and the counterexample files are digested too; kato's chunks
+  sample no form, so its kept trials draw theirs on their own;
 - ``simulate`` of the four flow families at dt = 1e-4, and of the product
   and hyperbolic families to blow-up at dt = 1e-5, as the ``flow``
   benchmark workload runs them;
@@ -49,7 +51,8 @@ VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), 
 SEEDS = (1, 7)
 TRIALS = 1500  # more than one block of 1024 substream states
 # (lemma attribute, suite, n, m, trials) of the verify runs with a false bound
-FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12)]
+FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12),
+         ("check_kato_trace", "kato", 8, 3, 12)]
 # (output name, family, arguments) of the simulate runs
 SIMULATE = [
     ("sphere", "sphere", ["--params", "n=8,m=2,r=1", "--dt", "1e-4"]),

@@ -10,7 +10,10 @@ inequality reads a derivative tensor, all of them run on slices of a chunk
 sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
 each slice draws its own (m, n, n, n) tensors from its trials' substreams
 right before it is evaluated, so no more than a slice of them exists at
-once.  The substream states of each input kind are hashed once per block of
+once.  A chunk samples only what its ids read (``Lemma.reads``); a trial it
+keeps, a new worst or a violation, draws from its own substreams what they
+only record (kato's form), so every kept input is the one it gets drawn
+alone.  The substream states of each input kind are hashed once per block of
 ``BLOCK`` trials, and every chunk of the block draws from slices of them, so
 the hash is paid per block and its memory does not grow with the campaign.
 A trial violates an inequality unless slack >= -tol * max(1, |lhs|, |rhs|),
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -123,18 +127,15 @@ class TrialInputs:
             setattr(inputs, name, SecondFundamentalForm(dims, value) if name in _FORMS else value)
         return inputs
 
-    def trial(self, i: int | slice, draw: Callable[[slice], np.ndarray] | None = None
+    def trial(self, i: int | slice, draw: Callable[[slice], "TrialInputs"] | None = None
               ) -> "TrialInputs":
         """The trials of a slice ``i`` as a smaller chunk of views into this
         one, or trial ``i`` as a chunk of one copied out of it; ``draw``
-        gives the derivative tensors of a slice of a chunk that holds none."""
+        gives the inputs of a slice of trials that this chunk holds none of."""
         one = not isinstance(i, slice)
         i = slice(i, i + 1) if one else i
-        part = self.of_arrays(self.dims, ((name, a[i].copy() if one else a[i])
-                                          for name, a in self.arrays()))
-        if draw is not None:
-            part.grad_tensor = draw(i)
-        return part
+        own = ((name, a[i].copy() if one else a[i]) for name, a in self.arrays())
+        return self.of_arrays(self.dims, itertools.chain(own, draw(i).arrays() if draw else ()))
 
     def encode(self) -> dict:
         """The JSON of the one trial of the chunk, without its leading axis."""
@@ -235,6 +236,14 @@ def _chunk_streams(
         del streams  # one block of states at a time
 
 
+def _deferred(spec: SamplerSpec, streams: Mapping[str, Substreams], kinds: set[str]
+              ) -> Callable[[slice], TrialInputs] | None:
+    """The draw of the ``kinds`` of inputs of a slice of a chunk's trials,
+    each from its own substream in ``streams``; None when there are none."""
+    return None if not kinds else lambda index: sample_trial_inputs(
+        spec, {kind: s[index] for kind, s in streams.items() if kind in kinds}, kinds)
+
+
 def sample_trial_inputs(
     spec: SamplerSpec, streams: Mapping[str, Substreams], kinds: set[str]
 ) -> TrialInputs:
@@ -276,8 +285,9 @@ class _Unit:
         return principal_decompose(self.inputs.boundary_form)
 
     @functools.cached_property
-    def grad(self):
-        return gradient_sample(self.decomp, self.inputs.grad_tensor)
+    def grad(self):  # a unit that holds no form builds no split
+        split = None if self.inputs.form is None else self.decomp
+        return gradient_sample(split, self.inputs.grad_tensor)
 
 
 @functools.cache
@@ -298,7 +308,7 @@ def evaluate_trial(
     chunk: TrialInputs,
     config: CampaignConfig,
     d_boundary: float,
-    draw: Callable[[slice], np.ndarray] | None = None,
+    draw: Callable[[slice], TrialInputs] | None = None,
 ) -> lemmas.InequalityCheck:
     """Evaluate every requested inequality on a chunk of trials.
 
@@ -307,9 +317,9 @@ def evaluate_trial(
     Each group of the lemma table runs once per evaluation unit (the whole
     chunk, or slices of :func:`derivative_slice` trials when an id reads a
     derivative tensor), which splits each of its forms once and builds one
-    derivative sample.  A chunk that holds no derivative tensors takes
-    ``draw``, which gives those of a slice of its trials right before the
-    slice is evaluated.
+    derivative sample (with no split when the chunk holds no form).  A
+    chunk that holds no derivative tensors takes ``draw``, which gives
+    those of a slice of its trials right before the slice is evaluated.
     """
     groups, slice_trials = _plan(tuple(lemma_ids), chunk.dims)
     trials = len(next(chunk.arrays())[1])
@@ -411,17 +421,19 @@ def run_campaign(
     if config is None:
         config = CampaignConfig(c=spec.c, d=spec.d)
     kinds = _needed_kinds(lemma_ids)
+    # a chunk samples what its ids read but their derivative tensors
+    sampled = set().union(*(lemmas.LEMMAS[lemma_id].reads for lemma_id in lemma_ids)) - {"grad"}
     chunk_trials = chunk_size(spec.dims, lemma_ids)
     d_boundary = spec.d if spec.d > 0 else 1.0
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
     for start, streams in _chunk_streams(spec.seed, trials, kinds, chunk_trials):
-        chunk = sample_trial_inputs(spec, streams, kinds - {"grad"})
-        grad = streams.get("grad")  # each slice of the chunk draws its own tensors
-        draw = None if grad is None else lambda index: symmetric_three_tensor(
-            grad[index], spec.dims, spec.sigma)
-        judged = evaluate_trial(lemma_ids, chunk, config, d_boundary, draw)
+        chunk = sample_trial_inputs(spec, streams, sampled)
+        # each slice of the chunk draws its own tensors, and each kept trial
+        # what the chunk holds none of: its tensor and what its ids only record
+        tensors, kept = (_deferred(spec, streams, k) for k in (kinds & {"grad"}, kinds - sampled))
+        judged = evaluate_trial(lemma_ids, chunk, config, d_boundary, tensors)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
         worst = np.argmin(slack, axis=1)
@@ -430,12 +442,12 @@ def run_campaign(
             if least < st["worst"]:
                 st["worst"], st["trial"] = least, start + i
                 if st["trial"] not in worst_inputs:
-                    worst_inputs[st["trial"]] = chunk.trial(i, draw)
+                    worst_inputs[st["trial"]] = chunk.trial(i, kept)
         for k, i in zip(*np.nonzero(_violated(judged, tol))):
             lemma_id, trial = lemma_ids[k], start + int(i)
             stats[lemma_id]["violations"] += 1
             shrunk_inputs, shrunk_check = _shrink(
-                lemma_id, chunk.trial(int(i), draw), config, d_boundary, tol
+                lemma_id, chunk.trial(int(i), kept), config, d_boundary, tol
             )
             if counterexample_dir is not None:
                 os.makedirs(counterexample_dir, exist_ok=True)
@@ -444,7 +456,7 @@ def run_campaign(
                     os.path.join(counterexample_dir, name),
                     lemma_id, spec, config, trial, shrunk_inputs, shrunk_check,
                 )
-        del chunk, streams, grad, draw  # free them before the next ones are drawn
+        del chunk, streams, tensors, kept  # free them before the next ones are drawn
         kept = {st["trial"] for st in stats.values()}
         worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in kept}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}

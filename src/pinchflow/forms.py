@@ -265,14 +265,22 @@ class GradientSample:
 
     Every slice carries the leading batch axes of the points, and a scalar
     of one point is an array over those axes.  ``codazzi_defect`` is
-    :meth:`asymmetry`, scanned once on first read.
+    :meth:`asymmetry`, scanned once on first read.  A sample built with no
+    split (``decomp`` None) still gives the norms and the Codazzi scan;
+    a slice of the splitting then raises a ``ValueError``.
     """
 
-    decomp: PrincipalDecomposition
+    decomp: PrincipalDecomposition | None
     tensor: np.ndarray  # (..., m, n, n, n)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tensor", _freeze(self.tensor))
+
+    @property
+    def split(self) -> PrincipalDecomposition:  # what every slice of the splitting reads
+        if self.decomp is None:
+            raise ValueError("this derivative sample has no principal split (decomp is None)")
+        return self.decomp
 
     @cached_property
     def nabla_H(self) -> np.ndarray:  # (..., m, n)  derivative of the H vector
@@ -280,21 +288,21 @@ class GradientSample:
 
     @cached_property
     def nabla_normH(self) -> np.ndarray:  # (..., n)
-        return _freeze(np.einsum("...a,...ai->...i", self.decomp.nu1, self.nabla_H))
+        return _freeze(np.einsum("...a,...ai->...i", self.split.nu1, self.nabla_H))
 
     @cached_property
     def nabla_nu1(self) -> np.ndarray:  # (..., m, n)
-        nu1, norm = self.decomp.nu1, np.asarray(self.decomp.H.norm)[..., None, None]
+        nu1, norm = self.split.nu1, np.asarray(self.split.H.norm)[..., None, None]
         return _freeze((self.nabla_H - nu1[..., :, None] * self.nabla_normH[..., None, :]) / norm)
 
     @cached_property
     def nabla_aminus_nu1(self) -> np.ndarray:  # (..., n, n, n) <dA^-, nu1> = -<A^-, d nu1>
-        am = self.decomp.a_minus.components
+        am = self.split.a_minus.components
         return _freeze(-np.einsum("...ajk,...ai->...ijk", am, self.nabla_nu1))
 
     @cached_property
     def _proj(self) -> np.ndarray:  # (..., n, n, n)  <dA, nu1>
-        return np.einsum("...a,...aijk->...ijk", self.decomp.nu1, self.tensor)
+        return np.einsum("...a,...aijk->...ijk", self.split.nu1, self.tensor)
 
     @cached_property
     def nabla_h(self) -> np.ndarray:  # (..., n, n, n)  [i, j, k]
@@ -302,12 +310,12 @@ class GradientSample:
 
     @cached_property
     def hat_plus_h(self) -> np.ndarray:  # (..., m, n, n, n)
-        nu1 = self.decomp.nu1
+        nu1 = self.split.nu1
         return _freeze(self.tensor - self._proj[..., None, :, :, :] * nu1[..., :, None, None, None])
 
     @cached_property
     def hat_nabla_aminus(self) -> np.ndarray:  # (..., m, n, n, n)
-        h_dnu1 = np.einsum("...jk,...ai->...aijk", self.decomp.h, self.nabla_nu1)
+        h_dnu1 = np.einsum("...jk,...ai->...aijk", self.split.h, self.nabla_nu1)
         return _freeze(self.hat_plus_h - h_dnu1)
 
     @cached_property
@@ -353,11 +361,16 @@ def _orbit_index(n: int) -> np.ndarray:
     return index
 
 
-def gradient_sample(decomp: PrincipalDecomposition, tensor: np.ndarray) -> GradientSample:
-    """The raw derivative tensors (..., m, n, n, n) at the points ``decomp``."""
+def gradient_sample(decomp: PrincipalDecomposition | None, tensor: np.ndarray) -> GradientSample:
+    """The raw derivative tensors (..., m, n, n, n) at the points ``decomp``,
+    or with no split (None), when m, n and the points are the tensor's."""
     tensor = np.asarray(tensor, dtype=np.float64)
-    m, n = decomp.dims.m, decomp.dims.n
-    lead = decomp.nu1.shape[:-1]
+    if decomp is not None:
+        lead, m, n = decomp.nu1.shape[:-1], decomp.dims.m, decomp.dims.n
+    elif tensor.ndim >= 4:
+        lead, m, n = tensor.shape[:-4], tensor.shape[-4], tensor.shape[-1]
+    else:
+        raise ValueError(f"tensor shape {tensor.shape}, expected (..., m, n, n, n)")
     if tensor.shape != lead + (m, n, n, n):
         raise ValueError(f"tensor shape {tensor.shape}, expected {lead + (m, n, n, n)}")
     return GradientSample(decomp, tensor)

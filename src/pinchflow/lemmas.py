@@ -5,16 +5,19 @@ sampled data and reports them as an :class:`InequalityCheck` of
 ``lhs <= rhs`` with ``slack = rhs - lhs``; the reaction bounds of
 :mod:`~pinchflow.reaction` return their two sides, which the lemma table
 wraps as checks.  :data:`LEMMAS` describes every identifier once, in report
-order: what it bounds, its ``verify`` suite, the sampled input kinds it
-reads, the homogeneity degree of its slack (forms scale linearly for the
-quartic reaction bounds, derivative samples for the quadratic gradient
-bounds) and the evaluator of its group.  Each gradient lemma L4.6-L4.9 is
-one formula; each of its two cases of c supplies coefficients to it.
+order: what it bounds, its ``verify`` suite, the sampled input kinds a
+trial of it records and those of them it reads, the homogeneity degree of
+its slack (forms scale linearly for the quartic reaction bounds,
+derivative samples for the quadratic gradient bounds) and the evaluator of
+its group.  Each gradient lemma L4.6-L4.9 is one formula; each of its two
+cases of c supplies coefficients to it.
 
 A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the result
 of ``principal_decompose(A)``, which carries the form A and its mean
 curvature H: the reaction evaluators take it alone, and the gradient ones a
 :class:`~pinchflow.forms.GradientSample`, which carries it as ``decomp``.
+The kato evaluators read only the sample's norms and Codazzi scan, so they
+also take a sample built with no split.
 
 Every evaluator also takes a batch of points (and of derivative samples)
 stacked along leading axes; its checks then hold one lhs and rhs per point,
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,7 +83,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
     if not 0 < eta < np.inf:
         raise InvalidConstants(f"eta must be a positive finite number, got {eta}")
     require_codazzi(grad)
-    n = grad.decomp.dims.n
+    n = grad.tensor.shape[-1]
     w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (3.0 / (n + 2) - eta) * grad.nabla_H_norm2 - (
         2.0 / (n + 2) * (2.0 / ((n + 2) * eta) - n / (n - 1.0))
@@ -91,7 +94,7 @@ def check_kato(grad: GradientSample, w: np.ndarray, eta: float) -> InequalityChe
 def check_kato_trace(grad: GradientSample, w: np.ndarray) -> InequalityCheck:
     """|dA|^2 - |dH|^2/n >= (n-1)/(2n+1) |dA|^2 - 2n/((n-1)(2n+1)) |w|^2."""
     require_codazzi(grad)
-    n = grad.decomp.dims.n
+    n = grad.tensor.shape[-1]
     w2 = sum_sq(np.asarray(w, dtype=np.float64), 2)
     lhs = (n - 1.0) / (2 * n + 1) * grad.norm2 - 2.0 * n / ((n - 1.0) * (2 * n + 1)) * w2
     rhs = grad.norm2 - grad.nabla_H_norm2 / n
@@ -180,7 +183,7 @@ class GradientQuantities:
 
 
 def gradient_quantities(grad: GradientSample) -> GradientQuantities:
-    dec = grad.decomp
+    dec = grad.split
     n = dec.dims.n
     h_norm = np.asarray(dec.H.norm)[..., None, None, None]
     proj = grad.nabla_h + grad.nabla_aminus_nu1  # (..., n, n, n), [i, j, k]
@@ -245,7 +248,7 @@ def gradient_checks(
     """Evaluate the requested gradient estimates on one constrained sample,
     or on a batch of them."""
     require_codazzi(grad)
-    dec, H = grad.decomp, grad.decomp.H
+    dec, H = grad.split, grad.split.H
     n = dec.dims.n
     if c <= 1.0 / n:
         raise InvalidConstants(f"need c > 1/n, got c={c}")
@@ -298,8 +301,9 @@ def gradient_checks(
 # A group's evaluator takes the group's requested ids, one evaluation unit
 # of a campaign (the ``dims``, ``matrices`` and ``w`` of its trials, the
 # splits ``decomp`` and ``boundary_decomp`` of its forms, its derivative
-# sample ``grad`` and ``d_boundary``) and the campaign's config.  It calls
-# the checks by module attribute, so a rebound attribute is the one that runs.
+# sample ``grad``, split only when the unit holds forms, and ``d_boundary``)
+# and the campaign's config.  It calls the checks by module attribute, so a
+# rebound attribute is the one that runs.
 
 def _li_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
     return [check_li(unit.matrices) for _ in ids]
@@ -334,13 +338,16 @@ GROUPS = (_li_group, _kato_group, _gradient_group, _reaction_group, _boundary_gr
 @dataclass(frozen=True)
 class Lemma:
     suite: str             # the ``verify --suite`` that reports it
-    kinds: frozenset[str]  # the sampled input kinds it reads
+    kinds: frozenset[str]  # the sampled input kinds a trial of it records
     degree: int            # the homogeneity degree of its slack
     evaluate: Callable[..., list[InequalityCheck]]  # its group's evaluator
+    reads: frozenset[str]  # the kinds of ``kinds`` its evaluator reads
 
 
-def _entries(suite: str, ids: Sequence[str], kinds: set[str], degree: int, evaluate):
-    return {lemma_id: Lemma(suite, frozenset(kinds), degree, evaluate) for lemma_id in ids}
+def _entries(suite: str, ids: Sequence[str], kinds: set[str], degree: int, evaluate,
+             unread: Iterable[str] = ()):
+    reads = frozenset(kinds).difference(unread)
+    return {lemma_id: Lemma(suite, frozenset(kinds), degree, evaluate, reads) for lemma_id in ids}
 
 
 # every inequality id, in report order
@@ -348,8 +355,10 @@ LEMMAS: dict[str, Lemma] = {
     # trace squares plus commutators of symmetric matrices against 3/2 the
     # total norm squared
     **_entries("li", ["li"], {"matrices"}, 4, _li_group),
-    # sharpened Kato inequalities for the derivative of A against that of H
-    **_entries("kato", ["kato.3.1", "kato.3.2"], {"form", "grad", "w"}, 2, _kato_group),
+    # sharpened Kato inequalities for the derivative of A against that of H;
+    # a trial records the form it sits at, but the checks read no form
+    **_entries("kato", ["kato.3.1", "kato.3.2"], {"form", "grad", "w"}, 2, _kato_group,
+               unread={"form"}),
     # reaction estimates, flat specialization
     **_entries("reaction", ["4.5", "4.6", "4.10", "4.12", "4.14"], {"form"}, 4, _reaction_group),
     # the reaction estimate on the pinching boundary

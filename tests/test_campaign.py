@@ -9,6 +9,7 @@ import pytest
 import pinchflow.campaign
 import pinchflow.lemmas
 from pinchflow.campaign import (
+    DEFAULT_TOL,
     CampaignConfig,
     CheckResult,
     TrialInputs,
@@ -247,6 +248,41 @@ class TestViolationPath:
         _, inputs, _ = load_counterexample(str(path))
         for name, array in alone[top].arrays():
             assert dict(inputs.arrays())[name].tobytes() == array.tobytes(), name
+
+    def test_kato_counterexamples_replay_with_their_form(self, tmp_path, monkeypatch):
+        # a false kato.3.2 (rhs times 0.1): kato's chunks sample no form, so
+        # each violating and each worst trial draws its own, which must be
+        # the row that trial gets in a chunk that samples forms
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=37)
+        ids, trials, true = ["kato.3.1", "kato.3.2"], 12, pinchflow.lemmas.check_kato_trace
+
+        def false_trace(grad, w):
+            chk = true(grad, w)
+            return InequalityCheck(chk.lemma_id, chk.lhs, 0.1 * chk.rhs)
+
+        monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
+        chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), _needed_kinds(ids))
+        config = CampaignConfig(c=spec.c, d=spec.d)
+        judged = evaluate_trial(ids, chunk, config, spec.d)
+        results = run_campaign(spec, ids, trials, config=config, counterexample_dir=str(tmp_path))
+        violated = _violated(judged, DEFAULT_TOL)
+        assert [r.violations for r in results] == violated.sum(axis=1).tolist()
+        assert results[1].violations > 0
+        for res, worst in zip(results, np.argmin(judged.slack, axis=1)):
+            assert res.worst_input_digest == chunk.trial(int(worst)).digest()
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == results[1].violations
+        for path in paths:
+            payload = json.loads(path.read_text())
+            assert {"form", "grad_tensor", "w"} <= payload["inputs"].keys()
+            lemma_id, inputs, loaded = load_counterexample(str(path))
+            assert _violated(evaluate_trial([lemma_id], inputs, loaded, spec.d), DEFAULT_TOL)[0, 0]
+            # the witness is its trial halved k times, which is exact
+            row = chunk.trial(payload["trial"])
+            k = next(k for k in range(65) if np.array_equal(
+                np.ldexp(inputs.grad_tensor, k), row.grad_tensor))
+            for name, array in row.arrays():
+                assert np.ldexp(dict(inputs.arrays())[name], k).tobytes() == array.tobytes(), name
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)

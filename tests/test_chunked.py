@@ -8,10 +8,10 @@ per-trial stack stays within ``STACK_BUDGET`` float64 values; at n=8, m=3
 they are ``CHUNK`` = 32 and 8 trials, and li alone runs 64 a chunk.  Every
 chunked value must match the per-point evaluator on the trial alone to
 1e-12 of the check's scale, and a chunked campaign, which draws its chunks
-from substreams hashed per block of ``BLOCK`` trials and the derivative
-tensors of each slice as the slice is evaluated, must keep the inputs,
-violations and worst trial of a campaign sampled and evaluated one trial
-at a time.
+from substreams hashed per block of ``BLOCK`` trials, the derivative
+tensors of each slice as the slice is evaluated and kato's forms only for
+the trials it keeps, must keep the inputs, violations and worst trial of a
+campaign sampled and evaluated one trial at a time.
 """
 
 import itertools
@@ -188,29 +188,28 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
 
 
 def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
-    """The chunks a campaign samples and the trials of each derivative
-    tensor draw, after checking that it keeps the inputs, verdicts and worst
+    """The chunks a campaign samples and the (kinds, trials) of each draw it
+    defers, after checking that it keeps the inputs, verdicts and worst
     trial of one trial at a time, and the worst slack to ``rel`` of its
     scale."""
     config = config_of(spec, ids)
     expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
-    chunks, sample = [], campaign.sample_trial_inputs
-    draws, tensors, draw = [], {}, campaign.symmetric_three_tensor
+    chunks, draws, drawn, sample = [], [], {}, campaign.sample_trial_inputs
 
-    def recorded(*args):
-        chunks.append(sample(*args))
-        return chunks[-1]
-
-    def drawn(streams, *args):
-        draws.append(len(streams))
-        out = draw(streams, *args)
-        for trial, tensor in zip(streams.trials, out):
-            # a worst trial's tensor is drawn again, bit for bit
-            assert bits(tensors.setdefault(trial, tensor)) == bits(tensor), trial
+    def recorded(spec, streams, kinds):
+        out = sample(spec, streams, kinds)
+        if "grad" not in kinds:  # a chunk; a slice or a kept trial draws tensors
+            chunks.append(out)
+            return out
+        numbers = streams["grad"].trials
+        draws.append((frozenset(kinds), len(numbers)))
+        for name, arrays in out.arrays():
+            for trial, array in zip(numbers, arrays):
+                # a kept trial's tensor is drawn again, bit for bit
+                assert bits(drawn.setdefault((name, trial), array)) == bits(array), trial
         return out
 
     monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
-    monkeypatch.setattr(campaign, "symmetric_three_tensor", drawn)
     for res in run_campaign(spec, ids, trials, config=config):
         violations, worst, digest = expected[res.lemma_id]
         assert res.violations == violations == 0
@@ -218,12 +217,14 @@ def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
         assert abs(res.worst_slack - worst) <= rel * max(1.0, abs(worst))
     got = stacked(chunks)
     assert "grad_tensor" not in got  # drawn by the slices that read them
-    if tensors:
-        assert sorted(tensors) == list(range(trials))
-        got["grad_tensor"] = np.array([tensors[trial] for trial in range(trials)])
-    assert got.keys() == inputs.keys()
-    for name, expected_array in inputs.items():
-        assert np.array_equal(got[name], expected_array), name
+    for (name, trial), array in drawn.items():
+        assert bits(array) == bits(inputs[name][trial]), (name, trial)
+    tensors = sorted(trial for name, trial in drawn if name == "grad_tensor")
+    assert tensors == (list(range(trials)) if "grad_tensor" in inputs else [])
+    # what the ids only record, the kept trials draw on their own
+    assert got.keys() == inputs.keys() - {name for name, _ in drawn}
+    for name, array in got.items():
+        assert np.array_equal(array, inputs[name]), name
     return chunks, draws
 
 
@@ -245,11 +246,17 @@ def test_campaign_draws_no_more_than_a_slice_of_tensors_at_once(spec, ids, monke
     piece, chunk = derivative_slice(spec.dims, ids), chunk_size(spec.dims, ids)
     trials = 2 * chunk + 3
     _, draws = campaign_chunks(spec, ids, trials, monkeypatch)
-    assert max(draws) == piece == (64 if spec.dims.n == 5 else 8)
+    sizes = [k for _, k in draws]
+    assert max(sizes) == piece == (64 if spec.dims.n == 5 else 8)
     # each slice once, in order (the last chunk is one slice of 3 trials);
     # a worst trial kept is drawn again on its own
-    assert [k for k in draws if k > 1] == [piece] * (2 * chunk // piece) + [3]
-    assert 1 in draws
+    assert [k for k in sizes if k > 1] == [piece] * (2 * chunk // piece) + [3]
+    assert 1 in sizes
+    # a slice draws its tensors, and a kept trial also the form that kato
+    # alone records but does not read
+    kept = {"grad", "form"} if ids == KATO_IDS else {"grad"}
+    assert {kinds for kinds, k in draws} == {frozenset({"grad"}), frozenset(kept)}
+    assert all(kinds == {"grad"} for kinds, k in draws if k > 1)
 
 
 ALL_IDS = (*CHUNKED_IDS, *DERIVATIVE_IDS)
@@ -485,13 +492,25 @@ def test_asymmetry_matches_a_loop_over_permutations():
 def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     # the kato ids read |dA|^2, |dH|^2 and the Codazzi scan; a slice the
     # gradient estimates alone read is built only on their first read
-    samples = []
+    samples, splits, sampled = [], [], []
+    build, split, sample = (campaign.gradient_sample, campaign.principal_decompose,
+                            campaign.sample_trial_inputs)
 
     def kept(decomp, tensor):
-        samples.append(gradient_sample(decomp, tensor))
+        samples.append(build(decomp, tensor))
         return samples[-1]
 
+    def counted(form):
+        splits.append(form)
+        return split(form)
+
+    def recorded(spec, streams, kinds):
+        sampled.append((kinds, len(next(iter(streams.values())))))
+        return sample(spec, streams, kinds)
+
     monkeypatch.setattr(campaign, "gradient_sample", kept)
+    monkeypatch.setattr(campaign, "principal_decompose", counted)
+    monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
     gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
                      "hat_plus_h", "hat_nabla_aminus"}
     chunk = sample_chunk(PINCHED, range(CHUNK), _needed_kinds(KATO_IDS))
@@ -504,6 +523,24 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     evaluate_trial(DERIVATIVE_IDS, chunk, config_of(PINCHED, DERIVATIVE_IDS), 1.0)
     assert all(gradient_only <= set(vars(grad)) for grad in samples)
     assert not samples[0].nabla_h.flags.writeable
+    # nor does a kato campaign split a form: its chunks sample none, its
+    # slices build samples with no split, and only a kept trial draws its
+    # form; the suite all splits each slice's form and boundary form once
+    trials, slices = 2 * CHUNK + 3, 2 * CHUNK // DERIVATIVE_SLICE + 1
+    for ids in (KATO_IDS, ALL_IDS):
+        del samples[:], splits[:], sampled[:]
+        results = run_campaign(PINCHED, ids, trials, config=config_of(PINCHED, ids))
+        assert sum(r.violations for r in results) == 0
+        assert len(samples) == slices
+        forms = [k for kinds, k in sampled if "form" in kinds]
+        if ids == KATO_IDS:
+            assert splits == [] and all(grad.decomp is None for grad in samples)
+            # each a new worst trial: at most one per id and chunk
+            assert forms and set(forms) == {1} and len(forms) <= 3 * len(ids)
+            assert all("grad" in kinds for kinds, k in sampled if "form" in kinds)
+        else:
+            assert len(splits) == 2 * slices and None not in (g.decomp for g in samples)
+            assert forms == [CHUNK, CHUNK, 3]  # by the chunks alone
 
 
 # verify --suite S --n 8 --m 3 --trials 300 --seed 1, recorded when kato and

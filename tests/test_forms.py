@@ -296,3 +296,24 @@ class TestGradientSample:
         grad = gradient_sample(dec, tensor)
         with pytest.raises(InvalidSample):
             frame_identity_residuals(grad)
+
+    def test_sample_without_a_split(self):
+        # a sample built with no split gives the norms and the Codazzi scan
+        # of the split one bit for bit; a slice of the splitting names the
+        # missing split
+        rng = np.random.default_rng(13)
+        forms = symmetrize(rng.standard_normal((2, 3, 5, 5)))
+        tensors = np.stack([symmetric_three_tensor(rng, Dims(5, 3)) for _ in range(2)])
+        split = gradient_sample(principal_decompose(forms), tensors)
+        bare = gradient_sample(None, tensors)
+        assert bare.decomp is None and np.shape(bare.norm2) == (2,)
+        for name in ("norm2", "nabla_H_norm2", "codazzi_defect", "codazzi_scale"):
+            assert np.array_equal(getattr(bare, name), getattr(split, name)), name
+        require_codazzi(bare)
+        for name in ("nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
+                     "hat_plus_h", "hat_nabla_aminus"):
+            with pytest.raises(ValueError, match="no principal split"):
+                getattr(bare, name)
+        for tensor in (np.zeros((5, 5, 5)), np.zeros((3, 5, 5, 4))):
+            with pytest.raises(ValueError, match="tensor shape"):
+                gradient_sample(None, tensor)

@@ -8,6 +8,9 @@ The runs write into a temporary directory:
   at n=5, m=2, and of gradient at n=6, m=2 (the case-2 default constants),
   each at seeds 1 and 7; away from n=8, m=3 campaigns run in chunks of more
   than 32 trials;
+- ``verify`` of reaction at n=8, m=3 and d=1e8, seeds 1 and 7, where about
+  half of the first pinched rejection attempts fail and a few forms take
+  more than 8 attempts, past the first halving of the perturbation cap;
 - ``verify`` of li at n=4, m=3 (8 trials), and of gradient and kato at
   n=8, m=3 (12 trials each), seed 1, each with a false bound (the rhs of
   ``check_li``, of every ``gradient_checks`` result, or of
@@ -49,6 +52,8 @@ VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), 
           ("li", 2, 3), ("li", 4, 3), ("li", 2, 2), ("reaction", 5, 2), ("kato", 5, 2),
           ("gradient", 6, 2)]
 SEEDS = (1, 7)
+# (suite, n, m, d) of the verify runs at a large d
+LARGE_D = [("reaction", 8, 3, "1e8")]
 TRIALS = 1500  # more than one block of 1024 substream states
 # (lemma attribute, suite, n, m, trials) of the verify runs with a false bound
 FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12),
@@ -77,6 +82,12 @@ def runs(out: str) -> list[list[str]]:
          "--seed", str(seed),
          "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s{seed}.json")]
         for suite, n, m in VERIFY for seed in SEEDS
+    ]
+    argvs += [
+        ["verify", "--suite", suite, "--n", str(n), "--m", str(m), "--d", d,
+         "--trials", str(TRIALS), "--seed", str(seed),
+         "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_d{d}_s{seed}.json")]
+        for suite, n, m, d in LARGE_D for seed in SEEDS
     ]
     argvs += [
         ["simulate", "--family", family, *args, "--out", os.path.join(out, f"simulate_{name}.csv")]

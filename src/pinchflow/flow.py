@@ -198,13 +198,11 @@ FAMILY_KINDS = {
 
 
 class FlowState(NamedTuple):
-    """A family at time ``t`` with radii ``params``, the full state, and
-    the radius rates at ``params`` (None: ``step_rk4`` computes them)."""
+    """A family at time ``t`` with radii ``params``, the full state."""
 
     family: Family
     t: float
     params: tuple[float, ...]
-    rates: tuple[float, ...] | None = None
 
 
 def rates(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
@@ -213,8 +211,7 @@ def rates(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def exact_state(family: Family, t: float) -> FlowState:
-    params = family.exact_params(t)
-    return FlowState(family, t, params, rates(family, params))
+    return FlowState(family, t, family.exact_params(t))
 
 
 def _rk4_radii(radius_rates: tuple[Callable[[float], float], ...], y: tuple[float, ...],
@@ -246,14 +243,13 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
     """One RK4 step of ``state``'s radii through the routine that
     :func:`simulate` steps with.  PastBlowup when a radius is at or below
     R_MIN at the start (checked before any rate is taken), at a stage or at
-    the end; the new state carries its rates."""
+    the end."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite step, got {dt}")
     fam, y = state.family, state.params
     if min(y) <= R_MIN:
         raise PastBlowup(_COLLAPSED)
-    new = _rk4_radii(fam.radius_rates, y, state.rates or rates(fam, y), dt)
-    return FlowState(fam, state.t + dt, new, rates(fam, new))
+    return FlowState(fam, state.t + dt, _rk4_radii(fam.radius_rates, y, rates(fam, y), dt))
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,8 @@ def simulate(
         raise ValueError(f"t_end={t_end} at dt={dt} takes {steps} fixed steps, "
                          f"more than MAX_STEPS={MAX_STEPS}, counted to "
                          f"min(t_end, blow-up time {t_max})")
-    _, t, y, v = exact_state(family, 0.0)
+    t, y = 0.0, family.exact_params(0.0)
+    v = rates(family, y)
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once
     parts = [diagnostics(family, [t], [y], constants)]

@@ -10,8 +10,10 @@ slices without hashing again, so a campaign hashes a block of trials once
 and draws its chunks from slices.  :func:`sample_form` takes substreams
 only, so a trial drawn alone is a chunk of one; the low-level samplers also
 take one generator, :func:`trial_rng` of a trial.  Constrained distributions
-are produced by rejection plus exact radial rescaling: norm constraints are
-radial, so a single multiplicative factor lands on them to machine precision.
+are produced by rejection, in batches over the trials still rejected, each
+continuing its own generator, plus exact radial rescaling: norm constraints
+are radial, so a single multiplicative factor lands on them to machine
+precision.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import InvalidConstants, NotPinched
 from .forms import Dims, SecondFundamentalForm, dot_norm, mean_curvature, symmetrize
 
 DISTRIBUTIONS = ("gaussian", "pinched", "boundary")
-MAX_ATTEMPTS = 400  # rejection attempts of sample_pinched
+MAX_ATTEMPTS = 400  # rejection attempts of a pinched form
 FIRST_CAP = 0.5  # perturbation cap of the first attempt, halved every 8
 
 # substream tags: one per input kind so that lemma sets do not perturb draws
@@ -189,13 +191,13 @@ class Substreams:
     Each trial's PCG64 is seeded by NumPy from its :func:`substream_states`
     row, which PCG64 reads straight from the buffer, so the states are held
     C-contiguous.  ``streams[a:b]`` is the substreams of ``trials[a:b]``,
-    with their states sliced rather than hashed again.
+    with their states sliced rather than hashed again: ``seed`` and ``tag``
+    are read only to hash the states when none are given.
     """
 
-    def __init__(
-        self, seed: int, trials: Sequence[int], tag: int, states: np.ndarray | None = None
-    ) -> None:
-        self.seed, self.trials, self.tag = seed, trials, tag
+    def __init__(self, seed: int | None, trials: Sequence[int], tag: int | None,
+                 states: np.ndarray | None = None) -> None:
+        self.trials = trials
         states = substream_states(seed, trials, tag) if states is None else states
         self.states = np.ascontiguousarray(states, dtype=np.uint64)
 
@@ -203,7 +205,7 @@ class Substreams:
         return len(self.states)
 
     def __getitem__(self, index: slice) -> "Substreams":
-        return Substreams(self.seed, self.trials[index], self.tag, self.states[index])
+        return Substreams(None, self.trials[index], None, self.states[index])
 
     def __iter__(self) -> Iterator[np.random.Generator]:
         for state in self.states:
@@ -238,54 +240,55 @@ def symmetric_matrices(rng: Rng, n: int, count: int, sigma: float = 1.0) -> np.n
     return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
-def pinched_attempt(
-    normals: np.ndarray, u: float | np.ndarray, dims: Dims, c: float, d: float, sigma: float
-) -> tuple[SecondFundamentalForm, bool | np.ndarray]:
-    """One rejection attempt of :func:`sample_pinched`, over any leading axes.
-
-    ``normals`` holds the m + 1 + m n^2 standard normals of the attempt: the
-    normal direction, the log-normal size and the perturbation.  ``u`` is the
-    uniform perturbation factor, already times the cap.  Returns the form and
-    whether f = c|H|^2 - |A|^2 - d > 0 holds.
-    """
-    n, m = dims.n, dims.m
-    lead = normals.shape[:-1]
-    nu = normals[..., :m] / dot_norm(normals[..., :m])[..., None]
-    s = sigma * np.exp(0.5 * normals[..., m])
-    h0 = np.sqrt((d + s * s) / (c - 1.0 / n))
-    base = (h0 / n)[..., None, None, None] * np.eye(n) * nu[..., None, None]
-    pert = normals[..., m + 1:].reshape(*lead, m, n, n)
-    pert = 0.5 * (pert + pert.swapaxes(-1, -2))
-    pert = pert / dot_norm(pert.reshape(*lead, m * n * n))[..., None, None, None]
-    tau = u * s
-    A = SecondFundamentalForm(dims, base + tau[..., None, None, None] * pert)
-    return A, c * mean_curvature(A).norm2 - A.norm2 - d > 0
-
-
-def sample_pinched(
-    rng: np.random.Generator,
-    dims: Dims,
-    c: float,
-    d: float,
-    sigma: float = 1.0,
+def _pinched(
+    rngs: Iterable[np.random.Generator], dims: Dims, c: float, d: float, sigma: float
 ) -> SecondFundamentalForm:
-    """A form with f = c|H|^2 - |A|^2 - d > 0.
+    """Forms with f = c|H|^2 - |A|^2 - d > 0, one per generator, stacked.
 
     Umbilic seed in a random normal direction sized so the umbilic slack is
     positive, plus a perturbation scaled to the available slack; rejection
-    guarantees the constraint exactly.
+    guarantees the constraint exactly.  Each attempt is one batch over the
+    rows still rejected, each drawing from its own generator; the cap starts
+    at ``FIRST_CAP`` and halves every 8 attempts.
     """
-    if c - 1.0 / dims.n <= 0:
+    n, m = dims.n, dims.m
+    if c - 1.0 / n <= 0:
         raise InvalidConstants("pinched sampling needs c > 1/n")
+    rngs = list(rngs)
+    rows = np.arange(len(rngs))
     cap = FIRST_CAP
     for attempt in range(MAX_ATTEMPTS):
-        normals = rng.standard_normal(dims.m * (1 + dims.n * dims.n) + 1)
-        A, pinched = pinched_attempt(normals, cap * rng.random(), dims, c, d, sigma)
-        if pinched:
-            return A
+        normals = np.empty((len(rows), m * (1 + n * n) + 1))
+        u = np.empty(len(rows))
+        for j, i in enumerate(rows):
+            rngs[i].standard_normal(out=normals[j])
+            u[j] = rngs[i].random()
+        nu = normals[:, :m] / dot_norm(normals[:, :m])[:, None]
+        s = sigma * np.exp(0.5 * normals[:, m])
+        h0 = np.sqrt((d + s * s) / (c - 1.0 / n))
+        base = (h0 / n)[:, None, None, None] * np.eye(n) * nu[..., None, None]
+        pert = normals[:, m + 1:].reshape(len(rows), m, n, n)
+        pert = 0.5 * (pert + pert.swapaxes(-1, -2))
+        pert = pert / dot_norm(pert.reshape(len(rows), m * n * n))[:, None, None, None]
+        A = SecondFundamentalForm(dims, base + (cap * u * s)[:, None, None, None] * pert)
+        pinched = c * mean_curvature(A).norm2 - A.norm2 - d > 0
+        if attempt == 0:
+            if pinched.all():
+                return A
+            comps = A.components.copy()
+        else:
+            comps[rows[pinched]] = A.components[pinched]
+        if not len(rows := rows[~pinched]):
+            return SecondFundamentalForm(dims, comps)
         if attempt % 8 == 7:
             cap *= 0.5
     raise NotPinched(f"no pinched sample found in {MAX_ATTEMPTS} attempts")
+
+
+def sample_pinched(rng: np.random.Generator, dims: Dims, c: float, d: float,
+                   sigma: float = 1.0) -> SecondFundamentalForm:
+    """A form with f = c|H|^2 - |A|^2 - d > 0: a chunk of one, from ``rng``."""
+    return SecondFundamentalForm(dims, _pinched([rng], dims, c, d, sigma).components[0])
 
 
 def rescale_to_boundary(
@@ -307,28 +310,14 @@ def rescale_to_boundary(
 
 
 def sample_form(spec: SamplerSpec, streams: Substreams) -> SecondFundamentalForm:
-    """The forms of the trials of the ``TAG_FORM`` substreams, stacked.
-
-    The first pinched attempts of all trials run as one batch; a trial whose
-    first attempt is rejected reruns :func:`sample_pinched` from the start
-    of its own stream, ``trial_rng`` of its trial number.
-    """
+    """The forms of the trials of the ``TAG_FORM`` substreams, stacked; a
+    trial's pinched form is the one :func:`sample_pinched` draws from its
+    ``trial_rng`` alone."""
     dims = spec.dims
     if spec.distribution == "gaussian":
         return symmetric_gaussian(streams, dims, spec.sigma)
     d = spec.d if spec.distribution == "pinched" else 0.0
-    normals = np.empty((len(streams), dims.m * (1 + dims.n * dims.n) + 1))
-    u = np.empty(len(streams))
-    for i, rng in enumerate(streams):
-        rng.standard_normal(out=normals[i])
-        u[i] = rng.random()
-    form, pinched = pinched_attempt(normals, FIRST_CAP * u, dims, spec.c, d, spec.sigma)
-    if not pinched.all():
-        comps = form.components.copy()
-        for i in np.flatnonzero(~pinched):
-            rng = trial_rng(streams.seed, streams.trials[i], streams.tag)
-            comps[i] = sample_pinched(rng, dims, spec.c, d, spec.sigma).components
-        form = SecondFundamentalForm(dims, comps)
+    form = _pinched(streams, dims, spec.c, d, spec.sigma)
     if spec.distribution == "boundary":
         form = rescale_to_boundary(form, spec.c, spec.d)
     return form

@@ -156,14 +156,21 @@ SPECS = {
     "pinched": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=61),
     "boundary": SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=2**32),
     "gaussian": SamplerSpec(Dims(5, 3), "gaussian", sigma=0.7, seed=2**64),
-    # a large d rejects some first attempts, so the per-trial rerun runs
+    # a large d rejects some first attempts, so rows take a second batch
     "rejecting": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=1e4, seed=5),
+    # about half of all first attempts fail here, and a few rows take more
+    # than 8 attempts, past the first halving of the perturbation cap
+    "halving": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=1e8, seed=1),
 }
+# the first of the CHUNK + 3 trials a case draws: trials 482 and 509 of
+# "halving" take 12 and 9 attempts
+FIRST_TRIAL = {"halving": 480}
 
 
 def scalar_sample_pinched(rng, dims, c, d, sigma):
     """The rejection sampler one draw at a time, with ``np.linalg.norm`` and
-    ``rng.uniform``, as it was before the attempt formula was batched."""
+    ``rng.uniform``, as it was before the attempt formula was batched; returns
+    the form and the number of attempts it took."""
     n, m = dims.n, dims.m
     g = c - 1.0 / n
     cap = 0.5
@@ -179,24 +186,25 @@ def scalar_sample_pinched(rng, dims, c, d, sigma):
         tau = rng.uniform(0.0, cap) * s
         A = symmetrize(base + tau * pert)
         if c * mean_curvature(A).norm2 - A.norm2 - d > 0:
-            return A
+            return A, attempt + 1
         if attempt % 8 == 7:
             cap *= 0.5
     raise AssertionError("no pinched sample")
 
 
 def one_trial(spec, trial, kinds):
-    """The inputs of one trial, each kind drawn from ``trial_rng`` directly."""
+    """The inputs of one trial, each kind drawn from ``trial_rng`` directly,
+    and the rejection attempts its form took (0 for a Gaussian form)."""
 
     def rng(tag):
         return trial_rng(spec.seed, trial, tag)
 
     dims, sigma = spec.dims, spec.sigma
     if spec.distribution == "gaussian":
-        form = symmetric_gaussian(rng(TAG_FORM), dims, sigma)
+        form, attempts = symmetric_gaussian(rng(TAG_FORM), dims, sigma), 0
     else:
         d = spec.d if spec.distribution == "pinched" else 0.0
-        form = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, d, sigma)
+        form, attempts = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, d, sigma)
         if spec.distribution == "boundary":
             form = rescale_to_boundary(form, spec.c, spec.d)
     out = {
@@ -210,35 +218,33 @@ def one_trial(spec, trial, kinds):
         if spec.distribution != "boundary":
             boundary = rescale_to_boundary(form, spec.c, spec.d if spec.d > 0 else 1.0)
         out["boundary_form"] = boundary.components
-    return out
+    return out, attempts
 
 
 @pytest.mark.parametrize("name", SPECS)
-def test_chunk_sampling_matches_trial_rng(name, monkeypatch):
+def test_chunk_sampling_matches_trial_rng(name):
     spec = SPECS[name]
     # a Gaussian form is not pinched, so it has no boundary rescaling
     kinds = ALL_KINDS - {"boundary"} if spec.distribution == "gaussian" else ALL_KINDS
-    reruns, rerun = [], samplers.sample_pinched
-
-    def counted(*args, **kwargs):
-        reruns.append(args)
-        return rerun(*args, **kwargs)
-
-    monkeypatch.setattr(samplers, "sample_pinched", counted)
-    trials = range(7, 7 + CHUNK + 3)
+    start = FIRST_TRIAL.get(name, 7)
+    trials = range(start, start + CHUNK + 3)
     chunk = sample_trial_inputs(spec, substreams(spec, trials), kinds)
-    monkeypatch.undo()
     assert chunk.form.components.shape == (len(trials), spec.dims.m, spec.dims.n, spec.dims.n)
+    attempts = {}
     for i, trial in enumerate(trials):
         alone = chunk.trial(i)
-        for key, expected in one_trial(spec, trial, kinds).items():
+        inputs, attempts[trial] = one_trial(spec, trial, kinds)
+        for key, expected in inputs.items():
             got = getattr(alone, key)
             (got,) = got.components if key.endswith("form") else got  # a chunk of one
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (key, trial)
-    if name == "rejecting":
-        assert reruns
-    elif spec.distribution == "gaussian":
-        assert not reruns
+    # which rows the batched rejection loop had to run again
+    if name == "halving":
+        assert attempts[482] == 12 and attempts[509] == 9
+    elif name == "rejecting":
+        assert max(attempts.values()) > 1
+    else:
+        assert set(attempts.values()) == {0 if spec.distribution == "gaussian" else 1}
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5])

@@ -25,9 +25,11 @@ The runs write into a temporary directory:
   ``model_checks.txt``: the ``repr`` of ``blowup_bound_check`` and of
   ``evolution_residual`` at fixed fractions of the blow-up time.
 
-Each file they leave, reports and counterexample files alike, gets one
-``sha256  name`` line, so checking that a change keeps every output is a
-diff of two runs, one in each checkout:
+Every run must exit 0 but the false-bound runs, which must exit 1, so a
+false bound that no campaign calls fails the script.  Each file the runs
+leave, reports and counterexample files alike, gets one ``sha256  name``
+line, so checking that a change keeps every output is a diff of two runs,
+one in each checkout:
 
     python scripts/output_digests.py > digests.txt
 
@@ -101,9 +103,11 @@ def runs(out: str) -> list[list[str]]:
     return argvs
 
 
-def run(argv: list[str]) -> None:
-    if cli.main(argv) not in (0, 1):  # 1 is a violation, still an output
-        sys.exit(f"pinchflow {' '.join(argv)} failed")
+def run(argv: list[str], expected: int = 0) -> None:
+    """Run ``argv``; a true run exits 0, a false-bound run 1 (a violation)."""
+    code = cli.main(argv)
+    if code != expected:
+        sys.exit(f"pinchflow {' '.join(argv)} exited {code}, not {expected}")
 
 
 def tenth_of_rhs(evaluate):
@@ -141,7 +145,8 @@ def main() -> None:
             try:
                 run(["verify", "--suite", suite, "--n", str(n), "--m", str(m),
                      "--trials", str(trials), "--seed", "1",
-                     "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s1_false.json")])
+                     "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s1_false.json")],
+                    expected=1)
             finally:
                 setattr(lemmas, name, true)
         for name in sorted(os.listdir(out)):

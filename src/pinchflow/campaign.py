@@ -97,8 +97,10 @@ _ARRAYS = ("matrices", "grad_tensor", "w")
 
 @dataclass
 class TrialInputs:
-    """Raw sampled inputs (pre-derivation) of a chunk of trials stacked
-    along a leading axis; a trial on its own is a chunk of one."""
+    """Raw sampled inputs of a chunk of trials stacked along a leading
+    axis; a trial on its own is a chunk of one.  The points its checks share
+    (the splits of its forms and its derivative sample) are built on first
+    read."""
 
     dims: Dims
     form: SecondFundamentalForm | None = None
@@ -107,9 +109,18 @@ class TrialInputs:
     grad_tensor: np.ndarray | None = None
     w: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.matrices is not None:
-            self.matrices = np.asarray(self.matrices, dtype=np.float64)
+    @functools.cached_property
+    def decomp(self):
+        return principal_decompose(self.form)
+
+    @functools.cached_property
+    def boundary_decomp(self):
+        return principal_decompose(self.boundary_form)
+
+    @functools.cached_property
+    def grad(self):  # inputs that hold no form build no split
+        split = None if self.form is None else self.decomp
+        return gradient_sample(split, self.grad_tensor)
 
     def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         """Every input that is present, by field name; a form as its
@@ -269,27 +280,6 @@ def sample_trial_inputs(
     return inputs
 
 
-class _Unit:
-    """An evaluation unit's inputs and the points its groups share, each built on first read."""
-
-    def __init__(self, inputs: TrialInputs, d_boundary: float):
-        self.inputs, self.d_boundary = inputs, d_boundary
-        self.dims, self.matrices, self.w = inputs.dims, inputs.matrices, inputs.w
-
-    @functools.cached_property
-    def decomp(self):
-        return principal_decompose(self.inputs.form)
-
-    @functools.cached_property
-    def boundary_decomp(self):
-        return principal_decompose(self.inputs.boundary_form)
-
-    @functools.cached_property
-    def grad(self):  # a unit that holds no form builds no split
-        split = None if self.inputs.form is None else self.decomp
-        return gradient_sample(split, self.inputs.grad_tensor)
-
-
 @functools.cache
 def _plan(lemma_ids: tuple[str, ...], dims: Dims) -> tuple[tuple, int | None]:
     """The lemma groups that ``lemma_ids`` run, each with its requested ids
@@ -328,11 +318,10 @@ def evaluate_trial(
         # a slice's inputs are views of the chunk's, and its tensors its own
         part = slice(start, start + (slice_trials or trials))
         inputs = chunk if slice_trials is None else chunk.trial(part, draw)
-        unit = _Unit(inputs, d_boundary)
         for evaluate, ids, rows in groups:
-            for row, check in zip(rows, evaluate(ids, unit, config)):
+            for row, check in zip(rows, evaluate(ids, inputs, config, d_boundary)):
                 lhs[row, part], rhs[row, part] = check.lhs, check.rhs
-        del unit, inputs  # its points and tensors are freed before the next slice is drawn
+        del inputs  # its points and tensors are freed before the next slice is drawn
     return lemmas.InequalityCheck(",".join(lemma_ids), lhs, rhs)
 
 

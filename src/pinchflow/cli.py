@@ -29,7 +29,8 @@ from .constants import (
     space_form_d_lower,
 )
 from .errors import PinchflowError
-from .flow import FAMILY_KINDS, read_csv, simulate, write_csv, write_rows
+from .flow import (CylinderFlow, HyperbolicSphereFlow, ProductSpheresFlow, SphereFlow,
+                   read_csv, simulate, write_csv, write_rows)
 from .forms import Dims
 from .rescale import rescale as rescale_series, write_rescaled_csv
 from .samplers import SamplerSpec
@@ -146,20 +147,20 @@ def _parse_params(spec: str) -> dict[str, float]:
     return out
 
 
-# --params keys of each family, in constructor order; a key without a
-# default is required
-_FAMILY_KEYS = {
-    "sphere": ("n", "m", "r"),
-    "cylinder": ("n", "m", "r"),
-    "product": ("p", "q", "m", "a", "b"),
-    "hyperbolic": ("n", "m", "r", "kbar"),
+# the constructor of each family and its --params keys, in constructor
+# order; a key without a default is required
+_FAMILIES = {
+    "sphere": (SphereFlow, ("n", "m", "r")),
+    "cylinder": (CylinderFlow, ("n", "m", "r")),
+    "product": (ProductSpheresFlow, ("p", "q", "m", "a", "b")),
+    "hyperbolic": (HyperbolicSphereFlow, ("n", "m", "r", "kbar")),
 }
 _KEY_DEFAULTS = {"n": 8, "m": 2, "p": 7, "q": 1, "kbar": -1.0}
 _DIMENSION_KEYS = ("n", "m", "p", "q")
 
 
 def _build_family(kind: str, params: dict[str, float]):
-    keys = _FAMILY_KEYS[kind]
+    constructor, keys = _FAMILIES[kind]
     unknown = sorted(set(params) - set(keys))
     if unknown:
         raise ValueError(f"family {kind!r} takes the parameters {', '.join(keys)}, "
@@ -174,7 +175,7 @@ def _build_family(kind: str, params: dict[str, float]):
                 raise ValueError(f"parameter {key}={value} must be an integer")
             value = int(value)
         values.append(value)
-    return FAMILY_KINDS[kind](*values)
+    return constructor(*values)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="evolve a closed-form flow family")
-    p.add_argument("--family", choices=tuple(FAMILY_KINDS), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--params", required=True, help="comma-separated k=v pairs")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--d", type=float, default=None)

@@ -152,11 +152,6 @@ class PinchingConstants:
                         stacklevel=3,
                     )
 
-    @property
-    def gamma(self) -> float:
-        """c - 1/n, the denominator of most derived constants."""
-        return self.c - 1.0 / self.dims.n
-
 
 def pinching_f(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
     """f = c |H|^2 - |A|^2 - d; positive exactly on pinched data."""
@@ -167,4 +162,4 @@ def pinching_Q(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
     """Q = |Aring|^2 - (c - 1/n) |H|^2 - d Kbar (space-form regime only)."""
     if k.regime != "space_form":
         raise InvalidConstants("Q is defined in the space_form regime")
-    return decomp.a_ring2 - k.gamma * decomp.H.norm2 - k.d * k.Kbar
+    return decomp.a_ring2 - (k.c - 1.0 / k.dims.n) * decomp.H.norm2 - k.d * k.Kbar

@@ -189,13 +189,6 @@ class HyperbolicSphereFlow:
 
 Family = SpheresFlow | HyperbolicSphereFlow
 
-FAMILY_KINDS = {
-    "sphere": SphereFlow,
-    "cylinder": CylinderFlow,
-    "product": ProductSpheresFlow,
-    "hyperbolic": HyperbolicSphereFlow,
-}
-
 
 class FlowState(NamedTuple):
     """A family at time ``t`` with radii ``params``, the full state."""

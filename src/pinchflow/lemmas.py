@@ -298,36 +298,36 @@ def gradient_checks(
 # ----------------------------------------------------------------------
 # the lemma table
 # ----------------------------------------------------------------------
-# A group's evaluator takes the group's requested ids, one evaluation unit
-# of a campaign (the ``dims``, ``matrices`` and ``w`` of its trials, the
-# splits ``decomp`` and ``boundary_decomp`` of its forms, its derivative
-# sample ``grad``, split only when the unit holds forms, and ``d_boundary``)
-# and the campaign's config.  It calls the checks by module attribute, so a
-# rebound attribute is the one that runs.
+# A group's evaluator takes the group's requested ids, the campaign's
+# ``TrialInputs`` of one evaluation unit (the ``dims``, ``matrices`` and
+# ``w`` of its trials, the splits ``decomp`` and ``boundary_decomp`` of its
+# forms and its derivative sample ``grad``, split only when the unit holds
+# forms), the campaign's config and ``d_boundary``.  It calls the checks by
+# module attribute, so a rebound attribute is the one that runs.
 
-def _li_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    return [check_li(unit.matrices) for _ in ids]
+def _li_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+    return [check_li(inputs.matrices) for _ in ids]
 
 
-def _kato_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    eta = config.eta if config.eta is not None else default_kato_eta(unit.dims.n)
+def _kato_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+    eta = config.eta if config.eta is not None else default_kato_eta(inputs.dims.n)
     return [
-        check_kato(unit.grad, unit.w, eta) if lemma_id == "kato.3.1"
-        else check_kato_trace(unit.grad, unit.w)
+        check_kato(inputs.grad, inputs.w, eta) if lemma_id == "kato.3.1"
+        else check_kato_trace(inputs.grad, inputs.w)
         for lemma_id in ids
     ]
 
 
-def _gradient_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    return gradient_checks(ids, unit.grad, config.c, config.d, config.delta, config.eps0)
+def _gradient_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+    return gradient_checks(ids, inputs.grad, config.c, config.d, config.delta, config.eps0)
 
 
-def _reaction_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    return reaction_checks(ids, unit.decomp, config.c, config.d, config.delta)
+def _reaction_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+    return reaction_checks(ids, inputs.decomp, config.c, config.d, config.delta)
 
 
-def _boundary_group(ids: Sequence[str], unit, config) -> list[InequalityCheck]:
-    sides = boundary_reaction_bound(unit.boundary_decomp, config.c, unit.d_boundary)
+def _boundary_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+    sides = boundary_reaction_bound(inputs.boundary_decomp, config.c, d_boundary)
     return [InequalityCheck("boundary", *sides) for _ in ids]
 
 

@@ -2,8 +2,8 @@
 
 Zooming near a high-curvature record normalizes the pinching quantity to 1:
 with curvature-squared multiplier rho = 1/f(base), every dimensionful
-diagnostic (|A|^2, |H|^2, f, Q, the offset d, the background curvature) is
-multiplied by rho and time dilates by 1/rho around the base record.  The
+diagnostic (|A|^2, |H|^2, f, Q, the background curvature) is multiplied
+by rho and time dilates by 1/rho around the base record.  The
 metric scale is rho^{-1/2}; since f carries units of curvature squared, the
 length factor is f(base)^{-1/2} so that the base record lands exactly on
 fbar = 1.  Dimensionless ratios are unchanged record by record, and the
@@ -45,25 +45,18 @@ class RescaledTimeSeries(TimeSeries):
 class RescaledSeries:
     base_index: int
     rho: float                # curvature^2 multiplier, 1/f(base)
-    dbar: float               # rescaled pinching offset
     records: RescaledTimeSeries
 
 
-def rescale(
-    series: TimeSeries,
-    base_index: int,
-    kbar: float = 0.0,
-    d: float = 0.0,
-) -> RescaledSeries:
+def rescale(series: TimeSeries, base_index: int, kbar: float = 0.0) -> RescaledSeries:
     """Transform a diagnostics series so the base record has fbar = 1.
 
     Raises :class:`NotPinchedAtBase` when f at the base record is not
     positive and ValueError when the series is empty, ``base_index`` is not
-    one of its rows, or ``kbar`` or ``d`` is not finite.
+    one of its rows, or ``kbar`` is not finite.
     """
-    for name, value in (("kbar", kbar), ("d", d)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+    if not math.isfinite(kbar):
+        raise ValueError(f"kbar must be a finite number, got {kbar}")
     if not len(series):
         raise ValueError("the series has no rows")
     if not 0 <= base_index < len(series):
@@ -81,7 +74,7 @@ def rescale(
         # tbar, fbar, kresc
         (series.t - series.t[base_index]) / rho, f, np.full(len(f), rho * kbar),
     )
-    return RescaledSeries(base_index=base_index, rho=rho, dbar=rho * d, records=records)
+    return RescaledSeries(base_index=base_index, rho=rho, records=records)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,34 @@ class TestCampaign:
         assert sum(points) == 2 * 320
 
 
+def always_false(check):
+    """``check`` with each lhs replaced by |rhs| + 1: every trial violates."""
+
+    def false(*args):
+        out = check(*args)
+        if isinstance(out, tuple):  # boundary_reaction_bound's two sides
+            return np.abs(out[1]) + 1, out[1]
+        checks = [out] if isinstance(out, InequalityCheck) else out
+        false_checks = [InequalityCheck(c.lemma_id, np.abs(c.rhs) + 1, c.rhs) for c in checks]
+        return false_checks[0] if isinstance(out, InequalityCheck) else false_checks
+
+    return false
+
+
+@pytest.mark.parametrize("name, ids", [
+    ("check_li", ["li"]), ("check_kato", ["kato.3.1"]), ("check_kato_trace", ["kato.3.2"]),
+    ("reaction_checks", REACTION_IDS), ("boundary_reaction_bound", ["boundary"]),
+    ("gradient_checks", GRADIENT_IDS),
+])
+def test_groups_call_their_checks_by_module_attribute(name, ids, monkeypatch):
+    # a group that bound its check directly would not see the rebinding
+    monkeypatch.setattr(pinchflow.lemmas, name, always_false(getattr(pinchflow.lemmas, name)))
+    spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.0, seed=3)
+    cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
+    results = run_campaign(spec, ids, 16, config=cfg)
+    assert [r.violations for r in results] == [16] * len(ids)
+
+
 class TestViolationPath:
     def test_shrinking_and_replay(self, tmp_path, monkeypatch):
         # patch in a deliberately false inequality to drive the counterexample

@@ -322,7 +322,7 @@ def test_li_equality_pair_in_a_chunk():
         b1, b2 = np.zeros((4, 4)), np.zeros((4, 4))
         b1[0, 1] = b1[1, 0] = lam
         b2[0, 0], b2[1, 1] = lam, -lam
-        batch[i] = TrialInputs(dims, matrices=[[b1, b2]])
+        batch[i] = TrialInputs(dims, matrices=np.array([[b1, b2]]))
     (chk,) = assert_chunk_matches_trials(["li"], batch, CampaignConfig(), 1.0)
     for i in (0, 7, CHUNK + 1):
         assert chk.lhs[i] > 0

@@ -68,9 +68,8 @@ class TestRescale:
     def test_dbar_and_q_transform(self):
         fam = HyperbolicSphereFlow(8, 2, 0.5, -1.0)
         recs = simulate(fam, hyperbolic_constants(), dt=1e-5, t_end=0.012)
-        series = rescale(recs, 5, kbar=-1.0, d=4.0)
+        series = rescale(recs, 5, kbar=-1.0)
         rho = 1.0 / recs.f[5]
-        assert series.dbar == pytest.approx(4.0 * rho, rel=1e-14)
         assert series.records.Q[5] == pytest.approx(recs.Q[5] * rho, rel=1e-14)
 
     def test_background_flattening_monotone(self):
@@ -88,7 +87,6 @@ class TestRescale:
 
     @pytest.mark.parametrize("name, value", [
         ("kbar", math.nan), ("kbar", math.inf), ("kbar", -math.inf),
-        ("d", math.nan), ("d", math.inf),
     ])
     def test_non_finite_kbar_or_d_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
@@ -133,7 +131,7 @@ class TestRescale:
 class TestRescaledCsv:
     def test_header_and_roundtrip_columns(self, tmp_path):
         recs = product_series()
-        series = rescale(recs, 4, kbar=0.0, d=0.0)
+        series = rescale(recs, 4, kbar=0.0)
         path = str(tmp_path / "rescaled.csv")
         write_rescaled_csv(series, path)
         with open(path) as fh:

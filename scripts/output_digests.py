@@ -5,9 +5,9 @@ The runs write into a temporary directory:
 
 - ``verify`` of the li, kato, reaction, gradient and all suites at n=8,
   m=3, of li at n=2 and n=4 (m=3) and at n=2, m=2, of reaction and kato
-  at n=5, m=2, and of gradient at n=6, m=2 (the case-2 default constants),
-  each at seeds 1 and 7; away from n=8, m=3 campaigns run in chunks of more
-  than 32 trials;
+  at n=5, m=2, of gradient at n=6, m=2 (the case-2 default constants), and
+  of all at n=9, m=3 (the default c = 1/(n-2) of n >= 9), each at seeds 1
+  and 7; away from n=8, m=3 campaigns run in chunks of more than 32 trials;
 - ``verify`` of reaction at n=8, m=3 and d=1e8, seeds 1 and 7, where about
   half of the first pinched rejection attempts fail and a few forms take
   more than 8 attempts, past the first halving of the perturbation cap;
@@ -52,7 +52,7 @@ import barrier_sweep  # noqa: E402  (this script's directory is on the path)
 # (suite, n, m) of the verify runs
 VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), ("all", 8, 3),
           ("li", 2, 3), ("li", 4, 3), ("li", 2, 2), ("reaction", 5, 2), ("kato", 5, 2),
-          ("gradient", 6, 2)]
+          ("gradient", 6, 2), ("all", 9, 3)]
 SEEDS = (1, 7)
 # (suite, n, m, d) of the verify runs at a large d
 LARGE_D = [("reaction", 8, 3, "1e8")]

@@ -20,8 +20,9 @@ A trial violates an inequality unless slack >= -tol * max(1, |lhs|, |rhs|),
 so a NaN slack is a violation, and so is a slack of -inf; the verdicts of
 every inequality on a chunk are judged in one pass over one (ids, trials)
 check.  On violation the offending trial, as a chunk of one, is halved while
-the violation persists and the shrunk witness is written to a replayable
-JSON file (all entries as decimal strings with 17 significant digits).
+the violation persists and the shrunk witness is written to a JSON file
+with the config, which is all its replay needs (all entries as decimal
+strings with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import lemmas
+from . import lemmas, samplers
 from .errors import PinchflowError
 from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, gradient_sample,
                     principal_decompose)
@@ -46,7 +47,6 @@ from .samplers import (
     TAG_MATRICES,
     TAG_W,
     SamplerSpec,
-    Substreams,
     rescale_to_boundary,
     sample_form,
     sample_w,
@@ -232,13 +232,13 @@ def derivative_slice(dims: Dims, lemma_ids: Iterable[str]) -> int:
 
 def _chunk_streams(
     seed: int, trials: int, kinds: set[str], chunk: int
-) -> Iterator[tuple[int, dict[str, Substreams]]]:
-    """The first trial and the substreams by kind of every chunk of
+) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """The first trial and the substream states by kind of every chunk of
     ``chunk`` trials of a campaign (a divisor of ``BLOCK``); the states are
-    hashed once per block of ``BLOCK`` trials."""
+    hashed once per block of ``BLOCK`` trials, and a chunk's are a slice."""
     for block in range(0, trials, BLOCK):
         numbers = range(block, min(block + BLOCK, trials))
-        streams = {kind: Substreams(seed, numbers, tag)
+        streams = {kind: samplers.substream_states(seed, numbers, tag)
                    for kind, tag in _KIND_TAGS.items() if kind in kinds}
         for offset in range(0, min(BLOCK, trials - block), chunk):
             yield block + offset, {
@@ -247,19 +247,20 @@ def _chunk_streams(
         del streams  # one block of states at a time
 
 
-def _deferred(spec: SamplerSpec, streams: Mapping[str, Substreams], kinds: set[str]
+def _deferred(spec: SamplerSpec, streams: Mapping[str, np.ndarray], kinds: set[str]
               ) -> Callable[[slice], TrialInputs] | None:
     """The draw of the ``kinds`` of inputs of a slice of a chunk's trials,
-    each from its own substream in ``streams``; None when there are none."""
+    each from its own substream state in ``streams``; None when there are none."""
     return None if not kinds else lambda index: sample_trial_inputs(
         spec, {kind: s[index] for kind, s in streams.items() if kind in kinds}, kinds)
 
 
 def sample_trial_inputs(
-    spec: SamplerSpec, streams: Mapping[str, Substreams], kinds: set[str]
+    spec: SamplerSpec, streams: Mapping[str, np.ndarray], kinds: set[str]
 ) -> TrialInputs:
     """The ``kinds`` of inputs of a chunk of trials, stacked along a leading
-    axis, each kind of each trial from its own substream in ``streams``."""
+    axis, each kind of each trial from its own row of substream states in
+    ``streams``; a boundary form sits at ``lemmas.boundary_offset(spec.d)``."""
     inputs = TrialInputs(dims=spec.dims)
     if "form" in kinds:
         inputs.form = sample_form(spec, streams["form"])
@@ -267,8 +268,8 @@ def sample_trial_inputs(
         if spec.distribution == "boundary":
             inputs.boundary_form = inputs.form
         else:
-            d_boundary = spec.d if spec.d > 0 else 1.0
-            inputs.boundary_form = rescale_to_boundary(inputs.form, spec.c, d_boundary)
+            inputs.boundary_form = rescale_to_boundary(
+                inputs.form, spec.c, lemmas.boundary_offset(spec.d))
     if "matrices" in kinds:
         inputs.matrices = symmetric_matrices(
             streams["matrices"], spec.dims.n, li_matrices(spec.dims), spec.sigma
@@ -297,13 +298,13 @@ def evaluate_trial(
     lemma_ids: Sequence[str],
     chunk: TrialInputs,
     config: CampaignConfig,
-    d_boundary: float,
     draw: Callable[[slice], TrialInputs] | None = None,
 ) -> lemmas.InequalityCheck:
     """Evaluate every requested inequality on a chunk of trials.
 
     ``chunk`` holds the inputs stacked along a leading axis; the check has
-    one row of lhs and rhs per id of ``lemma_ids`` and one column per trial.
+    one row of lhs and rhs per id of ``lemma_ids`` and one column per trial,
+    and every constant an id reads comes from ``config``.
     Each group of the lemma table runs once per evaluation unit (the whole
     chunk, or slices of :func:`derivative_slice` trials when an id reads a
     derivative tensor), which splits each of its forms once and builds one
@@ -319,7 +320,7 @@ def evaluate_trial(
         part = slice(start, start + (slice_trials or trials))
         inputs = chunk if slice_trials is None else chunk.trial(part, draw)
         for evaluate, ids, rows in groups:
-            for row, check in zip(rows, evaluate(ids, inputs, config, d_boundary)):
+            for row, check in zip(rows, evaluate(ids, inputs, config)):
                 lhs[row, part], rhs[row, part] = check.lhs, check.rhs
         del inputs  # its points and tensors are freed before the next slice is drawn
     return lemmas.InequalityCheck(",".join(lemma_ids), lhs, rhs)
@@ -335,16 +336,15 @@ def _shrink(
     lemma_id: str,
     inputs: TrialInputs,
     config: CampaignConfig,
-    d_boundary: float,
     tol: float,
 ) -> tuple[TrialInputs, lemmas.InequalityCheck]:
     """Halve the inputs while the violation persists; return the last witness."""
     current = inputs
-    check = evaluate_trial([lemma_id], current, config, d_boundary)
+    check = evaluate_trial([lemma_id], current, config)
     for _ in range(MAX_SHRINK_STEPS):
         candidate = current.halved()
         try:
-            cand_check = evaluate_trial([lemma_id], candidate, config, d_boundary)
+            cand_check = evaluate_trial([lemma_id], candidate, config)
         except PinchflowError:
             break
         if _violated(cand_check, tol)[0, 0]:
@@ -413,7 +413,6 @@ def run_campaign(
     # a chunk samples what its ids read but their derivative tensors
     sampled = set().union(*(lemmas.LEMMAS[lemma_id].reads for lemma_id in lemma_ids)) - {"grad"}
     chunk_trials = chunk_size(spec.dims, lemma_ids)
-    d_boundary = spec.d if spec.d > 0 else 1.0
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
@@ -422,7 +421,7 @@ def run_campaign(
         # each slice of the chunk draws its own tensors, and each kept trial
         # what the chunk holds none of: its tensor and what its ids only record
         tensors, kept = (_deferred(spec, streams, k) for k in (kinds & {"grad"}, kinds - sampled))
-        judged = evaluate_trial(lemma_ids, chunk, config, d_boundary, tensors)
+        judged = evaluate_trial(lemma_ids, chunk, config, tensors)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
         worst = np.argmin(slack, axis=1)
@@ -435,9 +434,7 @@ def run_campaign(
         for k, i in zip(*np.nonzero(_violated(judged, tol))):
             lemma_id, trial = lemma_ids[k], start + int(i)
             stats[lemma_id]["violations"] += 1
-            shrunk_inputs, shrunk_check = _shrink(
-                lemma_id, chunk.trial(int(i), kept), config, d_boundary, tol
-            )
+            shrunk_inputs, shrunk_check = _shrink(lemma_id, chunk.trial(int(i), kept), config, tol)
             if counterexample_dir is not None:
                 os.makedirs(counterexample_dir, exist_ok=True)
                 name = f"counterexample_{lemma_id.replace('.', '_')}_{trial}.json"
@@ -446,8 +443,8 @@ def run_campaign(
                     lemma_id, spec, config, trial, shrunk_inputs, shrunk_check,
                 )
         del chunk, streams, tensors, kept  # free them before the next ones are drawn
-        kept = {st["trial"] for st in stats.values()}
-        worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in kept}
+        worst_trials = {st["trial"] for st in stats.values()}
+        worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in worst_trials}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}
     return [
         CheckResult(

@@ -302,14 +302,20 @@ def gradient_checks(
 # ``TrialInputs`` of one evaluation unit (the ``dims``, ``matrices`` and
 # ``w`` of its trials, the splits ``decomp`` and ``boundary_decomp`` of its
 # forms and its derivative sample ``grad``, split only when the unit holds
-# forms), the campaign's config and ``d_boundary``.  It calls the checks by
-# module attribute, so a rebound attribute is the one that runs.
+# forms) and the campaign's config, which holds every constant it reads.  It
+# calls the checks by module attribute, so a rebound attribute is what runs.
 
-def _li_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+def boundary_offset(d: float) -> float:
+    """The d of the boundary |A|^2 = c|H|^2 - d the boundary estimate is taken
+    on: d, or 1 when d <= 0, a cone that radial rescaling cannot reach."""
+    return d if d > 0 else 1.0
+
+
+def _li_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
     return [check_li(inputs.matrices) for _ in ids]
 
 
-def _kato_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+def _kato_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
     eta = config.eta if config.eta is not None else default_kato_eta(inputs.dims.n)
     return [
         check_kato(inputs.grad, inputs.w, eta) if lemma_id == "kato.3.1"
@@ -318,16 +324,16 @@ def _kato_group(ids: Sequence[str], inputs, config, d_boundary) -> list[Inequali
     ]
 
 
-def _gradient_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+def _gradient_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
     return gradient_checks(ids, inputs.grad, config.c, config.d, config.delta, config.eps0)
 
 
-def _reaction_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
+def _reaction_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
     return reaction_checks(ids, inputs.decomp, config.c, config.d, config.delta)
 
 
-def _boundary_group(ids: Sequence[str], inputs, config, d_boundary) -> list[InequalityCheck]:
-    sides = boundary_reaction_bound(inputs.boundary_decomp, config.c, d_boundary)
+def _boundary_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
+    sides = boundary_reaction_bound(inputs.boundary_decomp, config.c, boundary_offset(config.d))
     return [InequalityCheck("boundary", *sides) for _ in ids]
 
 

@@ -4,16 +4,15 @@ Every trial draws from its own substream ``default_rng((seed, trial, tag))``
 so a campaign reproduces bit-identically from (seed, spec) regardless of
 which lemmas are being checked.  A chunk of trials is drawn at once from the
 same substreams: :func:`substream_states` runs NumPy's seed hash over a
-vector of trial numbers, and a :class:`Substreams` keeps those states with
-their trials, hands each trial's state to NumPy's own PCG64 seeding and
-slices without hashing again, so a campaign hashes a block of trials once
-and draws its chunks from slices.  :func:`sample_form` takes substreams
-only, so a trial drawn alone is a chunk of one; the low-level samplers also
-take one generator, :func:`trial_rng` of a trial.  Constrained distributions
-are produced by rejection, in batches over the trials still rejected, each
-continuing its own generator, plus exact radial rescaling: norm constraints
-are radial, so a single multiplicative factor lands on them to machine
-precision.
+vector of trial numbers into a (trials, 4) array of states, and
+:func:`generators` hands each row to NumPy's own PCG64 seeding, so a
+campaign hashes a block of trials once and draws its chunks from slices of
+the array.  :func:`sample_form` takes states only, so a trial drawn alone is
+a chunk of one; the low-level samplers also take one generator,
+:func:`trial_rng` of a trial.  Constrained distributions are produced by
+rejection, in batches over the trials still rejected, each continuing its
+own generator, plus exact radial rescaling: norm constraints are radial, so
+a single multiplicative factor lands on them to machine precision.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -185,45 +184,27 @@ class _KnownState(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-class Substreams:
-    """The substream generators of a sequence of trials, in turn.
-
-    Each trial's PCG64 is seeded by NumPy from its :func:`substream_states`
-    row, which PCG64 reads straight from the buffer, so the states are held
-    C-contiguous.  ``streams[a:b]`` is the substreams of ``trials[a:b]``,
-    with their states sliced rather than hashed again: ``seed`` and ``tag``
-    are read only to hash the states when none are given.
-    """
-
-    def __init__(self, seed: int | None, trials: Sequence[int], tag: int | None,
-                 states: np.ndarray | None = None) -> None:
-        self.trials = trials
-        states = substream_states(seed, trials, tag) if states is None else states
-        self.states = np.ascontiguousarray(states, dtype=np.uint64)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, index: slice) -> "Substreams":
-        return Substreams(None, self.trials[index], None, self.states[index])
-
-    def __iter__(self) -> Iterator[np.random.Generator]:
-        for state in self.states:
-            yield np.random.Generator(np.random.PCG64(_KnownState(state)))
+def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """The generator of each trial, in turn, seeded by NumPy from its
+    :func:`substream_states` row, which PCG64 reads straight from the
+    buffer, so the rows are made C-contiguous first."""
+    for state in np.ascontiguousarray(states, dtype=np.uint64):
+        yield np.random.Generator(np.random.PCG64(_KnownState(state)))
 
 
-# what the samplers draw from: one generator, or the substreams of a chunk
-Rng = np.random.Generator | Substreams
+# what the samplers draw from: one generator, or the substream states of a chunk
+Rng = np.random.Generator | np.ndarray
 
 
 def _normals(rng: Rng, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
     """Normals of ``shape`` and scale ``sigma`` from one generator, or from
-    each of the substreams, stacked along a leading axis."""
+    the generator of each row of substream states, stacked along a leading
+    axis."""
     if isinstance(rng, np.random.Generator):
         out = rng.standard_normal(shape)
     else:
         out = np.empty((len(rng), *shape))
-        for row, r in zip(out, rng):
+        for row, r in zip(out, generators(rng)):
             r.standard_normal(out=row)
     if sigma != 1.0:
         out *= sigma  # in place: a chunk of derivative tensors is large
@@ -309,15 +290,15 @@ def rescale_to_boundary(
     return SecondFundamentalForm(form.dims, lam[..., None, None, None] * form.components)
 
 
-def sample_form(spec: SamplerSpec, streams: Substreams) -> SecondFundamentalForm:
-    """The forms of the trials of the ``TAG_FORM`` substreams, stacked; a
-    trial's pinched form is the one :func:`sample_pinched` draws from its
+def sample_form(spec: SamplerSpec, streams: np.ndarray) -> SecondFundamentalForm:
+    """The forms of the trials of the ``TAG_FORM`` substream states, stacked;
+    a trial's pinched form is the one :func:`sample_pinched` draws from its
     ``trial_rng`` alone."""
     dims = spec.dims
     if spec.distribution == "gaussian":
         return symmetric_gaussian(streams, dims, spec.sigma)
     d = spec.d if spec.distribution == "pinched" else 0.0
-    form = _pinched(streams, dims, spec.c, d, spec.sigma)
+    form = _pinched(generators(streams), dims, spec.c, d, spec.sigma)
     if spec.distribution == "boundary":
         form = rescale_to_boundary(form, spec.c, spec.d)
     return form

@@ -122,11 +122,11 @@ class TestCampaign:
         spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=19)
         cfg = CampaignConfig(c=1 / 6, d=0.3, delta=1 / 32)
         chunk = sample_trial_inputs(spec, substreams(spec, range(12)), _needed_kinds(ids))
-        checks = evaluate_trial(ids, chunk, cfg, 0.3)
+        checks = evaluate_trial(ids, chunk, cfg)
         # one row per id, in the requested order
         assert checks.lemma_id == ",".join(ids) and checks.lhs.shape == (len(ids), 12)
         for lemma_id, lhs, rhs in zip(ids, checks.lhs, checks.rhs):
-            alone = evaluate_trial([lemma_id], chunk, cfg, 0.3)
+            alone = evaluate_trial([lemma_id], chunk, cfg)
             assert np.allclose(lhs, alone.lhs[0], rtol=1e-12, atol=0)
             assert np.allclose(rhs, alone.rhs[0], rtol=1e-12, atol=0)
 
@@ -291,7 +291,7 @@ class TestViolationPath:
         monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
         chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), _needed_kinds(ids))
         config = CampaignConfig(c=spec.c, d=spec.d)
-        judged = evaluate_trial(ids, chunk, config, spec.d)
+        judged = evaluate_trial(ids, chunk, config)
         results = run_campaign(spec, ids, trials, config=config, counterexample_dir=str(tmp_path))
         violated = _violated(judged, DEFAULT_TOL)
         assert [r.violations for r in results] == violated.sum(axis=1).tolist()
@@ -304,13 +304,28 @@ class TestViolationPath:
             payload = json.loads(path.read_text())
             assert {"form", "grad_tensor", "w"} <= payload["inputs"].keys()
             lemma_id, inputs, loaded = load_counterexample(str(path))
-            assert _violated(evaluate_trial([lemma_id], inputs, loaded, spec.d), DEFAULT_TOL)[0, 0]
+            assert _violated(evaluate_trial([lemma_id], inputs, loaded), DEFAULT_TOL)[0, 0]
             # the witness is its trial halved k times, which is exact
             row = chunk.trial(payload["trial"])
             k = next(k for k in range(65) if np.array_equal(
                 np.ldexp(inputs.grad_tensor, k), row.grad_tensor))
             for name, array in row.arrays():
                 assert np.ldexp(dict(inputs.arrays())[name], k).tobytes() == array.tobytes(), name
+
+    def test_boundary_counterexample_replays_from_its_file(self, tmp_path, monkeypatch):
+        # at d = 0 the boundary estimate is taken at offset 1; the file
+        # records d = 0, and its config alone replays the violation
+        monkeypatch.setattr(pinchflow.lemmas, "boundary_reaction_bound",
+                            always_false(pinchflow.lemmas.boundary_reaction_bound))
+        spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.0, seed=3)
+        (result,) = run_campaign(spec, ["boundary"], 16, counterexample_dir=str(tmp_path))
+        paths = sorted(tmp_path.iterdir())
+        assert result.violations == len(paths) == 16
+        for path in paths:
+            assert float(json.loads(path.read_text())["constants"]["d"]) == 0.0
+            lemma_id, inputs, config = load_counterexample(str(path))
+            assert lemma_id == "boundary" and config.d == 0.0
+            assert _violated(evaluate_trial([lemma_id], inputs, config), DEFAULT_TOL)[0, 0]
 
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), "pinched", c=4 / 12 * 0.9, d=0.2, seed=31)

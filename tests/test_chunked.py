@@ -58,8 +58,8 @@ from pinchflow.reaction import boundary_reaction_bound
 from pinchflow.samplers import (
     TAG_GRADIENT,
     SamplerSpec,
-    Substreams,
     kato_e_tensor,
+    substream_states,
     symmetric_three_tensor,
 )
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS, group_ids
@@ -78,8 +78,9 @@ ON_BOUNDARY = SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=43)
 DERIVATIVE_SLICE = derivative_slice(PINCHED.dims, DERIVATIVE_IDS)
 
 
-def d_boundary(spec):
-    return spec.d if spec.d > 0 else 1.0
+def d_boundary(d):
+    """The boundary offset, by its own rule: d, or 1 when d <= 0."""
+    return d if d > 0 else 1.0
 
 
 def sample_chunk(spec, trials, kinds):
@@ -92,7 +93,7 @@ def point(inputs):
     return TrialInputs.of_arrays(inputs.dims, ((name, a) for name, (a,) in inputs.arrays()))
 
 
-def one_trial(lemma_id, inputs, config, d_bound):
+def one_trial(lemma_id, inputs, config):
     """The per-point evaluator of ``lemma_id`` on a chunk of one trial, run
     without the batch axis."""
     inputs = point(inputs)
@@ -100,7 +101,7 @@ def one_trial(lemma_id, inputs, config, d_bound):
         return check_li(inputs.matrices)
     if lemma_id == "boundary":
         dec = principal_decompose(inputs.boundary_form)
-        return InequalityCheck("boundary", *boundary_reaction_bound(dec, config.c, d_bound))
+        return InequalityCheck("boundary", *boundary_reaction_bound(dec, config.c, d_boundary(config.d)))
     dec = principal_decompose(inputs.form)
     if lemma_id in REACTION_IDS:
         return reaction_checks([lemma_id], dec, config.c, config.d, config.delta)[0]
@@ -127,15 +128,15 @@ def per_id(check, ids):
             for lemma_id, lhs, rhs in zip(ids, check.lhs, check.rhs)]
 
 
-def assert_chunk_matches_trials(ids, batch, config, d_bound):
-    judged = evaluate_trial(ids, chunk_of(batch), config, d_bound)
+def assert_chunk_matches_trials(ids, batch, config):
+    judged = evaluate_trial(ids, chunk_of(batch), config)
     assert judged.lhs.shape == judged.rhs.shape == (len(ids), len(batch))
     checks = per_id(judged, ids)
     assert [chk.lemma_id for chk in checks] == list(ids)
     for chk in checks:
         assert np.shape(chk.lhs) == np.shape(chk.rhs) == (len(batch),)
         for i, inputs in enumerate(batch):
-            alone = one_trial(chk.lemma_id, inputs, config, d_bound)
+            alone = one_trial(chk.lemma_id, inputs, config)
             bound = REL * alone.scale
             assert abs(chk.lhs[i] - alone.lhs) <= bound, (chk.lemma_id, i)
             assert abs(chk.rhs[i] - alone.rhs) <= bound, (chk.lemma_id, i)
@@ -160,7 +161,7 @@ def one_at_a_time_campaign(spec, ids, trials, config):
         inputs = sample_chunk(spec, [trial], kinds)
         sampled.append(inputs)
         for lemma_id in ids:
-            chk = one_trial(lemma_id, inputs, config, d_boundary(spec))
+            chk = one_trial(lemma_id, inputs, config)
             entry = out[lemma_id]
             entry[0] += not chk.slack >= -DEFAULT_TOL * chk.scale
             if chk.slack < entry[1]:
@@ -184,7 +185,7 @@ TRIALS = [1, CHUNK + 3, DERIVATIVE_SLICE + 1]
 def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
     kinds = _needed_kinds(ids)
     batch = [sample_chunk(spec, [trial], kinds) for trial in range(trials)]
-    assert_chunk_matches_trials(ids, batch, config_of(spec, ids), d_boundary(spec))
+    assert_chunk_matches_trials(ids, batch, config_of(spec, ids))
 
 
 def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
@@ -195,13 +196,16 @@ def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
     config = config_of(spec, ids)
     expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
     chunks, draws, drawn, sample = [], [], {}, campaign.sample_trial_inputs
+    # the trial of each tensor substream state, to name the trials of a draw
+    trial_of = {tuple(row): trial for trial, row in enumerate(
+        substream_states(spec.seed, range(trials), TAG_GRADIENT).tolist())}
 
     def recorded(spec, streams, kinds):
         out = sample(spec, streams, kinds)
         if "grad" not in kinds:  # a chunk; a slice or a kept trial draws tensors
             chunks.append(out)
             return out
-        numbers = streams["grad"].trials
+        numbers = [trial_of[tuple(row)] for row in streams["grad"].tolist()]
         draws.append((frozenset(kinds), len(numbers)))
         for name, arrays in out.arrays():
             for trial, array in zip(numbers, arrays):
@@ -323,7 +327,7 @@ def test_li_equality_pair_in_a_chunk():
         b1[0, 1] = b1[1, 0] = lam
         b2[0, 0], b2[1, 1] = lam, -lam
         batch[i] = TrialInputs(dims, matrices=np.array([[b1, b2]]))
-    (chk,) = assert_chunk_matches_trials(["li"], batch, CampaignConfig(), 1.0)
+    (chk,) = assert_chunk_matches_trials(["li"], batch, CampaignConfig())
     for i in (0, 7, CHUNK + 1):
         assert chk.lhs[i] > 0
         assert abs(chk.slack[i]) <= REL * chk.scale[i]
@@ -344,7 +348,7 @@ def test_tight_reaction_inputs_in_a_chunk():
     slots = (3, CHUNK + 2)
     for i, comps in zip(slots, tight):
         batch[i] = TrialInputs(dims, form=SecondFundamentalForm(dims, comps[None]))
-    checks = assert_chunk_matches_trials(REACTION_IDS, batch, config_of(PINCHED), 1.0)
+    checks = assert_chunk_matches_trials(REACTION_IDS, batch, config_of(PINCHED))
     for chk in checks[:2]:  # 4.5 and 4.6
         for i in slots:
             assert abs(chk.slack[i]) <= REL * chk.scale[i]
@@ -377,7 +381,7 @@ def test_derivative_equality_cases_in_a_chunk():
     for i in e_slots:
         batch[i].grad_tensor = kato_e_tensor(PINCHED.dims, rng.standard_normal((m, n)))[None]
     config = config_of(PINCHED, DERIVATIVE_IDS)
-    checks = assert_chunk_matches_trials(["4.20", "4.21"], batch, config, 1.0)
+    checks = assert_chunk_matches_trials(["4.20", "4.21"], batch, config)
     for chk in checks:
         for i in trace_slots:
             assert chk.lhs[i] > 0
@@ -414,8 +418,8 @@ def test_codazzi_bound_is_per_trial():
         gradient_checks(GRADIENT_IDS, grad, config.c, config.d, config.delta)
     for lemma_id in ids:
         with pytest.raises(InvalidSample):
-            evaluate_trial([lemma_id], chunk, config, 1.0)
-    evaluate_trial(ids, chunk_of(batch[1:]), config, 1.0)
+            evaluate_trial([lemma_id], chunk, config)
+    evaluate_trial(ids, chunk_of(batch[1:]), config)
     # one NaN entry gives a NaN defect, which no bound admits
     batch[1].grad_tensor[0, 0, 0, 1, 2] = np.nan
     chunk = chunk_of(batch[1:])
@@ -429,7 +433,7 @@ def test_codazzi_bound_is_per_trial():
         gradient_checks(["4.20"], grad, config.c, config.d, config.delta)
     for lemma_id in ids:
         with pytest.raises(InvalidSample):
-            evaluate_trial([lemma_id], chunk, config, 1.0)
+            evaluate_trial([lemma_id], chunk, config)
 
 
 def loop_asymmetry(tensor):
@@ -469,7 +473,7 @@ def test_asymmetry_matches_a_loop_over_permutations():
         gaussian = rng.standard_normal((points, 3, n, n, n)) * rng.uniform(
             0.01, 10.0, (points, 1, 1, 1, 1))
         # a symmetrized tensor's defect is at the ulp level
-        symmetric = symmetric_three_tensor(Substreams(5, range(points), TAG_GRADIENT), dims)
+        symmetric = symmetric_three_tensor(substream_states(5, range(points), TAG_GRADIENT), dims)
         patched = gaussian.copy(), symmetric.copy()
         for tensors in patched:
             for i, entries in enumerate(non_finite[:points]):
@@ -514,13 +518,13 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
                      "hat_plus_h", "hat_nabla_aminus"}
     chunk = sample_chunk(PINCHED, range(CHUNK), _needed_kinds(KATO_IDS))
-    evaluate_trial(KATO_IDS, chunk, config_of(PINCHED, KATO_IDS), 1.0)
+    evaluate_trial(KATO_IDS, chunk, config_of(PINCHED, KATO_IDS))
     assert len(samples) == CHUNK // DERIVATIVE_SLICE
     for grad in samples:
         assert not gradient_only & set(vars(grad))
         assert {"norm2", "nabla_H_norm2", "codazzi_defect"} <= set(vars(grad))
     samples.clear()
-    evaluate_trial(DERIVATIVE_IDS, chunk, config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+    evaluate_trial(DERIVATIVE_IDS, chunk, config_of(PINCHED, DERIVATIVE_IDS))
     assert all(gradient_only <= set(vars(grad)) for grad in samples)
     assert not samples[0].nabla_h.flags.writeable
     # nor does a kato campaign split a form: its chunks sample none, its
@@ -595,6 +599,6 @@ def test_one_unpinched_trial_stops_the_chunk(lemma_id):
     gaussian = SamplerSpec(PINCHED.dims, "gaussian", seed=67)
     batch[DERIVATIVE_SLICE + 2].form = sample_chunk(gaussian, [0], {"form"}).form
     with pytest.raises(NotPinched):
-        evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+        evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS))
     del batch[DERIVATIVE_SLICE + 2]
-    evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS), 1.0)
+    evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS))

@@ -79,8 +79,8 @@ def normal_rotated(inputs, rng):
     return transformed(inputs, transform)
 
 
-def sides(lemma_id, inputs, config, d_boundary):
-    check = evaluate_trial([lemma_id], inputs, config, d_boundary)
+def sides(lemma_id, inputs, config):
+    check = evaluate_trial([lemma_id], inputs, config)
     return check.lhs[0], check.rhs[0]
 
 
@@ -104,13 +104,13 @@ def test_every_lemma_is_frame_invariant_and_homogeneous(n, m):
                  "normal": normal_rotated(inputs, rng)}
     lam = 1.5
     for lemma_id, lemma in LEMMAS.items():
-        base = sides(lemma_id, inputs, config, D)
+        base = sides(lemma_id, inputs, config)
         for name, rotated in rotations.items():
-            assert_close(sides(lemma_id, rotated, config, D), base, f"{lemma_id} {name}")
+            assert_close(sides(lemma_id, rotated, config), base, f"{lemma_id} {name}")
         derivative = "grad" in lemma.kinds
         scaled = transformed(inputs, lambda name, a: (
             lam * a if (name in DERIVATIVE) == derivative else a))
         factor = 1.0 if derivative else lam**2
         scaled_config = CampaignConfig(c=c, d=D * factor, delta=delta, eps0=eps0)
-        assert_close(sides(lemma_id, scaled, scaled_config, D * factor),
+        assert_close(sides(lemma_id, scaled, scaled_config),
                      tuple(lam**lemma.degree * side for side in base), f"{lemma_id} scaling")

@@ -38,6 +38,19 @@ REACTION_IDS = group_ids("4.5")
 GRADIENT_IDS = group_ids("4.20")
 
 
+def li_li_split_form(n, m, h_norm=3.0, a=0.7, b=0.4):
+    """A^1 = (|H|/n) I + a diag(1, -1, 0, ...) and A^2 = b (E_12 + E_21),
+    zero in every other slot: nu_1 = e_1, h_ring = a diag(1, -1, 0, ...)
+    and A^- = b (E_12 + E_21) (x) e_2, the Li-Li pair split between h_ring
+    and A^-."""
+    comps = np.zeros((m, n, n))
+    comps[0] = h_norm / n * np.eye(n)
+    comps[0, 0, 0] += a
+    comps[0, 1, 1] -= a
+    comps[1, 0, 1] = comps[1, 1, 0] = b
+    return SecondFundamentalForm.from_components(comps)
+
+
 def pinched_point(seed=0, n=8, m=3, c=None, d=0.0):
     c = 4.0 / (3 * n) if c is None else c
     rng = np.random.default_rng(seed)
@@ -170,6 +183,19 @@ class TestReactionChecks:
         dec = principal_decompose(SecondFundamentalForm.from_components(comps))
         chk = reaction_checks(["4.5"], dec, 1 / 6, 0.0)[0]
         assert chk.lhs == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("n, m", [(5, 2), (8, 3)])
+    def test_4_5_equality_with_nonzero_sides(self, n, m):
+        # the Li-Li pair split between h_ring and A^-: both sides are
+        # 8 a^2 b^2, so a 1% change to either side's coefficient shows
+        h_norm, a, b = 3.0, 0.7, 0.4
+        dec = principal_decompose(li_li_split_form(n, m, h_norm, a, b))
+        assert np.allclose(dec.nu1, np.eye(m)[0], rtol=0, atol=1e-15)
+        assert dec.h_ring2 == pytest.approx(2 * a * a, rel=1e-14)
+        assert dec.a_minus2 == pytest.approx(2 * b * b, rel=1e-14)
+        chk = reaction_checks(["4.5"], dec, 1 / 6, 0.0)[0]
+        assert chk.rhs == pytest.approx(8 * a * a * b * b, rel=1e-14)
+        assert abs(chk.slack) <= 1e-12 * chk.rhs
 
     def test_m2_li_trivial_case(self):
         # with one orthogonal slot the 4.6 left side is exactly |A^-|^4

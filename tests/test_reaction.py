@@ -1,8 +1,11 @@
 """Reaction quantities and their closed-form bounds."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from pinchflow.constants import c_n
 from pinchflow.errors import InvalidConstants, NotPinched
 from pinchflow.forms import (
     Dims,
@@ -28,6 +31,7 @@ from pinchflow.samplers import (
     symmetric_gaussian,
 )
 from tests.test_forms import sphere_form
+from tests.test_lemmas import li_li_split_form
 
 
 def loop_r2(comps, hvec):
@@ -176,6 +180,25 @@ class TestBoundaryBound:
             lhs, rhs = boundary_reaction_bound(dec, 1 / 6, 1.0)
             scale = max(1.0, abs(lhs), abs(rhs))
             assert rhs - lhs >= -1e-9 * scale
+
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_bound_at_c_one_over_n_minus_2(self, n):
+        # c_n(n) = 1/(n-2) for n >= 9, where the coefficient 6 - 2/(ng) of
+        # |h_ring|^2 |A^-|^2 is 8 - n; at c = 4/(3n) it is 0.  The bound is
+        # the displayed formula in exact arithmetic at the split's norms.
+        c, d = c_n(n, "general"), 1
+        assert c == Fraction(1, n - 2)
+        A = rescale_to_boundary(li_li_split_form(n, 3, h_norm=10.0), float(c), float(d))
+        dec = principal_decompose(A)
+        lhs, rhs = boundary_reaction_bound(dec, float(c), float(d))
+        g = c - Fraction(1, n)
+        assert 6 - 2 / (n * g) == 8 - n
+        hr2, am2 = Fraction(dec.h_ring2), Fraction(dec.a_minus2)
+        exact = ((6 - 2 / (n * g)) * hr2 * am2 + (3 - 2 / (n * g)) * am2**2
+                 - 2 * c * d / g * hr2 - 4 * d / (n * g) * am2 - 2 * d * d / (n * g))
+        assert abs(Fraction(rhs) - exact) <= Fraction(1, 10**12) * abs(exact)
+        assert lhs <= rhs
 
 
 class TestConstantCurvatureBound:

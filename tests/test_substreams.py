@@ -2,9 +2,9 @@
 
 A campaign draws a chunk of trials at once, each trial still from its own
 ``default_rng((seed, trial, tag))`` substream: ``substream_states`` runs
-NumPy's seed hash over the trial numbers of a block of chunks, and a slice
-of the block's ``Substreams`` seeds one PCG64 per trial of a chunk through
-NumPy's own seeding.
+NumPy's seed hash over the trial numbers of a block of chunks, and
+``generators`` of a slice of the block's states seeds one PCG64 per trial
+of a chunk through NumPy's own seeding.
 Every state, draw and sampled array of a chunk must equal the per-trial
 ``trial_rng`` path bit for bit, pinched forms included: they must equal the
 rejection sampler as written one draw at a time.
@@ -26,7 +26,7 @@ from pinchflow.samplers import (
     TAG_MATRICES,
     TAG_W,
     SamplerSpec,
-    Substreams,
+    generators,
     rescale_to_boundary,
     sample_w,
     substream_states,
@@ -48,10 +48,10 @@ TRIALS = {
 
 
 def substreams(spec, trials):
-    """The substreams of every input kind of a sequence of trial numbers,
-    as a campaign passes them to ``sample_trial_inputs``; ``["form"]`` is
-    what ``sample_form`` takes."""
-    return {kind: Substreams(spec.seed, trials, tag) for kind, tag in _KIND_TAGS.items()}
+    """The substream states of every input kind of a sequence of trial
+    numbers, as a campaign passes them to ``sample_trial_inputs``;
+    ``["form"]`` is what ``sample_form`` takes."""
+    return {kind: substream_states(spec.seed, trials, tag) for kind, tag in _KIND_TAGS.items()}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -61,7 +61,7 @@ def test_streams_match_default_rng(seed, tag, trials):
     states = substream_states(seed, trials, tag)
     assert states.shape == (len(trials), 4)
     drawn = 0
-    for trial, state, rng in zip(trials, states, Substreams(seed, trials, tag)):
+    for trial, state, rng in zip(trials, states, generators(states)):
         expected = np.random.SeedSequence((seed, trial, tag)).generate_state(4, np.uint64)
         assert np.array_equal(state, expected)
         ref = trial_rng(seed, trial, tag)
@@ -76,13 +76,12 @@ def test_streams_match_default_rng(seed, tag, trials):
 @pytest.mark.parametrize("tag", TAGS)
 def test_slices_match_trial_rng(seed, tag):
     trials = [*range(3, 3 + 2 * CHUNK), 2**32 - 1, 2**32, 2**40 + 7]
-    streams = Substreams(seed, trials, tag)
+    states = substream_states(seed, trials, tag)
     for index in (slice(0, CHUNK), slice(CHUNK - 5, 2 * CHUNK + 1), slice(2 * CHUNK, None)):
-        part = streams[index]
-        assert part.trials == trials[index]
-        assert np.array_equal(part.states, substream_states(seed, trials[index], tag))
+        part = states[index]
+        assert np.array_equal(part, substream_states(seed, trials[index], tag))
         drawn = 0
-        for trial, rng in zip(trials[index], part):
+        for trial, rng in zip(trials[index], generators(part)):
             ref = trial_rng(seed, trial, tag)
             assert np.array_equal(rng.standard_normal(17), ref.standard_normal(17))
             assert rng.random() == ref.random()
@@ -99,15 +98,14 @@ def test_every_generator_has_the_trial_rng_state(seed, layout):
     states = substream_states(seed, trials, TAG_MATRICES)
     if layout == "F":
         states = np.asfortranarray(states)
-    streams = Substreams(seed, trials, TAG_MATRICES, states)
     if layout == "step":
-        trials, streams = trials[::3], streams[::3]
-    got = [rng.bit_generator.state for rng in streams]
+        trials, states = trials[::3], states[::3]
+    got = [rng.bit_generator.state for rng in generators(states)]
     assert got == [trial_rng(seed, t, TAG_MATRICES).bit_generator.state for t in trials]
 
 
 def test_yielded_generators_are_independent():
-    streams = iter(Substreams(4, range(10, 12), TAG_FORM))
+    streams = generators(substream_states(4, range(10, 12), TAG_FORM))
     first = next(streams)
     first.standard_normal(5)
     second = next(streams)
@@ -253,7 +251,7 @@ def test_symmetric_three_tensor_is_the_six_permutation_loop(sigma):
     # it must equal a zero-started sum of all six, bit for bit
     dims = Dims(8, 3)
     for make in (lambda: trial_rng(9, 4, TAG_GRADIENT),
-                 lambda: Substreams(9, range(4, 12), TAG_GRADIENT)):
+                 lambda: substream_states(9, range(4, 12), TAG_GRADIENT)):
         got = symmetric_three_tensor(make(), dims, sigma)
         raw = samplers._normals(make(), (dims.m, dims.n, dims.n, dims.n))
         raw *= sigma

@@ -7,10 +7,14 @@ The runs write into a temporary directory:
   m=3, of li at n=2 and n=4 (m=3) and at n=2, m=2, of reaction and kato
   at n=5, m=2, of gradient at n=6, m=2 (the case-2 default constants), and
   of all at n=9, m=3 (the default c = 1/(n-2) of n >= 9), each at seeds 1
-  and 7; away from n=8, m=3 campaigns run in chunks of more than 32 trials;
+  and 7; li and reaction campaigns, and kato at n=5, m=2, run in chunks of
+  more than 32 trials;
 - ``verify`` of reaction at n=8, m=3 and d=1e8, seeds 1 and 7, where about
   half of the first pinched rejection attempts fail and a few forms take
   more than 8 attempts, past the first halving of the perturbation cap;
+- ``verify`` of reaction and li at n=16, m=16 (40 trials, seeds 1 and 7),
+  where one point's commutator stack is wider than ``forms.STACK_BUDGET``,
+  so ``commutator_norm2`` takes its blocks one point at a time;
 - ``verify`` of li at n=4, m=3 (8 trials), and of gradient and kato at
   n=8, m=3 (12 trials each), seed 1, each with a false bound (the rhs of
   ``check_li``, of every ``gradient_checks`` result, or of
@@ -57,6 +61,10 @@ SEEDS = (1, 7)
 # (suite, n, m, d) of the verify runs at a large d
 LARGE_D = [("reaction", 8, 3, "1e8")]
 TRIALS = 1500  # more than one block of 1024 substream states
+# (suite, n, m) of the verify runs whose points are wider than the stack
+# budget, and their trials: more than one chunk of 32
+WIDE = [("reaction", 16, 16), ("li", 16, 16)]
+WIDE_TRIALS = 40
 # (lemma attribute, suite, n, m, trials) of the verify runs with a false bound
 FALSE = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12),
          ("check_kato_trace", "kato", 8, 3, 12)]
@@ -90,6 +98,12 @@ def runs(out: str) -> list[list[str]]:
          "--trials", str(TRIALS), "--seed", str(seed),
          "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_d{d}_s{seed}.json")]
         for suite, n, m, d in LARGE_D for seed in SEEDS
+    ]
+    argvs += [
+        ["verify", "--suite", suite, "--n", str(n), "--m", str(m), "--trials", str(WIDE_TRIALS),
+         "--seed", str(seed),
+         "--out", os.path.join(out, f"verify_{suite}_n{n}_m{m}_s{seed}.json")]
+        for suite, n, m in WIDE for seed in SEEDS
     ]
     argvs += [
         ["simulate", "--family", family, *args, "--out", os.path.join(out, f"simulate_{name}.csv")]

@@ -5,7 +5,9 @@ A campaign draws ``trials`` independent samples from per-trial substreams of
 samples and evaluates chunks of trials stacked along a leading axis, and
 sizes them by the bytes they stack (:func:`chunk_size`): the largest power
 of two whose widest per-trial stack stays within ``STACK_BUDGET`` float64
-values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``.  When an
+values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``; the
+commutator stacks of |R^perp|^2 and li keep within the budget on their own
+(``forms.commutator_norm2``), so they do not size a chunk.  When an
 inequality reads a derivative tensor, all of them run on slices of a chunk
 sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
 each slice draws its own (m, n, n, n) tensors from its trials' substreams
@@ -207,16 +209,20 @@ def li_matrices(dims: Dims) -> int:
 def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
     """Trials a campaign of ``lemma_ids`` samples and evaluates together.
 
-    Each id is charged one stack per trial: the (m, n, n, n) tensor, m n^3
-    values, when it reads a derivative tensor, else the (m, m, n, n)
-    commutator of A, (m n)^2, when it reads a form, else the (k, k, n, n)
-    commutator of li's k matrices, (k n)^2.  A chunk keeps the largest
-    charge within ``STACK_BUDGET`` but holds at least ``CHUNK`` and at most
-    ``BLOCK`` trials, so it divides a block.  A derivative slice's Codazzi
-    gather is wider and not charged (:func:`derivative_slice`).
+    Each id is charged the widest stack a chunk holds per trial: the
+    (m, n, n, n) tensor, m n^3 values, when it reads a derivative tensor,
+    else the pinched sampler's row of m (n^2 + 1) + 1 normals, wider than
+    the (m, n, n) form it draws, when it reads a form, else li's (k, n, n)
+    matrices, k n^2.  The commutator stacks are not charged:
+    ``forms.commutator_norm2`` keeps its own within the budget.  A chunk
+    keeps the largest charge within ``STACK_BUDGET`` but holds at least
+    ``CHUNK`` and at most ``BLOCK`` trials, so it divides a block.  A
+    derivative slice's Codazzi gather is wider and not charged
+    (:func:`derivative_slice`).
     """
     m, n, k = dims.m, dims.n, li_matrices(dims)
-    width = max(m * n**3 if "grad" in kinds else (m * n) ** 2 if "form" in kinds else (k * n) ** 2
+    width = max(m * n**3 if "grad" in kinds else m * (n * n + 1) + 1 if "form" in kinds
+                else k * n * n
                 for kinds in (lemmas.LEMMAS[lemma_id].kinds for lemma_id in lemma_ids))
     return min(BLOCK, max(CHUNK, _within_budget(width)))
 

@@ -31,8 +31,9 @@ MAX_DIM = 16
 # chunk of small matrices up to a byte budget), and the smallest block of flow
 # states simulate evaluates
 CHUNK = 32
-# float64 values the widest stack of a campaign chunk, a derivative slice or a
-# block of flow states may hold: 128 KB, glibc's default mmap threshold
+# float64 values the widest stack of a campaign chunk, a derivative slice, a
+# block of flow states or a block of commutator_norm2's product stacks may
+# hold: 128 KB, glibc's default mmap threshold
 STACK_BUDGET = 2**14
 TOL_H = 1e-12
 TOL_CODAZZI = 1e-9
@@ -96,9 +97,16 @@ class SecondFundamentalForm:
     def scaled(self, lam: float) -> "SecondFundamentalForm":
         return SecondFundamentalForm(self.dims, lam * self.components)
 
-    @property
+    # computed on first read: the components are read-only
+    @cached_property
     def norm2(self) -> float | np.ndarray:
         return sum_sq(self.components, 3)
+
+    @cached_property
+    def H(self) -> "MeanCurvature":
+        """The mean curvature, which :func:`mean_curvature` returns."""
+        vector = np.einsum("...aii->...a", self.components)
+        return MeanCurvature(vector, _scalar(dot_norm(vector)))
 
 
 def symmetrize(components: np.ndarray) -> SecondFundamentalForm:
@@ -130,8 +138,7 @@ def dot_norm(x: np.ndarray) -> np.float64 | np.ndarray:
 
 
 def mean_curvature(A: SecondFundamentalForm) -> MeanCurvature:
-    vector = np.einsum("...aii->...a", A.components)
-    return MeanCurvature(vector, _scalar(dot_norm(vector)))
+    return A.H
 
 
 @dataclass(frozen=True)
@@ -219,14 +226,42 @@ class NormalCurvature:
     hat_part_norm2: float | np.ndarray
 
 
+def _commutators_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
+    """:func:`commutator_norm2` of stacks whose products are formed at once."""
+    if right is left:
+        # R_b L_a is the product L_b L_a, formed once, by the same BLAS call
+        prod = left[..., :, None, :, :] @ left[..., None, :, :, :]
+        comm = prod - prod.swapaxes(-4, -3)
+        del prod
+    else:
+        left, right = left[..., :, None, :, :], right[..., None, :, :, :]
+        # in place: a third live product stack can make glibc trim the heap per chunk
+        comm = left @ right
+        comm -= right @ left
+    return sum_sq(comm, 4)
+
+
 def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
     """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks (..., k, n, n) of square
-    matrices."""
-    left, right = left[..., :, None, :, :], right[..., None, :, :, :]
-    # in place: a third live product stack can make glibc trim the heap per chunk
-    comm = left @ right
-    comm -= right @ left
-    return sum_sq(comm, 4)
+    matrices with the same leading axes.
+
+    A batch is walked in blocks of points whose (k_left, k_right, n, n)
+    product stacks each hold at most ``STACK_BUDGET`` values (one point a
+    block when a point's stack is wider); each point is reduced over its own
+    stack, so the blocks move no bit.  A stack against itself
+    (``right is left``) forms each product L_a L_b once.
+    """
+    if left.ndim == 3:
+        return _commutators_norm2(left, right)
+    *lead, k_left, n, _ = left.shape
+    step = max(1, STACK_BUDGET // max(1, k_left * right.shape[-3] * n * n))
+    flat_left, flat_right = left.reshape(-1, k_left, n, n), right.reshape(-1, *right.shape[-3:])
+    out = np.empty(len(flat_left))
+    for start in range(0, len(out), step):
+        block = flat_left[start:start + step]
+        out[start:start + step] = _commutators_norm2(
+            block, block if right is left else flat_right[start:start + step])
+    return out.reshape(lead)
 
 
 def normal_curvature(decomp: PrincipalDecomposition) -> NormalCurvature:

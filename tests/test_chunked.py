@@ -4,8 +4,10 @@
 estimate once on a stacked chunk of trials, and the kato and gradient
 estimates on stacked slices of ``derivative_slice`` trials.  A campaign's
 chunk (``chunk_size``) and slice are the largest powers of two whose widest
-per-trial stack stays within ``STACK_BUDGET`` float64 values; at n=8, m=3
-they are ``CHUNK`` = 32 and 8 trials, and li alone runs 64 a chunk.  Every
+per-trial stack stays within ``STACK_BUDGET`` float64 values (the
+commutator stacks keep within it on their own); at n=8, m=3 they are
+``CHUNK`` = 32 and 8 trials when an id reads a derivative tensor, the flat
+reaction estimates run 64 trials a chunk and li alone 128.  Every
 chunked value must match the per-point evaluator on the trial alone to
 1e-12 of the check's scale, and a chunked campaign, which draws its chunks
 from substreams hashed per block of ``BLOCK`` trials, the derivative
@@ -237,7 +239,7 @@ def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
 @pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
 def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
     chunks, _ = campaign_chunks(spec, ids, trials, monkeypatch)
-    assert len(chunks) == -(-trials // CHUNK)
+    assert len(chunks) == -(-trials // chunk_size(spec.dims, ids))
 
 
 # at n=5, m=2 the derivative slice of kato is its whole chunk of 64 trials
@@ -269,9 +271,11 @@ RULE_IDS = [("li",), REACTION_IDS, KATO_IDS, GRADIENT_IDS, ALL_IDS]
 
 @pytest.mark.parametrize("ids", RULE_IDS)
 def test_chunk_and_slice_at_n8_m3(ids):
-    # li alone stacks the (2, 2, 8, 8) commutator of its 2 matrices, 256
-    # values a trial; every other list stacks 576 or 1536
-    assert chunk_size(Dims(8, 3), ids) == (64 if ids == ("li",) else CHUNK) and CHUNK == 32
+    # li alone holds its 2 (8, 8) matrices, 128 values a trial, the reaction
+    # estimates the pinched sampler's row of 196 normals, and every list
+    # that reads a derivative tensor its 1536 values
+    expected = 128 if ids == ("li",) else 64 if ids == REACTION_IDS else CHUNK
+    assert chunk_size(Dims(8, 3), ids) == expected and CHUNK == 32
     assert derivative_slice(Dims(8, 3), ids) == 8
 
 
@@ -284,10 +288,11 @@ def test_chunk_and_slice_keep_the_budget(ids):
     for n, m in itertools.product(range(2, 17), range(1, 17)):
         dims = Dims(n, m)
         derivative = m * n**3
-        # li draws max(1, m - 1) matrices, an id that reads a derivative
-        # tensor stacks it, and every other id the (m, m, n, n) commutator
-        widths = {"li": (max(1, m - 1) * n) ** 2, **dict.fromkeys(DERIVATIVE_IDS, derivative)}
-        width = max(widths.get(lemma_id, (m * n) ** 2) for lemma_id in ids)
+        # li holds max(1, m - 1) matrices, an id that reads a derivative
+        # tensor stacks it, and every other id the pinched sampler's row of
+        # m (n^2 + 1) + 1 normals, which is wider than its (m, n, n) form
+        widths = {"li": max(1, m - 1) * n**2, **dict.fromkeys(DERIVATIVE_IDS, derivative)}
+        width = max(widths.get(lemma_id, m * (n**2 + 1) + 1) for lemma_id in ids)
         chunk, piece = chunk_size(dims, ids), derivative_slice(dims, ids)
         assert is_power_of_two(chunk) and BLOCK % chunk == 0 and chunk >= CHUNK, dims
         assert chunk * width <= STACK_BUDGET or chunk == CHUNK, dims
@@ -300,9 +305,9 @@ def test_chunk_and_slice_keep_the_budget(ids):
 GROWN = [
     (SamplerSpec(Dims(2, 2), "gaussian", seed=73), ("li",), 1024),
     (SamplerSpec(Dims(5, 2), "pinched", c=4 / 15, d=0.3, seed=79),
-     (*REACTION_IDS, "boundary"), 128),
-    (SamplerSpec(Dims(4, 3), "gaussian", seed=89), ("li",), 256),
-    (SamplerSpec(Dims(8, 3), "gaussian", seed=97), ("li",), 64),
+     (*REACTION_IDS, "boundary"), 256),
+    (SamplerSpec(Dims(4, 3), "gaussian", seed=89), ("li",), 512),
+    (SamplerSpec(Dims(8, 3), "gaussian", seed=97), ("li",), 128),
 ]
 
 

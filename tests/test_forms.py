@@ -1,5 +1,7 @@
 """Tensor algebra: decomposition, normal curvature, derivative splitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from pinchflow.errors import DegenerateMeanCurvature, InvalidSample
 from pinchflow.forms import (
+    STACK_BUDGET,
     TOL_H,
     Dims,
     SecondFundamentalForm,
+    commutator_norm2,
     gradient_sample,
     mean_curvature,
     normal_curvature,
@@ -74,6 +78,19 @@ class TestMeanCurvature:
         # umbilic factors: trace of each slot is dim/radius
         H = mean_curvature(product_form())
         assert np.allclose(H.vector, [7.0, 0.25], atol=1e-15)
+
+    def test_computed_once_per_form(self):
+        # a form's H and |A|^2 are computed on first read, as the traces and
+        # squares of its read-only components
+        A = symmetrize(np.random.default_rng(3).standard_normal((32, 3, 8, 8)))
+        H = mean_curvature(A)
+        assert mean_curvature(A) is H and A.H is H and A.norm2 is A.norm2
+        vector = np.einsum("...aii->...a", A.components)
+        assert H.vector.tobytes() == vector.tobytes()
+        assert H.norm.tobytes() == np.array([np.linalg.norm(v) for v in vector]).tobytes()
+        assert A.norm2.tobytes() == np.sum(A.components**2, axis=(-3, -2, -1)).tobytes()
+        # a new form of the same components computes its own
+        assert mean_curvature(SecondFundamentalForm(A.dims, A.components)) is not H
 
 
 class TestPrincipalDecomposition:
@@ -242,6 +259,55 @@ class TestNormalCurvature:
         A = symmetrize(np.einsum("ab,bij->aij", rot, comps))
         rp = normal_curvature(principal_decompose(A))
         assert rp.hat_part_norm2 == pytest.approx(truth, rel=1e-8, abs=0.0)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCommutatorKernel:
+    # the pairs (left, right) of each stack: against itself, against a copy
+    # (two products), and against a stack of other lengths
+    @pytest.mark.parametrize("lead", [(1000,), (7, 9)])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_batch_is_the_stacked_points(self, lead, symmetric):
+        rng = np.random.default_rng(19)
+        n = 8 if lead == (1000,) else 5
+        stack = rng.standard_normal((*lead, 3, n, n))
+        other = rng.standard_normal((*lead, 1, n, n))
+        if symmetric:
+            stack, other = (0.5 * (s + s.swapaxes(-1, -2)) for s in (stack, other))
+        pairs = [(stack, stack), (stack, stack.copy()), (other, stack), (stack, other)]
+        for left, right in pairs:
+            batch = commutator_norm2(left, right)
+            assert batch.shape == lead
+            points = [
+                commutator_norm2(a, a) if right is left else commutator_norm2(a, b)
+                for a, b in zip(left.reshape(-1, *left.shape[-3:]),
+                                right.reshape(-1, *right.shape[-3:]))
+            ]
+            assert all(isinstance(p, float) for p in points)
+            assert batch.tobytes() == np.reshape(points, lead).tobytes()
+        # each self-product formed once gives the two products' value bit for bit
+        once, twice = commutator_norm2(stack, stack), commutator_norm2(stack, stack.copy())
+        assert once.tobytes() == twice.tobytes()
+
+    def test_a_batch_keeps_its_product_stacks_within_the_budget(self):
+        stack = symmetric_gaussian(np.random.default_rng(23), Dims(8, 3)).components
+        stack = np.repeat(stack[None], 1024, axis=0)
+        assert traced_peak(lambda: commutator_norm2(stack, stack)) < 3 * STACK_BUDGET * 8
+
+    def test_a_point_wider_than_the_budget_is_a_block_of_its_own(self):
+        stack = np.random.default_rng(29).standard_normal((8, 16, 16, 16))
+        point = 16**4  # the (16, 16, 16, 16) stack of one point
+        assert point > STACK_BUDGET
+        assert traced_peak(lambda: commutator_norm2(stack, stack)) < 3 * point * 8
 
 
 class TestGradientSample:

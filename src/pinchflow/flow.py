@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from typing import Callable, ClassVar, NamedTuple, TextIO
+from itertools import chain
+from typing import Callable, ClassVar, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -198,25 +200,21 @@ class FlowState(NamedTuple):
     params: tuple[float, ...]
 
 
-def rates(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
-    """The radius rates at ``params``, each from its radius alone."""
-    return tuple([rate(r) for rate, r in zip(family.radius_rates, params)])
-
-
 def exact_state(family: Family, t: float) -> FlowState:
     return FlowState(family, t, family.exact_params(t))
 
 
-def _rk4_radii(radius_rates: tuple[Callable[[float], float], ...], y: tuple[float, ...],
-               k1: tuple[float, ...], dt: float) -> tuple[float, ...]:
-    """The radii one classical fourth-order step of the decoupled radius ODEs
-    takes from radii ``y`` with rates ``k1``, radius by radius in plain
-    floats.  PastBlowup when a radius is at or below R_MIN at a stage or at
-    the end; every rate is negative, so a radius already there fails its
-    first stage."""
+def _rk4_radii(state: list[tuple[Callable[[float], float], float, float]],
+               dt: float) -> list[tuple[Callable[[float], float], float, float]]:
+    """One classical fourth-order step of the decoupled radius ODEs, radius
+    by radius in plain floats.  ``state`` holds a (rate, radius, rate at
+    that radius) triple per radius, and so does the result, whose last rate
+    is the next step's first stage.  PastBlowup when a radius is at or
+    below R_MIN at a stage or at the end; every rate is negative, so a
+    radius already there fails its first stage."""
     half = 0.5 * dt
     new = []
-    for rate, r, a in zip(radius_rates, y, k1):
+    for rate, r, a in state:
         if (s := r + half * a) <= R_MIN:
             raise PastBlowup(_COLLAPSED)
         b = rate(s)
@@ -226,10 +224,10 @@ def _rk4_radii(radius_rates: tuple[Callable[[float], float], ...], y: tuple[floa
         if (s := r + dt * c) <= R_MIN:
             raise PastBlowup(_COLLAPSED)
         d = rate(s)
-        new.append(r + dt / 6.0 * (a + 2 * b + 2 * c + d))
-    if min(new) <= R_MIN:
-        raise PastBlowup(f"radius fell to {min(new):.3e} <= r_min={R_MIN:.1e}")
-    return tuple(new)
+        if (r := r + dt / 6.0 * (a + 2 * b + 2 * c + d)) <= R_MIN:
+            raise PastBlowup(f"radius fell to {r:.3e} <= r_min={R_MIN:.1e}")
+        new.append((rate, r, rate(r)))
+    return new
 
 
 def step_rk4(state: FlowState, dt: float) -> FlowState:
@@ -242,7 +240,8 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
     fam, y = state.family, state.params
     if min(y) <= R_MIN:
         raise PastBlowup(_COLLAPSED)
-    return FlowState(fam, state.t + dt, _rk4_radii(fam.radius_rates, y, rates(fam, y), dt))
+    new = _rk4_radii([(rate, r, rate(r)) for rate, r in zip(fam.radius_rates, y)], dt)
+    return FlowState(fam, state.t + dt, tuple([r for _, r, _ in new]))
 
 
 @dataclass(frozen=True)
@@ -312,11 +311,11 @@ def simulate(
     The step is halved whenever a radius gets within 10 dt |rate| of
     collapse; integration stops at t_end or when a radius reaches R_MIN.
     A run of more than ``MAX_STEPS`` fixed steps, ceil(min(t_end, T) / dt)
-    with T the family's blow-up time, is refused.  The radii are integrated
-    first, in plain floats through the RK4 routine that ``step_rk4`` wraps,
-    keeping only the time and radii of each recorded step; they are then
-    evaluated in blocks whose forms hold at most ``STACK_BUDGET`` values
-    (never fewer than ``CHUNK`` records), then joined.
+    with T the family's blow-up time, is refused.  The radii are stepped in
+    plain floats through the RK4 routine that ``step_rk4`` wraps, each with
+    its rate at hand.  The recorded steps are evaluated in blocks whose
+    forms hold at most ``STACK_BUDGET`` values (never fewer than ``CHUNK``
+    records), each as soon as it fills, and the blocks are then joined.
     """
     if every < 1:
         raise ValueError(f"every must be a positive step count, got {every}")
@@ -331,31 +330,37 @@ def simulate(
                          f"more than MAX_STEPS={MAX_STEPS}, counted to "
                          f"min(t_end, blow-up time {t_max})")
     t, y = 0.0, family.exact_params(0.0)
-    v = rates(family, y)
+    state = [(rate, r, rate(r)) for rate, r in zip(family.radius_rates, y)]
     # the initial record is evaluated before any step, so that a constants
     # mismatch or a degenerate |H| fails at once
     parts = [diagnostics(family, [t], [y], constants)]
-    radius_rates, times, radii = family.radius_rates, [], []
-    step = dt
-    k = 0
+    block = max(CHUNK, STACK_BUDGET // (family.m * family.n**2))
+    times, states = [], []
+
+    def evaluate() -> None:
+        parts.append(diagnostics(family, times, [[r for _, r, _ in s] for s in states],
+                                 constants))
+        del times[:], states[:]
+
+    step, k = dt, 0
     while t < t_end:
-        while step > 1e-12 and any([r < 10.0 * step * abs(a) for r, a in zip(y, v)]):
-            step *= 0.5
+        for _, r, a in state:  # a halving never puts a radius back within reach
+            while step > 1e-12 and r < 10.0 * step * abs(a):
+                step *= 0.5
         h = min(step, t_end - t)
         try:
-            y = _rk4_radii(radius_rates, y, v, h)
+            state = _rk4_radii(state, h)
         except PastBlowup:
             break
         t += h
-        v = rates(family, y)
         k += 1
         if k % every == 0:
             times.append(t)
-            radii.append(y)
-    block = max(CHUNK, STACK_BUDGET // (family.m * family.n**2))
-    for start in range(0, len(times), block):
-        parts.append(diagnostics(family, times[start:start + block],
-                                 radii[start:start + block], constants))
+            states.append(state)
+            if len(times) == block:
+                evaluate()
+    if times:
+        evaluate()
     return TimeSeries(*map(np.concatenate, zip(*(part.columns() for part in parts))))
 
 
@@ -493,13 +498,18 @@ def quotient_identity_residual(
 def write_rows(series: TimeSeries, fh: TextIO) -> None:
     """Write ``series`` as CSV text to an open file: its header, then one
     line per row, each value with 17 significant digits and NaN as ``NaN``.
-    Blocks of ``WRITE_ROWS`` rows are formatted with one ``%`` each."""
+    Blocks of ``WRITE_ROWS`` rows are formatted with one ``%`` each.  A
+    column that is NaN throughout a block is a literal ``NaN`` in its line;
+    only a block with a NaN left to format is searched for ``nan``."""
     columns = series.columns()
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     fh.write(series.header + "\n")
     for start in range(0, len(series), WRITE_ROWS):
-        block = np.stack([col[start:start + WRITE_ROWS] for col in columns], axis=1)
-        fh.write((line * len(block) % tuple(block.ravel().tolist())).replace("nan", "NaN"))
+        block = np.stack([col[start:start + WRITE_ROWS] for col in columns])
+        nan = np.isnan(block)
+        blank = nan.all(axis=1)
+        line = ",".join(["NaN" if b else "%.17g" for b in blank.tolist()]) + "\n"
+        text = line * block.shape[1] % tuple(block[~blank].T.ravel().tolist())
+        fh.write(text.replace("nan", "NaN") if nan[~blank].any() else text)
 
 
 def write_csv(series: TimeSeries, path: str) -> None:
@@ -508,29 +518,41 @@ def write_csv(series: TimeSeries, path: str) -> None:
 
 
 def read_csv(path: str) -> TimeSeries:
-    """The series that :func:`write_csv` wrote, empty for a header-only file;
-    ValueError on a different header or on a row whose field count is not
-    the header's.  NumPy parses all the rows in one call, reading each
-    number as ``float()`` does; only when that fails, or the table is not
-    as wide as the header, are the lines scanned for the first bad row."""
+    """The series that :func:`write_csv` wrote, empty for a header-only file.
+    The file is read once, front to back, so ``path`` may be a pipe such as
+    ``/dev/stdin``: its non-blank lines stream into NumPy, and the whole
+    text is never held.  ValueError on a different header, or naming the
+    file line of the first row whose field count is not the header's, or
+    the file line and field of the first value ``loadtxt`` cannot read as a
+    float (it refuses ``1_0``, which ``float()`` takes)."""
     width = len(fields(TimeSeries))
+    blanks: list[int] = []
+
+    def rows(fh: TextIO) -> Iterator[str]:
+        for lineno, line in enumerate(fh, 2):
+            if line.count(",") == width - 1:
+                yield line
+            elif line.strip():
+                raise ValueError(f"line {lineno}: {line.count(',') + 1} fields, "
+                                 f"the header has {width}")
+            else:
+                blanks.append(lineno)
+
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        lines = fh.read().split("\n")
-    rows = [line for line in lines if line.strip()]
-    if not rows:  # loadtxt warns on empty input
-        return TimeSeries(*np.empty((width, 0)))
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if table.shape[1] != width:
-            raise ValueError(f"{table.shape[1]} fields a row, the header has {width}")
-    except ValueError:
-        for lineno, line in enumerate(lines, 2):
-            if line.strip() and line.count(",") != width - 1:
-                raise ValueError(
-                    f"line {lineno}: {line.count(',') + 1} fields, the header has {width}"
-                ) from None
-        raise
+        lines = rows(fh)
+        if (first := next(lines, None)) is None:  # loadtxt warns on empty input
+            return TimeSeries(*np.empty((width, 0)))
+        try:
+            table = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            # loadtxt counts the rows it was given from 0, and columns from 1
+            if not (found := re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))):
+                raise
+            lineno = int(found[2]) + 2
+            for blank in blanks:  # in file order
+                lineno += blank <= lineno
+            raise ValueError(f"line {lineno}, field {found[3]}: {found[1]}") from None
     return TimeSeries(*table.T)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -468,6 +471,31 @@ class TestRescaleCommand:
             code, _, _ = run(capsys, *argv, "--out", str(path))
             assert code == 0
             assert out.encode() == path.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_rescale_reads_a_pipe(self, capsys, tmp_path):
+        # simulate's output piped into rescale --in /dev/stdin, a file that
+        # cannot seek, writes what rescale of the saved series writes
+        simulate = ["simulate", "--family", "product", "--params", "p=7,q=1,a=1,b=4",
+                    "--dt", "1e-4", "--t-end", "0.07"]
+        series, rescaled, piped = (tmp_path / name for name in ("series.csv",
+                                                                "rescaled.csv", "piped.csv"))
+        assert run(capsys, *simulate, "--out", str(series))[0] == 0
+        assert run(capsys, "rescale", "--in", str(series), "--base-row", "120",
+                   "--out", str(rescaled))[0] == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        command = [sys.executable, "-m", "pinchflow.cli"]
+        with subprocess.Popen([*command, *simulate], stdout=subprocess.PIPE,
+                              env=env) as producer:
+            consumer = subprocess.run([*command, "rescale", "--in", "/dev/stdin",
+                                       "--base-row", "120", "--out", str(piped)],
+                                      stdin=producer.stdout, capture_output=True, env=env,
+                                      timeout=120)
+            producer.stdout.close()
+        assert producer.returncode == 0 and consumer.returncode == 0, consumer.stderr
+        assert piped.read_bytes() == rescaled.read_bytes()
 
     @pytest.mark.parametrize("kbar", ["nan", "inf", "-inf"])
     def test_non_finite_kbar_is_config_error(self, capsys, tmp_path, kbar):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -502,6 +503,19 @@ class TestSimulate:
                           every=every)
         assert sizes == [1, block, block, 5] and len(series) == 2 * block + 6
 
+    def test_memory_per_record(self):
+        # blocks are evaluated as they fill, so a run holds its records'
+        # columns, twice while they are joined, and no list of every step
+        fam = SphereFlow(8, 2, 1.0)
+        tracemalloc.start()
+        try:
+            series = simulate(fam, FLAT_K, dt=2.5e-6, t_end=fam.blowup_time())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) > 20_000
+        assert peak / len(series) < 250, peak / len(series)
+
     def test_kbar_mismatch_raised_before_any_step(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("stepped before the constants were checked")
@@ -580,11 +594,20 @@ def writer_series(name):
     rows = 2 * WRITE_ROWS + 1
     cols = rng.standard_normal((12, rows)) * 10.0 ** rng.integers(-320, 300, (12, rows))
     cols[1, :9] = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 2.0**53 + 2, 1e22]
+    if name == "nan-block":  # NaN throughout the first block and in the one-row last block
+        cols[4, :WRITE_ROWS] = math.nan
+        cols[8, -1] = math.nan
+    elif name == "nan-mixed":  # each block: an all-NaN column beside partly-NaN ones
+        cols[6] = math.nan
+        cols[9, 5::7] = math.nan
+    elif name == "all-nan":  # no value left to format in the first block
+        cols[:, :WRITE_ROWS] = math.nan
     return TimeSeries(*cols)
 
 
 class TestCsv:
-    @pytest.mark.parametrize("name", ["product", "hyperbolic", "rescaled", "inf", "long"])
+    @pytest.mark.parametrize("name", ["product", "hyperbolic", "rescaled", "inf", "long",
+                                      "nan-block", "nan-mixed", "all-nan"])
     def test_writer_matches_per_row_reference(self, name, tmp_path):
         series = writer_series(name)
         out = io.StringIO()
@@ -634,3 +657,53 @@ class TestCsv:
         assert header == "t,param1,param2,A2,H2,h2,Aminus2,f,Q,ratio_pinch,ratio_codim,ratio_cyl"
         fields = row.split(",")
         assert fields[2] == "NaN" and fields[8] == "NaN"
+
+    def test_blank_and_crlf_lines_read_as_plain_ones(self, tmp_path):
+        # blank, whitespace-only and CRLF-ended lines anywhere after the
+        # header, the trailing newline dropped: the same series
+        series = writer_series("product")
+        out = io.StringIO()
+        write_rows(series, out)
+        header, *rows = out.getvalue().splitlines()
+        text = "\r\n".join([header, "", *rows[:5], "  \t", "", *rows[5:], " "])
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(text.encode())
+        back = read_csv(str(path))
+        for got, want in zip(back.columns(), series.columns()):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    # a bad value after blank lines is named by its file line and field;
+    # loadtxt, unlike float(), refuses "1_0"
+    @pytest.mark.parametrize("token", ["H2", "1_0", "", "0x10"])
+    def test_unreadable_value_names_its_line_and_field(self, token, tmp_path):
+        rows = [",".join(["1.5"] * 12)] * 6
+        rows[4] = ",".join(["1.5"] * 4 + [token] + ["1.5"] * 7)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, "", *rows[:2], " ", "", *rows[2:]]) + "\n")
+        with pytest.raises(ValueError) as raised:
+            read_csv(str(path))
+        assert str(raised.value) == (f"line 9, field 5: could not convert string "
+                                     f"{token!r} to float64")
+
+    def test_row_of_wrong_width_names_its_line(self, tmp_path):
+        rows = [",".join(["1.5"] * 12)] * 4
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows, "", rows[0] + ",2.5"]) + "\n")
+        with pytest.raises(ValueError, match=r"^line 7: 13 fields, the header has 12$"):
+            read_csv(str(path))
+
+    def test_read_holds_less_than_the_file(self, tmp_path):
+        # about 40k rows of a product flow: the rows stream into NumPy, so
+        # the traced peak is the table, not the file's text and lines
+        fam = ProductSpheresFlow(7, 1, 2, 1.0, 4.0)
+        path = tmp_path / "long.csv"
+        write_csv(simulate(fam, FLAT_K, 1.75e-6, fam.blowup_time()), str(path))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            series = read_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) > 40_000
+        assert peak < size, (peak, size)

@@ -271,11 +271,8 @@ def sample_trial_inputs(
     if "form" in kinds:
         inputs.form = sample_form(spec, streams["form"])
     if "boundary" in kinds:
-        if spec.distribution == "boundary":
-            inputs.boundary_form = inputs.form
-        else:
-            inputs.boundary_form = rescale_to_boundary(
-                inputs.form, spec.c, lemmas.boundary_offset(spec.d))
+        inputs.boundary_form = rescale_to_boundary(
+            inputs.form, spec.c, lemmas.boundary_offset(spec.d))
     if "matrices" in kinds:
         inputs.matrices = symmetric_matrices(
             streams["matrices"], spec.dims.n, li_matrices(spec.dims), spec.sigma

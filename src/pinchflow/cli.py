@@ -70,6 +70,8 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
 def cmd_constants(args: argparse.Namespace) -> int:
     _require_finite(args, "c", "K1", "K2", "L", "Kbar")
     n, m = args.n, args.m
+    if n < 2 or m < 1:
+        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     regime = "general" if args.regime == "general" else "codim_estimate"
     c = c_n(n, regime) if args.c is None else args.c
     lines = [f"n = {n}, m = {m}"]
@@ -100,12 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     ids = SUITES[args.suite]
     c, delta, eps0 = lemmas.default_constants(ids, n, args.c, args.delta, args.eps0)
-    # inequalities of matrices alone need no pinched form
-    dist = "pinched" if any("form" in lemmas.LEMMAS[i].kinds for i in ids) else "gaussian"
-    spec = SamplerSpec(
-        dims=Dims(n, m), distribution=dist, sigma=args.sigma,
-        c=c, d=args.d, seed=seed,
-    )
+    spec = SamplerSpec(dims=Dims(n, m), sigma=args.sigma, c=c, d=args.d, seed=seed)
     config = CampaignConfig(c=c, d=args.d, delta=delta, eta=args.eta, eps0=eps0)
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
     results = run_campaign(

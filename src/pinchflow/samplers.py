@@ -9,10 +9,11 @@ vector of trial numbers into a (trials, 4) array of states, and
 campaign hashes a block of trials once and draws its chunks from slices of
 the array.  :func:`sample_form` takes states only, so a trial drawn alone is
 a chunk of one; the low-level samplers also take one generator,
-:func:`trial_rng` of a trial.  Constrained distributions are produced by
-rejection, in batches over the trials still rejected, each continuing its
-own generator, plus exact radial rescaling: norm constraints are radial, so
-a single multiplicative factor lands on them to machine precision.
+:func:`trial_rng` of a trial.  A campaign's forms are drawn pinched,
+|A|^2 < c|H|^2 - d, by rejection, in batches over the trials still
+rejected, each continuing its own generator; its matrices and derivative
+tensors are Gaussian.  One radial factor moves a pinched form onto the
+boundary to machine precision.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -32,9 +33,10 @@ import numpy as np
 from .errors import InvalidConstants, NotPinched
 from .forms import Dims, SecondFundamentalForm, dot_norm, mean_curvature, symmetrize
 
-DISTRIBUTIONS = ("gaussian", "pinched", "boundary")
 MAX_ATTEMPTS = 400  # rejection attempts of a pinched form
 FIRST_CAP = 0.5  # perturbation cap of the first attempt, halved every 8
+# the largest scales drawn: a quartic side stays far below overflow
+MAX_SIGMA, MAX_D = 1e50, 1e100  # d enters a form as sqrt(d)
 
 # substream tags: one per input kind so that lemma sets do not perturb draws
 TAG_FORM = 0
@@ -52,32 +54,24 @@ _MASK32 = 2**32 - 1
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample: dimensions, distribution and constants, plus the seed."""
+    """What to sample: dimensions, Gaussian scale, the pinching constants of
+    the forms (checked where a form is drawn), and the seed."""
 
     dims: Dims
-    distribution: str = "gaussian"
     sigma: float = 1.0
     c: float = 0.0
     d: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("sigma", "c", "d"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.distribution in ("pinched", "boundary"):
-            if self.c <= 1.0 / self.dims.n:
-                raise InvalidConstants("pinched/boundary sampling needs c > 1/n")
-            if self.d < 0:
-                raise InvalidConstants(f"d must be >= 0 for {self.distribution} sampling, "
-                                       f"got {self.d}")
+        if not 0 < self.sigma <= MAX_SIGMA:
+            raise ValueError(f"sigma must be in (0, {MAX_SIGMA:g}], got {self.sigma}")
 
 
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
@@ -234,7 +228,9 @@ def _pinched(
     """
     n, m = dims.n, dims.m
     if c - 1.0 / n <= 0:
-        raise InvalidConstants("pinched sampling needs c > 1/n")
+        raise InvalidConstants(f"pinched sampling needs c > 1/n, got c={c} for n={n}")
+    if not 0 <= d <= MAX_D:
+        raise InvalidConstants(f"d must be in [0, {MAX_D:g}] for pinched sampling, got {d}")
     rngs = list(rngs)
     rows = np.arange(len(rngs))
     cap = FIRST_CAP
@@ -291,17 +287,10 @@ def rescale_to_boundary(
 
 
 def sample_form(spec: SamplerSpec, streams: np.ndarray) -> SecondFundamentalForm:
-    """The forms of the trials of the ``TAG_FORM`` substream states, stacked;
-    a trial's pinched form is the one :func:`sample_pinched` draws from its
+    """The pinched forms of the trials of the ``TAG_FORM`` substream states,
+    stacked; a trial's form is the one :func:`sample_pinched` draws from its
     ``trial_rng`` alone."""
-    dims = spec.dims
-    if spec.distribution == "gaussian":
-        return symmetric_gaussian(streams, dims, spec.sigma)
-    d = spec.d if spec.distribution == "pinched" else 0.0
-    form = _pinched(generators(streams), dims, spec.c, d, spec.sigma)
-    if spec.distribution == "boundary":
-        form = rescale_to_boundary(form, spec.c, spec.d)
-    return form
+    return _pinched(generators(streams), spec.dims, spec.c, spec.d, spec.sigma)
 
 
 def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:

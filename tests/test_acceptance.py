@@ -52,7 +52,7 @@ def test_criterion_01_li_inequality():
     combos = [(n, mm) for n in range(2, 7) for mm in range(1, 5)]
     per_combo = 100_000 // len(combos)
     for idx, (n, mm) in enumerate(combos):
-        spec = SamplerSpec(Dims(n, mm + 1), "gaussian", seed=1000 + idx)
+        spec = SamplerSpec(Dims(n, mm + 1), seed=1000 + idx)
         res = run_campaign(spec, ["li"], per_combo, tol=1e-9)[0]
         total_trials += res.trials
         violations += res.violations
@@ -65,7 +65,7 @@ def test_criterion_01_li_inequality():
 
 def test_criterion_02_kato_inequality():
     n, m = 8, 3
-    spec = SamplerSpec(Dims(n, m), "pinched", c=1 / 6, seed=2024)
+    spec = SamplerSpec(Dims(n, m), c=1 / 6, seed=2024)
     config = CampaignConfig(c=1 / 6, d=0.0, eta=default_kato_eta(n))
     results = run_campaign(spec, ["kato.3.1", "kato.3.2"], 10_000, config=config)
     violations = sum(r.violations for r in results)
@@ -84,12 +84,12 @@ def test_criterion_02_kato_inequality():
 
 
 def test_criterion_03_reaction_lemmas():
-    spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.0, seed=31415)
+    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=31415)
     config = CampaignConfig(c=1 / 6, d=0.0, delta=0.5)
     results = run_campaign(spec, list(REACTION_IDS), 100_000, config=config)
     small_delta = CampaignConfig(c=1 / 6, d=0.0, delta=0.1)
     res_d01 = run_campaign(spec, ["4.14"], 100_000, config=small_delta)[0]
-    bspec = SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=27182)
+    bspec = SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=27182)
     bconfig = CampaignConfig(c=1 / 6, d=1.0)
     results += run_campaign(bspec, ["boundary"], 100_000, config=bconfig)
     violations = {r.lemma_id: r.violations for r in results}
@@ -103,7 +103,7 @@ def test_criterion_03_reaction_lemmas():
 def test_criterion_04_gradient_lemmas(tmp_path):
     n = 8
     delta = 1.0 / (5 * n - 8)
-    spec = SamplerSpec(Dims(n, 3), "pinched", c=1 / 6, d=0.0, seed=16180)
+    spec = SamplerSpec(Dims(n, 3), c=1 / 6, d=0.0, seed=16180)
     config = CampaignConfig(c=1 / 6, d=0.0, delta=delta)
     results = run_campaign(
         spec, list(GRADIENT_IDS), 10_000, config=config,

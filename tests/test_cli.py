@@ -43,6 +43,28 @@ class TestConstants:
         assert code == 0
         assert "d_lower (space form) = 4" in out
 
+    # the space form refuses c <= 1/n as the flat case does, before
+    # 2n - 2/c divides by c
+    @pytest.mark.parametrize("c", ["0", "0.1", "0.125"])
+    def test_space_form_c_at_most_one_over_n_is_config_error(self, capsys, c):
+        code, out, err = run(capsys, "constants", "--n", "8", "--m", "2", "--c", c,
+                             "--Kbar", "-1")
+        assert code == 2
+        assert out == "" and "error: need c > 1/n" in err
+
+    # the lower bounds of Dims, checked before 1/n is taken
+    @pytest.mark.parametrize("n, m", [("0", "2"), ("-3", "2"), ("1", "2"), ("8", "0"),
+                                      ("8", "-5")])
+    def test_dimension_below_its_bound_is_config_error(self, capsys, n, m):
+        code, out, err = run(capsys, "constants", "--n", n, "--m", m, "--c", "0.5")
+        assert code == 2
+        assert out == "" and f"error: need n >= 2 and m >= 1, got n={n}, m={m}" in err
+
+    def test_dimension_past_the_sampling_cap(self, capsys):
+        # Dims caps sampled arrays at 16; the constants are closed forms
+        code, out, _ = run(capsys, "constants", "--n", "40", "--m", "20")
+        assert code == 0 and "c (general) = 1/38" in out
+
     def test_unsupported_dimension_is_config_error(self, capsys):
         code, _, err = run(capsys, "constants", "--n", "3", "--m", "1")
         assert code == 2
@@ -142,6 +164,12 @@ class TestVerify:
         ("gradient", "--d", "-0.5", "d"),
         ("all", "--d", "-1", "d"),
         ("li", "--sigma", "inf", "sigma"),
+        # scales whose quartic sides would overflow into NaN slacks, which
+        # count as violations, or into an asymmetric form
+        ("li", "--sigma", "1e80", "sigma"),
+        ("reaction", "--sigma", "1e200", "sigma"),
+        ("reaction", "--d", "1e200", "d"),
+        ("all", "--d", "1e101", "d"),
         # an option the suite does not read still lands in the report
         ("li", "--delta", "nan", "delta"),
         ("reaction", "--eta", "inf", "eta"),
@@ -152,6 +180,15 @@ class TestVerify:
                              "--seed", "1", "--n", "8", "--m", "3", flag, value)
         assert code == 2
         assert out == "" and f"error: {name} must be" in err
+
+    # li draws no form, so it reads no d, and its sides stay finite at the
+    # largest sigma
+    @pytest.mark.parametrize("flag, value", [("--d", "-1"), ("--d", "1e200"),
+                                             ("--sigma", "1e50")])
+    def test_li_runs_at_the_edges(self, capsys, flag, value):
+        code, out, _ = run(capsys, "verify", "--suite", "li", "--trials", "64", "--seed", "1",
+                           "--n", "4", "--m", "3", flag, value)
+        assert code == 0 and json.loads(out)["results"][0]["violations"] == 0
 
     def test_report_is_strict_json(self, capsys, monkeypatch, tmp_path):
         # every slack NaN: there is no worst slack, and the report says null
@@ -342,6 +379,13 @@ class TestSimulate:
                              "--params", params, "--dt", "1e-3", "--t-end", "0.01")
         assert code == 2
         assert out == "" and named in err
+
+    def test_hyperbolic_c_at_most_one_over_n_is_config_error(self, capsys):
+        # refused before the default d = 2n - 2/c divides by c
+        code, out, err = run(capsys, "simulate", "--family", "hyperbolic",
+                             "--params", "r=0.5", "--c", "0")
+        assert code == 2
+        assert out == "" and "error: need c > 1/n, got c=0.0 for n=8" in err
 
     def test_hyperbolic_too_flat_names_its_parameters(self, capsys):
         # no --t-end: the refusal is the family's, not a zero blow-up time's

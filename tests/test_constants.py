@@ -204,6 +204,12 @@ class TestSpaceFormPreservationConstants:
         assert d / (n * c - 1) - n == pytest.approx(n / 2, rel=1e-13)
 
 
+    @pytest.mark.parametrize("c", [0.0, 0.1, 1 / 8])
+    def test_d_lower_needs_c_above_one_over_n(self, c):
+        with pytest.raises(InvalidConstants, match="need c > 1/n"):
+            space_form_d_lower(8, c)
+
+
 class TestPinchingConstantsValidation:
     def test_c_too_small(self):
         with pytest.raises(InvalidConstants):

@@ -95,7 +95,7 @@ def assert_close(got, want, label):
 def test_every_lemma_is_frame_invariant_and_homogeneous(n, m):
     dims = Dims(n, m)
     c, delta, eps0 = default_constants(list(LEMMAS), n)
-    spec = SamplerSpec(dims, "pinched", c=c, d=D, seed=n * 10 + m)
+    spec = SamplerSpec(dims, c=c, d=D, seed=n * 10 + m)
     kinds = set().union(*(lemma.kinds for lemma in LEMMAS.values()))
     inputs = sample_trial_inputs(spec, substreams(spec, range(TRIALS)), kinds)
     config = CampaignConfig(c=c, d=D, delta=delta, eps0=eps0)

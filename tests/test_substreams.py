@@ -30,7 +30,6 @@ from pinchflow.samplers import (
     rescale_to_boundary,
     sample_w,
     substream_states,
-    symmetric_gaussian,
     symmetric_matrices,
     symmetric_three_tensor,
     trial_rng,
@@ -132,7 +131,7 @@ def test_campaign_hashes_once_per_block(monkeypatch):
         return substream_states(seed, trials, tag)
 
     monkeypatch.setattr(samplers, "substream_states", counted)
-    spec = SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=1)
+    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=1)
     run_campaign(spec, ["4.5", "boundary"], 1500)
     assert hashed == [(TAG_FORM, BLOCK), (TAG_FORM, 1500 - BLOCK)]
 
@@ -143,22 +142,44 @@ def test_bad_seed_names_itself(seed):
         SamplerSpec(Dims(4, 2), seed=seed)
 
 
-@pytest.mark.parametrize("distribution", ["pinched", "boundary"])
-def test_negative_d_names_itself(distribution):
-    with pytest.raises(InvalidConstants, match="d must be >= 0"):
-        SamplerSpec(Dims(8, 3), distribution, c=1 / 6, d=-0.5)
+@pytest.mark.parametrize("kinds", [{"form"}, {"form", "boundary"}], ids=["pinched", "boundary"])
+def test_negative_d_names_itself(kinds):
+    # li reads no form, so the spec constructs; the forms refuse it where
+    # they are drawn, and so do boundary forms, whose offset would read 1
+    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=-0.5)
+    refusal = pytest.raises(InvalidConstants, match=r"d must be in \[0, 1e\+100\].*got -0.5")
+    with refusal:
+        sample_trial_inputs(spec, substreams(spec, range(3)), kinds)
+    with refusal:
+        samplers.sample_form(spec, substreams(spec, range(3))["form"])
+    with refusal:
+        samplers.sample_pinched(trial_rng(0, 0), spec.dims, spec.c, spec.d)
+
+
+def test_scales_past_their_bounds_name_themselves():
+    # past these scales the quartic sides overflow into NaN slacks, which
+    # count as violations; the largest admitted d still draws
+    with pytest.raises(ValueError, match=r"sigma must be in \(0, 1e\+50\], got 1e\+80"):
+        SamplerSpec(Dims(4, 3), sigma=1e80)
+    SamplerSpec(Dims(4, 3), sigma=samplers.MAX_SIGMA)
+    with pytest.raises(InvalidConstants, match=r"d must be in \[0, 1e\+100\].*got 1e\+200"):
+        samplers.sample_pinched(trial_rng(0, 0), Dims(8, 3), 1 / 6, 1e200)
+    A = samplers.sample_pinched(trial_rng(0, 0), Dims(8, 3), 1 / 6, samplers.MAX_D)
+    assert mean_curvature(A).norm2 / 6 - A.norm2 - samplers.MAX_D > 0
 
 
 ALL_KINDS = {"form", "boundary", "matrices", "grad", "w"}
 SPECS = {
-    "pinched": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=0.3, seed=61),
-    "boundary": SamplerSpec(Dims(8, 3), "boundary", c=1 / 6, d=1.0, seed=2**32),
-    "gaussian": SamplerSpec(Dims(5, 3), "gaussian", sigma=0.7, seed=2**64),
+    "pinched": SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=61),
+    # a seed of two words, and boundary forms at d = 1
+    "boundary": SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=2**32),
+    # a seed of three words, and Gaussian inputs at a sigma other than 1
+    "gaussian": SamplerSpec(Dims(5, 3), sigma=0.7, c=4 / 15, seed=2**64),
     # a large d rejects some first attempts, so rows take a second batch
-    "rejecting": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=1e4, seed=5),
+    "rejecting": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e4, seed=5),
     # about half of all first attempts fail here, and a few rows take more
     # than 8 attempts, past the first halving of the perturbation cap
-    "halving": SamplerSpec(Dims(8, 3), "pinched", c=1 / 6, d=1e8, seed=1),
+    "halving": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e8, seed=1),
 }
 # the first of the CHUNK + 3 trials a case draws: trials 482 and 509 of
 # "halving" take 12 and 9 attempts
@@ -190,48 +211,37 @@ def scalar_sample_pinched(rng, dims, c, d, sigma):
     raise AssertionError("no pinched sample")
 
 
-def one_trial(spec, trial, kinds):
+def one_trial(spec, trial):
     """The inputs of one trial, each kind drawn from ``trial_rng`` directly,
-    and the rejection attempts its form took (0 for a Gaussian form)."""
+    and the rejection attempts its form took."""
 
     def rng(tag):
         return trial_rng(spec.seed, trial, tag)
 
     dims, sigma = spec.dims, spec.sigma
-    if spec.distribution == "gaussian":
-        form, attempts = symmetric_gaussian(rng(TAG_FORM), dims, sigma), 0
-    else:
-        d = spec.d if spec.distribution == "pinched" else 0.0
-        form, attempts = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, d, sigma)
-        if spec.distribution == "boundary":
-            form = rescale_to_boundary(form, spec.c, spec.d)
+    form, attempts = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, spec.d, sigma)
     out = {
         "form": form.components,
         "matrices": symmetric_matrices(rng(TAG_MATRICES), dims.n, max(1, dims.m - 1), sigma),
         "grad_tensor": symmetric_three_tensor(rng(TAG_GRADIENT), dims, sigma),
         "w": sample_w(rng(TAG_W), dims, sigma),
     }
-    if "boundary" in kinds:
-        boundary = form
-        if spec.distribution != "boundary":
-            boundary = rescale_to_boundary(form, spec.c, spec.d if spec.d > 0 else 1.0)
-        out["boundary_form"] = boundary.components
+    d = spec.d if spec.d > 0 else 1.0
+    out["boundary_form"] = rescale_to_boundary(form, spec.c, d).components
     return out, attempts
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_chunk_sampling_matches_trial_rng(name):
     spec = SPECS[name]
-    # a Gaussian form is not pinched, so it has no boundary rescaling
-    kinds = ALL_KINDS - {"boundary"} if spec.distribution == "gaussian" else ALL_KINDS
     start = FIRST_TRIAL.get(name, 7)
     trials = range(start, start + CHUNK + 3)
-    chunk = sample_trial_inputs(spec, substreams(spec, trials), kinds)
+    chunk = sample_trial_inputs(spec, substreams(spec, trials), ALL_KINDS)
     assert chunk.form.components.shape == (len(trials), spec.dims.m, spec.dims.n, spec.dims.n)
     attempts = {}
     for i, trial in enumerate(trials):
         alone = chunk.trial(i)
-        inputs, attempts[trial] = one_trial(spec, trial, kinds)
+        inputs, attempts[trial] = one_trial(spec, trial)
         for key, expected in inputs.items():
             got = getattr(alone, key)
             (got,) = got.components if key.endswith("form") else got  # a chunk of one
@@ -242,7 +252,7 @@ def test_chunk_sampling_matches_trial_rng(name):
     elif name == "rejecting":
         assert max(attempts.values()) > 1
     else:
-        assert set(attempts.values()) == {0 if spec.distribution == "gaussian" else 1}
+        assert set(attempts.values()) == {1}
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5])

@@ -92,9 +92,10 @@ def kappa_n(n: int, c: float | Fraction) -> float:
 
 def space_form_d_lower(n: int, c: float | Fraction) -> float:
     """Minimal offset 2n - 2/c preserving Q <= 0 in a negative space form."""
-    if float(c) <= 1.0 / n:
-        raise InvalidConstants(f"need c > 1/n, got c={float(c)} for n={n}")
-    return 2.0 * n - 2.0 / float(c)
+    c = float(c)
+    if c <= 1.0 / n:
+        raise InvalidConstants(f"need c > 1/n, got c={c} for n={n}")
+    return 2.0 * n - 2.0 / c
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ The runs write into a temporary directory:
   of all at n=9, m=3 (the default c = 1/(n-2) of n >= 9), each at seeds 1
   and 7; li and reaction campaigns, and kato at n=5, m=2, run in chunks of
   more than 32 trials;
-- ``verify`` of reaction at n=8, m=3 and d=1e8, seeds 1 and 7, where about
-  half of the first pinched rejection attempts fail and a few forms take
-  more than 8 attempts, past the first halving of the perturbation cap;
+- ``verify`` of reaction at n=8, m=3 and d=1e8, seeds 1 and 7, where d is
+  about 1e8 times the pinching budget of a drawn form, so each computed
+  f = c|H|^2 - |A|^2 - d cancels terms 1e8 times its size;
 - ``verify`` of reaction and li at n=16, m=16 (40 trials, seeds 1 and 7),
   where one point's commutator stack is wider than ``forms.STACK_BUDGET``,
   so ``commutator_norm2`` takes its blocks one point at a time;

@@ -49,7 +49,7 @@ from .samplers import (
     TAG_MATRICES,
     TAG_W,
     SamplerSpec,
-    rescale_to_boundary,
+    sample_boundary,
     sample_form,
     sample_w,
     symmetric_matrices,
@@ -60,7 +60,7 @@ DEFAULT_TOL = 1e-9
 MAX_SHRINK_STEPS = 64
 # trials whose substream states are hashed at once: 32 KB of states per kind
 BLOCK = CHUNK * CHUNK
-# the substream tag of each sampled input kind; "boundary" rescales the form
+# the substream tag of each sampled input kind; "boundary" is drawn with the form
 _KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
 
 
@@ -211,9 +211,9 @@ def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
 
     Each id is charged the widest stack a chunk holds per trial: the
     (m, n, n, n) tensor, m n^3 values, when it reads a derivative tensor,
-    else the pinched sampler's row of m (n^2 + 1) + 1 normals, wider than
-    the (m, n, n) form it draws, when it reads a form, else li's (k, n, n)
-    matrices, k n^2.  The commutator stacks are not charged:
+    else the split draw's row of m n^2 + 1 normals and 3 uniforms, wider
+    than the (m, n, n) form it draws, when it reads a form, else li's
+    (k, n, n) matrices, k n^2.  The commutator stacks are not charged:
     ``forms.commutator_norm2`` keeps its own within the budget.  A chunk
     keeps the largest charge within ``STACK_BUDGET`` but holds at least
     ``CHUNK`` and at most ``BLOCK`` trials, so it divides a block.  A
@@ -221,7 +221,7 @@ def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
     (:func:`derivative_slice`).
     """
     m, n, k = dims.m, dims.n, li_matrices(dims)
-    width = max(m * n**3 if "grad" in kinds else m * (n * n + 1) + 1 if "form" in kinds
+    width = max(m * n**3 if "grad" in kinds else m * n * n + 4 if "form" in kinds
                 else k * n * n
                 for kinds in (lemmas.LEMMAS[lemma_id].kinds for lemma_id in lemma_ids))
     return min(BLOCK, max(CHUNK, _within_budget(width)))
@@ -268,11 +268,10 @@ def sample_trial_inputs(
     axis, each kind of each trial from its own row of substream states in
     ``streams``; a boundary form sits at ``lemmas.boundary_offset(spec.d)``."""
     inputs = TrialInputs(dims=spec.dims)
-    if "form" in kinds:
-        inputs.form = sample_form(spec, streams["form"])
     if "boundary" in kinds:
-        inputs.boundary_form = rescale_to_boundary(
-            inputs.form, spec.c, lemmas.boundary_offset(spec.d))
+        inputs.form, inputs.boundary_form = sample_boundary(spec, streams["form"])
+    elif "form" in kinds:
+        inputs.form = sample_form(spec, streams["form"])
     if "matrices" in kinds:
         inputs.matrices = symmetric_matrices(
             streams["matrices"], spec.dims.n, li_matrices(spec.dims), spec.sigma

@@ -80,7 +80,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
     else:
         lines.append(f"c (override) = {format(float(c), _FMT)}")
     if args.Kbar is not None:
-        d_low = space_form_d_lower(n, float(c)) if args.Kbar < 0 else 0.0
+        d_low = space_form_d_lower(n, float(c))  # refuses c <= 1/n for either sign
+        d_low = d_low if args.Kbar < 0 else 0.0
         lines.append(f"Kbar = {format(args.Kbar, _FMT)}")
         lines.append(f"d_lower (space form) = {format(d_low, _FMT)}")
     else:

@@ -307,7 +307,7 @@ def gradient_checks(
 
 def boundary_offset(d: float) -> float:
     """The d of the boundary |A|^2 = c|H|^2 - d the boundary estimate is taken
-    on: d, or 1 when d <= 0, a cone that radial rescaling cannot reach."""
+    on: d, or 1 when d <= 0, where it is a cone and the d terms vanish."""
     return d if d > 0 else 1.0
 
 

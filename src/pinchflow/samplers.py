@@ -9,11 +9,12 @@ vector of trial numbers into a (trials, 4) array of states, and
 campaign hashes a block of trials once and draws its chunks from slices of
 the array.  :func:`sample_form` takes states only, so a trial drawn alone is
 a chunk of one; the low-level samplers also take one generator,
-:func:`trial_rng` of a trial.  A campaign's forms are drawn pinched,
-|A|^2 < c|H|^2 - d, by rejection, in batches over the trials still
-rejected, each continuing its own generator; its matrices and derivative
-tensors are Gaussian.  One radial factor moves a pinched form onto the
-boundary to machine precision.
+:func:`trial_rng` of a trial.  A campaign's forms are pinched,
+|A|^2 < c|H|^2 - d, by construction: each draws a fixed count of numbers
+and splits its pinching budget B = (c - 1/n)|H|^2 - d into the shares of
+|h_ring|^2, |A^-|^2 and f, flat or toward the edges where the reaction
+estimates are tight, and a boundary form is the same draw with no share
+for f.  Matrices and derivative tensors are Gaussian.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -26,15 +27,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidConstants, NotPinched
-from .forms import Dims, SecondFundamentalForm, dot_norm, mean_curvature, symmetrize
+from .errors import InvalidConstants
+from .forms import Dims, SecondFundamentalForm, symmetrize
+from .lemmas import boundary_offset
 
-MAX_ATTEMPTS = 400  # rejection attempts of a pinched form
-FIRST_CAP = 0.5  # perturbation cap of the first attempt, halved every 8
+F_MIN = 1e-2  # the least share of the pinching budget f takes: f is a cancellation
+# f = c|H|^2 - |A|^2 - d rounds to about this many units of 2c|H|^2 + d
+F_ROUNDING = 64 * np.finfo(np.float64).eps
 # the largest scales drawn: a quartic side stays far below overflow
 MAX_SIGMA, MAX_D = 1e50, 1e100  # d enters a form as sqrt(d)
 
@@ -215,82 +218,76 @@ def symmetric_matrices(rng: Rng, n: int, count: int, sigma: float = 1.0) -> np.n
     return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
-def _pinched(
-    rngs: Iterable[np.random.Generator], dims: Dims, c: float, d: float, sigma: float
-) -> SecondFundamentalForm:
-    """Forms with f = c|H|^2 - |A|^2 - d > 0, one per generator, stacked.
+def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float,
+                 sigma: float, boundary: bool = False) -> list[SecondFundamentalForm]:
+    """The pinched forms of one split draw per generator, stacked, and with
+    ``boundary`` the forms of the same draws on the boundary at
+    ``boundary_offset(d)``.
 
-    Umbilic seed in a random normal direction sized so the umbilic slack is
-    positive, plus a perturbation scaled to the available slack; rejection
-    guarantees the constraint exactly.  Each attempt is one batch over the
-    rows still rejected, each drawing from its own generator; the cap starts
-    at ``FIRST_CAP`` and halves every 8 attempts.
+    A draw takes m n^2 + 1 normals and 3 uniforms: z of s = sigma e^{z/2};
+    unit symmetric traceless directions of h_ring (the first normal slot)
+    and of the A^- stack (the others); and the raw shares of f and A^- of
+    B = s^2, flat Dirichlet(1, 1, 1) shares or, for half the trials, edge
+    shares, each 10^U(-12, 0).  A form sits in the frame nu1 = e_1 with
+    |H|^2 = (d + B)/(c - 1/n), so B is its budget (c - 1/n)|H|^2 - d: f
+    takes ``F_MIN`` of B plus the rest times its raw share (none on the
+    boundary), and |h_ring|^2 and |A^-|^2 split what f leaves.
     """
     n, m = dims.n, dims.m
-    if c - 1.0 / n <= 0:
+    g = c - 1.0 / n
+    if g <= 0:
         raise InvalidConstants(f"pinched sampling needs c > 1/n, got c={c} for n={n}")
     if not 0 <= d <= MAX_D:
         raise InvalidConstants(f"d must be in [0, {MAX_D:g}] for pinched sampling, got {d}")
-    rngs = list(rngs)
-    rows = np.arange(len(rngs))
-    cap = FIRST_CAP
-    for attempt in range(MAX_ATTEMPTS):
-        normals = np.empty((len(rows), m * (1 + n * n) + 1))
-        u = np.empty(len(rows))
-        for j, i in enumerate(rows):
-            rngs[i].standard_normal(out=normals[j])
-            u[j] = rngs[i].random()
-        nu = normals[:, :m] / dot_norm(normals[:, :m])[:, None]
-        s = sigma * np.exp(0.5 * normals[:, m])
-        h0 = np.sqrt((d + s * s) / (c - 1.0 / n))
-        base = (h0 / n)[:, None, None, None] * np.eye(n) * nu[..., None, None]
-        pert = normals[:, m + 1:].reshape(len(rows), m, n, n)
-        pert = 0.5 * (pert + pert.swapaxes(-1, -2))
-        pert = pert / dot_norm(pert.reshape(len(rows), m * n * n))[:, None, None, None]
-        A = SecondFundamentalForm(dims, base + (cap * u * s)[:, None, None, None] * pert)
-        pinched = c * mean_curvature(A).norm2 - A.norm2 - d > 0
-        if attempt == 0:
-            if pinched.all():
-                return A
-            comps = A.components.copy()
-        else:
-            comps[rows[pinched]] = A.components[pinched]
-        if not len(rows := rows[~pinched]):
-            return SecondFundamentalForm(dims, comps)
-        if attempt % 8 == 7:
-            cap *= 0.5
-    raise NotPinched(f"no pinched sample found in {MAX_ATTEMPTS} attempts")
+    k = len(rngs)
+    normals, u = np.empty((k, m * n * n + 1)), np.empty((k, 3))
+    for row, uniforms, rng in zip(normals, u, rngs):
+        rng.standard_normal(out=row)
+        rng.random(out=uniforms)
+    dirs = normals[:, 1:].reshape(k, m, n, n)
+    dirs = dirs + dirs.swapaxes(-1, -2)
+    diag = dirs.reshape(k, m, n * n)[..., ::n + 1]  # a view of every diagonal
+    diag -= diag.sum(axis=-1, keepdims=True) / n
+    sq = np.einsum("...ij,...ij->...", dirs, dirs)
+    # the norm of the h_ring direction in the first slot, of the A^- stack in the others
+    norms = np.sqrt(np.where(np.arange(m) > 0, sq[:, 1:].sum(axis=-1, keepdims=True), sq[:, :1]))
+    edge = u[:, :1] < 0.5
+    f = np.where(edge, 10.0 ** (12 * (u[:, 1:2] - 1)), 1 - np.sqrt(1 - u[:, 1:2]))  # Beta(1, 2)
+    t = np.where(edge, 10.0 ** (12 * (u[:, 2:] - 1)), u[:, 2:]) if m > 1 else np.zeros((k, 1))
+    slot_share = np.where(np.arange(m) > 0, t, 1 - t)  # of what f leaves
+    s2 = (sigma * np.exp(0.5 * normals[:, :1])) ** 2
+
+    def assemble(offset: float, share: np.ndarray | float) -> SecondFundamentalForm:
+        # B is at least what f's rounding, F_ROUNDING (2c|H|^2 + d), needs for F_MIN of it
+        budget = np.maximum(s2, F_ROUNDING * (2 * c / g + 1) * offset / F_MIN)
+        rest = share * budget  # what f leaves of B
+        A = dirs * (np.sqrt(slot_share * rest) / norms)[..., None, None]
+        A.reshape(k, m, n * n)[:, 0, ::n + 1] += np.sqrt((offset + budget) / g) / n
+        return SecondFundamentalForm(dims, A)
+
+    pinched = assemble(d, (1 - F_MIN) * (1 - f))
+    return [pinched, assemble(boundary_offset(d), 1.0)] if boundary else [pinched]
 
 
 def sample_pinched(rng: np.random.Generator, dims: Dims, c: float, d: float,
                    sigma: float = 1.0) -> SecondFundamentalForm:
     """A form with f = c|H|^2 - |A|^2 - d > 0: a chunk of one, from ``rng``."""
-    return SecondFundamentalForm(dims, _pinched([rng], dims, c, d, sigma).components[0])
-
-
-def rescale_to_boundary(
-    form: SecondFundamentalForm, c: float, d: float
-) -> SecondFundamentalForm:
-    """Radially rescale so that |A|^2 = c |H|^2 - d holds exactly.
-
-    Needs d > 0 (for d = 0 the boundary is a scale-invariant cone that radial
-    scaling cannot reach) and strict pinching direction c|H|^2 > |A|^2.
-    """
-    if d <= 0:
-        raise InvalidConstants("boundary rescaling needs d > 0")
-    H = mean_curvature(form)
-    g0 = c * H.norm2 - form.norm2
-    if np.any(g0 <= 0):
-        raise NotPinched("cannot reach the boundary: c|H|^2 - |A|^2 <= 0")
-    lam = np.sqrt(d / g0)
-    return SecondFundamentalForm(form.dims, lam[..., None, None, None] * form.components)
+    return SecondFundamentalForm(dims, _split_forms([rng], dims, c, d, sigma)[0].components[0])
 
 
 def sample_form(spec: SamplerSpec, streams: np.ndarray) -> SecondFundamentalForm:
     """The pinched forms of the trials of the ``TAG_FORM`` substream states,
     stacked; a trial's form is the one :func:`sample_pinched` draws from its
     ``trial_rng`` alone."""
-    return _pinched(generators(streams), spec.dims, spec.c, spec.d, spec.sigma)
+    return _split_forms(list(generators(streams)), spec.dims, spec.c, spec.d, spec.sigma)[0]
+
+
+def sample_boundary(spec: SamplerSpec, streams: np.ndarray
+                    ) -> tuple[SecondFundamentalForm, SecondFundamentalForm]:
+    """The forms of :func:`sample_form`, and the forms of the same draws with
+    f = 0, on the boundary |A|^2 = c|H|^2 - d at ``boundary_offset(spec.d)``."""
+    return tuple(_split_forms(list(generators(streams)), spec.dims, spec.c, spec.d,
+                              spec.sigma, boundary=True))
 
 
 def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:

@@ -52,6 +52,18 @@ class TestConstants:
         assert code == 2
         assert out == "" and "error: need c > 1/n" in err
 
+    # c > 1/n is needed for either sign of Kbar, though only Kbar < 0 adds an offset
+    @pytest.mark.parametrize("kbar", ["0", "1"])
+    def test_space_form_c_at_most_one_over_n_for_kbar_at_least_0(self, capsys, kbar):
+        code, out, err = run(capsys, "constants", "--n", "8", "--m", "2", "--c", "0.1",
+                             "--Kbar", kbar)
+        assert code == 2
+        assert out == "" and "error: need c > 1/n" in err
+
+    def test_space_form_kbar_at_least_0_has_no_offset(self, capsys):
+        code, out, _ = run(capsys, "constants", "--n", "8", "--m", "2", "--Kbar", "1")
+        assert code == 0 and "d_lower (space form) = 0\n" in out
+
     # the lower bounds of Dims, checked before 1/n is taken
     @pytest.mark.parametrize("n, m", [("0", "2"), ("-3", "2"), ("1", "2"), ("8", "0"),
                                       ("8", "-5")])

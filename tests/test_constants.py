@@ -119,11 +119,9 @@ class TestPinchingQuantities:
         )
 
     def test_f_boundary_zero(self):
-        from pinchflow.samplers import rescale_to_boundary, sample_pinched
+        from tests.test_reaction import boundary_forms
 
-        rng = np.random.default_rng(3)
-        pinched = sample_pinched(rng, Dims(8, 2), 1 / 6, 0.0)
-        A = rescale_to_boundary(pinched, 1 / 6, 1.0)
+        A = boundary_forms(Dims(8, 2), 1 / 6, 1.0, 3, 1)
         k = PinchingConstants(Dims(8, 2), 1 / 6, 1.0)
         assert pinching_f(principal_decompose(A), k) == pytest.approx(0.0, abs=1e-10)
 

@@ -26,12 +26,21 @@ from pinchflow.reaction import (
     reaction_gap,
 )
 from pinchflow.samplers import (
-    rescale_to_boundary,
+    TAG_FORM,
+    SamplerSpec,
+    sample_boundary,
     sample_pinched,
+    substream_states,
     symmetric_gaussian,
 )
 from tests.test_forms import sphere_form
 from tests.test_lemmas import li_li_split_form
+
+
+def boundary_forms(dims, c, d, seed, trials):
+    """The forms on the boundary |A|^2 = c|H|^2 - d of a campaign's first trials."""
+    spec = SamplerSpec(dims, c=c, d=d, seed=seed)
+    return sample_boundary(spec, substream_states(seed, range(trials), TAG_FORM))[1]
 
 
 def loop_r2(comps, hvec):
@@ -172,14 +181,10 @@ class TestBoundaryBound:
             )
 
     def test_random_boundary_slack(self):
-        rng = np.random.default_rng(41)
-        for _ in range(300):
-            raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
-            A = rescale_to_boundary(raw, 1 / 6, 1.0)
-            dec = principal_decompose(A)
-            lhs, rhs = boundary_reaction_bound(dec, 1 / 6, 1.0)
-            scale = max(1.0, abs(lhs), abs(rhs))
-            assert rhs - lhs >= -1e-9 * scale
+        A = boundary_forms(Dims(8, 3), 1 / 6, 1.0, 41, 300)
+        lhs, rhs = boundary_reaction_bound(principal_decompose(A), 1 / 6, 1.0)
+        scale = np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+        assert np.all(rhs - lhs >= -1e-9 * scale)
 
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -189,7 +194,8 @@ class TestBoundaryBound:
         # the displayed formula in exact arithmetic at the split's norms.
         c, d = c_n(n, "general"), 1
         assert c == Fraction(1, n - 2)
-        A = rescale_to_boundary(li_li_split_form(n, 3, h_norm=10.0), float(c), float(d))
+        form = li_li_split_form(n, 3, h_norm=10.0)  # radially onto the boundary
+        A = form.scaled(np.sqrt(d / (float(c) * mean_curvature(form).norm2 - form.norm2)))
         dec = principal_decompose(A)
         lhs, rhs = boundary_reaction_bound(dec, float(c), float(d))
         g = c - Fraction(1, n)
@@ -306,9 +312,8 @@ class TestScaleCovariance:
             assert rhs_s - lhs_s == pytest.approx(lam**4 * (rhs - lhs), rel=1e-9, abs=1e-10)
 
     def test_boundary_scaling(self):
-        rng = np.random.default_rng(71)
-        raw = sample_pinched(rng, Dims(8, 3), 1 / 6, 0.0)
-        A = rescale_to_boundary(raw, 1 / 6, 1.0)
+        A = boundary_forms(Dims(8, 3), 1 / 6, 1.0, 71, 1)
+        A = SecondFundamentalForm(A.dims, A.components[0])
         lhs, rhs = boundary_reaction_bound(principal_decompose(A), 1 / 6, 1.0)
         for lam in (0.5, 2.0):
             decs = principal_decompose(A.scaled(lam))

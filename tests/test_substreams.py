@@ -7,7 +7,7 @@ NumPy's seed hash over the trial numbers of a block of chunks, and
 of a chunk through NumPy's own seeding.
 Every state, draw and sampled array of a chunk must equal the per-trial
 ``trial_rng`` path bit for bit, pinched forms included: they must equal the
-rejection sampler as written one draw at a time.
+split draw as written for one trial at a time.
 """
 
 import itertools
@@ -18,16 +18,17 @@ import pytest
 import pinchflow.samplers as samplers
 from pinchflow.campaign import _KIND_TAGS, BLOCK, CHUNK, run_campaign, sample_trial_inputs
 from pinchflow.errors import InvalidConstants
-from pinchflow.forms import Dims, mean_curvature, symmetrize
+from pinchflow.forms import Dims, mean_curvature
+from pinchflow.lemmas import boundary_offset
 from pinchflow.samplers import (
-    MAX_ATTEMPTS,
+    F_MIN,
+    F_ROUNDING,
     TAG_FORM,
     TAG_GRADIENT,
     TAG_MATRICES,
     TAG_W,
     SamplerSpec,
     generators,
-    rescale_to_boundary,
     sample_w,
     substream_states,
     symmetric_matrices,
@@ -175,84 +176,83 @@ SPECS = {
     "boundary": SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=2**32),
     # a seed of three words, and Gaussian inputs at a sigma other than 1
     "gaussian": SamplerSpec(Dims(5, 3), sigma=0.7, c=4 / 15, seed=2**64),
-    # a large d rejects some first attempts, so rows take a second batch
-    "rejecting": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e4, seed=5),
-    # about half of all first attempts fail here, and a few rows take more
-    # than 8 attempts, past the first halving of the perturbation cap
-    "halving": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e8, seed=1),
+    # d so large that the budget B is raised to what f's rounding needs
+    "floor": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e30, seed=1),
 }
-# the first of the CHUNK + 3 trials a case draws: trials 482 and 509 of
-# "halving" take 12 and 9 attempts
-FIRST_TRIAL = {"halving": 480}
 
 
-def scalar_sample_pinched(rng, dims, c, d, sigma):
-    """The rejection sampler one draw at a time, with ``np.linalg.norm`` and
-    ``rng.uniform``, as it was before the attempt formula was batched; returns
-    the form and the number of attempts it took."""
+def scalar_split_draw(rng, dims, c, d, sigma, boundary=False):
+    """The split draw of one trial, written out for one form: the form and
+    its drawn split, a dict of s^2, the budget B and the |h_ring|^2,
+    |A^-|^2 and f it assigns; ``boundary`` gives the form of the same
+    numbers on the boundary at d instead."""
     n, m = dims.n, dims.m
+    z = rng.standard_normal()
+    dirs = rng.standard_normal((m, n, n))
+    branch, u_f, u_t = rng.random(3)
+    dirs = dirs + dirs.transpose(0, 2, 1)
+    for a in range(m):
+        dirs[a] -= np.trace(dirs[a]) / n * np.eye(n)
+    sq = np.einsum("aij,aij->a", dirs, dirs)
+    h_norm, a_norm = np.sqrt(sq[0]), np.sqrt(sq[1:].sum())
+    if branch < 0.5:  # edge shares, log-uniform down to 1e-12; the power ufunc
+        # rounds as the batch does, where a float's ** may not
+        f_raw, t = np.power(10.0, 12 * (u_f - 1)), np.power(10.0, 12 * (u_t - 1))
+    else:  # flat Dirichlet(1, 1, 1) shares: f's is Beta(1, 2)
+        f_raw, t = 1 - np.sqrt(1 - u_f), u_t
+    t = t if m > 1 else 0.0
     g = c - 1.0 / n
-    cap = 0.5
-    for attempt in range(MAX_ATTEMPTS):
-        nu = rng.standard_normal(m)
-        nu /= np.linalg.norm(nu)
-        s = sigma * np.exp(0.5 * rng.standard_normal())
-        h0 = np.sqrt((d + s * s) / g)
-        base = (h0 / n) * np.eye(n)[None, :, :] * nu[:, None, None]
-        pert = rng.standard_normal((m, n, n))
-        pert = 0.5 * (pert + pert.transpose(0, 2, 1))
-        pert /= np.linalg.norm(pert)
-        tau = rng.uniform(0.0, cap) * s
-        A = symmetrize(base + tau * pert)
-        if c * mean_curvature(A).norm2 - A.norm2 - d > 0:
-            return A, attempt + 1
-        if attempt % 8 == 7:
-            cap *= 0.5
-    raise AssertionError("no pinched sample")
+    s2 = (sigma * np.exp(0.5 * z)) ** 2
+    budget = max(s2, F_ROUNDING * (2 * c / g + 1) * d / F_MIN)
+    rest = budget if boundary else (1 - F_MIN) * (1 - f_raw) * budget
+    A = dirs
+    A[0] *= np.sqrt((1 - t) * rest) / h_norm
+    if m > 1:
+        A[1:] *= np.sqrt(t * rest) / a_norm
+    A[0] += np.sqrt((d + budget) / g) / n * np.eye(n)
+    split = {"s2": s2, "budget": budget, "h_ring2": (1 - t) * rest, "a_minus2": t * rest,
+             "f": budget - rest}
+    return A, split
 
 
 def one_trial(spec, trial):
     """The inputs of one trial, each kind drawn from ``trial_rng`` directly,
-    and the rejection attempts its form took."""
+    and the split its form was drawn with."""
 
     def rng(tag):
         return trial_rng(spec.seed, trial, tag)
 
     dims, sigma = spec.dims, spec.sigma
-    form, attempts = scalar_sample_pinched(rng(TAG_FORM), dims, spec.c, spec.d, sigma)
+    form, split = scalar_split_draw(rng(TAG_FORM), dims, spec.c, spec.d, sigma)
+    boundary, _ = scalar_split_draw(rng(TAG_FORM), dims, spec.c, boundary_offset(spec.d), sigma,
+                                    boundary=True)
     out = {
-        "form": form.components,
+        "form": form,
+        "boundary_form": boundary,
         "matrices": symmetric_matrices(rng(TAG_MATRICES), dims.n, max(1, dims.m - 1), sigma),
         "grad_tensor": symmetric_three_tensor(rng(TAG_GRADIENT), dims, sigma),
         "w": sample_w(rng(TAG_W), dims, sigma),
     }
-    d = spec.d if spec.d > 0 else 1.0
-    out["boundary_form"] = rescale_to_boundary(form, spec.c, d).components
-    return out, attempts
+    return out, split
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_chunk_sampling_matches_trial_rng(name):
     spec = SPECS[name]
-    start = FIRST_TRIAL.get(name, 7)
-    trials = range(start, start + CHUNK + 3)
+    trials = range(7, 7 + CHUNK + 3)
     chunk = sample_trial_inputs(spec, substreams(spec, trials), ALL_KINDS)
     assert chunk.form.components.shape == (len(trials), spec.dims.m, spec.dims.n, spec.dims.n)
-    attempts = {}
+    floored = []
     for i, trial in enumerate(trials):
         alone = chunk.trial(i)
-        inputs, attempts[trial] = one_trial(spec, trial)
+        inputs, split = one_trial(spec, trial)
         for key, expected in inputs.items():
             got = getattr(alone, key)
             (got,) = got.components if key.endswith("form") else got  # a chunk of one
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (key, trial)
-    # which rows the batched rejection loop had to run again
-    if name == "halving":
-        assert attempts[482] == 12 and attempts[509] == 9
-    elif name == "rejecting":
-        assert max(attempts.values()) > 1
-    else:
-        assert set(attempts.values()) == {1}
+        floored.append(split["budget"] > split["s2"])
+    # the budget's rounding floor binds at d = 1e30 alone
+    assert all(floored) if name == "floor" else not any(floored)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5])

@@ -18,9 +18,9 @@ The runs write into a temporary directory:
 - ``verify`` of li at n=4, m=3 (8 trials), and of gradient and kato at
   n=8, m=3 (12 trials each), seed 1, each with a false bound (the rhs of
   ``check_li``, of every ``gradient_checks`` result, or of
-  ``check_kato_trace``, times 0.1), so that shrinking, the kept worst
-  trial and the counterexample files are digested too; kato's chunks
-  sample no form, so its kept trials draw theirs on their own;
+  ``check_kato_trace``, times 0.1), so that the kept worst trial and the
+  counterexample files, each its trial as drawn, are digested too; kato's
+  trials draw no form, and its kept trials draw their tensors on their own;
 - ``simulate`` of the four flow families at dt = 1e-4, and of the product
   and hyperbolic families to blow-up at dt = 1e-5, as the ``flow``
   benchmark workload runs them;

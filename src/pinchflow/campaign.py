@@ -1,4 +1,4 @@
-"""Seeded verification campaigns with counterexample capture and shrinking.
+"""Seeded verification campaigns with counterexample capture.
 
 A campaign draws ``trials`` independent samples from per-trial substreams of
 (seed, trial, input-kind) and evaluates a set of inequalities on each.  It
@@ -12,19 +12,19 @@ inequality reads a derivative tensor, all of them run on slices of a chunk
 sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
 each slice draws its own (m, n, n, n) tensors from its trials' substreams
 right before it is evaluated, so no more than a slice of them exists at
-once.  A chunk samples only what its ids read (``Lemma.reads``); a trial it
-keeps, a new worst or a violation, draws from its own substreams what they
-only record (kato's form), so every kept input is the one it gets drawn
-alone.  The substream states of each input kind are hashed once per block of
-``BLOCK`` trials, and every chunk of the block draws from slices of them, so
-the hash is paid per block and its memory does not grow with the campaign.
-A trial violates an inequality unless slack >= -tol * max(1, |lhs|, |rhs|),
-so a NaN slack is a violation, and so is a slack of -inf; the verdicts of
-every inequality on a chunk are judged in one pass over one (ids, trials)
-check.  On violation the offending trial, as a chunk of one, is halved while
-the violation persists and the shrunk witness is written to a JSON file
-with the config, which is all its replay needs (all entries as decimal
-strings with 17 significant digits).
+once; a trial the campaign keeps, a new worst or a violation, draws its
+tensor again from its own substream, so every kept input is the one it gets
+drawn alone.  The substream states of each input kind are hashed once per
+block of ``BLOCK`` trials, and every chunk of the block draws from slices of
+them, so the hash is paid per block and its memory does not grow with the
+campaign.  A trial violates an inequality unless
+slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation, and so
+is a slack of -inf; the verdicts of every inequality on a chunk are judged in
+one pass over one (ids, trials) check.  On violation the offending trial, as
+drawn, is written to a JSON file with the config, which is all its replay
+needs (all entries as decimal strings with 17 significant digits), and with
+the lhs and rhs of its evaluation as a chunk of one, which the replay
+reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import lemmas, samplers
-from .errors import PinchflowError
 from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, gradient_sample,
                     principal_decompose)
 from .samplers import (
@@ -57,7 +56,6 @@ from .samplers import (
 )
 
 DEFAULT_TOL = 1e-9
-MAX_SHRINK_STEPS = 64
 # trials whose substream states are hashed at once: 32 KB of states per kind
 BLOCK = CHUNK * CHUNK
 # the substream tag of each sampled input kind; "boundary" is drawn with the form
@@ -166,9 +164,6 @@ class TrialInputs:
              else _decode_array(payload[name])[None])
             for name in _FORMS + _ARRAYS if name in payload
         ))
-
-    def halved(self) -> "TrialInputs":
-        return self.of_arrays(self.dims, ((name, 0.5 * a) for name, a in self.arrays()))
 
     def digest(self) -> str:
         payload = json.dumps(self.encode(), sort_keys=True).encode()
@@ -334,28 +329,6 @@ def _violated(check: lemmas.InequalityCheck, tol: float) -> np.ndarray:
     return ~(check.slack >= -tol * check.scale) | (check.slack == -np.inf)
 
 
-def _shrink(
-    lemma_id: str,
-    inputs: TrialInputs,
-    config: CampaignConfig,
-    tol: float,
-) -> tuple[TrialInputs, lemmas.InequalityCheck]:
-    """Halve the inputs while the violation persists; return the last witness."""
-    current = inputs
-    check = evaluate_trial([lemma_id], current, config)
-    for _ in range(MAX_SHRINK_STEPS):
-        candidate = current.halved()
-        try:
-            cand_check = evaluate_trial([lemma_id], candidate, config)
-        except PinchflowError:
-            break
-        if _violated(cand_check, tol)[0, 0]:
-            current, check = candidate, cand_check
-        else:
-            break
-    return current, lemmas.InequalityCheck(lemma_id, check.lhs[0, 0], check.rhs[0, 0])
-
-
 def write_counterexample(
     path: str,
     lemma_id: str,
@@ -412,17 +385,15 @@ def run_campaign(
     if config is None:
         config = CampaignConfig(c=spec.c, d=spec.d)
     kinds = _needed_kinds(lemma_ids)
-    # a chunk samples what its ids read but their derivative tensors
-    sampled = set().union(*(lemmas.LEMMAS[lemma_id].reads for lemma_id in lemma_ids)) - {"grad"}
     chunk_trials = chunk_size(spec.dims, lemma_ids)
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
     for start, streams in _chunk_streams(spec.seed, trials, kinds, chunk_trials):
-        chunk = sample_trial_inputs(spec, streams, sampled)
-        # each slice of the chunk draws its own tensors, and each kept trial
-        # what the chunk holds none of: its tensor and what its ids only record
-        tensors, kept = (_deferred(spec, streams, k) for k in (kinds & {"grad"}, kinds - sampled))
+        # a chunk samples what its ids read but their derivative tensors,
+        # which each slice of it, and each trial it keeps, draws on its own
+        chunk = sample_trial_inputs(spec, streams, kinds - {"grad"})
+        tensors = _deferred(spec, streams, kinds & {"grad"})
         judged = evaluate_trial(lemma_ids, chunk, config, tensors)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
@@ -432,19 +403,21 @@ def run_campaign(
             if least < st["worst"]:
                 st["worst"], st["trial"] = least, start + i
                 if st["trial"] not in worst_inputs:
-                    worst_inputs[st["trial"]] = chunk.trial(i, kept)
+                    worst_inputs[st["trial"]] = chunk.trial(i, tensors)
         for k, i in zip(*np.nonzero(_violated(judged, tol))):
             lemma_id, trial = lemma_ids[k], start + int(i)
             stats[lemma_id]["violations"] += 1
-            shrunk_inputs, shrunk_check = _shrink(lemma_id, chunk.trial(int(i), kept), config, tol)
             if counterexample_dir is not None:
+                # the trial as drawn, and its sides as a chunk of one, as its replay gives them
+                witness = chunk.trial(int(i), tensors)
+                sides = evaluate_trial([lemma_id], witness, config)
                 os.makedirs(counterexample_dir, exist_ok=True)
                 name = f"counterexample_{lemma_id.replace('.', '_')}_{trial}.json"
                 write_counterexample(
-                    os.path.join(counterexample_dir, name),
-                    lemma_id, spec, config, trial, shrunk_inputs, shrunk_check,
+                    os.path.join(counterexample_dir, name), lemma_id, spec, config, trial,
+                    witness, lemmas.InequalityCheck(lemma_id, sides.lhs[0, 0], sides.rhs[0, 0]),
                 )
-        del chunk, streams, tensors, kept  # free them before the next ones are drawn
+        del chunk, streams, tensors  # free them before the next ones are drawn
         worst_trials = {st["trial"] for st in stats.values()}
         worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in worst_trials}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}

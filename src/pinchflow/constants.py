@@ -47,6 +47,14 @@ def c_n(n: int, regime: str = "general") -> Fraction:
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def pinching_gap(n: int, c: float | Fraction) -> float:
+    """g = c - 1/n, which every pinched estimate needs positive."""
+    g = c - 1.0 / n
+    if g <= 0:
+        raise InvalidConstants(f"need c > 1/n, got c={c} for n={n}")
+    return g
+
+
 def d_lower_bound(n: int, m: int, c: float | Fraction, K1: float, K2: float, L: float) -> float:
     """Lower bound for the pinching offset d under the background bounds.
 
@@ -61,13 +69,11 @@ def d_lower_bound(n: int, m: int, c: float | Fraction, K1: float, K2: float, L: 
     Returns 0 when K1 + K2 = 0 and L = 0 (flat regime needs no offset).
     """
     c = float(c)
-    if c <= 1.0 / n:
-        raise InvalidConstants(f"need c > 1/n, got c={c} for n={n}")
+    g = pinching_gap(n, c)
     if min(K1, K2, L) < 0:
         raise InvalidConstants("curvature bounds K1, K2, L must be nonnegative")
     if K1 + K2 == 0 and L == 0:
         return 0.0
-    g = c - 1.0 / n
     base = 4 * n * K1 + 2 * n * K2 + 2 * (n * c * K1 + K2) / g
     C1 = base + (RHO * n * (m - 1) + n * (m - 2)
                  + 16.0 / 3.0 * RHO * (n - 1) * (m - 1)) * (K1 + K2) + THETA
@@ -93,8 +99,7 @@ def kappa_n(n: int, c: float | Fraction) -> float:
 def space_form_d_lower(n: int, c: float | Fraction) -> float:
     """Minimal offset 2n - 2/c preserving Q <= 0 in a negative space form."""
     c = float(c)
-    if c <= 1.0 / n:
-        raise InvalidConstants(f"need c > 1/n, got c={c} for n={n}")
+    pinching_gap(n, c)
     return 2.0 * n - 2.0 / c
 
 
@@ -128,8 +133,7 @@ class PinchingConstants:
         n = self.dims.n
         if self.regime not in REGIMES:
             raise InvalidConstants(f"unknown regime {self.regime!r}")
-        if self.c <= 1.0 / n:
-            raise InvalidConstants(f"need c > 1/n = {1.0 / n}, got {self.c}")
+        pinching_gap(n, self.c)
         if self.regime == "euclidean":
             if self.d < 0:
                 raise InvalidConstants("euclidean regime needs d >= 0")

@@ -6,18 +6,18 @@ sampled data and reports them as an :class:`InequalityCheck` of
 :mod:`~pinchflow.reaction` return their two sides, which the lemma table
 wraps as checks.  :data:`LEMMAS` describes every identifier once, in report
 order: what it bounds, its ``verify`` suite, the sampled input kinds a
-trial of it records and those of them it reads, the homogeneity degree of
-its slack (forms scale linearly for the quartic reaction bounds,
-derivative samples for the quadratic gradient bounds) and the evaluator of
-its group.  Each gradient lemma L4.6-L4.9 is one formula; each of its two
-cases of c supplies coefficients to it.
+trial of it draws and reads, the homogeneity degree of its slack (forms
+scale linearly for the quartic reaction bounds, derivative samples for the
+quadratic gradient bounds) and the evaluator of its group.  Each gradient
+lemma L4.6-L4.9 is one formula; each of its two cases of c supplies
+coefficients to it.
 
 A point is its :class:`~pinchflow.forms.PrincipalDecomposition`, the result
 of ``principal_decompose(A)``, which carries the form A and its mean
 curvature H: the reaction evaluators take it alone, and the gradient ones a
 :class:`~pinchflow.forms.GradientSample`, which carries it as ``decomp``.
-The kato evaluators read only the sample's norms and Codazzi scan, so they
-also take a sample built with no split.
+The kato evaluators read only the sample's norms and Codazzi scan, so a
+kato trial draws no form and builds its sample with no split.
 
 Every evaluator also takes a batch of points (and of derivative samples)
 stacked along leading axes; its checks then hold one lhs and rhs per point,
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import c_n
+from .constants import c_n, pinching_gap
 from .errors import InvalidConstants, NotPinched
 from .forms import (
     GradientSample,
@@ -250,8 +250,7 @@ def gradient_checks(
     require_codazzi(grad)
     dec, H = grad.split, grad.split.H
     n = dec.dims.n
-    if c <= 1.0 / n:
-        raise InvalidConstants(f"need c > 1/n, got c={c}")
+    pinching_gap(n, c)
     gq = gradient_quantities(grad)
     f = c * H.norm2 - dec.a2 - d
     am2, hr2, nu12 = dec.a_minus2, dec.h_ring2, gq.nabla_nu12
@@ -344,16 +343,13 @@ GROUPS = (_li_group, _kato_group, _gradient_group, _reaction_group, _boundary_gr
 @dataclass(frozen=True)
 class Lemma:
     suite: str             # the ``verify --suite`` that reports it
-    kinds: frozenset[str]  # the sampled input kinds a trial of it records
+    kinds: frozenset[str]  # the sampled input kinds a trial of it draws and reads
     degree: int            # the homogeneity degree of its slack
     evaluate: Callable[..., list[InequalityCheck]]  # its group's evaluator
-    reads: frozenset[str]  # the kinds of ``kinds`` its evaluator reads
 
 
-def _entries(suite: str, ids: Sequence[str], kinds: set[str], degree: int, evaluate,
-             unread: Iterable[str] = ()):
-    reads = frozenset(kinds).difference(unread)
-    return {lemma_id: Lemma(suite, frozenset(kinds), degree, evaluate, reads) for lemma_id in ids}
+def _entries(suite: str, ids: Sequence[str], kinds: set[str], degree: int, evaluate):
+    return {lemma_id: Lemma(suite, frozenset(kinds), degree, evaluate) for lemma_id in ids}
 
 
 # every inequality id, in report order
@@ -361,10 +357,9 @@ LEMMAS: dict[str, Lemma] = {
     # trace squares plus commutators of symmetric matrices against 3/2 the
     # total norm squared
     **_entries("li", ["li"], {"matrices"}, 4, _li_group),
-    # sharpened Kato inequalities for the derivative of A against that of H;
-    # a trial records the form it sits at, but the checks read no form
-    **_entries("kato", ["kato.3.1", "kato.3.2"], {"form", "grad", "w"}, 2, _kato_group,
-               unread={"form"}),
+    # sharpened Kato inequalities for the derivative of A against that of H,
+    # which hold for any Codazzi tensor: no form, so no pinching
+    **_entries("kato", ["kato.3.1", "kato.3.2"], {"grad", "w"}, 2, _kato_group),
     # reaction estimates, flat specialization
     **_entries("reaction", ["4.5", "4.6", "4.10", "4.12", "4.14"], {"form"}, 4, _reaction_group),
     # the reaction estimate on the pinching boundary

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConstants, NotPinched
+from .constants import pinching_gap
+from .errors import NotPinched
 from .forms import (
     MeanCurvature,
     NormalCurvature,
@@ -71,9 +72,7 @@ def boundary_reaction_bound(
     batch).
     """
     n = decomp.dims.n
-    g = c - 1.0 / n
-    if g <= 0:
-        raise InvalidConstants(f"need c > 1/n, got c={c}")
+    g = pinching_gap(n, c)
     H = decomp.H
     scale = np.maximum(np.maximum(1.0, decomp.a2), c * H.norm2)
     if np.any(abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale):
@@ -110,9 +109,7 @@ def cc_reaction_upper_bound(
     finite time; it is None otherwise.
     """
     n = decomp.dims.n
-    g = c - 1.0 / n
-    if g <= 0:
-        raise InvalidConstants(f"need c > 1/n, got c={c}")
+    g = pinching_gap(n, c)
     H = decomp.H
     R1, R2 = r1(decomp.form), r2(decomp.form, H)
     lhs = 2 * R1 - 2 * c * R2 - 2 * n * kbar * decomp.a_ring2 - 2 * n * kbar * g * H.norm2

@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .constants import pinching_gap
 from .errors import InvalidConstants
 from .forms import Dims, SecondFundamentalForm, symmetrize
 from .lemmas import boundary_offset
@@ -234,9 +235,7 @@ def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float
     boundary), and |h_ring|^2 and |A^-|^2 split what f leaves.
     """
     n, m = dims.n, dims.m
-    g = c - 1.0 / n
-    if g <= 0:
-        raise InvalidConstants(f"pinched sampling needs c > 1/n, got c={c} for n={n}")
+    g = pinching_gap(n, c)
     if not 0 <= d <= MAX_D:
         raise InvalidConstants(f"d must be in [0, {MAX_D:g}] for pinched sampling, got {d}")
     k = len(rngs)

@@ -1,4 +1,4 @@
-"""Campaign machinery: determinism, constrained samplers, shrinking, replay."""
+"""Campaign machinery: determinism, constrained samplers, counterexamples, replay."""
 
 import json
 from dataclasses import asdict
@@ -24,6 +24,7 @@ from pinchflow.campaign import (
     sample_trial_inputs,
     write_counterexample,
 )
+from pinchflow.cli import main
 from pinchflow.forms import Dims, mean_curvature, principal_decompose
 from pinchflow.lemmas import LEMMAS, InequalityCheck
 from pinchflow.samplers import SamplerSpec, sample_form
@@ -185,7 +186,7 @@ def test_groups_call_their_checks_by_module_attribute(name, ids, monkeypatch):
 
 
 class TestViolationPath:
-    def test_shrinking_and_replay(self, tmp_path, monkeypatch):
+    def test_counterexample_and_replay(self, tmp_path, monkeypatch):
         # patch in a deliberately false inequality to drive the counterexample
         # machinery end to end
         def bogus_li(matrices):
@@ -204,11 +205,11 @@ class TestViolationPath:
         assert len(files) == 3
         lemma_id, inputs, config = load_counterexample(str(files[0]))
         assert lemma_id == "li"
-        # shrunk witness still violates by at least the tolerance
+        # the witness violates by at least the tolerance, and is its trial as drawn
         chk = bogus_li(inputs.matrices)
         assert chk.slack < -1e-9 * chk.scale
-        # the halving shrink ran: entries are far below the unit-scale draw
-        assert max(np.max(np.abs(b)) for b in inputs.matrices) < 1e-3
+        drawn = sample_trial_inputs(spec, substreams(spec, [0]), {"matrices"})
+        assert inputs.matrices.tobytes() == drawn.matrices.tobytes()
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
         def nan_li(matrices):
@@ -252,9 +253,9 @@ class TestViolationPath:
 
     def test_kept_trials_draw_their_tensors_again(self, tmp_path, monkeypatch):
         # a false kato.3.2 holds on every trial but the one with the largest
-        # derivative tensor, and again once that one is halved: its
-        # counterexample and worst-trial digest carry the tensor drawn again
-        # from the trial's substream, which must be the one sampled alone
+        # derivative tensor: its counterexample and worst-trial digest carry
+        # the tensor drawn again from the trial's substream, which must be the
+        # one sampled alone
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=23)
         ids, trials = ["kato.3.1", "kato.3.2"], 67
         alone = [sample_trial_inputs(spec, substreams(spec, [t]), _needed_kinds(ids))
@@ -277,11 +278,11 @@ class TestViolationPath:
         for name, array in alone[top].arrays():
             assert dict(inputs.arrays())[name].tobytes() == array.tobytes(), name
 
-    def test_kato_counterexamples_replay_with_their_form(self, tmp_path, monkeypatch):
-        # a false kato.3.2 (rhs times 0.1): kato's chunks sample no form, so
-        # each violating and each worst trial draws its own, which must be
-        # the row that trial gets in a chunk that samples forms
-        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=37)
+    def test_kato_counterexamples_replay_as_drawn(self, tmp_path, monkeypatch):
+        # a false kato.3.2 (rhs times 0.1): kato's chunks sample no form, and
+        # each violating and each worst trial draws its tensor again, which
+        # must be the row that trial gets in a chunk that samples tensors
+        spec = SamplerSpec(Dims(8, 3), seed=37)
         ids, trials, true = ["kato.3.1", "kato.3.2"], 12, pinchflow.lemmas.check_kato_trace
 
         def false_trace(grad, w):
@@ -290,7 +291,7 @@ class TestViolationPath:
 
         monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
         chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), _needed_kinds(ids))
-        config = CampaignConfig(c=spec.c, d=spec.d)
+        config = CampaignConfig()
         judged = evaluate_trial(ids, chunk, config)
         results = run_campaign(spec, ids, trials, config=config, counterexample_dir=str(tmp_path))
         violated = _violated(judged, DEFAULT_TOL)
@@ -302,15 +303,12 @@ class TestViolationPath:
         assert len(paths) == results[1].violations
         for path in paths:
             payload = json.loads(path.read_text())
-            assert {"form", "grad_tensor", "w"} <= payload["inputs"].keys()
+            assert payload["inputs"].keys() == {"dims", "grad_tensor", "w"}
             lemma_id, inputs, loaded = load_counterexample(str(path))
             assert _violated(evaluate_trial([lemma_id], inputs, loaded), DEFAULT_TOL)[0, 0]
-            # the witness is its trial halved k times, which is exact
             row = chunk.trial(payload["trial"])
-            k = next(k for k in range(65) if np.array_equal(
-                np.ldexp(inputs.grad_tensor, k), row.grad_tensor))
             for name, array in row.arrays():
-                assert np.ldexp(dict(inputs.arrays())[name], k).tobytes() == array.tobytes(), name
+                assert dict(inputs.arrays())[name].tobytes() == array.tobytes(), name
 
     def test_boundary_counterexample_replays_from_its_file(self, tmp_path, monkeypatch):
         # at d = 0 the boundary estimate is taken at offset 1; the file
@@ -363,12 +361,64 @@ class TestViolationPath:
             assert np.isnan(decoded[~finite]).all()
             assert decoded[finite].tobytes() == a[finite].tobytes()
 
-    def test_halved_inputs(self):
-        spec = SamplerSpec(Dims(4, 2), c=0.3, d=0.2, seed=37)
-        inputs = sample_trial_inputs(spec, substreams(spec, [0]), {"form", "grad", "w"})
-        half = inputs.halved()
-        assert np.array_equal(half.form.components, 0.5 * inputs.form.components)
-        assert np.array_equal(half.grad_tensor, 0.5 * inputs.grad_tensor)
+
+# (lemma attribute, suite, n, m, trials) of the false-bound runs of
+# scripts/output_digests.py, each at seed 1 with the rhs times 0.1
+FALSE_BOUNDS = [("check_li", "li", 4, 3, 8), ("gradient_checks", "gradient", 8, 3, 12),
+                ("check_kato_trace", "kato", 8, 3, 12)]
+
+
+def tenth_of_rhs(evaluate):
+    """``evaluate`` with the rhs of each check it returns times 0.1."""
+
+    def false(*args):
+        out = evaluate(*args)
+        checks = [out] if isinstance(out, InequalityCheck) else out
+        false_checks = [InequalityCheck(c.lemma_id, c.lhs, 0.1 * c.rhs) for c in checks]
+        return false_checks[0] if isinstance(out, InequalityCheck) else false_checks
+
+    return false
+
+
+@pytest.mark.parametrize("name, suite, n, m, trials", FALSE_BOUNDS,
+                         ids=[suite for _, suite, *_ in FALSE_BOUNDS])
+def test_false_bound_witnesses_are_their_trials_as_drawn(name, suite, n, m, trials,
+                                                         tmp_path, monkeypatch):
+    # each counterexample file holds its trial drawn alone, bit for bit, and
+    # the sides of its replay; it is flagged well below its own scale, and
+    # it is the worst-trial digest of every id whose worst trial it is
+    monkeypatch.setattr(pinchflow.lemmas, name, tenth_of_rhs(getattr(pinchflow.lemmas, name)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--n", str(n), "--m", str(m), "--trials",
+                 str(trials), "--seed", "1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    spec = SamplerSpec(Dims(n, m), c=report["constants"]["c"], seed=1)
+    ids = [r["lemma_id"] for r in report["results"]]
+    kinds = _needed_kinds(ids)
+    # the whole campaign as one chunk of its trials, for each id's worst trial
+    chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), kinds)
+    _, _, config = load_counterexample(str(next(tmp_path.glob("counterexample_*.json"))))
+    judged = evaluate_trial(ids, chunk, config)
+    worst = np.argmin(np.where(np.isnan(judged.slack), np.inf, judged.slack), axis=1).tolist()
+    paths = sorted(tmp_path.glob("counterexample_*.json"))
+    assert len(paths) == sum(r["violations"] for r in report["results"]) > 0
+    for path in paths:
+        payload = json.loads(path.read_text())
+        lemma_id, inputs, loaded = load_counterexample(str(path))
+        trial = payload["trial"]
+        alone = sample_trial_inputs(spec, substreams(spec, [trial]), kinds)
+        assert dict(inputs.arrays()).keys() == dict(alone.arrays()).keys()
+        for key, array in alone.arrays():
+            assert dict(inputs.arrays())[key].tobytes() == array.tobytes(), (path.name, key)
+        replay = evaluate_trial([lemma_id], inputs, loaded)
+        lhs, rhs = replay.lhs[0, 0], replay.rhs[0, 0]
+        assert np.float64(payload["lhs"]).tobytes() == lhs.tobytes(), path.name
+        assert np.float64(payload["rhs"]).tobytes() == rhs.tobytes(), path.name
+        assert _violated(replay, DEFAULT_TOL)[0, 0], path.name
+        assert (rhs - lhs) / max(abs(lhs), abs(rhs)) <= -0.1, path.name
+        for result, least in zip(report["results"], worst):
+            if least == trial:
+                assert result["worst_input_digest"] == inputs.digest(), (path.name, result)
 
 
 # the 8 counterexample files of verify --suite reaction --n 8 --m 3 --trials

@@ -172,7 +172,6 @@ class TestVerify:
         ("reaction", "--d", "nan", "d"),
         # a negative d made NaN pinched forms instead of an error naming it
         ("reaction", "--d", "-1", "d"),
-        ("kato", "--d", "-1", "d"),
         ("gradient", "--d", "-0.5", "d"),
         ("all", "--d", "-1", "d"),
         ("li", "--sigma", "inf", "sigma"),
@@ -194,13 +193,29 @@ class TestVerify:
         assert out == "" and f"error: {name} must be" in err
 
     # li draws no form, so it reads no d, and its sides stay finite at the
-    # largest sigma
-    @pytest.mark.parametrize("flag, value", [("--d", "-1"), ("--d", "1e200"),
-                                             ("--sigma", "1e50")])
-    def test_li_runs_at_the_edges(self, capsys, flag, value):
-        code, out, _ = run(capsys, "verify", "--suite", "li", "--trials", "64", "--seed", "1",
+    # largest sigma; kato draws no form either
+    @pytest.mark.parametrize("suite, flag, value", [
+        pytest.param("li", "--d", "-1", id="--d--1"),
+        pytest.param("li", "--d", "1e200", id="--d-1e200"),
+        pytest.param("li", "--sigma", "1e50", id="--sigma-1e50"),
+        pytest.param("kato", "--d", "-1", id="kato---d--1"),
+    ])
+    def test_li_runs_at_the_edges(self, capsys, suite, flag, value):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "64", "--seed", "1",
                            "--n", "4", "--m", "3", flag, value)
-        assert code == 0 and json.loads(out)["results"][0]["violations"] == 0
+        assert code == 0
+        assert all(r["violations"] == 0 for r in json.loads(out)["results"])
+
+    # the kato inequalities hold for any Codazzi tensor, so they need no
+    # pinching coefficient, which is undefined below n = 5
+    @pytest.mark.parametrize("n", ["2", "3", "4"])
+    def test_kato_runs_below_n5(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--suite", "kato", "--trials", "2000",
+                             "--seed", "1", "--n", n, "--m", "3")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["constants"]["c"] == 0.0
+        assert [r["violations"] for r in report["results"]] == [0, 0]
 
     def test_report_is_strict_json(self, capsys, monkeypatch, tmp_path):
         # every slack NaN: there is no worst slack, and the report says null
@@ -275,9 +290,9 @@ def test_suite_reports_its_documented_ids(capsys, suite):
     assert code == 0
     report = json.loads(out)
     assert [r["lemma_id"] for r in report["results"]] == DOCUMENTED_IDS[suite]
-    # li alone reads no form: no coefficient; the gradient estimates take
+    # li and kato read no form: no coefficient; the gradient estimates take
     # the case-1 delta 1/(5n - 8)
-    assert report["constants"]["c"] == (0.0 if suite == "li" else 1 / 6)
+    assert report["constants"]["c"] == (0.0 if suite in ("li", "kato") else 1 / 6)
     assert report["constants"]["delta"] == (1 / 32 if suite in ("gradient", "all") else 0.5)
 
 

@@ -30,7 +30,7 @@ from .reaction import (
     r2,
     reaction_gap,
 )
-from .campaign import CampaignConfig, CheckResult, run_campaign
+from .campaign import CheckResult, run_campaign
 from .flow import (
     CylinderFlow,
     FlowState,

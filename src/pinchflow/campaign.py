@@ -21,10 +21,10 @@ campaign.  A trial violates an inequality unless
 slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation, and so
 is a slack of -inf; the verdicts of every inequality on a chunk are judged in
 one pass over one (ids, trials) check.  On violation the offending trial, as
-drawn, is written to a JSON file with the config, which is all its replay
-needs (all entries as decimal strings with 17 significant digits), and with
-the lhs and rhs of its evaluation as a chunk of one, which the replay
-reproduces bit for bit.
+drawn, is written to a JSON file with the seed and the lemma constants of
+its spec, which are all its replay needs (all entries as decimal strings
+with 17 significant digits), and with the lhs and rhs of its evaluation as a
+chunk of one, which the replay reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +60,8 @@ DEFAULT_TOL = 1e-9
 BLOCK = CHUNK * CHUNK
 # the substream tag of each sampled input kind; "boundary" is drawn with the form
 _KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
+# the spec's fields that a counterexample file and a verify report record as "constants"
+CONSTANTS = ("c", "d", "delta", "eta", "eps0")
 
 
 @dataclass(frozen=True)
@@ -168,17 +170,6 @@ class TrialInputs:
     def digest(self) -> str:
         payload = json.dumps(self.encode(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Lemma parameters shared by all trials of a campaign."""
-
-    c: float = 0.0
-    d: float = 0.0
-    delta: float = 0.5
-    eta: float | None = None       # kato; defaults to (n-1)/(n(n+2))
-    eps0: float | None = None      # case-2 gradient regime margin
 
 
 def _needed_kinds(lemma_ids: Sequence[str]) -> set[str]:
@@ -294,14 +285,14 @@ def _plan(lemma_ids: tuple[str, ...], dims: Dims) -> tuple[tuple, int | None]:
 def evaluate_trial(
     lemma_ids: Sequence[str],
     chunk: TrialInputs,
-    config: CampaignConfig,
+    spec: SamplerSpec,
     draw: Callable[[slice], TrialInputs] | None = None,
 ) -> lemmas.InequalityCheck:
     """Evaluate every requested inequality on a chunk of trials.
 
     ``chunk`` holds the inputs stacked along a leading axis; the check has
     one row of lhs and rhs per id of ``lemma_ids`` and one column per trial,
-    and every constant an id reads comes from ``config``.
+    and every constant an id reads comes from ``spec``.
     Each group of the lemma table runs once per evaluation unit (the whole
     chunk, or slices of :func:`derivative_slice` trials when an id reads a
     derivative tensor), which splits each of its forms once and builds one
@@ -317,7 +308,7 @@ def evaluate_trial(
         part = slice(start, start + (slice_trials or trials))
         inputs = chunk if slice_trials is None else chunk.trial(part, draw)
         for evaluate, ids, rows in groups:
-            for row, check in zip(rows, evaluate(ids, inputs, config)):
+            for row, check in zip(rows, evaluate(ids, inputs, spec)):
                 lhs[row, part], rhs[row, part] = check.lhs, check.rhs
         del inputs  # its points and tensors are freed before the next slice is drawn
     return lemmas.InequalityCheck(",".join(lemma_ids), lhs, rhs)
@@ -333,7 +324,6 @@ def write_counterexample(
     path: str,
     lemma_id: str,
     spec: SamplerSpec,
-    config: CampaignConfig,
     trial: int,
     inputs: TrialInputs,
     check: lemmas.InequalityCheck,
@@ -342,7 +332,7 @@ def write_counterexample(
         "lemma_id": lemma_id,
         "seed": spec.seed,
         "trial": trial,
-        "constants": {k: None if v is None else _fmt(v) for k, v in asdict(config).items()},
+        "constants": {k: None if (v := getattr(spec, k)) is None else _fmt(v) for k in CONSTANTS},
         "lhs": _fmt(check.lhs),
         "rhs": _fmt(check.rhs),
         "slack": _fmt(check.slack),
@@ -352,13 +342,16 @@ def write_counterexample(
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-def load_counterexample(path: str) -> tuple[str, TrialInputs, CampaignConfig]:
+def load_counterexample(path: str) -> tuple[str, TrialInputs, SamplerSpec]:
+    """The lemma id, trial and spec of a counterexample file; the file keeps
+    no sigma, which only a draw reads, so the spec has the default one."""
     with open(path) as fh:
         payload = json.load(fh)
-    config = CampaignConfig(**{
+    inputs = TrialInputs.decode(payload["inputs"])
+    spec = SamplerSpec(inputs.dims, seed=payload["seed"], **{
         k: None if v is None else float(v) for k, v in payload["constants"].items()
     })
-    return payload["lemma_id"], TrialInputs.decode(payload["inputs"]), config
+    return payload["lemma_id"], inputs, spec
 
 
 def run_campaign(
@@ -366,24 +359,23 @@ def run_campaign(
     lemma_ids: Sequence[str],
     trials: int,
     tol: float = DEFAULT_TOL,
-    config: CampaignConfig | None = None,
     counterexample_dir: str | None = None,
 ) -> list[CheckResult]:
     """Run ``trials`` seeded trials of every inequality in ``lemma_ids``.
 
     Results come back in the order the ids were given, and an id given
     twice is a ``ValueError``; an empty id list yields an empty result list.
-    Identical (seed, spec, ids) reproduce bit-identical inputs and results.
+    Identical (spec, ids) reproduce bit-identical inputs and results.  tol
+    is relative to the scale max(1, |lhs|, |rhs|) and must be in [0, 1): at
+    2 it would pass every finite slack, as |rhs - lhs| <= 2 max(|lhs|, |rhs|).
     """
     if trials < 1:
         raise ValueError(f"a campaign needs at least one trial, got {trials}")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     lemma_ids = list(lemma_ids)
     if not lemma_ids:
         return []
-    if config is None:
-        config = CampaignConfig(c=spec.c, d=spec.d)
     kinds = _needed_kinds(lemma_ids)
     chunk_trials = chunk_size(spec.dims, lemma_ids)
 
@@ -394,7 +386,7 @@ def run_campaign(
         # which each slice of it, and each trial it keeps, draws on its own
         chunk = sample_trial_inputs(spec, streams, kinds - {"grad"})
         tensors = _deferred(spec, streams, kinds & {"grad"})
-        judged = evaluate_trial(lemma_ids, chunk, config, tensors)
+        judged = evaluate_trial(lemma_ids, chunk, spec, tensors)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
         worst = np.argmin(slack, axis=1)
@@ -410,11 +402,11 @@ def run_campaign(
             if counterexample_dir is not None:
                 # the trial as drawn, and its sides as a chunk of one, as its replay gives them
                 witness = chunk.trial(int(i), tensors)
-                sides = evaluate_trial([lemma_id], witness, config)
+                sides = evaluate_trial([lemma_id], witness, spec)
                 os.makedirs(counterexample_dir, exist_ok=True)
                 name = f"counterexample_{lemma_id.replace('.', '_')}_{trial}.json"
                 write_counterexample(
-                    os.path.join(counterexample_dir, name), lemma_id, spec, config, trial,
+                    os.path.join(counterexample_dir, name), lemma_id, spec, trial,
                     witness, lemmas.InequalityCheck(lemma_id, sides.lhs[0, 0], sides.rhs[0, 0]),
                 )
         del chunk, streams, tensors  # free them before the next ones are drawn

@@ -15,12 +15,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import lemmas
-from .campaign import CampaignConfig, run_campaign
+from .campaign import CONSTANTS, run_campaign
 from .constants import (
     PinchingConstants,
     c_n,
@@ -99,25 +99,20 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    _require_finite(args, "delta", "eta", "eps0")
+    # the options as typed, checked before c and delta are derived from eps0
+    typed = {k: v for k in ("delta", "eta", "eps0") if (v := getattr(args, k)) is not None}
+    spec = SamplerSpec(Dims(n, m), **typed)
     seed = _resolve_seed(args.seed)
     ids = SUITES[args.suite]
     c, delta, eps0 = lemmas.default_constants(ids, n, args.c, args.delta, args.eps0)
-    spec = SamplerSpec(dims=Dims(n, m), sigma=args.sigma, c=c, d=args.d, seed=seed)
-    config = CampaignConfig(c=c, d=args.d, delta=delta, eta=args.eta, eps0=eps0)
+    spec = replace(spec, sigma=args.sigma, c=c, d=args.d, seed=seed, delta=delta, eps0=eps0)
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
-    results = run_campaign(
-        spec, ids, args.trials, tol=args.tol, config=config,
-        counterexample_dir=out_dir,
-    )
+    results = run_campaign(spec, ids, args.trials, tol=args.tol, counterexample_dir=out_dir)
     report = {
         "seed": seed,
         "suite": args.suite,
         "dims": {"n": n, "m": m},
-        "constants": {
-            "c": c, "d": args.d, "delta": delta,
-            "eta": args.eta, "eps0": eps0,
-        },
+        "constants": {k: getattr(spec, k) for k in CONSTANTS},
         "trials": args.trials,
         "results": [asdict(r) for r in results],
     }
@@ -181,14 +176,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     family = _build_family(args.family, params)
     n = family.n
     c = args.c if args.c is not None else float(c_n(n, "general"))
-    if args.family == "hyperbolic":
-        d = args.d if args.d is not None else space_form_d_lower(n, c)
-        constants = PinchingConstants(
-            Dims(n, family.m), c, d, regime="space_form", Kbar=family.kbar
-        )
-    else:
-        d = args.d if args.d is not None else 0.0
-        constants = PinchingConstants(Dims(n, family.m), c, d)
+    kbar = family.kbar if args.family == "hyperbolic" else None
+    d = args.d if args.d is not None else 0.0 if kbar is None else space_form_d_lower(n, c)
+    constants = PinchingConstants(Dims(n, family.m), c, d, Kbar=kbar)
     t_end = args.t_end if args.t_end is not None else family.blowup_time()
     series = simulate(family, constants, dt=args.dt, t_end=t_end, every=args.every)
     if args.out:

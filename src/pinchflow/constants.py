@@ -25,7 +25,6 @@ from fractions import Fraction
 from .errors import InvalidConstants, NonpositiveKappa, UnsupportedDimension
 from .forms import Dims, PrincipalDecomposition
 
-REGIMES = ("euclidean", "bounded_background", "space_form")
 RHO = THETA = VARTHETA = 1.0  # the Young parameters of d_lower_bound
 
 
@@ -105,59 +104,35 @@ def space_form_d_lower(n: int, c: float | Fraction) -> float:
 
 @dataclass(frozen=True)
 class PinchingConstants:
-    """Pinching constants (c, d) plus the background regime they live in.
-
-    ``regime`` is one of ``euclidean`` (flat, d >= 0), ``bounded_background``
-    (sectional curvature in [-K1, K2], |first derivative| <= L; d must reach
-    the assembled lower bound) or ``space_form`` (constant curvature Kbar;
-    for Kbar < 0 requires d >= 2n - 2/c).  Equality with the lower bound is
-    accepted but flagged with a warning, since the strictness needed by the
-    maximum principle is analytic rather than numeric.
+    """Pinching constants (c, d) in flat space (``Kbar`` None, d >= 0) or in
+    a space form of constant curvature ``Kbar``, which for Kbar < 0 requires
+    d >= 2n - 2/c.  Equality with that bound is accepted but flagged with a
+    warning, since the strictness needed by the maximum principle is
+    analytic rather than numeric.  A background of bounded geometry enters
+    only through the lower bound :func:`d_lower_bound` of its d.
     """
 
     dims: Dims
     c: float
     d: float = 0.0
-    regime: str = "euclidean"
-    K1: float = 0.0
-    K2: float = 0.0
-    L: float = 0.0
-    Kbar: float = 0.0
+    Kbar: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", float(self.c))
-        for name in ("c", "d", "K1", "K2", "L", "Kbar"):
+        for name in ("c", "d", "Kbar"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise InvalidConstants(f"{name} must be a finite number, got {value}")
-        n = self.dims.n
-        if self.regime not in REGIMES:
-            raise InvalidConstants(f"unknown regime {self.regime!r}")
-        pinching_gap(n, self.c)
-        if self.regime == "euclidean":
-            if self.d < 0:
-                raise InvalidConstants("euclidean regime needs d >= 0")
-        elif self.regime == "bounded_background":
-            lower = d_lower_bound(n, self.dims.m, self.c, self.K1, self.K2, self.L)
+        pinching_gap(self.dims.n, self.c)
+        if self.Kbar is None and self.d < 0:
+            raise InvalidConstants("flat space needs d >= 0")
+        if self.Kbar is not None and self.Kbar < 0:
+            lower = space_form_d_lower(self.dims.n, self.c)
             if self.d < lower:
-                raise InvalidConstants(f"d={self.d} below lower bound {lower}")
-            if self.d == lower and lower > 0:
-                warnings.warn(
-                    "d equals its lower bound; preservation needs strict inequality",
-                    stacklevel=3,
-                )
-        else:
-            if self.Kbar < 0:
-                lower = space_form_d_lower(n, self.c)
-                if self.d < lower:
-                    raise InvalidConstants(
-                        f"space form with Kbar<0 needs d >= 2n - 2/c = {lower}"
-                    )
-                if self.d == lower:
-                    warnings.warn(
-                        "d equals 2n - 2/c; preservation needs strict inequality",
-                        stacklevel=3,
-                    )
+                raise InvalidConstants(f"space form with Kbar<0 needs d >= 2n - 2/c = {lower}")
+            if self.d == lower:
+                warnings.warn("d equals 2n - 2/c; preservation needs strict inequality",
+                              stacklevel=3)
 
 
 def pinching_f(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
@@ -166,7 +141,7 @@ def pinching_f(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
 
 
 def pinching_Q(decomp: PrincipalDecomposition, k: PinchingConstants) -> float:
-    """Q = |Aring|^2 - (c - 1/n) |H|^2 - d Kbar (space-form regime only)."""
-    if k.regime != "space_form":
-        raise InvalidConstants("Q is defined in the space_form regime")
+    """Q = |Aring|^2 - (c - 1/n) |H|^2 - d Kbar (space form only)."""
+    if k.Kbar is None:
+        raise InvalidConstants("Q is defined in a space form only")
     return decomp.a_ring2 - (k.c - 1.0 / k.dims.n) * decomp.H.norm2 - k.d * k.Kbar

@@ -165,15 +165,21 @@ class HyperbolicSphereFlow:
     def kappa(self) -> float:
         return math.sqrt(-self.kbar)
 
+    @cached_property
+    def _log_cosh0(self) -> float:
+        # log1p(u0) with u0 = cosh(kappa r0) - 1 = 2 sinh^2(kappa r0 / 2), exact at small kappa r0
+        return math.log1p(2.0 * math.sinh(0.5 * self.kappa * self.r0) ** 2)
+
     def blowup_time(self) -> float:
         # cosh(kappa r(t)) = cosh(kappa r0) exp(n kbar t) reaches 1
-        return math.log(math.cosh(self.kappa * self.r0)) / (self.n * self.kappa**2)
+        return self._log_cosh0 / (self.n * -self.kbar)
 
     def exact_params(self, t: float) -> tuple[float, ...]:
-        ch = math.cosh(self.kappa * self.r0) * math.exp(self.n * self.kbar * t)
-        if ch <= 1.0:
+        # u = cosh(kappa r) - 1 = 2 sinh^2(kappa r / 2)
+        u = math.expm1(self._log_cosh0 + self.n * self.kbar * t)
+        if u <= 0.0:
             raise PastBlowup(f"t={t} at or past blow-up T={self.blowup_time()}")
-        return (math.acosh(ch) / self.kappa,)
+        return (2.0 * math.asinh(math.sqrt(0.5 * u)) / self.kappa,)
 
     @cached_property
     def radius_rates(self) -> tuple[Callable[[float], float]]:
@@ -248,8 +254,7 @@ def step_rk4(state: FlowState, dt: float) -> FlowState:
 class TimeSeries:
     """A diagnostics series, one float64 array per CSV column.
 
-    ``param2`` is NaN for one-radius families and Q is NaN outside the
-    space-form regime.
+    ``param2`` is NaN for one-radius families and Q is NaN in flat space.
     """
 
     header: ClassVar[str] = CSV_HEADER
@@ -279,7 +284,7 @@ def diagnostics(family: Family, t: np.ndarray | list[float],
                 constants: PinchingConstants) -> TimeSeries:
     """All scalar diagnostics of ``family`` at times ``t``, shape (k,), and
     radii ``params``, shape (k, j), evaluated together on the stacked forms."""
-    if constants.regime == "space_form" and constants.Kbar != family.kbar:
+    if constants.Kbar is not None and constants.Kbar != family.kbar:
         raise InvalidConstants(
             f"constants Kbar={constants.Kbar} but family has kbar={family.kbar}"
         )
@@ -292,7 +297,7 @@ def diagnostics(family: Family, t: np.ndarray | list[float],
         np.asarray(t, dtype=np.float64), params[:, 0],
         params[:, 1] if params.shape[1] > 1 else nan,
         dec.a2, H2, dec.h2, dec.a_minus2, f,
-        pinching_Q(dec, constants) if constants.regime == "space_form" else nan,
+        nan if constants.Kbar is None else pinching_Q(dec, constants),
         dec.a2 / H2,
         np.divide(dec.a_minus2, f, out=nan.copy(), where=f > 0),
         dec.a2 - H2 / (family.n - 1),

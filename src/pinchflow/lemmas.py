@@ -301,7 +301,7 @@ def gradient_checks(
 # ``TrialInputs`` of one evaluation unit (the ``dims``, ``matrices`` and
 # ``w`` of its trials, the splits ``decomp`` and ``boundary_decomp`` of its
 # forms and its derivative sample ``grad``, split only when the unit holds
-# forms) and the campaign's config, which holds every constant it reads.  It
+# forms) and the campaign's spec, which holds every constant it reads.  It
 # calls the checks by module attribute, so a rebound attribute is what runs.
 
 def boundary_offset(d: float) -> float:
@@ -310,12 +310,12 @@ def boundary_offset(d: float) -> float:
     return d if d > 0 else 1.0
 
 
-def _li_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
+def _li_group(ids: Sequence[str], inputs, spec) -> list[InequalityCheck]:
     return [check_li(inputs.matrices) for _ in ids]
 
 
-def _kato_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
-    eta = config.eta if config.eta is not None else default_kato_eta(inputs.dims.n)
+def _kato_group(ids: Sequence[str], inputs, spec) -> list[InequalityCheck]:
+    eta = spec.eta if spec.eta is not None else default_kato_eta(inputs.dims.n)
     return [
         check_kato(inputs.grad, inputs.w, eta) if lemma_id == "kato.3.1"
         else check_kato_trace(inputs.grad, inputs.w)
@@ -323,16 +323,16 @@ def _kato_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
     ]
 
 
-def _gradient_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
-    return gradient_checks(ids, inputs.grad, config.c, config.d, config.delta, config.eps0)
+def _gradient_group(ids: Sequence[str], inputs, spec) -> list[InequalityCheck]:
+    return gradient_checks(ids, inputs.grad, spec.c, spec.d, spec.delta, spec.eps0)
 
 
-def _reaction_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
-    return reaction_checks(ids, inputs.decomp, config.c, config.d, config.delta)
+def _reaction_group(ids: Sequence[str], inputs, spec) -> list[InequalityCheck]:
+    return reaction_checks(ids, inputs.decomp, spec.c, spec.d, spec.delta)
 
 
-def _boundary_group(ids: Sequence[str], inputs, config) -> list[InequalityCheck]:
-    sides = boundary_reaction_bound(inputs.boundary_decomp, config.c, boundary_offset(config.d))
+def _boundary_group(ids: Sequence[str], inputs, spec) -> list[InequalityCheck]:
+    sides = boundary_reaction_bound(inputs.boundary_decomp, spec.c, boundary_offset(spec.d))
     return [InequalityCheck("boundary", *sides) for _ in ids]
 
 

@@ -58,22 +58,28 @@ _MASK32 = 2**32 - 1
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample: dimensions, Gaussian scale, the pinching constants of
-    the forms (checked where a form is drawn), and the seed."""
+    """Every constant of a campaign: dimensions, Gaussian scale, the pinching
+    constants of the forms (checked where a form is drawn), the seed, and
+    the lemma constants delta, eta (kato; None is (n-1)/(n(n+2))) and eps0
+    (the case-2 gradient margin)."""
 
     dims: Dims
     sigma: float = 1.0
     c: float = 0.0
     d: float = 0.0
     seed: int = 0
+    delta: float = 0.5
+    eta: float | None = None
+    eps0: float | None = None
 
     def __post_init__(self) -> None:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("sigma", "c", "d"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        for name in ("sigma", "c", "d", "delta", "eta", "eps0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not 0 < self.sigma <= MAX_SIGMA:
             raise ValueError(f"sigma must be in (0, {MAX_SIGMA:g}], got {self.sigma}")
 

@@ -7,10 +7,11 @@ scripts/oracle_values.py from closed forms and mpmath root finding.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from pinchflow.campaign import CampaignConfig, run_campaign
+from pinchflow.campaign import run_campaign
 from pinchflow.flow import (
     CylinderFlow,
     FlowState,
@@ -65,9 +66,8 @@ def test_criterion_01_li_inequality():
 
 def test_criterion_02_kato_inequality():
     n, m = 8, 3
-    spec = SamplerSpec(Dims(n, m), c=1 / 6, seed=2024)
-    config = CampaignConfig(c=1 / 6, d=0.0, eta=default_kato_eta(n))
-    results = run_campaign(spec, ["kato.3.1", "kato.3.2"], 10_000, config=config)
+    spec = SamplerSpec(Dims(n, m), c=1 / 6, seed=2024, eta=default_kato_eta(n))
+    results = run_campaign(spec, ["kato.3.1", "kato.3.2"], 10_000)
     violations = sum(r.violations for r in results)
     # the pure-trace minimizer attains |dA|^2 = 3/(n+2) |dH|^2
     worst_eq = 0.0
@@ -84,14 +84,11 @@ def test_criterion_02_kato_inequality():
 
 
 def test_criterion_03_reaction_lemmas():
-    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=31415)
-    config = CampaignConfig(c=1 / 6, d=0.0, delta=0.5)
-    results = run_campaign(spec, list(REACTION_IDS), 100_000, config=config)
-    small_delta = CampaignConfig(c=1 / 6, d=0.0, delta=0.1)
-    res_d01 = run_campaign(spec, ["4.14"], 100_000, config=small_delta)[0]
+    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=31415, delta=0.5)
+    results = run_campaign(spec, list(REACTION_IDS), 100_000)
+    res_d01 = run_campaign(replace(spec, delta=0.1), ["4.14"], 100_000)[0]
     bspec = SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=27182)
-    bconfig = CampaignConfig(c=1 / 6, d=1.0)
-    results += run_campaign(bspec, ["boundary"], 100_000, config=bconfig)
+    results += run_campaign(bspec, ["boundary"], 100_000)
     violations = {r.lemma_id: r.violations for r in results}
     violations["4.14@delta=0.1"] = res_d01.violations
     worst = {r.lemma_id: r.worst_slack for r in results}
@@ -103,12 +100,8 @@ def test_criterion_03_reaction_lemmas():
 def test_criterion_04_gradient_lemmas(tmp_path):
     n = 8
     delta = 1.0 / (5 * n - 8)
-    spec = SamplerSpec(Dims(n, 3), c=1 / 6, d=0.0, seed=16180)
-    config = CampaignConfig(c=1 / 6, d=0.0, delta=delta)
-    results = run_campaign(
-        spec, list(GRADIENT_IDS), 10_000, config=config,
-        counterexample_dir=str(tmp_path),
-    )
+    spec = SamplerSpec(Dims(n, 3), c=1 / 6, d=0.0, seed=16180, delta=delta)
+    results = run_campaign(spec, list(GRADIENT_IDS), 10_000, counterexample_dir=str(tmp_path))
     violations = {r.lemma_id: r.violations for r in results}
     files = list(tmp_path.iterdir())
     ok = all(v == 0 for v in violations.values()) and not files

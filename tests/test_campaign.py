@@ -11,7 +11,6 @@ import pinchflow.campaign
 import pinchflow.lemmas
 from pinchflow.campaign import (
     DEFAULT_TOL,
-    CampaignConfig,
     CheckResult,
     TrialInputs,
     _decode_array,
@@ -89,12 +88,9 @@ class TestCampaign:
         assert run_campaign(spec, [], 100) == []
 
     def test_mixed_suite_green(self, tmp_path):
-        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=23)
-        cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
+        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=23, delta=1 / 32)
         ids = ["li", "kato.3.1", "kato.3.2", *REACTION_IDS, "boundary", *GRADIENT_IDS]
-        results = run_campaign(
-            spec, ids, 200, config=cfg, counterexample_dir=str(tmp_path)
-        )
+        results = run_campaign(spec, ids, 200, counterexample_dir=str(tmp_path))
         assert [r.lemma_id for r in results] == ids
         for r in results:
             assert r.violations == 0
@@ -120,14 +116,13 @@ class TestCampaign:
         ids = ["L4.8", "4.12", "kato.3.2", "boundary", "li", "4.20", "4.5",
                "kato.3.1", "L4.9", "4.14", "4.21", "4.6", "L4.6", "4.10", "4.22", "L4.7"]
         assert sorted(ids) == sorted(LEMMAS)
-        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=19)
-        cfg = CampaignConfig(c=1 / 6, d=0.3, delta=1 / 32)
+        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=19, delta=1 / 32)
         chunk = sample_trial_inputs(spec, substreams(spec, range(12)), _needed_kinds(ids))
-        checks = evaluate_trial(ids, chunk, cfg)
+        checks = evaluate_trial(ids, chunk, spec)
         # one row per id, in the requested order
         assert checks.lemma_id == ",".join(ids) and checks.lhs.shape == (len(ids), 12)
         for lemma_id, lhs, rhs in zip(ids, checks.lhs, checks.rhs):
-            alone = evaluate_trial([lemma_id], chunk, cfg)
+            alone = evaluate_trial([lemma_id], chunk, spec)
             assert np.allclose(lhs, alone.lhs[0], rtol=1e-12, atol=0)
             assert np.allclose(rhs, alone.rhs[0], rtol=1e-12, atol=0)
 
@@ -150,9 +145,8 @@ class TestCampaign:
             return split(A)
 
         monkeypatch.setattr(pinchflow.campaign, "principal_decompose", counted)
-        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=1)
-        cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
-        results = run_campaign(spec, list(LEMMAS), 320, config=cfg)
+        spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=1, delta=1 / 32)
+        results = run_campaign(spec, list(LEMMAS), 320)
         assert all(r.violations == 0 for r in results)
         assert sum(points) == 2 * 320
 
@@ -179,9 +173,8 @@ def always_false(check):
 def test_groups_call_their_checks_by_module_attribute(name, ids, monkeypatch):
     # a group that bound its check directly would not see the rebinding
     monkeypatch.setattr(pinchflow.lemmas, name, always_false(getattr(pinchflow.lemmas, name)))
-    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=3)
-    cfg = CampaignConfig(c=1 / 6, d=0.0, delta=1 / 32)
-    results = run_campaign(spec, ids, 16, config=cfg)
+    spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=3, delta=1 / 32)
+    results = run_campaign(spec, ids, 16)
     assert [r.violations for r in results] == [16] * len(ids)
 
 
@@ -203,8 +196,8 @@ class TestViolationPath:
         assert results[0].violations == 3
         files = sorted(tmp_path.iterdir())
         assert len(files) == 3
-        lemma_id, inputs, config = load_counterexample(str(files[0]))
-        assert lemma_id == "li"
+        lemma_id, inputs, loaded = load_counterexample(str(files[0]))
+        assert lemma_id == "li" and loaded == spec
         # the witness violates by at least the tolerance, and is its trial as drawn
         chk = bogus_li(inputs.matrices)
         assert chk.slack < -1e-9 * chk.scale
@@ -291,9 +284,8 @@ class TestViolationPath:
 
         monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
         chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), _needed_kinds(ids))
-        config = CampaignConfig()
-        judged = evaluate_trial(ids, chunk, config)
-        results = run_campaign(spec, ids, trials, config=config, counterexample_dir=str(tmp_path))
+        judged = evaluate_trial(ids, chunk, spec)
+        results = run_campaign(spec, ids, trials, counterexample_dir=str(tmp_path))
         violated = _violated(judged, DEFAULT_TOL)
         assert [r.violations for r in results] == violated.sum(axis=1).tolist()
         assert results[1].violations > 0
@@ -312,7 +304,7 @@ class TestViolationPath:
 
     def test_boundary_counterexample_replays_from_its_file(self, tmp_path, monkeypatch):
         # at d = 0 the boundary estimate is taken at offset 1; the file
-        # records d = 0, and its config alone replays the violation
+        # records d = 0, and the spec it loads as replays the violation
         monkeypatch.setattr(pinchflow.lemmas, "boundary_reaction_bound",
                             always_false(pinchflow.lemmas.boundary_reaction_bound))
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=3)
@@ -321,24 +313,26 @@ class TestViolationPath:
         assert result.violations == len(paths) == 16
         for path in paths:
             assert float(json.loads(path.read_text())["constants"]["d"]) == 0.0
-            lemma_id, inputs, config = load_counterexample(str(path))
-            assert lemma_id == "boundary" and config.d == 0.0
-            assert _violated(evaluate_trial([lemma_id], inputs, config), DEFAULT_TOL)[0, 0]
+            lemma_id, inputs, loaded = load_counterexample(str(path))
+            assert lemma_id == "boundary" and loaded == spec
+            assert _violated(evaluate_trial([lemma_id], inputs, loaded), DEFAULT_TOL)[0, 0]
 
     def test_replay_roundtrip_exact(self, tmp_path):
-        spec = SamplerSpec(Dims(4, 2), c=4 / 12 * 0.9, d=0.2, seed=31)
+        spec = SamplerSpec(Dims(4, 2), c=4 / 12 * 0.9, d=0.2, seed=31, delta=0.1, eta=0.03,
+                           eps0=1e-3)
         inputs = sample_trial_inputs(spec, substreams(spec, [0]), {"form", "grad", "w"})
         path = str(tmp_path / "ce.json")
-        write_counterexample(
-            path, "kato.3.1", spec, CampaignConfig(c=spec.c, d=spec.d), 0,
-            inputs, InequalityCheck("kato.3.1", 1.0, 2.0),
-        )
-        _, loaded, _ = load_counterexample(path)
+        write_counterexample(path, "kato.3.1", spec, 0, inputs,
+                             InequalityCheck("kato.3.1", 1.0, 2.0))
+        _, loaded, loaded_spec = load_counterexample(path)
+        # every constant and the seed come back; sigma, which only a draw reads, is not kept
+        assert loaded_spec == spec
         assert np.array_equal(loaded.form.components, inputs.form.components)
         assert np.array_equal(loaded.grad_tensor, inputs.grad_tensor)
         assert np.array_equal(loaded.w, inputs.w)
         with open(path) as fh:
             payload = json.load(fh)
+        assert payload["constants"].keys() == {"c", "d", "delta", "eta", "eps0"}
         sample_entry = payload["inputs"]["form"]["entries"][0]
         assert isinstance(sample_entry, str)
         assert float(sample_entry) == inputs.form.components.ravel()[0]
@@ -392,19 +386,19 @@ def test_false_bound_witnesses_are_their_trials_as_drawn(name, suite, n, m, tria
     assert main(["verify", "--suite", suite, "--n", str(n), "--m", str(m), "--trials",
                  str(trials), "--seed", "1", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    spec = SamplerSpec(Dims(n, m), c=report["constants"]["c"], seed=1)
+    spec = SamplerSpec(Dims(n, m), seed=1, **report["constants"])
     ids = [r["lemma_id"] for r in report["results"]]
     kinds = _needed_kinds(ids)
     # the whole campaign as one chunk of its trials, for each id's worst trial
     chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), kinds)
-    _, _, config = load_counterexample(str(next(tmp_path.glob("counterexample_*.json"))))
-    judged = evaluate_trial(ids, chunk, config)
+    judged = evaluate_trial(ids, chunk, spec)
     worst = np.argmin(np.where(np.isnan(judged.slack), np.inf, judged.slack), axis=1).tolist()
     paths = sorted(tmp_path.glob("counterexample_*.json"))
     assert len(paths) == sum(r["violations"] for r in report["results"]) > 0
     for path in paths:
         payload = json.loads(path.read_text())
         lemma_id, inputs, loaded = load_counterexample(str(path))
+        assert loaded == spec, path.name  # the file loads as the spec of its run
         trial = payload["trial"]
         alone = sample_trial_inputs(spec, substreams(spec, [trial]), kinds)
         assert dict(inputs.arrays()).keys() == dict(alone.arrays()).keys()
@@ -437,6 +431,6 @@ def test_d1e30_counterexamples_are_all_there():
                    "until an exact referee judges them")
 @pytest.mark.parametrize("path", D1E30, ids=lambda path: path.stem)
 def test_d1e30_counterexamples_hold_on_replay(path):
-    lemma_id, inputs, config = load_counterexample(str(path))
-    assert config.d == 1e30
-    assert not _violated(evaluate_trial([lemma_id], inputs, config), DEFAULT_TOL)[0, 0]
+    lemma_id, inputs, spec = load_counterexample(str(path))
+    assert spec.d == 1e30
+    assert not _violated(evaluate_trial([lemma_id], inputs, spec), DEFAULT_TOL)[0, 0]

@@ -18,6 +18,7 @@ campaign sampled and evaluated one trial at a time.
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from pinchflow.campaign import (
     CHUNK,
     DEFAULT_TOL,
     STACK_BUDGET,
-    CampaignConfig,
     TrialInputs,
     _needed_kinds,
     chunk_size,
@@ -98,7 +98,7 @@ def point(inputs):
     return TrialInputs.of_arrays(inputs.dims, ((name, a) for name, (a,) in inputs.arrays()))
 
 
-def one_trial(lemma_id, inputs, config):
+def one_trial(lemma_id, inputs, spec):
     """The per-point evaluator of ``lemma_id`` on a chunk of one trial, run
     without the batch axis."""
     inputs = point(inputs)
@@ -106,20 +106,20 @@ def one_trial(lemma_id, inputs, config):
         return check_li(inputs.matrices)
     if lemma_id == "boundary":
         dec = principal_decompose(inputs.boundary_form)
-        return InequalityCheck("boundary", *boundary_reaction_bound(dec, config.c, d_boundary(config.d)))
+        return InequalityCheck("boundary", *boundary_reaction_bound(dec, spec.c, d_boundary(spec.d)))
     # a kato trial alone draws no form, and its sample takes no split
     dec = None if inputs.form is None else principal_decompose(inputs.form)
     if lemma_id in REACTION_IDS:
-        return reaction_checks([lemma_id], dec, config.c, config.d, config.delta)[0]
+        return reaction_checks([lemma_id], dec, spec.c, spec.d, spec.delta)[0]
     grad = gradient_sample(dec, inputs.grad_tensor)
     assert np.ndim(grad.norm2) == 0
     if lemma_id == "kato.3.1":
-        eta = config.eta if config.eta is not None else default_kato_eta(inputs.dims.n)
+        eta = spec.eta if spec.eta is not None else default_kato_eta(inputs.dims.n)
         return check_kato(grad, inputs.w, eta)
     if lemma_id == "kato.3.2":
         return check_kato_trace(grad, inputs.w)
     return gradient_checks(
-        [lemma_id], grad, config.c, config.d, config.delta, config.eps0
+        [lemma_id], grad, spec.c, spec.d, spec.delta, spec.eps0
     )[0]
 
 
@@ -134,15 +134,15 @@ def per_id(check, ids):
             for lemma_id, lhs, rhs in zip(ids, check.lhs, check.rhs)]
 
 
-def assert_chunk_matches_trials(ids, batch, config):
-    judged = evaluate_trial(ids, chunk_of(batch), config)
+def assert_chunk_matches_trials(ids, batch, spec):
+    judged = evaluate_trial(ids, chunk_of(batch), spec)
     assert judged.lhs.shape == judged.rhs.shape == (len(ids), len(batch))
     checks = per_id(judged, ids)
     assert [chk.lemma_id for chk in checks] == list(ids)
     for chk in checks:
         assert np.shape(chk.lhs) == np.shape(chk.rhs) == (len(batch),)
         for i, inputs in enumerate(batch):
-            alone = one_trial(chk.lemma_id, inputs, config)
+            alone = one_trial(chk.lemma_id, inputs, spec)
             bound = REL * alone.scale
             assert abs(chk.lhs[i] - alone.lhs) <= bound, (chk.lemma_id, i)
             assert abs(chk.rhs[i] - alone.rhs) <= bound, (chk.lemma_id, i)
@@ -157,7 +157,7 @@ def stacked(batches):
     return {name: np.concatenate([f[name] for f in fields]) for name in fields[0]}
 
 
-def one_at_a_time_campaign(spec, ids, trials, config):
+def one_at_a_time_campaign(spec, ids, trials):
     """(violations, worst slack, worst digest) per id, trial by trial, and
     the stacked inputs of all trials."""
     kinds = _needed_kinds(ids)
@@ -167,7 +167,7 @@ def one_at_a_time_campaign(spec, ids, trials, config):
         inputs = sample_chunk(spec, [trial], kinds)
         sampled.append(inputs)
         for lemma_id in ids:
-            chk = one_trial(lemma_id, inputs, config)
+            chk = one_trial(lemma_id, inputs, spec)
             entry = out[lemma_id]
             entry[0] += not chk.slack >= -DEFAULT_TOL * chk.scale
             if chk.slack < entry[1]:
@@ -175,10 +175,9 @@ def one_at_a_time_campaign(spec, ids, trials, config):
     return out, stacked(sampled)
 
 
-def config_of(spec, ids=()):
+def spec_of(spec, ids=()):
     # the case-1 estimate L4.9 needs delta <= 1/(5n - 8)
-    delta = 1 / (5 * spec.dims.n - 8) if "L4.9" in ids else 0.5
-    return CampaignConfig(c=spec.c, d=spec.d, delta=delta)
+    return replace(spec, delta=1 / (5 * spec.dims.n - 8) if "L4.9" in ids else 0.5)
 
 
 SUITES = [(PINCHED, CHUNKED_IDS), (ON_BOUNDARY, BOUNDARY_IDS), (PINCHED, DERIVATIVE_IDS)]
@@ -194,7 +193,7 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
     if spec is ON_BOUNDARY:
         for inputs in batch:
             inputs.form = inputs.boundary_form
-    assert_chunk_matches_trials(ids, batch, config_of(spec, ids))
+    assert_chunk_matches_trials(ids, batch, spec_of(spec, ids))
 
 
 def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
@@ -202,8 +201,8 @@ def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
     defers, after checking that it keeps the inputs, verdicts and worst
     trial of one trial at a time, and the worst slack to ``rel`` of its
     scale."""
-    config = config_of(spec, ids)
-    expected, inputs = one_at_a_time_campaign(spec, ids, trials, config)
+    spec = spec_of(spec, ids)
+    expected, inputs = one_at_a_time_campaign(spec, ids, trials)
     chunks, draws, drawn, sample = [], [], {}, campaign.sample_trial_inputs
     # the trial of each tensor substream state, to name the trials of a draw
     trial_of = {tuple(row): trial for trial, row in enumerate(
@@ -223,7 +222,7 @@ def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
         return out
 
     monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
-    for res in run_campaign(spec, ids, trials, config=config):
+    for res in run_campaign(spec, ids, trials):
         violations, worst, digest = expected[res.lemma_id]
         assert res.violations == violations == 0
         assert res.worst_input_digest == digest
@@ -345,7 +344,7 @@ def test_li_equality_pair_in_a_chunk():
         b1[0, 1] = b1[1, 0] = lam
         b2[0, 0], b2[1, 1] = lam, -lam
         batch[i] = TrialInputs(dims, matrices=np.array([[b1, b2]]))
-    (chk,) = assert_chunk_matches_trials(["li"], batch, CampaignConfig())
+    (chk,) = assert_chunk_matches_trials(["li"], batch, spec)
     for i in (0, 7, CHUNK + 1):
         assert chk.lhs[i] > 0
         assert abs(chk.slack[i]) <= REL * chk.scale[i]
@@ -366,7 +365,7 @@ def test_tight_reaction_inputs_in_a_chunk():
     slots = (3, CHUNK + 2)
     for i, comps in zip(slots, tight):
         batch[i] = TrialInputs(dims, form=SecondFundamentalForm(dims, comps[None]))
-    checks = assert_chunk_matches_trials(REACTION_IDS, batch, config_of(PINCHED))
+    checks = assert_chunk_matches_trials(REACTION_IDS, batch, spec_of(PINCHED))
     for chk in checks[:2]:  # 4.5 and 4.6
         for i in slots:
             assert abs(chk.slack[i]) <= REL * chk.scale[i]
@@ -377,7 +376,7 @@ def test_gaussian_forms_still_not_pinched(lemma_id):
     dims = Dims(8, 3)
     form = symmetric_gaussian(substream_states(59, range(CHUNK + 3), TAG_FORM), dims)
     with pytest.raises(NotPinched):
-        evaluate_trial([lemma_id], TrialInputs(dims, form=form), CampaignConfig(c=1 / 6))
+        evaluate_trial([lemma_id], TrialInputs(dims, form=form), SamplerSpec(dims, c=1 / 6))
 
 
 def test_derivative_equality_cases_in_a_chunk():
@@ -399,8 +398,7 @@ def test_derivative_equality_cases_in_a_chunk():
         batch[i].grad_tensor = kato_e_tensor(dec.dims, dH)[None]
     for i in e_slots:
         batch[i].grad_tensor = kato_e_tensor(PINCHED.dims, rng.standard_normal((m, n)))[None]
-    config = config_of(PINCHED, DERIVATIVE_IDS)
-    checks = assert_chunk_matches_trials(["4.20", "4.21"], batch, config)
+    checks = assert_chunk_matches_trials(["4.20", "4.21"], batch, spec_of(PINCHED, DERIVATIVE_IDS))
     for chk in checks:
         for i in trace_slots:
             assert chk.lhs[i] > 0
@@ -428,17 +426,17 @@ def test_codazzi_bound_is_per_trial():
     assert grad.codazzi_defect[0] == pytest.approx(2e-9, rel=1e-6)
     assert grad.codazzi_defect[1] <= TOL_CODAZZI
     assert np.max(grad.codazzi_defect) <= TOL_CODAZZI * np.max(np.abs(chunk.grad_tensor))
-    config = config_of(PINCHED, ids)
+    spec = spec_of(PINCHED, ids)
     with pytest.raises(InvalidSample):
         check_kato(grad, chunk.w, default_kato_eta(8))
     with pytest.raises(InvalidSample):
         check_kato_trace(grad, chunk.w)
     with pytest.raises(InvalidSample):
-        gradient_checks(GRADIENT_IDS, grad, config.c, config.d, config.delta)
+        gradient_checks(GRADIENT_IDS, grad, spec.c, spec.d, spec.delta)
     for lemma_id in ids:
         with pytest.raises(InvalidSample):
-            evaluate_trial([lemma_id], chunk, config)
-    evaluate_trial(ids, chunk_of(batch[1:]), config)
+            evaluate_trial([lemma_id], chunk, spec)
+    evaluate_trial(ids, chunk_of(batch[1:]), spec)
     # one NaN entry gives a NaN defect, which no bound admits
     batch[1].grad_tensor[0, 0, 0, 1, 2] = np.nan
     chunk = chunk_of(batch[1:])
@@ -449,10 +447,10 @@ def test_codazzi_bound_is_per_trial():
     with pytest.raises(InvalidSample):
         check_kato_trace(grad, chunk.w)
     with pytest.raises(InvalidSample):
-        gradient_checks(["4.20"], grad, config.c, config.d, config.delta)
+        gradient_checks(["4.20"], grad, spec.c, spec.d, spec.delta)
     for lemma_id in ids:
         with pytest.raises(InvalidSample):
-            evaluate_trial([lemma_id], chunk, config)
+            evaluate_trial([lemma_id], chunk, spec)
 
 
 def loop_asymmetry(tensor):
@@ -537,13 +535,13 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
                      "hat_plus_h", "hat_nabla_aminus"}
     chunk = sample_chunk(PINCHED, range(CHUNK), _needed_kinds(DERIVATIVE_IDS))
-    evaluate_trial(KATO_IDS, chunk, config_of(PINCHED, KATO_IDS))
+    evaluate_trial(KATO_IDS, chunk, spec_of(PINCHED, KATO_IDS))
     assert len(samples) == CHUNK // DERIVATIVE_SLICE
     for grad in samples:
         assert not gradient_only & set(vars(grad))
         assert {"norm2", "nabla_H_norm2", "codazzi_defect"} <= set(vars(grad))
     samples.clear()
-    evaluate_trial(DERIVATIVE_IDS, chunk, config_of(PINCHED, DERIVATIVE_IDS))
+    evaluate_trial(DERIVATIVE_IDS, chunk, spec_of(PINCHED, DERIVATIVE_IDS))
     assert all(gradient_only <= set(vars(grad)) for grad in samples)
     assert not samples[0].nabla_h.flags.writeable
     # nor does a kato campaign draw or split a form: its chunks sample none,
@@ -552,7 +550,7 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     trials, slices = 2 * CHUNK + 3, 2 * CHUNK // DERIVATIVE_SLICE + 1
     for ids in (KATO_IDS, ALL_IDS):
         del samples[:], splits[:], sampled[:]
-        results = run_campaign(PINCHED, ids, trials, config=config_of(PINCHED, ids))
+        results = run_campaign(spec_of(PINCHED, ids), ids, trials)
         assert sum(r.violations for r in results) == 0
         assert len(samples) == slices
         forms = [k for kinds, k in sampled if "form" in kinds]
@@ -620,6 +618,6 @@ def test_one_unpinched_trial_stops_the_chunk(lemma_id):
     unpinched = symmetric_gaussian(substream_states(67, [0], TAG_FORM), PINCHED.dims)
     batch[DERIVATIVE_SLICE + 2].form = unpinched
     with pytest.raises(NotPinched):
-        evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS))
+        evaluate_trial(ids, chunk_of(batch), spec_of(PINCHED, DERIVATIVE_IDS))
     del batch[DERIVATIVE_SLICE + 2]
-    evaluate_trial(ids, chunk_of(batch), config_of(PINCHED, DERIVATIVE_IDS))
+    evaluate_trial(ids, chunk_of(batch), spec_of(PINCHED, DERIVATIVE_IDS))

@@ -156,7 +156,9 @@ class TestVerify:
         assert code == 2
         assert out == "" and "error:" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    # a tol of 1 or more admits a lhs above its rhs by the sides' whole
+    # scale; at 1e308, -tol * scale overflowed to -inf and passed every trial
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "1e308"])
     def test_bad_tol_is_config_error(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
                              "--seed", "1", "--n", "3", "--m", "2", "--tol", tol)
@@ -191,6 +193,15 @@ class TestVerify:
                              "--seed", "1", "--n", "8", "--m", "3", flag, value)
         assert code == 2
         assert out == "" and f"error: {name} must be" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_eps0_named_where_c_and_delta_derive_from_it(self, capsys, value):
+        # at 5 <= n < 8 the gradient suite's default c and delta are taken
+        # from eps0, so a non-finite eps0 is named before they are
+        code, out, err = run(capsys, "verify", "--suite", "gradient", "--trials", "5",
+                             "--seed", "1", "--n", "6", "--m", "2", f"--eps0={value}")
+        assert code == 2
+        assert out == "" and "error: eps0 must be a finite number" in err
 
     # li draws no form, so it reads no d, and its sides stay finite at the
     # largest sigma; kato draws no form either
@@ -416,10 +427,11 @@ class TestSimulate:
 
     def test_hyperbolic_too_flat_names_its_parameters(self, capsys):
         # no --t-end: the refusal is the family's, not a zero blow-up time's
+        # 2 sinh^2(kappa r0 / 2) underflows to 0 at the least subnormal kbar
         code, out, err = run(capsys, "simulate", "--family", "hyperbolic",
-                             "--params", "r=1,kbar=-1e-20")
+                             "--params", "r=1,kbar=-5e-324")
         assert code == 2
-        assert out == "" and "r0=1.0, kbar=-1e-20" in err and "sphere family" in err
+        assert out == "" and "r0=1.0, kbar=-5e-324" in err and "sphere family" in err
         assert "t_end" not in err
 
     # a family whose exact solution overflows the float range is refused

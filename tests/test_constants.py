@@ -135,9 +135,7 @@ class TestPinchingQuantities:
         A = SecondFundamentalForm.from_components(comps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            k = PinchingConstants(
-                Dims(8, 2), 1 / 6, 4.0, regime="space_form", Kbar=-1.0
-            )
+            k = PinchingConstants(Dims(8, 2), 1 / 6, 4.0, Kbar=-1.0)
         q = pinching_Q(principal_decompose(A), k)
         assert q == pytest.approx(-8.487185004883118, abs=1e-12)
         assert q == pytest.approx(-8.488, abs=2e-3)
@@ -146,14 +144,14 @@ class TestPinchingQuantities:
         rng = np.random.default_rng(4)
         A = symmetric_gaussian(rng, Dims(8, 3))
         dec, H = principal_decompose(A), mean_curvature(A)
-        k = PinchingConstants(Dims(8, 3), 1 / 6, 5.0, regime="space_form", Kbar=0.0)
+        k = PinchingConstants(Dims(8, 3), 1 / 6, 5.0, Kbar=0.0)
         assert pinching_Q(dec, k) == pytest.approx(
             dec.a_ring2 - (1 / 6 - 1 / 8) * H.norm2, rel=1e-13
         )
 
     def test_Q_round_sphere_negative(self):
         dec = principal_decompose(sphere_form())
-        k = PinchingConstants(Dims(8, 2), 1 / 6, 0.0, regime="space_form", Kbar=0.0)
+        k = PinchingConstants(Dims(8, 2), 1 / 6, 0.0, Kbar=0.0)
         assert pinching_Q(dec, k) == pytest.approx(-(1 / 6 - 1 / 8) * 16, abs=1e-12)
 
     def test_Q_requires_space_form(self):
@@ -217,27 +215,22 @@ class TestPinchingConstantsValidation:
         with pytest.raises(InvalidConstants):
             PinchingConstants(Dims(8, 2), 1 / 6, -1.0)
 
-    def test_bounded_background_floor(self):
-        with pytest.raises(InvalidConstants):
-            PinchingConstants(
-                Dims(8, 2), 1 / 6, 1.0, regime="bounded_background", K1=1.0, K2=1.0
-            )
-        lower = d_lower_bound(8, 2, 1 / 6, 1.0, 1.0, 0.0)
-        with pytest.warns(UserWarning):
-            PinchingConstants(
-                Dims(8, 2), 1 / 6, lower, regime="bounded_background", K1=1.0, K2=1.0
-            )
-
     def test_space_form_floor(self):
         with pytest.raises(InvalidConstants):
-            PinchingConstants(Dims(8, 2), 1 / 6, 1.0, regime="space_form", Kbar=-1.0)
+            PinchingConstants(Dims(8, 2), 1 / 6, 1.0, Kbar=-1.0)
         with pytest.warns(UserWarning):
-            PinchingConstants(Dims(8, 2), 1 / 6, 4.0, regime="space_form", Kbar=-1.0)
+            PinchingConstants(Dims(8, 2), 1 / 6, 4.0, Kbar=-1.0)
 
-    @pytest.mark.parametrize("regime", ["euclidean", "bounded_background", "space_form"])
-    @pytest.mark.parametrize("name", ["c", "d", "K1", "K2", "L", "Kbar"])
+    def test_space_form_of_nonnegative_kbar_takes_any_d(self):
+        # only Kbar < 0 bounds d below; flat space needs d >= 0
+        for kbar in (0.0, 1.0):
+            assert PinchingConstants(Dims(8, 2), 1 / 6, -5.0, Kbar=kbar).d == -5.0
+
+    @pytest.mark.parametrize("regime", ["euclidean", "space_form"])
+    @pytest.mark.parametrize("name", ["c", "d", "Kbar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_constant_named(self, regime, name, value):
-        kwargs = {"c": 1 / 6, "d": 40.0, "regime": regime, name: value}
+        kbar = None if regime == "euclidean" else -1.0
+        kwargs = {"c": 1 / 6, "d": 40.0, "Kbar": kbar, name: value}
         with pytest.raises(InvalidConstants, match=f"^{name} must be a finite number"):
             PinchingConstants(Dims(8, 2), **kwargs)

@@ -45,7 +45,7 @@ FLAT_K = PinchingConstants(Dims(8, 2), 1 / 6)
 def hyperbolic_constants(n=8, m=2, c=1 / 6, d=4.0, kbar=-1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return PinchingConstants(Dims(n, m), c, d, regime="space_form", Kbar=kbar)
+        return PinchingConstants(Dims(n, m), c, d, Kbar=kbar)
 
 
 def constants_for(fam):
@@ -70,16 +70,17 @@ BLOCK = STACK_BUDGET // (2 * 8 * 8)
 PRODUCT_RADII_SHA256 = "8c233d888d2c0376b551dbde0e6fcd27fc1013cc2b2029b1b294aabd499f95d2"
 
 # (row, t, param1) of the hyperbolic flow r0=0.5, kbar=-1 at dt=1e-4 to
-# t=0.004 (42 rows); its rates and start go through libm's tanh, cosh and
-# acosh, so the radii are pinned to HYPERBOLIC_ULPS rather than by digest.
-# A kappa one ulp off moves every pinned radius by 5 or 6 ulps.
+# t=0.004 (42 rows); its rates and start go through libm's tanh, sinh,
+# log1p, expm1 and asinh, so the radii are pinned to HYPERBOLIC_ULPS rather
+# than by digest.  A kappa one ulp off moves every pinned radius by 5 or 6
+# ulps.
 HYPERBOLIC_RADII = [
-    (0, 0.0, 0.49999999999999983),
-    (8, 0.0008000000000000001, 0.48598278786768606),
-    (16, 0.0016000000000000005, 0.4716095782696307),
-    (24, 0.0024, 0.4568466238370332),
-    (32, 0.0031999999999999984, 0.4416546898406117),
-    (40, 0.0039999999999999975, 0.4259877237894873),
+    (0, 0.0, 0.5),
+    (8, 0.0008000000000000001, 0.48598278786768623),
+    (16, 0.0016000000000000005, 0.4716095782696309),
+    (24, 0.0024, 0.45684662383703345),
+    (32, 0.0031999999999999984, 0.4416546898406119),
+    (40, 0.0039999999999999975, 0.4259877237894875),
 ]
 HYPERBOLIC_ULPS = 3
 
@@ -152,13 +153,36 @@ class TestExactStates:
         assert st.params[0] > 2.0
 
     @pytest.mark.parametrize("kbar", [-1e-20, -1e-300])
-    def test_hyperbolic_blowing_up_at_once_rejected(self, kbar):
-        # cosh(kappa r0) rounds to 1, so the blow-up time would be 0.0
-        with pytest.raises(ValueError, match=rf"r0=1.0, kbar={kbar}.*sphere family"):
-            HyperbolicSphereFlow(8, 2, 1.0, kbar)
+    def test_hyperbolic_nearly_flat_is_the_flat_sphere(self, kbar):
+        # cosh(kappa r0) rounds to 1 here, but sinh(kappa r0 / 2) does not:
+        # the family is the flat sphere's, r0^2 - 2nt, to rounding
+        fam = HyperbolicSphereFlow(8, 2, 1.0, kbar)
+        assert fam.blowup_time() == pytest.approx(1 / 16, rel=1e-15)
+        assert fam.exact_params(0.0) == (1.0,)
+        assert fam.exact_params(0.03)[0] == pytest.approx(math.sqrt(1 - 16 * 0.03), rel=1e-14)
+
+    def test_hyperbolic_blowing_up_at_once_refused(self):
+        # 2 sinh^2(kappa r0 / 2) underflows to 0 at the least subnormal kbar
+        with pytest.raises(ValueError, match=r"r0=1.0, kbar=-5e-324.*sphere family"):
+            HyperbolicSphereFlow(8, 2, 1.0, -5e-324)
+
+    @pytest.mark.parametrize("kbar", [-1.0, -1e-6, -1e-12, -1e-15])
+    def test_hyperbolic_exact_to_4_ulps(self, kbar):
+        # r(t) = acosh(cosh(kappa r0) e^{n kbar t}) / kappa and
+        # T = log cosh(kappa r0) / (n kappa^2) at 200 bits, r0 = 1, n = 8;
+        # t up to T/2, where the rounding of n kbar t costs at most 2 ulps
+        mpmath = pytest.importorskip("mpmath")
+        fam = HyperbolicSphereFlow(8, 2, 1.0, kbar)
+        with mpmath.workprec(200):
+            k, kappa = mpmath.mpf(kbar), mpmath.sqrt(-mpmath.mpf(kbar))
+            T = float(mpmath.log(mpmath.cosh(kappa)) / (8 * -k))
+            assert abs(fam.blowup_time() - T) <= 4 * math.ulp(T)
+            for t in (0.0, T / 8, T / 4, T / 2):
+                r = float(mpmath.acosh(mpmath.cosh(kappa) * mpmath.exp(8 * k * t)) / kappa)
+                assert abs(fam.exact_params(t)[0] - r) <= 4 * math.ulp(r), t
 
 
-    # r**2 or cosh(kappa r0) overflows, so the blow-up time is no float
+    # r**2 or sinh(kappa r0 / 2)**2 overflows, so the blow-up time is no float
     @pytest.mark.parametrize("build, named", [
         (lambda: HyperbolicSphereFlow(8, 2, 1000.0, -1.0), "r0=1000.0, kbar=-1.0"),
         (lambda: HyperbolicSphereFlow(8, 2, 1.0, -1e300), "r0=1.0, kbar=-1e+300"),

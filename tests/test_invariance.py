@@ -12,11 +12,12 @@ as it is added.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pinchflow.campaign import CampaignConfig, TrialInputs, evaluate_trial, sample_trial_inputs
+from pinchflow.campaign import TrialInputs, evaluate_trial, sample_trial_inputs
 from pinchflow.forms import Dims
 from pinchflow.lemmas import LEMMAS, default_constants
 from pinchflow.samplers import SamplerSpec
@@ -79,8 +80,8 @@ def normal_rotated(inputs, rng):
     return transformed(inputs, transform)
 
 
-def sides(lemma_id, inputs, config):
-    check = evaluate_trial([lemma_id], inputs, config)
+def sides(lemma_id, inputs, spec):
+    check = evaluate_trial([lemma_id], inputs, spec)
     return check.lhs[0], check.rhs[0]
 
 
@@ -95,22 +96,20 @@ def assert_close(got, want, label):
 def test_every_lemma_is_frame_invariant_and_homogeneous(n, m):
     dims = Dims(n, m)
     c, delta, eps0 = default_constants(list(LEMMAS), n)
-    spec = SamplerSpec(dims, c=c, d=D, seed=n * 10 + m)
+    spec = SamplerSpec(dims, c=c, d=D, seed=n * 10 + m, delta=delta, eps0=eps0)
     kinds = set().union(*(lemma.kinds for lemma in LEMMAS.values()))
     inputs = sample_trial_inputs(spec, substreams(spec, range(TRIALS)), kinds)
-    config = CampaignConfig(c=c, d=D, delta=delta, eps0=eps0)
     rng = np.random.default_rng(n * 10 + m)
     rotations = {"tangent": tangent_rotated(inputs, orthogonal(rng, n)),
                  "normal": normal_rotated(inputs, rng)}
     lam = 1.5
     for lemma_id, lemma in LEMMAS.items():
-        base = sides(lemma_id, inputs, config)
+        base = sides(lemma_id, inputs, spec)
         for name, rotated in rotations.items():
-            assert_close(sides(lemma_id, rotated, config), base, f"{lemma_id} {name}")
+            assert_close(sides(lemma_id, rotated, spec), base, f"{lemma_id} {name}")
         derivative = "grad" in lemma.kinds
         scaled = transformed(inputs, lambda name, a: (
             lam * a if (name in DERIVATIVE) == derivative else a))
         factor = 1.0 if derivative else lam**2
-        scaled_config = CampaignConfig(c=c, d=D * factor, delta=delta, eps0=eps0)
-        assert_close(sides(lemma_id, scaled, scaled_config),
+        assert_close(sides(lemma_id, scaled, replace(spec, d=D * factor)),
                      tuple(lam**lemma.degree * side for side in base), f"{lemma_id} scaling")

@@ -29,6 +29,7 @@ from pinchflow.samplers import (
     TAG_FORM,
     SamplerSpec,
     sample_boundary,
+    sample_form,
     sample_pinched,
     substream_states,
     symmetric_gaussian,
@@ -87,6 +88,25 @@ class TestR1R2:
         gram = sum(np.sum(a * b) ** 2 for a in left for b in right)
         assert commutator_norm2(left, right) == pytest.approx(comm, rel=1e-12)
         assert gram_norm2(left, right) == pytest.approx(gram, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(8, 3), (5, 2), (16, 16)])
+    @pytest.mark.parametrize("draw", ["gaussian", "split"])
+    def test_commutator_term_splits_at_nu1(self, n, m, draw):
+        # |R^perp|^2 = |hat R^perp|^2 + 2 |R^perp(nu1)|^2 in the frame nu1,
+        # A^- of the split: the full commutator of normal_curvature and the
+        # one r1 adds to the Gram term, against the split's two parts
+        dims, states = Dims(n, m), substream_states(n * 100 + m, range(256), TAG_FORM)
+        if draw == "gaussian":
+            A = symmetric_gaussian(states, dims)
+        else:
+            A = sample_form(SamplerSpec(dims, c=float(c_n(n, "general"))), states)
+        dec = principal_decompose(A)
+        rperp = normal_curvature(dec)
+        split = rperp.hat_part_norm2 + 2 * rperp.principal_norm2
+        bound = 1e-12 * dec.a2**2
+        assert np.all(np.abs(rperp.norm2 - split) <= bound)
+        assert np.all(np.abs(r1(A) - gram_norm2(A.components, A.components) - split) <= bound)
+        assert np.all(rperp.principal_norm2 > 0)  # neither part is empty
 
 
 class TestReactionGap:

@@ -376,6 +376,7 @@ def run_campaign(
     lemma_ids = list(lemma_ids)
     if not lemma_ids:
         return []
+    lemmas.require_c(lemma_ids, spec.dims.n, spec.c, spec.eps0)  # before a form is drawn at c
     kinds = _needed_kinds(lemma_ids)
     chunk_trials = chunk_size(spec.dims, lemma_ids)
 

@@ -68,6 +68,8 @@ def d_lower_bound(n: int, m: int, c: float | Fraction, K1: float, K2: float, L: 
     Returns 0 when K1 + K2 = 0 and L = 0 (flat regime needs no offset).
     """
     c = float(c)
+    if not all(map(math.isfinite, (c, K1, K2, L))):
+        raise InvalidConstants(f"need finite c, K1, K2, L, got c={c}, K1={K1}, K2={K2}, L={L}")
     g = pinching_gap(n, c)
     if min(K1, K2, L) < 0:
         raise InvalidConstants("curvature bounds K1, K2, L must be nonnegative")

@@ -109,6 +109,15 @@ def _c_in_range(c: float, limit: float) -> bool:
     return c <= limit * (1 + 1e-12)
 
 
+def require_c(ids: Sequence[str], n: int, c: float, eps0: float | None = None) -> None:
+    """Refuse a c that the range check of one of ``ids`` rejects: 4.12's and
+    4.14's 1/n < c <= 4/(3n), or the gradient regimes of L4.6-L4.9."""
+    if {"4.12", "4.14"} & set(ids) and not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
+        raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
+    if {"L4.6", "L4.7", "L4.8", "L4.9"} & set(ids):
+        _gradient_case(n, c, eps0)
+
+
 def reaction_checks(
     ids: Sequence[str],
     dec: PrincipalDecomposition,
@@ -133,8 +142,7 @@ def reaction_checks(
         f = c * dec.H.norm2 - dec.a2 - d
         if np.any(f <= 0):
             raise NotPinched(f"reaction lemma needs f > 0, got {np.min(f)}")
-        if not (1.0 / n < c and _c_in_range(c, 4.0 / (3 * n))):
-            raise InvalidConstants(f"need 1/n < c <= 4/(3n), got c={c} for n={n}")
+        require_c(ids, n, c)
         gap = reaction_gap(dec.form, dec.H, rperp, c)
 
     for lemma_id in ids:
@@ -386,7 +394,11 @@ def default_constants(lemma_ids: Sequence[str], n: int, c: float | None = None,
     gradient = any(LEMMAS[lemma_id].suite == "gradient" for lemma_id in lemma_ids)
     if gradient and 5 <= n < 8:
         eps0 = 0.005 if eps0 is None else eps0
-        c = float(c_n(n, "codim_estimate")) - eps0 if c is None else c
+        limit = float(c_n(n, "codim_estimate"))
+        if (c is None or delta is None) and not 0 < eps0 < limit - 1.0 / n:
+            raise InvalidConstants(
+                f"eps0 must be in (0, {limit - 1.0 / n:.6g}) at n={n}, got {eps0}")
+        c = limit - eps0 if c is None else c
         delta = min(0.5, 2.0 * n * (n + 2) * eps0 / (3 * (n - 1))) if delta is None else delta
     if c is None:
         reads_form = any("form" in LEMMAS[lemma_id].kinds for lemma_id in lemma_ids)

@@ -14,7 +14,8 @@ a chunk of one; the low-level samplers also take one generator,
 and splits its pinching budget B = (c - 1/n)|H|^2 - d into the shares of
 |h_ring|^2, |A^-|^2 and f, flat or toward the edges where the reaction
 estimates are tight, and a boundary form is the same draw with no share
-for f.  Matrices and derivative tensors are Gaussian.
+for f.  Matrices are Gaussian, and a derivative tensor is a Gaussian draw
+over the orbits of its tangent indices, exactly symmetric.
 
 The samplers return raw data: forms, and derivative tensors from
 :func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
@@ -25,7 +26,6 @@ tensor there (both in :mod:`pinchflow.forms`).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import pinching_gap
 from .errors import InvalidConstants
-from .forms import Dims, SecondFundamentalForm, symmetrize
+from .forms import Dims, SecondFundamentalForm, _orbit_index, symmetrize
 from .lemmas import boundary_offset
 
 F_MIN = 1e-2  # the least share of the pinching budget f takes: f is a cancellation
@@ -295,17 +295,27 @@ def sample_boundary(spec: SamplerSpec, streams: np.ndarray
                               spec.sigma, boundary=True))
 
 
+@functools.cache
+def _orbit_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of every flat (i, j, k) index, numbered as the triples of
+    ``forms._orbit_index(n)``, and the square root of each orbit's size."""
+    index = _orbit_index(n)
+    orbit = np.empty(n**3, dtype=np.intp)
+    orbit[index] = np.arange(index.shape[1])
+    return orbit, np.sqrt(np.bincount(orbit))
+
+
 def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
-    """Gaussian (..., m, n, n, n) tensor symmetrized over its tangent indices."""
-    raw = _normals(rng, (dims.m, dims.n, dims.n, dims.n), sigma)
-    lead = raw.ndim - 3
-    p0, p1, *rest = (raw.transpose(*range(lead), *perm)
-                     for perm in itertools.permutations(range(lead, lead + 3)))
-    acc = p0 + p1
-    for p in rest:
-        acc += p
-    acc /= 6.0
-    return acc
+    """Gaussian (..., m, n, n, n) tensor fully symmetric in its tangent
+    indices, drawn by orbits: m C(n+2, 3) normals z, one per slot and triple
+    i <= j <= k, and T[a, i, j, k] = sigma z[a, t] / sqrt(|orbit t|) for the
+    sorted triple t of (i, j, k).  Its law is that of the average of the six
+    transposes of a Gaussian tensor, and its Codazzi defect is exactly 0."""
+    orbit, root = _orbit_gather(dims.n)
+    z = _normals(rng, (dims.m, root.size), sigma)
+    z /= root
+    # take, not z[..., orbit], returns the gather C-contiguous, as a sample stores it
+    return np.take(z, orbit, axis=-1).reshape(*z.shape[:-1], dims.n, dims.n, dims.n)
 
 
 def kato_e_tensor(

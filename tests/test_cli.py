@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import pinchflow.campaign as campaign
 import pinchflow.cli as cli
 import pinchflow.lemmas as lemmas
 from pinchflow.campaign import CheckResult
@@ -202,6 +203,29 @@ class TestVerify:
                              "--seed", "1", "--n", "6", "--m", "2", f"--eps0={value}")
         assert code == 2
         assert out == "" and "error: eps0 must be a finite number" in err
+
+    @pytest.mark.parametrize("value", ["-1e308", "0", "0.06", "1e308"])
+    def test_eps0_outside_its_range_is_named(self, capsys, value):
+        # a margin below case 2's limit on c, which c must keep above 1/n:
+        # at -1e308 the derived delta overflowed to -inf and was named instead
+        code, out, err = run(capsys, "verify", "--suite", "gradient", "--trials", "5",
+                             "--seed", "1", "--n", "6", "--m", "2", f"--eps0={value}")
+        assert code == 2
+        assert out == "" and "error: eps0 must be in (0, 0.0520833)" in err
+
+    @pytest.mark.parametrize("suite, value", [("reaction", "1e100"), ("reaction", "1e308"),
+                                              ("all", "1e100"), ("gradient", "0.2")])
+    def test_c_outside_the_ids_range_is_named_before_a_draw(self, capsys, monkeypatch,
+                                                            suite, value):
+        # the draw at such a c once failed first, on |H| or on the form's symmetry
+        def no_draw(*args):
+            raise AssertionError("a form was drawn")
+
+        monkeypatch.setattr(campaign, "sample_trial_inputs", no_draw)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "4",
+                             "--seed", "1", "--n", "8", "--m", "3", "--c", value)
+        assert code == 2
+        assert out == "" and f"c={float(value)}" in err
 
     # li draws no form, so it reads no d, and its sides stay finite at the
     # largest sigma; kato draws no form either

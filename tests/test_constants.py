@@ -89,6 +89,14 @@ class TestDLowerBound:
         with pytest.raises(InvalidConstants):
             d_lower_bound(8, 2, 1 / 6, -1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bounds", [(1 / 6, 1.0, 1.0, math.nan), (1 / 6, math.inf, 0.0, 0.0),
+                                        (1 / 6, math.nan, 0.0, 0.0), (1 / 6, 0.0, -math.inf, 0.0),
+                                        (math.nan, 1.0, 1.0, 1.0), (math.inf, 0.0, 0.0, 0.0)])
+    def test_non_finite_refused(self, bounds):
+        # max() dropped a NaN L, and an infinite K1 gave d_lower = inf
+        with pytest.raises(InvalidConstants, match="need finite c, K1, K2, L"):
+            d_lower_bound(8, 2, *bounds)
+
 
 class TestKappa:
     def test_values(self):

@@ -18,7 +18,7 @@ import pytest
 import pinchflow.samplers as samplers
 from pinchflow.campaign import _KIND_TAGS, BLOCK, CHUNK, run_campaign, sample_trial_inputs
 from pinchflow.errors import InvalidConstants
-from pinchflow.forms import Dims, mean_curvature
+from pinchflow.forms import Dims, gradient_sample, mean_curvature
 from pinchflow.lemmas import boundary_offset
 from pinchflow.samplers import (
     F_MIN,
@@ -256,18 +256,46 @@ def test_chunk_sampling_matches_trial_rng(name):
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5])
-def test_symmetric_three_tensor_is_the_six_permutation_loop(sigma):
-    # the sum starts at the first two permutations and skips a unit sigma;
-    # it must equal a zero-started sum of all six, bit for bit
+def test_symmetric_three_tensor_is_the_gather_of_its_orbit_normals(sigma):
+    # one normal per slot and sorted triple, scaled by sigma over the root of
+    # its orbit's size, at every permutation of the triple, bit for bit
     dims = Dims(8, 3)
+    n, triples = dims.n, list(itertools.combinations_with_replacement(range(dims.n), 3))
     for make in (lambda: trial_rng(9, 4, TAG_GRADIENT),
                  lambda: substream_states(9, range(4, 12), TAG_GRADIENT)):
         got = symmetric_three_tensor(make(), dims, sigma)
-        raw = samplers._normals(make(), (dims.m, dims.n, dims.n, dims.n))
-        raw *= sigma
-        lead = raw.ndim - 3
-        acc = np.zeros_like(raw)
-        for perm in itertools.permutations(range(lead, lead + 3)):
-            acc += raw.transpose(*range(lead), *perm)
-        acc /= 6.0
-        assert got.tobytes() == acc.tobytes()
+        z = samplers._normals(make(), (dims.m, len(triples)))
+        # C-contiguous, so a derivative sample stores it without a copy
+        assert got.shape == (*z.shape[:-1], n, n, n) and got.flags.c_contiguous
+        expected = np.empty_like(got)
+        for t, triple in enumerate(triples):
+            value = z[..., t] * sigma / np.sqrt(len(set(itertools.permutations(triple))))
+            for i, j, k in itertools.permutations(triple):
+                expected[..., i, j, k] = value
+        assert got.tobytes() == expected.tobytes()
+        if sigma != 1.0:
+            assert not np.array_equal(got, symmetric_three_tensor(make(), dims))
+
+
+def six_permutation_matrix(n):
+    """The average of the six transposes of an (n, n, n) tensor, as a linear
+    map on its n^3 flat entries."""
+    flat = np.arange(n**3).reshape(n, n, n)
+    M = np.zeros((n**3, n**3))
+    for perm in itertools.permutations(range(3)):
+        M[flat.ravel(), flat.transpose(perm).ravel()] += 1 / 6
+    return M
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_draw_has_the_law_of_the_six_permutation_average(n, monkeypatch):
+    # both are centred Gaussian, so equal covariances M M^T = G G^T give one
+    # law; the columns of G are the tensors of the unit orbit draws
+    orbits = len(list(itertools.combinations_with_replacement(range(n), 3)))
+    monkeypatch.setattr(samplers, "_normals", lambda rng, shape, sigma: np.eye(orbits)[:, None])
+    G = symmetric_three_tensor(None, Dims(n, 1)).reshape(orbits, n**3).T
+    M = six_permutation_matrix(n)
+    assert np.max(np.abs(M @ M.T - G @ G.T)) <= 1e-15
+    monkeypatch.undo()
+    tensors = symmetric_three_tensor(substream_states(3, range(64), TAG_GRADIENT), Dims(n, 3))
+    assert np.all(gradient_sample(None, tensors).asymmetry() == 0)

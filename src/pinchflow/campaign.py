@@ -6,8 +6,8 @@ samples and evaluates chunks of trials stacked along a leading axis, and
 sizes them by the bytes they stack (:func:`chunk_size`): the largest power
 of two whose widest per-trial stack stays within ``STACK_BUDGET`` float64
 values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``; the
-commutator stacks of |R^perp|^2 and li keep within the budget on their own
-(``forms.commutator_norm2``), so they do not size a chunk.  When an
+commutator pairs of |R^perp|^2 and li (``forms.commutator_norm2``) keep
+within the budget on their own, so they do not size a chunk.  When an
 inequality reads a derivative tensor, all of them run on slices of a chunk
 sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
 each slice draws its own (m, n, n, n) tensors from its trials' substreams

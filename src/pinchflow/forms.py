@@ -226,35 +226,45 @@ class NormalCurvature:
     hat_part_norm2: float | np.ndarray
 
 
+@cache
+def _pairs(k: int) -> np.ndarray:
+    """The indices a (first row) < b (second row) of the pairs of k matrices."""
+    index = np.array(np.triu_indices(k, 1))
+    index.setflags(write=False)
+    return index
+
+
 def _commutators_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
     """:func:`commutator_norm2` of stacks whose products are formed at once."""
-    if right is left:
-        # R_b L_a is the product L_b L_a, formed once, by the same BLAS call
-        prod = left[..., :, None, :, :] @ left[..., None, :, :, :]
-        comm = prod - prod.swapaxes(-4, -3)
-        del prod
+    lead = left.shape[:-3]
+    if right is left:  # 2 sum_{a<b} |[L_a, L_b]|^2: [L_b, L_a] = -[L_a, L_b], [L_a, L_a] = 0
+        first, second = _pairs(left.shape[-3])
+        left, right, weight = np.take(left, first, axis=-3), np.take(left, second, axis=-3), 2.0
     else:
-        left, right = left[..., :, None, :, :], right[..., None, :, :, :]
-        # in place: a third live product stack can make glibc trim the heap per chunk
-        comm = left @ right
-        comm -= right @ left
-    return sum_sq(comm, 4)
+        left, right, weight = left[..., :, None, :, :], right[..., None, :, :, :], 1.0
+    # in place: a third live product stack can make glibc trim the heap per chunk
+    comm = left @ right
+    comm -= right @ left
+    flat = comm.reshape(*lead, -1)  # one flat axis a point: a batch rounds as its points
+    return _scalar(weight * np.add.reduce(flat * flat, axis=-1))
 
 
 def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
     """sum_{ab} |L_a R_b - R_b L_a|^2 over two stacks (..., k, n, n) of square
     matrices with the same leading axes.
 
-    A batch is walked in blocks of points whose (k_left, k_right, n, n)
-    product stacks each hold at most ``STACK_BUDGET`` values (one point a
-    block when a point's stack is wider); each point is reduced over its own
-    stack, so the blocks move no bit.  A stack against itself
-    (``right is left``) forms each product L_a L_b once.
+    A stack against itself (``right is left``) forms the two products of each
+    pair a < b once, k (k - 1) in all; two stacks form all k_left k_right.  A
+    batch is walked in blocks of points whose k (k - 1) gathered or
+    k_left k_right product matrices hold at most ``STACK_BUDGET`` values (one
+    point a block when a point's are wider); each point is reduced over its
+    own stack, so the blocks move no bit.
     """
     if left.ndim == 3:
         return _commutators_norm2(left, right)
     *lead, k_left, n, _ = left.shape
-    step = max(1, STACK_BUDGET // max(1, k_left * right.shape[-3] * n * n))
+    k_right = k_left - 1 if right is left else right.shape[-3]
+    step = max(1, STACK_BUDGET // max(1, k_left * k_right * n * n))
     flat_left, flat_right = left.reshape(-1, k_left, n, n), right.reshape(-1, *right.shape[-3:])
     out = np.empty(len(flat_left))
     for start in range(0, len(out), step):
@@ -265,15 +275,13 @@ def commutator_norm2(left: np.ndarray, right: np.ndarray) -> float | np.ndarray:
 
 
 def normal_curvature(decomp: PrincipalDecomposition) -> NormalCurvature:
-    # R^perp(nu1) = [h, A] = [h, A^-] since h commutes with itself, and A^-
-    # takes values orthogonal to nu1, so the hat part is [A^-_a, A^-_b];
-    # summing both from A^- avoids projecting the much larger full tensor
-    comps, am = decomp.form.components, decomp.a_minus.components
-    return NormalCurvature(
-        commutator_norm2(comps, comps),
-        commutator_norm2(decomp.h[..., None, :, :], am),
-        commutator_norm2(am, am),
-    )
+    """|R^perp|^2 and its two parts from the split alone: R^perp(nu1) = [h, A^-]
+    and the hat part is [A^-_a, A^-_b].  As A_a = A^-_a + nu1_a h with
+    sum_b nu1_b A^-_b = 0 and |nu1| = 1, the cross terms vanish and
+    |R^perp|^2 = |hat R^perp|^2 + 2 |R^perp(nu1)|^2, with no (m, m, n, n) stack."""
+    am = decomp.a_minus.components
+    principal, hat = commutator_norm2(decomp.h[..., None, :, :], am), commutator_norm2(am, am)
+    return NormalCurvature(hat + 2 * principal, principal, hat)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,9 @@ def _gradient_case(n: int, c: float, eps0: float | None) -> tuple[tuple, tuple, 
     outside both.  A case is its coefficients of the terms of L4.6, L4.7 and
     L4.8, each in formula order (the first of L4.8 is None in case 2 without
     eps0 > 0), its cap on the delta of L4.9 and the refusal of a delta above
-    that cap."""
+    that cap.  An eps0 given must be > 0."""
+    if eps0 is not None and not eps0 > 0:
+        raise InvalidConstants(f"the gradient lemmas need eps0 > 0, got eps0={eps0}")
     if n >= 8 and _c_in_range(c, 4.0 / (3 * n)):
         return (
             ((4.0 * n - 10) / (n + 2), 6.0 * (n - 1) / (n + 2)),
@@ -238,7 +240,7 @@ def _gradient_case(n: int, c: float, eps0: float | None) -> tuple[tuple, tuple, 
     limit = 3.0 * (n + 1) / (2 * n * (n + 2)) - (eps0 or 0.0)
     if _c_in_range(c, limit):
         eps = 2.0 * n * (n + 2) / (3 * (n - 1)) * (eps0 or 0.0)
-        ring = None if eps0 is None or eps0 <= 0 else (1 - eps) * 1.5
+        ring = None if eps0 is None else (1 - eps) * 1.5
         cap = min(0.5, eps)
         rule = f"case-2 gradient estimate needs 0 < delta <= {cap}"
         return (2, 4), (1.5, 6), (ring, 4, 2), cap, rule

@@ -24,7 +24,7 @@ from pinchflow.campaign import (
     write_counterexample,
 )
 from pinchflow.cli import main
-from pinchflow.forms import Dims, mean_curvature, principal_decompose
+from pinchflow.forms import Dims, SecondFundamentalForm, mean_curvature, principal_decompose
 from pinchflow.lemmas import LEMMAS, InequalityCheck
 from pinchflow.samplers import SamplerSpec, sample_form
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS
@@ -233,6 +233,40 @@ class TestViolationPath:
         chk = InequalityCheck("li", np.array([np.inf, 2.0, 0.0, 1.0]),
                               np.array([0.0, 1.0, np.inf, 1.0]))
         assert _violated(chk, 1e-9).tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_infinite_li_entry_is_a_violation(self, k, entry, sign):
+        # the self commutator forms no [L_a, L_a], where inf - inf is NaN;
+        # the slack of an infinite stack must still be NaN or -inf, and flagged
+        stack = np.random.default_rng(41).standard_normal((4, k, 5, 5))
+        stack[1, k - 1][entry] = sign * np.inf
+        with np.errstate(all="ignore"):
+            chk = pinchflow.lemmas.check_li(stack)
+            flagged = _violated(chk, DEFAULT_TOL)
+        assert np.isnan(chk.slack[1]) or chk.slack[1] == -np.inf
+        assert flagged.tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("field, entry", [("form", (3, 3)), ("boundary_form", (3, 3)),
+                                              ("boundary_form", (3, 4))])
+    def test_a_reaction_chunk_with_infinite_products_is_a_violation(self, sign, field, entry):
+        # an infinite entry of a form fails its split; entries of 1e200 pass
+        # it, and their products reach the commutators as +-inf
+        spec = SamplerSpec(Dims(8, 3), c=1 / 6, seed=1)
+        chunk = sample_trial_inputs(spec, substreams(spec, range(4)), {"boundary"})
+        comps = getattr(chunk, field).components.copy()
+        comps[1, 2][entry] = comps[1, 2][entry[::-1]] = sign * 1e200
+        setattr(chunk, field, SecondFundamentalForm.from_components(comps))
+        ids = REACTION_IDS + ["boundary"]
+        with np.errstate(all="ignore"):
+            chk = evaluate_trial(ids, chunk, spec)
+            flagged = _violated(chk, DEFAULT_TOL)
+        hit = [(i == "boundary") == (field == "boundary_form") for i in ids]
+        slack = chk.slack[hit, 1]
+        assert np.all(np.isnan(slack) | (slack == -np.inf))
+        assert flagged.tolist() == [[False, h, False, False] for h in hit]
 
     def test_overflowed_lhs_counts_every_trial(self, monkeypatch):
         def overflowed_li(matrices):

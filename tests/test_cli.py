@@ -13,8 +13,11 @@ import pinchflow.campaign as campaign
 import pinchflow.cli as cli
 import pinchflow.lemmas as lemmas
 from pinchflow.campaign import CheckResult
+from pinchflow.errors import InvalidConstants
 from pinchflow.flow import CSV_HEADER, MAX_STEPS, read_csv
+from pinchflow.forms import Dims
 from pinchflow.lemmas import InequalityCheck
+from pinchflow.samplers import SamplerSpec
 
 
 def run(capsys, *argv):
@@ -226,6 +229,21 @@ class TestVerify:
                              "--seed", "1", "--n", "8", "--m", "3", "--c", value)
         assert code == 2
         assert out == "" and f"c={float(value)}" in err
+
+    def test_eps0_not_above_zero_is_named_before_a_draw(self, capsys, monkeypatch):
+        # given c and delta derive nothing from eps0, and case 2's limit on c,
+        # 3(n+1)/(2n(n+2)) - eps0, would admit any c at this eps0
+        def no_draw(*args):
+            raise AssertionError("a form was drawn")
+
+        monkeypatch.setattr(campaign, "sample_trial_inputs", no_draw)
+        code, out, err = run(capsys, "verify", "--suite", "gradient", "--n", "6", "--m", "2",
+                             "--c", "0.2", "--delta", "0.01", "--eps0=-1e308")
+        assert code == 2
+        assert out == "" and "eps0=-1e+308" in err
+        spec = SamplerSpec(Dims(6, 2), c=0.6, delta=0.01, eps0=-0.5)
+        with pytest.raises(InvalidConstants, match="eps0=-0.5"):
+            campaign.run_campaign(spec, ["L4.6"], 4)
 
     # li draws no form, so it reads no d, and its sides stay finite at the
     # largest sigma; kato draws no form either

@@ -1,6 +1,7 @@
 """Tensor algebra: decomposition, normal curvature, derivative splitting."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ from pinchflow.samplers import (
     symmetric_gaussian,
     symmetric_three_tensor,
 )
+
+
+def exact_commutator_norm2(left, right):
+    """sum_{ab} |L_a R_b - R_b L_a|^2 of one point's stacks in exact
+    rationals (every float is a rational), rounded once to a float."""
+    left, right = (np.vectorize(Fraction, otypes=[object])(s) for s in (left, right))
+    total = Fraction(0)
+    for a in left:
+        for b in right:
+            total += sum(x * x for x in (a @ b - b @ a).ravel())
+    return float(total)
 
 
 def frame_identity_residuals(grad):
@@ -294,9 +306,34 @@ class TestCommutatorKernel:
             ]
             assert all(isinstance(p, float) for p in points)
             assert batch.tobytes() == np.reshape(points, lead).tobytes()
-        # each self-product formed once gives the two products' value bit for bit
-        once, twice = commutator_norm2(stack, stack), commutator_norm2(stack, stack.copy())
-        assert once.tobytes() == twice.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_self_and_cross_paths_round_the_exact_sum(self, k, symmetric):
+        # the self path sums 2 sum_{a<b} |[L_a, L_b]|^2 and the cross path every
+        # (a, b): both lie within 16 (n + 2) eps sum_{ab} |L_a|^2 |R_b|^2 of
+        # sum_{ab} |[L_a, R_b]|^2 in exact rationals, a bound on the rounding
+        # of the products ((n + 1) eps |L_a| |R_b| an entry) and of the sum
+        rng = np.random.default_rng(31 + k)
+        n = 5
+        stacks = rng.standard_normal((4, k, n, n)) * rng.uniform(1e-3, 1e3, (4, k, 1, 1))
+        if symmetric:
+            stacks = 0.5 * (stacks + stacks.swapaxes(-1, -2))
+        others = rng.standard_normal((4, 2, n, n))
+        for left, right in [(stacks, stacks), (stacks, others), (others, stacks)]:
+            exact = np.array([exact_commutator_norm2(a, b) for a, b in zip(left, right)])
+            sq = np.add.reduce(left**2, axis=(-2, -1))[:, :, None] * np.add.reduce(
+                right**2, axis=(-2, -1))[:, None, :]
+            bound = 16 * (n + 2) * np.finfo(float).eps * sq.sum(axis=(-2, -1))
+            paths = [commutator_norm2(left, right.copy())]
+            if right is left:
+                paths.append(commutator_norm2(left, left))
+            for path in paths:
+                assert np.all(np.abs(path - exact) <= bound)
+        # a single matrix has no pairs: its self and cross sums are exactly 0
+        if k == 1:
+            assert commutator_norm2(stacks, stacks).tolist() == [0.0] * 4
+            assert commutator_norm2(stacks, stacks.copy()).tolist() == [0.0] * 4
 
     def test_a_batch_keeps_its_product_stacks_within_the_budget(self):
         stack = symmetric_gaussian(np.random.default_rng(23), Dims(8, 3)).components

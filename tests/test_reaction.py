@@ -93,8 +93,9 @@ class TestR1R2:
     @pytest.mark.parametrize("draw", ["gaussian", "split"])
     def test_commutator_term_splits_at_nu1(self, n, m, draw):
         # |R^perp|^2 = |hat R^perp|^2 + 2 |R^perp(nu1)|^2 in the frame nu1,
-        # A^- of the split: the full commutator of normal_curvature and the
-        # one r1 adds to the Gram term, against the split's two parts
+        # A^- of the split: the full commutator stack of A, which
+        # normal_curvature does not form, and the one r1 adds to the Gram
+        # term, against the split's two parts
         dims, states = Dims(n, m), substream_states(n * 100 + m, range(256), TAG_FORM)
         if draw == "gaussian":
             A = symmetric_gaussian(states, dims)
@@ -105,6 +106,8 @@ class TestR1R2:
         split = rperp.hat_part_norm2 + 2 * rperp.principal_norm2
         bound = 1e-12 * dec.a2**2
         assert np.all(np.abs(rperp.norm2 - split) <= bound)
+        full = commutator_norm2(A.components, A.components.copy())
+        assert np.all(np.abs(full - split) <= bound)
         assert np.all(np.abs(r1(A) - gram_norm2(A.components, A.components) - split) <= bound)
         assert np.all(rperp.principal_norm2 > 0)  # neither part is empty
 

@@ -259,13 +259,12 @@ def sample_trial_inputs(
     elif "form" in kinds:
         inputs.form = sample_form(spec, streams["form"])
     if "matrices" in kinds:
-        inputs.matrices = symmetric_matrices(
-            streams["matrices"], spec.dims.n, li_matrices(spec.dims), spec.sigma
-        )
+        inputs.matrices = symmetric_matrices(streams["matrices"], spec.dims.n,
+                                             li_matrices(spec.dims))
     if "grad" in kinds:
-        inputs.grad_tensor = symmetric_three_tensor(streams["grad"], spec.dims, spec.sigma)
+        inputs.grad_tensor = symmetric_three_tensor(streams["grad"], spec.dims)
     if "w" in kinds:
-        inputs.w = sample_w(streams["w"], spec.dims, spec.sigma)
+        inputs.w = sample_w(streams["w"], spec.dims)
     return inputs
 
 
@@ -343,8 +342,8 @@ def write_counterexample(
 
 
 def load_counterexample(path: str) -> tuple[str, TrialInputs, SamplerSpec]:
-    """The lemma id, trial and spec of a counterexample file; the file keeps
-    no sigma, which only a draw reads, so the spec has the default one."""
+    """The lemma id, trial inputs and spec of a counterexample file, which
+    records every constant of its spec."""
     with open(path) as fh:
         payload = json.load(fh)
     inputs = TrialInputs.decode(payload["inputs"])

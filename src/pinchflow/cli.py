@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation (a
 replayable counterexample file is written), 2 usage or configuration error.
-The RNG seed is always echoed in machine-readable output; it defaults to the
-MCF_SEED environment variable and otherwise to fresh entropy.  simulate and
-rescale write the same CSV text to --out or, without it, to stdout.
+The RNG seed is always echoed in machine-readable output; without --seed it
+is fresh entropy.  simulate and rescale write the same CSV text to --out or,
+without it, to stdout.
 """
 
 from __future__ import annotations
@@ -43,21 +43,6 @@ SUITES = {
 SUITES["all"] = list(lemmas.LEMMAS)
 
 _FMT = ".17g"
-
-
-def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get("MCF_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise ValueError(f"MCF_SEED must be a non-negative integer, got {env!r}")
-        return seed
-    return int(np.random.SeedSequence().entropy) % (2**63)
 
 
 def _require_finite(args: argparse.Namespace, *names: str) -> None:
@@ -102,10 +87,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the options as typed, checked before c and delta are derived from eps0
     typed = {k: v for k in ("delta", "eta", "eps0") if (v := getattr(args, k)) is not None}
     spec = SamplerSpec(Dims(n, m), **typed)
-    seed = _resolve_seed(args.seed)
+    seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy) % 2**63
     ids = SUITES[args.suite]
     c, delta, eps0 = lemmas.default_constants(ids, n, args.c, args.delta, args.eps0)
-    spec = replace(spec, sigma=args.sigma, c=c, d=args.d, seed=seed, delta=delta, eps0=eps0)
+    spec = replace(spec, c=c, d=args.d, seed=seed, delta=delta, eps0=eps0)
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
     results = run_campaign(spec, ids, args.trials, tol=args.tol, counterexample_dir=out_dir)
     report = {
@@ -226,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
 

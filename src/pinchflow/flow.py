@@ -284,6 +284,8 @@ def diagnostics(family: Family, t: np.ndarray | list[float],
                 constants: PinchingConstants) -> TimeSeries:
     """All scalar diagnostics of ``family`` at times ``t``, shape (k,), and
     radii ``params``, shape (k, j), evaluated together on the stacked forms."""
+    if constants.dims != (dims := Dims(family.n, family.m)):
+        raise InvalidConstants(f"constants have dims {constants.dims} but family has {dims}")
     if constants.Kbar is not None and constants.Kbar != family.kbar:
         raise InvalidConstants(
             f"constants Kbar={constants.Kbar} but family has kbar={family.kbar}"

@@ -39,8 +39,9 @@ from .lemmas import boundary_offset
 F_MIN = 1e-2  # the least share of the pinching budget f takes: f is a cancellation
 # f = c|H|^2 - |A|^2 - d rounds to about this many units of 2c|H|^2 + d
 F_ROUNDING = 64 * np.finfo(np.float64).eps
-# the largest scales drawn: a quartic side stays far below overflow
-MAX_SIGMA, MAX_D = 1e50, 1e100  # d enters a form as sqrt(d)
+# the largest d drawn at: d enters a form as sqrt(d), and a quartic side
+# stays far below overflow
+MAX_D = 1e100
 
 # substream tags: one per input kind so that lemma sets do not perturb draws
 TAG_FORM = 0
@@ -58,13 +59,13 @@ _MASK32 = 2**32 - 1
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Every constant of a campaign: dimensions, Gaussian scale, the pinching
-    constants of the forms (checked where a form is drawn), the seed, and
-    the lemma constants delta, eta (kato; None is (n-1)/(n(n+2))) and eps0
-    (the case-2 gradient margin)."""
+    """Every constant of a campaign: dimensions, the pinching constants of
+    the forms (checked where a form is drawn), the seed, and the lemma
+    constants delta, eta (kato; None is (n-1)/(n(n+2))) and eps0 (the case-2
+    gradient margin).  The draws are standard: every id is homogeneous in
+    (A, d), so a Gaussian scale would only restate d."""
 
     dims: Dims
-    sigma: float = 1.0
     c: float = 0.0
     d: float = 0.0
     seed: int = 0
@@ -76,12 +77,10 @@ class SamplerSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("sigma", "c", "d", "delta", "eta", "eps0"):
+        for name in ("c", "d", "delta", "eta", "eps0"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
-        if not 0 < self.sigma <= MAX_SIGMA:
-            raise ValueError(f"sigma must be in (0, {MAX_SIGMA:g}], got {self.sigma}")
 
 
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
@@ -200,38 +199,34 @@ def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
 Rng = np.random.Generator | np.ndarray
 
 
-def _normals(rng: Rng, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
-    """Normals of ``shape`` and scale ``sigma`` from one generator, or from
-    the generator of each row of substream states, stacked along a leading
-    axis."""
+def _normals(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of ``shape`` from one generator, or from the
+    generator of each row of substream states, stacked along a leading axis."""
     if isinstance(rng, np.random.Generator):
-        out = rng.standard_normal(shape)
-    else:
-        out = np.empty((len(rng), *shape))
-        for row, r in zip(out, generators(rng)):
-            r.standard_normal(out=row)
-    if sigma != 1.0:
-        out *= sigma  # in place: a chunk of derivative tensors is large
+        return rng.standard_normal(shape)
+    out = np.empty((len(rng), *shape))
+    for row, r in zip(out, generators(rng)):
+        r.standard_normal(out=row)
     return out
 
 
-def symmetric_gaussian(rng: Rng, dims: Dims, sigma: float = 1.0) -> SecondFundamentalForm:
-    return symmetrize(_normals(rng, (dims.m, dims.n, dims.n), sigma))
+def symmetric_gaussian(rng: Rng, dims: Dims) -> SecondFundamentalForm:
+    return symmetrize(_normals(rng, (dims.m, dims.n, dims.n)))
 
 
-def symmetric_matrices(rng: Rng, n: int, count: int, sigma: float = 1.0) -> np.ndarray:
+def symmetric_matrices(rng: Rng, n: int, count: int) -> np.ndarray:
     """``count`` independent symmetric n x n Gaussian matrices, (..., count, n, n)."""
-    raw = _normals(rng, (count, n, n), sigma)
+    raw = _normals(rng, (count, n, n))
     return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
 def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float,
-                 sigma: float, boundary: bool = False) -> list[SecondFundamentalForm]:
+                 boundary: bool = False) -> list[SecondFundamentalForm]:
     """The pinched forms of one split draw per generator, stacked, and with
     ``boundary`` the forms of the same draws on the boundary at
     ``boundary_offset(d)``.
 
-    A draw takes m n^2 + 1 normals and 3 uniforms: z of s = sigma e^{z/2};
+    A draw takes m n^2 + 1 normals and 3 uniforms: z of s = e^{z/2};
     unit symmetric traceless directions of h_ring (the first normal slot)
     and of the A^- stack (the others); and the raw shares of f and A^- of
     B = s^2, flat Dirichlet(1, 1, 1) shares or, for half the trials, edge
@@ -260,7 +255,7 @@ def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float
     f = np.where(edge, 10.0 ** (12 * (u[:, 1:2] - 1)), 1 - np.sqrt(1 - u[:, 1:2]))  # Beta(1, 2)
     t = np.where(edge, 10.0 ** (12 * (u[:, 2:] - 1)), u[:, 2:]) if m > 1 else np.zeros((k, 1))
     slot_share = np.where(np.arange(m) > 0, t, 1 - t)  # of what f leaves
-    s2 = (sigma * np.exp(0.5 * normals[:, :1])) ** 2
+    s2 = np.exp(0.5 * normals[:, :1]) ** 2  # np.exp(z) rounds differently
 
     def assemble(offset: float, share: np.ndarray | float) -> SecondFundamentalForm:
         # B is at least what f's rounding, F_ROUNDING (2c|H|^2 + d), needs for F_MIN of it
@@ -274,17 +269,17 @@ def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float
     return [pinched, assemble(boundary_offset(d), 1.0)] if boundary else [pinched]
 
 
-def sample_pinched(rng: np.random.Generator, dims: Dims, c: float, d: float,
-                   sigma: float = 1.0) -> SecondFundamentalForm:
+def sample_pinched(rng: np.random.Generator, dims: Dims, c: float, d: float
+                   ) -> SecondFundamentalForm:
     """A form with f = c|H|^2 - |A|^2 - d > 0: a chunk of one, from ``rng``."""
-    return SecondFundamentalForm(dims, _split_forms([rng], dims, c, d, sigma)[0].components[0])
+    return SecondFundamentalForm(dims, _split_forms([rng], dims, c, d)[0].components[0])
 
 
 def sample_form(spec: SamplerSpec, streams: np.ndarray) -> SecondFundamentalForm:
     """The pinched forms of the trials of the ``TAG_FORM`` substream states,
     stacked; a trial's form is the one :func:`sample_pinched` draws from its
     ``trial_rng`` alone."""
-    return _split_forms(list(generators(streams)), spec.dims, spec.c, spec.d, spec.sigma)[0]
+    return _split_forms(list(generators(streams)), spec.dims, spec.c, spec.d)[0]
 
 
 def sample_boundary(spec: SamplerSpec, streams: np.ndarray
@@ -292,7 +287,7 @@ def sample_boundary(spec: SamplerSpec, streams: np.ndarray
     """The forms of :func:`sample_form`, and the forms of the same draws with
     f = 0, on the boundary |A|^2 = c|H|^2 - d at ``boundary_offset(spec.d)``."""
     return tuple(_split_forms(list(generators(streams)), spec.dims, spec.c, spec.d,
-                              spec.sigma, boundary=True))
+                              boundary=True))
 
 
 @functools.cache
@@ -305,14 +300,14 @@ def _orbit_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return orbit, np.sqrt(np.bincount(orbit))
 
 
-def symmetric_three_tensor(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
+def symmetric_three_tensor(rng: Rng, dims: Dims) -> np.ndarray:
     """Gaussian (..., m, n, n, n) tensor fully symmetric in its tangent
     indices, drawn by orbits: m C(n+2, 3) normals z, one per slot and triple
-    i <= j <= k, and T[a, i, j, k] = sigma z[a, t] / sqrt(|orbit t|) for the
+    i <= j <= k, and T[a, i, j, k] = z[a, t] / sqrt(|orbit t|) for the
     sorted triple t of (i, j, k).  Its law is that of the average of the six
     transposes of a Gaussian tensor, and its Codazzi defect is exactly 0."""
     orbit, root = _orbit_gather(dims.n)
-    z = _normals(rng, (dims.m, root.size), sigma)
+    z = _normals(rng, (dims.m, root.size))
     z /= root
     # take, not z[..., orbit], returns the gather C-contiguous, as a sample stores it
     return np.take(z, orbit, axis=-1).reshape(*z.shape[:-1], dims.n, dims.n, dims.n)
@@ -338,5 +333,5 @@ def kato_e_tensor(
     return t
 
 
-def sample_w(rng: Rng, dims: Dims, sigma: float = 1.0) -> np.ndarray:
-    return _normals(rng, (dims.m, dims.n), sigma)
+def sample_w(rng: Rng, dims: Dims) -> np.ndarray:
+    return _normals(rng, (dims.m, dims.n))

@@ -359,7 +359,7 @@ class TestViolationPath:
         write_counterexample(path, "kato.3.1", spec, 0, inputs,
                              InequalityCheck("kato.3.1", 1.0, 2.0))
         _, loaded, loaded_spec = load_counterexample(path)
-        # every constant and the seed come back; sigma, which only a draw reads, is not kept
+        # every constant and the seed come back
         assert loaded_spec == spec
         assert np.array_equal(loaded.form.components, inputs.form.components)
         assert np.array_equal(loaded.grad_tensor, inputs.grad_tensor)

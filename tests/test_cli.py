@@ -122,26 +122,18 @@ class TestVerify:
         assert {"lemma_id", "trials", "violations", "worst_slack", "seed"} <= set(entry)
         assert entry["violations"] == 0
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("MCF_SEED", "12345")
-        code, out, _ = run(capsys, "verify", "--suite", "li", "--trials", "50",
-                           "--n", "3", "--m", "2")
-        assert code == 0
-        assert json.loads(out)["seed"] == 12345
-
     def test_negative_seed_names_itself(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
                              "--seed", "-1", "--n", "3", "--m", "2")
         assert code == 2
         assert out == "" and "error: seed must be a non-negative integer" in err
 
-    @pytest.mark.parametrize("env", ["-3", "abc"])
-    def test_bad_env_seed_names_itself(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("MCF_SEED", env)
+    def test_sigma_option_removed(self, capsys):
+        # a Gaussian scale would only restate d: every id is homogeneous in (A, d)
         code, out, err = run(capsys, "verify", "--suite", "li", "--trials", "5",
-                             "--n", "3", "--m", "2")
+                             "--seed", "1", "--n", "3", "--m", "2", "--sigma", "1")
         assert code == 2
-        assert out == "" and "error: MCF_SEED must be a non-negative integer" in err
+        assert out == "" and "unrecognized arguments: --sigma 1" in err
 
     def test_violation_exit_code(self, capsys, monkeypatch, tmp_path):
         def fake_run_campaign(*args, **kwargs):
@@ -172,19 +164,14 @@ class TestVerify:
     @pytest.mark.parametrize("suite, flag, value, name", [
         ("kato", "--eta", "nan", "eta"),
         ("kato", "--eta", "inf", "eta"),
-        ("reaction", "--sigma", "nan", "sigma"),
-        ("reaction", "--sigma", "0", "sigma"),
         ("reaction", "--c", "nan", "c"),
         ("reaction", "--d", "nan", "d"),
         # a negative d made NaN pinched forms instead of an error naming it
         ("reaction", "--d", "-1", "d"),
         ("gradient", "--d", "-0.5", "d"),
         ("all", "--d", "-1", "d"),
-        ("li", "--sigma", "inf", "sigma"),
-        # scales whose quartic sides would overflow into NaN slacks, which
+        # a d whose quartic sides would overflow into NaN slacks, which
         # count as violations, or into an asymmetric form
-        ("li", "--sigma", "1e80", "sigma"),
-        ("reaction", "--sigma", "1e200", "sigma"),
         ("reaction", "--d", "1e200", "d"),
         ("all", "--d", "1e101", "d"),
         # an option the suite does not read still lands in the report
@@ -245,12 +232,10 @@ class TestVerify:
         with pytest.raises(InvalidConstants, match="eps0=-0.5"):
             campaign.run_campaign(spec, ["L4.6"], 4)
 
-    # li draws no form, so it reads no d, and its sides stay finite at the
-    # largest sigma; kato draws no form either
+    # li draws no form, so it reads no d; kato draws no form either
     @pytest.mark.parametrize("suite, flag, value", [
         pytest.param("li", "--d", "-1", id="--d--1"),
         pytest.param("li", "--d", "1e200", id="--d-1e200"),
-        pytest.param("li", "--sigma", "1e50", id="--sigma-1e50"),
         pytest.param("kato", "--d", "-1", id="kato---d--1"),
     ])
     def test_li_runs_at_the_edges(self, capsys, suite, flag, value):

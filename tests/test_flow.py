@@ -379,6 +379,20 @@ class TestDiagnostics:
         with pytest.raises(InvalidConstants):
             initial_record(fam, hyperbolic_constants(kbar=-2.0))
 
+    @pytest.mark.parametrize("fam, constants", [
+        # Q(0) read -6.48 with n = 5 against -28.96 with the family's n = 8
+        (HyperbolicSphereFlow(8, 2, 0.5, -1.0), hyperbolic_constants(5, 2, 0.25, 8.5)),
+        # d = 3 meets n = 5's bound 2n - 2/c = 2, not n = 8's bound 8
+        (HyperbolicSphereFlow(8, 2, 0.5, -1.0), hyperbolic_constants(5, 2, 0.25, 3.0)),
+        (SphereFlow(8, 2, 2.0), PinchingConstants(Dims(8, 3), 1 / 6)),
+    ], ids=["Q", "d-bound", "m"])
+    def test_dims_mismatch_rejected(self, fam, constants):
+        named = re.escape(f"constants have dims {constants.dims} but family has {Dims(8, 2)}")
+        with pytest.raises(InvalidConstants, match=named):
+            initial_record(fam, constants)
+        with pytest.raises(InvalidConstants, match=named):
+            simulate(fam, constants, dt=1e-4, t_end=0.01)
+
 
 class TestEvolutionResiduals:
     def test_sphere_reaction_value(self):

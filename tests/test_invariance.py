@@ -6,9 +6,11 @@ tangent indices or by O(m) on their normal index; the k matrices of ``li``
 sit in that slot and mix under O(k).  Both sides also scale by
 lam^degree, with the ``degree`` column of :data:`pinchflow.lemmas.LEMMAS`:
 an id that reads a derivative sample scales the derivative tensor and w by
-lam at a fixed form, any other id scales its forms and matrices by lam and
-d by lam^2.  The test iterates over the table, so a new entry is covered
-as it is added.
+lam at a fixed form, and keeps both sides when its forms scale by lam and
+d by lam^2 at fixed tensors; any other id scales its forms and matrices by
+lam and d by lam^2.  So every id scales by lam^degree when all its inputs
+scale by lam and d by lam^2 together.  The test iterates over the table,
+so a new entry is covered as it is added.
 """
 
 import itertools
@@ -113,3 +115,7 @@ def test_every_lemma_is_frame_invariant_and_homogeneous(n, m):
         factor = 1.0 if derivative else lam**2
         assert_close(sides(lemma_id, scaled, replace(spec, d=D * factor)),
                      tuple(lam**lemma.degree * side for side in base), f"{lemma_id} scaling")
+        if derivative:
+            formed = transformed(inputs, lambda name, a: a if name in DERIVATIVE else lam * a)
+            assert_close(sides(lemma_id, formed, replace(spec, d=D * lam**2)), base,
+                         f"{lemma_id} form scaling")

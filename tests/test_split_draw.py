@@ -60,7 +60,7 @@ def test_principal_split_recovers_the_drawn_split(dims, c, d):
     dec = principal_decompose(sample_form(spec, substream_states(3, trials, TAG_FORM)))
     f = c * dec.H.norm2 - dec.a2 - d
     for i, trial in enumerate(trials):
-        _, split = scalar_split_draw(trial_rng(3, trial), dims, c, d, 1.0)
+        _, split = scalar_split_draw(trial_rng(3, trial), dims, c, d)
         tol = 1e-12 * split["budget"]
         assert abs(dec.a_minus2[i] - split["a_minus2"]) <= tol
         assert abs(dec.h_ring2[i] - split["h_ring2"]) <= tol

@@ -158,11 +158,8 @@ def test_negative_d_names_itself(kinds):
 
 
 def test_scales_past_their_bounds_name_themselves():
-    # past these scales the quartic sides overflow into NaN slacks, which
-    # count as violations; the largest admitted d still draws
-    with pytest.raises(ValueError, match=r"sigma must be in \(0, 1e\+50\], got 1e\+80"):
-        SamplerSpec(Dims(4, 3), sigma=1e80)
-    SamplerSpec(Dims(4, 3), sigma=samplers.MAX_SIGMA)
+    # past this d the quartic sides overflow into NaN slacks, which count as
+    # violations; the largest admitted d still draws
     with pytest.raises(InvalidConstants, match=r"d must be in \[0, 1e\+100\].*got 1e\+200"):
         samplers.sample_pinched(trial_rng(0, 0), Dims(8, 3), 1 / 6, 1e200)
     A = samplers.sample_pinched(trial_rng(0, 0), Dims(8, 3), 1 / 6, samplers.MAX_D)
@@ -174,14 +171,14 @@ SPECS = {
     "pinched": SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=61),
     # a seed of two words, and boundary forms at d = 1
     "boundary": SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=2**32),
-    # a seed of three words, and Gaussian inputs at a sigma other than 1
-    "gaussian": SamplerSpec(Dims(5, 3), sigma=0.7, c=4 / 15, seed=2**64),
+    # a seed of three words, at n = 5
+    "gaussian": SamplerSpec(Dims(5, 3), c=4 / 15, seed=2**64),
     # d so large that the budget B is raised to what f's rounding needs
     "floor": SamplerSpec(Dims(8, 3), c=1 / 6, d=1e30, seed=1),
 }
 
 
-def scalar_split_draw(rng, dims, c, d, sigma, boundary=False):
+def scalar_split_draw(rng, dims, c, d, boundary=False):
     """The split draw of one trial, written out for one form: the form and
     its drawn split, a dict of s^2, the budget B and the |h_ring|^2,
     |A^-|^2 and f it assigns; ``boundary`` gives the form of the same
@@ -202,7 +199,7 @@ def scalar_split_draw(rng, dims, c, d, sigma, boundary=False):
         f_raw, t = 1 - np.sqrt(1 - u_f), u_t
     t = t if m > 1 else 0.0
     g = c - 1.0 / n
-    s2 = (sigma * np.exp(0.5 * z)) ** 2
+    s2 = np.exp(0.5 * z) ** 2
     budget = max(s2, F_ROUNDING * (2 * c / g + 1) * d / F_MIN)
     rest = budget if boundary else (1 - F_MIN) * (1 - f_raw) * budget
     A = dirs
@@ -222,16 +219,16 @@ def one_trial(spec, trial):
     def rng(tag):
         return trial_rng(spec.seed, trial, tag)
 
-    dims, sigma = spec.dims, spec.sigma
-    form, split = scalar_split_draw(rng(TAG_FORM), dims, spec.c, spec.d, sigma)
-    boundary, _ = scalar_split_draw(rng(TAG_FORM), dims, spec.c, boundary_offset(spec.d), sigma,
+    dims = spec.dims
+    form, split = scalar_split_draw(rng(TAG_FORM), dims, spec.c, spec.d)
+    boundary, _ = scalar_split_draw(rng(TAG_FORM), dims, spec.c, boundary_offset(spec.d),
                                     boundary=True)
     out = {
         "form": form,
         "boundary_form": boundary,
-        "matrices": symmetric_matrices(rng(TAG_MATRICES), dims.n, max(1, dims.m - 1), sigma),
-        "grad_tensor": symmetric_three_tensor(rng(TAG_GRADIENT), dims, sigma),
-        "w": sample_w(rng(TAG_W), dims, sigma),
+        "matrices": symmetric_matrices(rng(TAG_MATRICES), dims.n, max(1, dims.m - 1)),
+        "grad_tensor": symmetric_three_tensor(rng(TAG_GRADIENT), dims),
+        "w": sample_w(rng(TAG_W), dims),
     }
     return out, split
 
@@ -255,26 +252,23 @@ def test_chunk_sampling_matches_trial_rng(name):
     assert all(floored) if name == "floor" else not any(floored)
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.5])
-def test_symmetric_three_tensor_is_the_gather_of_its_orbit_normals(sigma):
-    # one normal per slot and sorted triple, scaled by sigma over the root of
-    # its orbit's size, at every permutation of the triple, bit for bit
+def test_symmetric_three_tensor_is_the_gather_of_its_orbit_normals():
+    # one normal per slot and sorted triple over the root of its orbit's
+    # size, at every permutation of the triple, bit for bit
     dims = Dims(8, 3)
     n, triples = dims.n, list(itertools.combinations_with_replacement(range(dims.n), 3))
     for make in (lambda: trial_rng(9, 4, TAG_GRADIENT),
                  lambda: substream_states(9, range(4, 12), TAG_GRADIENT)):
-        got = symmetric_three_tensor(make(), dims, sigma)
+        got = symmetric_three_tensor(make(), dims)
         z = samplers._normals(make(), (dims.m, len(triples)))
         # C-contiguous, so a derivative sample stores it without a copy
         assert got.shape == (*z.shape[:-1], n, n, n) and got.flags.c_contiguous
         expected = np.empty_like(got)
         for t, triple in enumerate(triples):
-            value = z[..., t] * sigma / np.sqrt(len(set(itertools.permutations(triple))))
+            value = z[..., t] / np.sqrt(len(set(itertools.permutations(triple))))
             for i, j, k in itertools.permutations(triple):
                 expected[..., i, j, k] = value
         assert got.tobytes() == expected.tobytes()
-        if sigma != 1.0:
-            assert not np.array_equal(got, symmetric_three_tensor(make(), dims))
 
 
 def six_permutation_matrix(n):
@@ -292,7 +286,7 @@ def test_orbit_draw_has_the_law_of_the_six_permutation_average(n, monkeypatch):
     # both are centred Gaussian, so equal covariances M M^T = G G^T give one
     # law; the columns of G are the tensors of the unit orbit draws
     orbits = len(list(itertools.combinations_with_replacement(range(n), 3)))
-    monkeypatch.setattr(samplers, "_normals", lambda rng, shape, sigma: np.eye(orbits)[:, None])
+    monkeypatch.setattr(samplers, "_normals", lambda rng, shape: np.eye(orbits)[:, None])
     G = symmetric_three_tensor(None, Dims(n, 1)).reshape(orbits, n**3).T
     M = six_permutation_matrix(n)
     assert np.max(np.abs(M @ M.T - G @ G.T)) <= 1e-15

@@ -20,7 +20,7 @@ The runs write into a temporary directory:
   ``check_li``, of every ``gradient_checks`` result, or of
   ``check_kato_trace``, times 0.1), so that the kept worst trial and the
   counterexample files, each its trial as drawn, are digested too; kato's
-  trials draw no form, and its kept trials draw their tensors on their own;
+  trials draw no form, and its kept trials gather their tensors on their own;
 - ``simulate`` of the four flow families at dt = 1e-4, and of the product
   and hyperbolic families to blow-up at dt = 1e-5, as the ``flow``
   benchmark workload runs them;
@@ -60,7 +60,7 @@ VERIFY = [("li", 8, 3), ("kato", 8, 3), ("reaction", 8, 3), ("gradient", 8, 3), 
 SEEDS = (1, 7)
 # (suite, n, m, d) of the verify runs at a large d
 LARGE_D = [("reaction", 8, 3, "1e8")]
-TRIALS = 1500  # more than one block of 1024 substream states
+TRIALS = 1500  # more than one chunk of 1024 trials, the most a chunk holds
 # (suite, n, m) of the verify runs whose points are wider than the stack
 # budget, and their trials: more than one chunk of 32
 WIDE = [("reaction", 16, 16), ("li", 16, 16)]

@@ -1,23 +1,22 @@
 """Seeded verification campaigns with counterexample capture.
 
-A campaign draws ``trials`` independent samples from per-trial substreams of
-(seed, trial, input-kind) and evaluates a set of inequalities on each.  It
-samples and evaluates chunks of trials stacked along a leading axis, and
-sizes them by the bytes they stack (:func:`chunk_size`): the largest power
-of two whose widest per-trial stack stays within ``STACK_BUDGET`` float64
-values, never fewer than ``CHUNK`` trials nor more than ``BLOCK``; the
-commutator pairs of |R^perp|^2 and li (``forms.commutator_norm2``) keep
-within the budget on their own, so they do not size a chunk.  When an
-inequality reads a derivative tensor, all of them run on slices of a chunk
-sized by the same budget (:func:`derivative_slice`, at least 8 trials), and
-each slice draws its own (m, n, n, n) tensors from its trials' substreams
-right before it is evaluated, so no more than a slice of them exists at
-once; a trial the campaign keeps, a new worst or a violation, draws its
-tensor again from its own substream, so every kept input is the one it gets
-drawn alone.  The substream states of each input kind are hashed once per
-block of ``BLOCK`` trials, and every chunk of the block draws from slices of
-them, so the hash is paid per block and its memory does not grow with the
-campaign.  A trial violates an inequality unless
+A campaign draws ``trials`` independent samples, each trial's inputs its
+rows of the draws of its group of ``CHUNK`` trials (``samplers``), and
+evaluates a set of inequalities on each.  It samples and evaluates chunks
+of trials stacked along a leading axis, and sizes them by the bytes they
+stack (:func:`chunk_size`): the largest power of two whose widest per-trial
+stack stays within ``STACK_BUDGET`` float64 values, never fewer than
+``CHUNK`` trials nor more than ``BLOCK``; the commutator pairs of
+|R^perp|^2 and li (``forms.commutator_norm2``) keep within the budget on
+their own, so they do not size a chunk.  When an inequality reads a
+derivative tensor, all of them run on slices of a chunk sized by the same
+budget (:func:`derivative_slice`, at least 8 trials): a chunk draws the
+orbit normals of its tensors once, and each slice gathers its own
+(m, n, n, n) tensors from them right before it is evaluated, so no more
+than a slice of tensors exists at once.  Every chunk is whole groups,
+so a trial's inputs do not depend on the chunk size, and a trial the
+campaign keeps, a new worst or a violation, is its row copied out, the
+input it gets drawn alone.  A trial violates an inequality unless
 slack >= -tol * max(1, |lhs|, |rhs|), so a NaN slack is a violation, and so
 is a slack of -inf; the verdicts of every inequality on a chunk are judged in
 one pass over one (ids, trials) check.  On violation the offending trial, as
@@ -35,19 +34,17 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import lemmas, samplers
+from . import lemmas
 from .forms import (CHUNK, STACK_BUDGET, Dims, SecondFundamentalForm, gradient_sample,
                     principal_decompose)
 from .samplers import (
-    TAG_FORM,
-    TAG_GRADIENT,
-    TAG_MATRICES,
-    TAG_W,
     SamplerSpec,
+    Trials,
+    orbit_normals,
     sample_boundary,
     sample_form,
     sample_w,
@@ -56,10 +53,8 @@ from .samplers import (
 )
 
 DEFAULT_TOL = 1e-9
-# trials whose substream states are hashed at once: 32 KB of states per kind
+# the most trials a chunk holds
 BLOCK = CHUNK * CHUNK
-# the substream tag of each sampled input kind; "boundary" is drawn with the form
-_KIND_TAGS = {"form": TAG_FORM, "matrices": TAG_MATRICES, "grad": TAG_GRADIENT, "w": TAG_W}
 # the spec's fields that a counterexample file and a verify report record as "constants"
 CONSTANTS = ("c", "d", "delta", "eta", "eps0")
 
@@ -202,7 +197,7 @@ def chunk_size(dims: Dims, lemma_ids: Iterable[str]) -> int:
     (k, n, n) matrices, k n^2.  The commutator stacks are not charged:
     ``forms.commutator_norm2`` keeps its own within the budget.  A chunk
     keeps the largest charge within ``STACK_BUDGET`` but holds at least
-    ``CHUNK`` and at most ``BLOCK`` trials, so it divides a block.  A
+    ``CHUNK`` and at most ``BLOCK`` trials, so it is whole groups.  A
     derivative slice's Codazzi gather is wider and not charged
     (:func:`derivative_slice`).
     """
@@ -222,49 +217,28 @@ def derivative_slice(dims: Dims, lemma_ids: Iterable[str]) -> int:
     return min(chunk_size(dims, lemma_ids), max(8, _within_budget(dims.m * dims.n**3)))
 
 
-def _chunk_streams(
-    seed: int, trials: int, kinds: set[str], chunk: int
-) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """The first trial and the substream states by kind of every chunk of
-    ``chunk`` trials of a campaign (a divisor of ``BLOCK``); the states are
-    hashed once per block of ``BLOCK`` trials, and a chunk's are a slice."""
-    for block in range(0, trials, BLOCK):
-        numbers = range(block, min(block + BLOCK, trials))
-        streams = {kind: samplers.substream_states(seed, numbers, tag)
-                   for kind, tag in _KIND_TAGS.items() if kind in kinds}
-        for offset in range(0, min(BLOCK, trials - block), chunk):
-            yield block + offset, {
-                kind: s[offset:offset + chunk] for kind, s in streams.items()
-            }
-        del streams  # one block of states at a time
+def _tensors(spec: SamplerSpec, trials: range) -> Callable[[slice], TrialInputs]:
+    """The derivative tensors of a slice of the chunk of ``trials``, gathered
+    from the orbit normals that the chunk draws once, here."""
+    z = orbit_normals(Trials(spec.seed, trials), spec.dims)
+    return lambda index: TrialInputs(spec.dims,
+                                     grad_tensor=symmetric_three_tensor(z[index], spec.dims))
 
 
-def _deferred(spec: SamplerSpec, streams: Mapping[str, np.ndarray], kinds: set[str]
-              ) -> Callable[[slice], TrialInputs] | None:
-    """The draw of the ``kinds`` of inputs of a slice of a chunk's trials,
-    each from its own substream state in ``streams``; None when there are none."""
-    return None if not kinds else lambda index: sample_trial_inputs(
-        spec, {kind: s[index] for kind, s in streams.items() if kind in kinds}, kinds)
-
-
-def sample_trial_inputs(
-    spec: SamplerSpec, streams: Mapping[str, np.ndarray], kinds: set[str]
-) -> TrialInputs:
-    """The ``kinds`` of inputs of a chunk of trials, stacked along a leading
-    axis, each kind of each trial from its own row of substream states in
-    ``streams``; a boundary form sits at ``lemmas.boundary_offset(spec.d)``."""
-    inputs = TrialInputs(dims=spec.dims)
+def sample_trial_inputs(spec: SamplerSpec, trials: range, kinds: set[str]) -> TrialInputs:
+    """The ``kinds`` of inputs of the consecutive ``trials``, stacked along a
+    leading axis; a boundary form sits at ``lemmas.boundary_offset(spec.d)``."""
+    inputs, rows = TrialInputs(dims=spec.dims), Trials(spec.seed, trials)
     if "boundary" in kinds:
-        inputs.form, inputs.boundary_form = sample_boundary(spec, streams["form"])
+        inputs.form, inputs.boundary_form = sample_boundary(spec, trials)
     elif "form" in kinds:
-        inputs.form = sample_form(spec, streams["form"])
+        inputs.form = sample_form(spec, trials)
     if "matrices" in kinds:
-        inputs.matrices = symmetric_matrices(streams["matrices"], spec.dims.n,
-                                             li_matrices(spec.dims))
+        inputs.matrices = symmetric_matrices(rows, spec.dims.n, li_matrices(spec.dims))
     if "grad" in kinds:
-        inputs.grad_tensor = symmetric_three_tensor(streams["grad"], spec.dims)
+        inputs.grad_tensor = symmetric_three_tensor(orbit_normals(rows, spec.dims), spec.dims)
     if "w" in kinds:
-        inputs.w = sample_w(streams["w"], spec.dims)
+        inputs.w = sample_w(rows, spec.dims)
     return inputs
 
 
@@ -296,7 +270,7 @@ def evaluate_trial(
     chunk, or slices of :func:`derivative_slice` trials when an id reads a
     derivative tensor), which splits each of its forms once and builds one
     derivative sample (with no split when the chunk holds no form).  A
-    chunk that holds no derivative tensors takes ``draw``, which gives
+    chunk that holds no derivative tensors takes ``draw``, which gathers
     those of a slice of its trials right before the slice is evaluated.
     """
     groups, slice_trials = _plan(tuple(lemma_ids), chunk.dims)
@@ -381,11 +355,12 @@ def run_campaign(
 
     stats = {lem: {"violations": 0, "worst": np.inf, "trial": None} for lem in lemma_ids}
     worst_inputs: dict[int, TrialInputs] = {}  # one copy per worst trial
-    for start, streams in _chunk_streams(spec.seed, trials, kinds, chunk_trials):
+    for start in range(0, trials, chunk_trials):
+        numbers = range(start, min(start + chunk_trials, trials))
         # a chunk samples what its ids read but their derivative tensors,
-        # which each slice of it, and each trial it keeps, draws on its own
-        chunk = sample_trial_inputs(spec, streams, kinds - {"grad"})
-        tensors = _deferred(spec, streams, kinds & {"grad"})
+        # which each slice of it, and each trial it keeps, gathers on its own
+        chunk = sample_trial_inputs(spec, numbers, kinds - {"grad"})
+        tensors = _tensors(spec, numbers) if "grad" in kinds else None
         judged = evaluate_trial(lemma_ids, chunk, spec, tensors)
         # the first least slack of each id in the chunk; NaN is never the worst
         slack = np.where(np.isnan(judged.slack), np.inf, judged.slack)
@@ -409,7 +384,7 @@ def run_campaign(
                     os.path.join(counterexample_dir, name), lemma_id, spec, trial,
                     witness, lemmas.InequalityCheck(lemma_id, sides.lhs[0, 0], sides.rhs[0, 0]),
                 )
-        del chunk, streams, tensors  # free them before the next ones are drawn
+        del chunk, tensors  # free them before the next ones are drawn
         worst_trials = {st["trial"] for st in stats.values()}
         worst_inputs = {t: inputs for t, inputs in worst_inputs.items() if t in worst_trials}
     digests = {t: inputs.digest() for t, inputs in worst_inputs.items()}

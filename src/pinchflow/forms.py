@@ -179,9 +179,14 @@ class PrincipalDecomposition:
 def principal_decompose(A: SecondFundamentalForm) -> PrincipalDecomposition:
     """Split A along nu1 = H/|H|.
 
-    Raises :class:`DegenerateMeanCurvature` when |H| <= TOL_H (at any point
-    of a batch).
+    Raises :class:`InvalidSample` when an entry of A is not finite, and
+    :class:`DegenerateMeanCurvature` when |H| <= TOL_H (at any point of a
+    batch).
     """
+    # a finite |A|^2 has finite entries; finite entries may still overflow it
+    if not np.isfinite(A.norm2).all() and not np.isfinite(A.components).all():
+        entry = np.argwhere(~np.isfinite(A.components))[0].tolist()
+        raise InvalidSample(f"form entry {entry} is not finite: {A.components[tuple(entry)]}")
     H = mean_curvature(A)
     norm = np.asarray(H.norm)[..., None]
     if (norm <= TOL_H).any():

@@ -75,7 +75,8 @@ def boundary_reaction_bound(
     g = pinching_gap(n, c)
     H = decomp.H
     scale = np.maximum(np.maximum(1.0, decomp.a2), c * H.norm2)
-    if np.any(abs(decomp.a2 - (c * H.norm2 - d)) > 1e-9 * scale):
+    # a NaN distance is off the boundary too
+    if not np.all(abs(decomp.a2 - (c * H.norm2 - d)) <= 1e-9 * scale):
         raise NotPinched(
             "data is not on the pinching boundary |A|^2 = c|H|^2 - d"
         )

@@ -1,24 +1,24 @@
 """Deterministic, seeded samplers for forms and derivative tensors.
 
-Every trial draws from its own substream ``default_rng((seed, trial, tag))``
-so a campaign reproduces bit-identically from (seed, spec) regardless of
-which lemmas are being checked.  A chunk of trials is drawn at once from the
-same substreams: :func:`substream_states` runs NumPy's seed hash over a
-vector of trial numbers into a (trials, 4) array of states, and
-:func:`generators` hands each row to NumPy's own PCG64 seeding, so a
-campaign hashes a block of trials once and draws its chunks from slices of
-the array.  :func:`sample_form` takes states only, so a trial drawn alone is
-a chunk of one; the low-level samplers also take one generator,
-:func:`trial_rng` of a trial.  A campaign's forms are pinched,
-|A|^2 < c|H|^2 - d, by construction: each draws a fixed count of numbers
-and splits its pinching budget B = (c - 1/n)|H|^2 - d into the shares of
-|h_ring|^2, |A^-|^2 and f, flat or toward the edges where the reaction
-estimates are tight, and a boundary form is the same draw with no share
-for f.  Matrices are Gaussian, and a derivative tensor is a Gaussian draw
-over the orbits of its tangent indices, exactly symmetric.
+A campaign's trials draw in groups of ``CHUNK`` consecutive trials: group
+g of an input kind is one generator, ``default_rng((seed, g, tag))``
+(:func:`trial_rng`), which draws the rows of all its trials at once.  A
+trial's inputs are its rows of its group's draws, so a campaign reproduces
+bit-identically from (seed, spec) whatever lemmas it checks, whatever chunk
+size it draws in and however many trials it runs, and a trial drawn alone
+draws its group and takes its row.  The samplers take :class:`Trials`, the
+consecutive trials of a chunk, or one generator, which draws one input.
 
-The samplers return raw data: forms, and derivative tensors from
-:func:`symmetric_three_tensor`.  A point is ``principal_decompose(A)`` of a
+A campaign's forms are pinched, |A|^2 < c|H|^2 - d, by construction: each
+draws a fixed count of numbers and splits its pinching budget
+B = (c - 1/n)|H|^2 - d into the shares of |h_ring|^2, |A^-|^2 and f, flat
+or toward the edges where the reaction estimates are tight, and a boundary
+form is the same draw with no share for f.  Matrices are Gaussian, and a
+derivative tensor is a Gaussian draw over the orbits of its tangent indices,
+exactly symmetric: :func:`orbit_normals` draws one normal per orbit, and
+:func:`symmetric_three_tensor` gathers the tensor from them.
+
+The samplers return raw data: forms, and derivative tensors.  A point is ``principal_decompose(A)`` of a
 sampled form, and ``gradient_sample(decomp, tensor)`` splits a derivative
 tensor there (both in :mod:`pinchflow.forms`).
 """
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import pinching_gap
 from .errors import InvalidConstants
-from .forms import Dims, SecondFundamentalForm, _orbit_index, symmetrize
+from .forms import CHUNK, Dims, SecondFundamentalForm, _orbit_index, symmetrize
 from .lemmas import boundary_offset
 
 F_MIN = 1e-2  # the least share of the pinching budget f takes: f is a cancellation
@@ -48,13 +48,6 @@ TAG_FORM = 0
 TAG_MATRICES = 1
 TAG_GRADIENT = 2
 TAG_W = 3
-
-# the constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx, NEP 19)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -83,148 +76,60 @@ class SamplerSpec:
                 raise ValueError(f"{name} must be a finite number, got {value}")
 
 
+class Trials(NamedTuple):
+    """The consecutive trials ``numbers`` of a campaign of ``seed``."""
+
+    seed: int
+    numbers: range
+
+
 def trial_rng(seed: int, trial: int, tag: int = TAG_FORM) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(trial), int(tag)))
+    """The generator of the group of ``CHUNK`` consecutive trials that holds
+    ``trial``: group g is ``default_rng((seed, g, tag))``."""
+    return np.random.default_rng((int(seed), int(trial) // CHUNK, int(tag)))
 
 
-def _words(x: int) -> list[int]:
-    """The uint32 entropy words SeedSequence takes from a non-negative int."""
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
+# what the samplers draw from: one generator, or the trials of a chunk
+Rng = np.random.Generator | Trials
 
 
-@functools.cache
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The multipliers of ``calls`` hashmix calls, as a column: call j xors
-    with entry j and multiplies by entry j + 1."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    out = np.array(consts, dtype=np.uint32)[:, None]
-    out.setflags(write=False)
-    return out
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of ``value`` by consecutive calls, one per row
-    of ``consts[1:]``."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _seed_hash(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool mixing and generate_state(4, uint64) of every
-    column of the (words, k) uint32 ``entropy``; returns (k, 4) uint64.
-
-    The hashmix calls run in the order of the scalar loops.  Calls that do
-    not depend on each other's output run as one array operation.
-    """
-    words = len(entropy)
-    extra = max(0, words - _POOL_SIZE)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
-    pool[:words] = entropy[:_POOL_SIZE]
-    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
-    at = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL_SIZE]))
-        at += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, consts[at:at + _POOL_SIZE + 1]))
-        at += _POOL_SIZE
-    # generate_state cycles through the pool for 8 uint32 words, and
-    # consecutive words pair into one little-endian uint64
-    out = _hashmix(pool[np.arange(8) % _POOL_SIZE], _hash_constants(_INIT_B, _MULT_B, 8))
-    out = out.astype(np.uint64)
-    return (out[0::2] | out[1::2] << np.uint64(32)).T
-
-
-def substream_states(seed: int, trials: Sequence[int], tag: int) -> np.ndarray:
-    """``SeedSequence((seed, trial, tag)).generate_state(4, np.uint64)`` of
-    every trial, shape (len(trials), 4).
-
-    The hash is uint32 arithmetic on a constant schedule that depends only on
-    the number of entropy words, so it runs once over all trials whose
-    numbers take the same number of words.
-    """
-    trials = np.asarray(trials, dtype=np.uint64)
-    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
-    states = np.empty((trials.size, 4), dtype=np.uint64)
-    for wide in (False, True):  # a trial number >= 2**32 takes a second word
-        rows = (high > 0) == wide
-        if rows.any():
-            count = int(rows.sum())
-            trial_words = [low[rows], high[rows]] if wide else [low[rows]]
-            entropy = np.array([
-                *(np.full(count, w) for w in _words(int(seed))),
-                *trial_words,
-                *(np.full(count, w) for w in _words(int(tag))),
-            ], dtype=np.uint32)
-            states[rows] = _seed_hash(entropy)
-    return states
-
-
-@dataclass
-class _KnownState(np.random.bit_generator.ISeedSequence):
-    """The seed sequence of one trial: its :func:`substream_states` row is the
-    ``generate_state(4, np.uint64)`` that ``default_rng`` seeds PCG64 from."""
-
-    state: np.ndarray
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError(f"only generate_state(4, uint64) is known, got ({n_words}, {dtype})")
-        return self.state
-
-
-def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
-    """The generator of each trial, in turn, seeded by NumPy from its
-    :func:`substream_states` row, which PCG64 reads straight from the
-    buffer, so the rows are made C-contiguous first."""
-    for state in np.ascontiguousarray(states, dtype=np.uint64):
-        yield np.random.Generator(np.random.PCG64(_KnownState(state)))
-
-
-# what the samplers draw from: one generator, or the substream states of a chunk
-Rng = np.random.Generator | np.ndarray
-
-
-def _normals(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of ``shape`` from one generator, or from the
-    generator of each row of substream states, stacked along a leading axis."""
+def _draw(rng: Rng, tag: int, shape: tuple[int, ...], uniforms: int = 0
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normals of ``shape``, then ``uniforms`` U(0, 1) numbers, from
+    one generator, or for every trial of ``Trials``, stacked along a leading
+    axis: a trial's are its row of its group's draw.  Each group draws the
+    rows of all its trials in one call of each kind, straight into arrays of
+    whole groups, so a trial drawn alone is its group's row too."""
     if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    out = np.empty((len(rng), *shape))
-    for row, r in zip(out, generators(rng)):
-        r.standard_normal(out=row)
-    return out
+        return rng.standard_normal(shape), rng.random(uniforms)
+    seed, numbers = rng
+    groups = range(numbers.start - numbers.start % CHUNK, numbers.stop, CHUNK)
+    normals = np.empty((len(groups), CHUNK, *shape))
+    u = np.empty((len(groups), CHUNK, uniforms))
+    for first, group_normals, group_u in zip(groups, normals, u):
+        group = trial_rng(seed, first, tag)
+        group.standard_normal(out=group_normals)
+        group.random(out=group_u)
+    rows = len(groups) * CHUNK
+    own = slice(numbers.start - groups.start, numbers.stop - groups.start)
+    return normals.reshape(rows, *shape)[own], u.reshape(rows, uniforms)[own]
 
 
 def symmetric_gaussian(rng: Rng, dims: Dims) -> SecondFundamentalForm:
-    return symmetrize(_normals(rng, (dims.m, dims.n, dims.n)))
+    return symmetrize(_draw(rng, TAG_FORM, (dims.m, dims.n, dims.n))[0])
 
 
 def symmetric_matrices(rng: Rng, n: int, count: int) -> np.ndarray:
     """``count`` independent symmetric n x n Gaussian matrices, (..., count, n, n)."""
-    raw = _normals(rng, (count, n, n))
+    raw = _draw(rng, TAG_MATRICES, (count, n, n))[0]
     return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
-def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float,
-                 boundary: bool = False) -> list[SecondFundamentalForm]:
-    """The pinched forms of one split draw per generator, stacked, and with
+def _split_forms(rng: Rng, dims: Dims, c: float, d: float, boundary: bool = False
+                 ) -> list[SecondFundamentalForm]:
+    """The pinched forms of the split draws of ``rng``, stacked, and with
     ``boundary`` the forms of the same draws on the boundary at
-    ``boundary_offset(d)``.
+    ``boundary_offset(d)``; one generator draws a chunk of one.
 
     A draw takes m n^2 + 1 normals and 3 uniforms: z of s = e^{z/2};
     unit symmetric traceless directions of h_ring (the first normal slot)
@@ -239,11 +144,8 @@ def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float
     g = pinching_gap(n, c)
     if not 0 <= d <= MAX_D:
         raise InvalidConstants(f"d must be in [0, {MAX_D:g}] for pinched sampling, got {d}")
-    k = len(rngs)
-    normals, u = np.empty((k, m * n * n + 1)), np.empty((k, 3))
-    for row, uniforms, rng in zip(normals, u, rngs):
-        rng.standard_normal(out=row)
-        rng.random(out=uniforms)
+    normals, u = np.atleast_2d(*_draw(rng, TAG_FORM, (m * n * n + 1,), 3))
+    k = len(normals)
     dirs = normals[:, 1:].reshape(k, m, n, n)
     dirs = dirs + dirs.swapaxes(-1, -2)
     diag = dirs.reshape(k, m, n * n)[..., ::n + 1]  # a view of every diagonal
@@ -272,21 +174,19 @@ def _split_forms(rngs: list[np.random.Generator], dims: Dims, c: float, d: float
 def sample_pinched(rng: np.random.Generator, dims: Dims, c: float, d: float
                    ) -> SecondFundamentalForm:
     """A form with f = c|H|^2 - |A|^2 - d > 0: a chunk of one, from ``rng``."""
-    return SecondFundamentalForm(dims, _split_forms([rng], dims, c, d)[0].components[0])
+    return SecondFundamentalForm(dims, _split_forms(rng, dims, c, d)[0].components[0])
 
 
-def sample_form(spec: SamplerSpec, streams: np.ndarray) -> SecondFundamentalForm:
-    """The pinched forms of the trials of the ``TAG_FORM`` substream states,
-    stacked; a trial's form is the one :func:`sample_pinched` draws from its
-    ``trial_rng`` alone."""
-    return _split_forms(list(generators(streams)), spec.dims, spec.c, spec.d)[0]
+def sample_form(spec: SamplerSpec, trials: range) -> SecondFundamentalForm:
+    """The pinched forms of the consecutive ``trials``, stacked."""
+    return _split_forms(Trials(spec.seed, trials), spec.dims, spec.c, spec.d)[0]
 
 
-def sample_boundary(spec: SamplerSpec, streams: np.ndarray
+def sample_boundary(spec: SamplerSpec, trials: range
                     ) -> tuple[SecondFundamentalForm, SecondFundamentalForm]:
     """The forms of :func:`sample_form`, and the forms of the same draws with
     f = 0, on the boundary |A|^2 = c|H|^2 - d at ``boundary_offset(spec.d)``."""
-    return tuple(_split_forms(list(generators(streams)), spec.dims, spec.c, spec.d,
+    return tuple(_split_forms(Trials(spec.seed, trials), spec.dims, spec.c, spec.d,
                               boundary=True))
 
 
@@ -300,15 +200,23 @@ def _orbit_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return orbit, np.sqrt(np.bincount(orbit))
 
 
-def symmetric_three_tensor(rng: Rng, dims: Dims) -> np.ndarray:
-    """Gaussian (..., m, n, n, n) tensor fully symmetric in its tangent
-    indices, drawn by orbits: m C(n+2, 3) normals z, one per slot and triple
-    i <= j <= k, and T[a, i, j, k] = z[a, t] / sqrt(|orbit t|) for the
-    sorted triple t of (i, j, k).  Its law is that of the average of the six
-    transposes of a Gaussian tensor, and its Codazzi defect is exactly 0."""
-    orbit, root = _orbit_gather(dims.n)
-    z = _normals(rng, (dims.m, root.size))
+def orbit_normals(rng: Rng, dims: Dims) -> np.ndarray:
+    """The (..., m, C(n+2, 3)) orbit normals of a derivative tensor: one normal
+    per slot and triple i <= j <= k, over the square root of the size of
+    the triple's orbit."""
+    root = _orbit_gather(dims.n)[1]
+    z = _draw(rng, TAG_GRADIENT, (dims.m, root.size))[0]
     z /= root
+    return z
+
+
+def symmetric_three_tensor(z: np.ndarray, dims: Dims) -> np.ndarray:
+    """Gaussian (..., m, n, n, n) tensor fully symmetric in its tangent
+    indices, gathered from its :func:`orbit_normals` z: T[a, i, j, k] =
+    z[a, t] for the sorted triple t of (i, j, k).  Its law is that of the
+    average of the six transposes of a Gaussian tensor, and its Codazzi
+    defect is exactly 0."""
+    orbit = _orbit_gather(dims.n)[0]
     # take, not z[..., orbit], returns the gather C-contiguous, as a sample stores it
     return np.take(z, orbit, axis=-1).reshape(*z.shape[:-1], dims.n, dims.n, dims.n)
 
@@ -334,4 +242,4 @@ def kato_e_tensor(
 
 
 def sample_w(rng: Rng, dims: Dims) -> np.ndarray:
-    return _normals(rng, (dims.m, dims.n))
+    return _draw(rng, TAG_W, (dims.m, dims.n))[0]

@@ -24,15 +24,15 @@ from pinchflow.campaign import (
     write_counterexample,
 )
 from pinchflow.cli import main
+from pinchflow.errors import InvalidSample, NotPinched
 from pinchflow.forms import Dims, SecondFundamentalForm, mean_curvature, principal_decompose
 from pinchflow.lemmas import LEMMAS, InequalityCheck
 from pinchflow.samplers import SamplerSpec, sample_form
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS
-from tests.test_substreams import substreams
 
 
 def form_of(spec, trial):
-    return sample_form(spec, substreams(spec, [trial])["form"])
+    return sample_form(spec, range(trial, trial + 1))
 
 
 class TestDeterminism:
@@ -52,11 +52,11 @@ class TestDeterminism:
         assert r1[0].worst_input_digest == r2[0].worst_input_digest
 
     def test_lemma_set_does_not_perturb_samples(self):
-        # input substreams are keyed by kind, so adding lemmas to the set
+        # input groups are keyed by kind, so adding lemmas to the set
         # leaves each kind's draw unchanged
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, seed=3)
-        only_form = sample_trial_inputs(spec, substreams(spec, [5]), {"form"})
-        everything = sample_trial_inputs(spec, substreams(spec, [5]),
+        only_form = sample_trial_inputs(spec, range(5, 5 + 1), {"form"})
+        everything = sample_trial_inputs(spec, range(5, 5 + 1),
                                          {"form", "grad", "w", "matrices"})
         assert np.array_equal(only_form.form.components, everything.form.components)
 
@@ -71,7 +71,7 @@ class TestConstrainedSamplers:
 
     def test_boundary_exact(self):
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=1.0, seed=13)
-        A = sample_trial_inputs(spec, substreams(spec, range(400)), {"form", "boundary"}
+        A = sample_trial_inputs(spec, range(400), {"form", "boundary"}
                                 ).boundary_form
         resid = A.norm2 - (1 / 6) * mean_curvature(A).norm2 + 1.0
         assert np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, A.norm2))
@@ -117,7 +117,7 @@ class TestCampaign:
                "kato.3.1", "L4.9", "4.14", "4.21", "4.6", "L4.6", "4.10", "4.22", "L4.7"]
         assert sorted(ids) == sorted(LEMMAS)
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=19, delta=1 / 32)
-        chunk = sample_trial_inputs(spec, substreams(spec, range(12)), _needed_kinds(ids))
+        chunk = sample_trial_inputs(spec, range(12), _needed_kinds(ids))
         checks = evaluate_trial(ids, chunk, spec)
         # one row per id, in the requested order
         assert checks.lemma_id == ",".join(ids) and checks.lhs.shape == (len(ids), 12)
@@ -201,7 +201,7 @@ class TestViolationPath:
         # the witness violates by at least the tolerance, and is its trial as drawn
         chk = bogus_li(inputs.matrices)
         assert chk.slack < -1e-9 * chk.scale
-        drawn = sample_trial_inputs(spec, substreams(spec, [0]), {"matrices"})
+        drawn = sample_trial_inputs(spec, range(0, 0 + 1), {"matrices"})
         assert inputs.matrices.tobytes() == drawn.matrices.tobytes()
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
@@ -252,14 +252,21 @@ class TestViolationPath:
     @pytest.mark.parametrize("field, entry", [("form", (3, 3)), ("boundary_form", (3, 3)),
                                               ("boundary_form", (3, 4))])
     def test_a_reaction_chunk_with_infinite_products_is_a_violation(self, sign, field, entry):
-        # an infinite entry of a form fails its split; entries of 1e200 pass
-        # it, and their products reach the commutators as +-inf
+        # an infinite entry of a form is refused before its split; entries of
+        # 1e200 pass it, and their products reach the commutators as +-inf
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, seed=1)
-        chunk = sample_trial_inputs(spec, substreams(spec, range(4)), {"boundary"})
+        chunk = sample_trial_inputs(spec, range(4), {"boundary"})
         comps = getattr(chunk, field).components.copy()
         comps[1, 2][entry] = comps[1, 2][entry[::-1]] = sign * 1e200
         setattr(chunk, field, SecondFundamentalForm.from_components(comps))
         ids = REACTION_IDS + ["boundary"]
+        if field == "boundary_form" and entry == (3, 3):
+            # |A|^2 and c|H|^2 both overflow, so the distance to the boundary
+            # is NaN, and the boundary estimate refuses the chunk
+            with pytest.raises(NotPinched, match="not on the pinching boundary"), \
+                    np.errstate(all="ignore"):
+                evaluate_trial(ids, chunk, spec)
+            return
         with np.errstate(all="ignore"):
             chk = evaluate_trial(ids, chunk, spec)
             flagged = _violated(chk, DEFAULT_TOL)
@@ -267,6 +274,19 @@ class TestViolationPath:
         slack = chk.slack[hit, 1]
         assert np.all(np.isnan(slack) | (slack == -np.inf))
         assert flagged.tolist() == [[False, h, False, False] for h in hit]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["form", "boundary_form"])
+    def test_an_infinite_form_entry_is_refused_as_not_finite(self, field, value):
+        # h and A^- of the split would take inf - inf, whose NaN fails the
+        # symmetry check of A^- with a message about the transpose
+        spec = SamplerSpec(Dims(8, 3), c=1 / 6, seed=1)
+        chunk = sample_trial_inputs(spec, range(4), {"boundary"})
+        comps = getattr(chunk, field).components.copy()
+        comps[1, 2, 3, 3] = value
+        setattr(chunk, field, SecondFundamentalForm.from_components(comps))
+        with pytest.raises(InvalidSample, match=rf"form entry \[1, 2, 3, 3\] is not finite: {value}"):
+            evaluate_trial(REACTION_IDS + ["boundary"], chunk, spec)
 
     def test_overflowed_lhs_counts_every_trial(self, monkeypatch):
         def overflowed_li(matrices):
@@ -281,11 +301,11 @@ class TestViolationPath:
     def test_kept_trials_draw_their_tensors_again(self, tmp_path, monkeypatch):
         # a false kato.3.2 holds on every trial but the one with the largest
         # derivative tensor: its counterexample and worst-trial digest carry
-        # the tensor drawn again from the trial's substream, which must be the
-        # one sampled alone
+        # the tensor gathered again from the chunk's orbit normals, which must
+        # be the one sampled alone
         spec = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.3, seed=23)
         ids, trials = ["kato.3.1", "kato.3.2"], 67
-        alone = [sample_trial_inputs(spec, substreams(spec, [t]), _needed_kinds(ids))
+        alone = [sample_trial_inputs(spec, range(t, t + 1), _needed_kinds(ids))
                  for t in range(trials)]
         sizes = [np.sum(inputs.grad_tensor**2) for inputs in alone]
         second, first = sorted(sizes)[-2:]
@@ -307,8 +327,8 @@ class TestViolationPath:
 
     def test_kato_counterexamples_replay_as_drawn(self, tmp_path, monkeypatch):
         # a false kato.3.2 (rhs times 0.1): kato's chunks sample no form, and
-        # each violating and each worst trial draws its tensor again, which
-        # must be the row that trial gets in a chunk that samples tensors
+        # each violating and each worst trial gathers its tensor on its own,
+        # which must be the row that trial gets in a chunk that samples tensors
         spec = SamplerSpec(Dims(8, 3), seed=37)
         ids, trials, true = ["kato.3.1", "kato.3.2"], 12, pinchflow.lemmas.check_kato_trace
 
@@ -317,7 +337,7 @@ class TestViolationPath:
             return InequalityCheck(chk.lemma_id, chk.lhs, 0.1 * chk.rhs)
 
         monkeypatch.setattr(pinchflow.lemmas, "check_kato_trace", false_trace)
-        chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), _needed_kinds(ids))
+        chunk = sample_trial_inputs(spec, range(trials), _needed_kinds(ids))
         judged = evaluate_trial(ids, chunk, spec)
         results = run_campaign(spec, ids, trials, counterexample_dir=str(tmp_path))
         violated = _violated(judged, DEFAULT_TOL)
@@ -354,7 +374,7 @@ class TestViolationPath:
     def test_replay_roundtrip_exact(self, tmp_path):
         spec = SamplerSpec(Dims(4, 2), c=4 / 12 * 0.9, d=0.2, seed=31, delta=0.1, eta=0.03,
                            eps0=1e-3)
-        inputs = sample_trial_inputs(spec, substreams(spec, [0]), {"form", "grad", "w"})
+        inputs = sample_trial_inputs(spec, range(0, 0 + 1), {"form", "grad", "w"})
         path = str(tmp_path / "ce.json")
         write_counterexample(path, "kato.3.1", spec, 0, inputs,
                              InequalityCheck("kato.3.1", 1.0, 2.0))
@@ -428,7 +448,7 @@ def test_false_bound_witnesses_are_their_trials_as_drawn(name, suite, n, m, tria
     ids = [r["lemma_id"] for r in report["results"]]
     kinds = _needed_kinds(ids)
     # the whole campaign as one chunk of its trials, for each id's worst trial
-    chunk = sample_trial_inputs(spec, substreams(spec, range(trials)), kinds)
+    chunk = sample_trial_inputs(spec, range(trials), kinds)
     judged = evaluate_trial(ids, chunk, spec)
     worst = np.argmin(np.where(np.isnan(judged.slack), np.inf, judged.slack), axis=1).tolist()
     paths = sorted(tmp_path.glob("counterexample_*.json"))
@@ -438,7 +458,7 @@ def test_false_bound_witnesses_are_their_trials_as_drawn(name, suite, n, m, tria
         lemma_id, inputs, loaded = load_counterexample(str(path))
         assert loaded == spec, path.name  # the file loads as the spec of its run
         trial = payload["trial"]
-        alone = sample_trial_inputs(spec, substreams(spec, [trial]), kinds)
+        alone = sample_trial_inputs(spec, range(trial, trial + 1), kinds)
         assert dict(inputs.arrays()).keys() == dict(alone.arrays()).keys()
         for key, array in alone.arrays():
             assert dict(inputs.arrays())[key].tobytes() == array.tobytes(), (path.name, key)

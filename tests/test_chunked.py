@@ -9,11 +9,11 @@ commutator stacks keep within it on their own); at n=8, m=3 they are
 ``CHUNK`` = 32 and 8 trials when an id reads a derivative tensor, the flat
 reaction estimates run 64 trials a chunk and li alone 128.  Every
 chunked value must match the per-point evaluator on the trial alone to
-1e-12 of the check's scale, and a chunked campaign, which draws its chunks
-from substreams hashed per block of ``BLOCK`` trials, and the derivative
-tensors of each slice as the slice is evaluated and again for each trial it
-keeps, must keep the inputs, violations and worst trial of a
-campaign sampled and evaluated one trial at a time.
+1e-12 of the check's scale, and a chunked campaign, which draws each chunk
+from the groups of its trials and gathers the derivative tensors of each
+slice, and of each trial it keeps, from the chunk's orbit normals, must keep
+the inputs, violations and worst trial of a campaign sampled and evaluated
+one trial at a time.
 """
 
 import itertools
@@ -58,16 +58,14 @@ from pinchflow.lemmas import (
 )
 from pinchflow.reaction import boundary_reaction_bound
 from pinchflow.samplers import (
-    TAG_FORM,
-    TAG_GRADIENT,
     SamplerSpec,
+    Trials,
     kato_e_tensor,
-    substream_states,
+    orbit_normals,
     symmetric_gaussian,
     symmetric_three_tensor,
 )
 from tests.test_lemmas import GRADIENT_IDS, REACTION_IDS, group_ids
-from tests.test_substreams import substreams
 
 KATO_IDS = group_ids("kato.3.1")
 REL = 1e-12
@@ -90,7 +88,7 @@ def d_boundary(d):
 
 def sample_chunk(spec, trials, kinds):
     """The inputs of a sequence of trials, sampled as one chunk."""
-    return sample_trial_inputs(spec, substreams(spec, trials), kinds)
+    return sample_trial_inputs(spec, trials, kinds)
 
 
 def point(inputs):
@@ -164,7 +162,7 @@ def one_at_a_time_campaign(spec, ids, trials):
     out = {lemma_id: [0, np.inf, ""] for lemma_id in ids}
     sampled = []
     for trial in range(trials):
-        inputs = sample_chunk(spec, [trial], kinds)
+        inputs = sample_chunk(spec, range(trial, trial + 1), kinds)
         sampled.append(inputs)
         for lemma_id in ids:
             chk = one_trial(lemma_id, inputs, spec)
@@ -189,7 +187,7 @@ TRIALS = [1, CHUNK + 3, DERIVATIVE_SLICE + 1]
 @pytest.mark.parametrize("trials", TRIALS)
 def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
     kinds = _needed_kinds(ids)
-    batch = [sample_chunk(spec, [trial], kinds) for trial in range(trials)]
+    batch = [sample_chunk(spec, range(trial, trial + 1), kinds) for trial in range(trials)]
     if spec is ON_BOUNDARY:
         for inputs in batch:
             inputs.form = inputs.boundary_form
@@ -197,47 +195,43 @@ def test_chunk_matches_one_trial_at_a_time(spec, ids, trials):
 
 
 def campaign_chunks(spec, ids, trials, monkeypatch, rel=REL):
-    """The chunks a campaign samples and the (kinds, trials) of each draw it
-    defers, after checking that it keeps the inputs, verdicts and worst
-    trial of one trial at a time, and the worst slack to ``rel`` of its
-    scale."""
+    """The chunks a campaign samples and the trials of each derivative
+    tensor gather, after checking that it keeps the inputs, verdicts and
+    worst trial of one trial at a time, and the worst slack to ``rel`` of
+    its scale."""
     spec = spec_of(spec, ids)
     expected, inputs = one_at_a_time_campaign(spec, ids, trials)
-    chunks, draws, drawn, sample = [], [], {}, campaign.sample_trial_inputs
-    # the trial of each tensor substream state, to name the trials of a draw
-    trial_of = {tuple(row): trial for trial, row in enumerate(
-        substream_states(spec.seed, range(trials), TAG_GRADIENT).tolist())}
+    chunks, gathers, gathered = [], [], set()
+    sample, gather = campaign.sample_trial_inputs, campaign.symmetric_three_tensor
+    # the trial of each tensor drawn alone, to name the trials of a gather
+    trial_of = {bits(t): trial for trial, t in enumerate(inputs.get("grad_tensor", []))}
 
-    def recorded(spec, streams, kinds):
-        out = sample(spec, streams, kinds)
-        if "grad" not in kinds:  # a chunk; a slice or a kept trial draws tensors
-            chunks.append(out)
-            return out
-        numbers = [trial_of[tuple(row)] for row in streams["grad"].tolist()]
-        draws.append((frozenset(kinds), len(numbers)))
-        for name, arrays in out.arrays():
-            for trial, array in zip(numbers, arrays):
-                # a kept trial's tensor is drawn again, bit for bit
-                assert bits(drawn.setdefault((name, trial), array)) == bits(array), trial
+    def recorded(spec, trials, kinds):
+        chunks.append(sample(spec, trials, kinds))
+        return chunks[-1]
+
+    def recorded_gather(z, dims):
+        out = gather(z, dims)
+        gathers.append(len(out))
+        # a slice's, or a kept trial's, tensors are the ones drawn alone, bit for bit
+        gathered.update(trial_of[bits(tensor)] for tensor in out)
         return out
 
     monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
+    monkeypatch.setattr(campaign, "symmetric_three_tensor", recorded_gather)
     for res in run_campaign(spec, ids, trials):
         violations, worst, digest = expected[res.lemma_id]
         assert res.violations == violations == 0
         assert res.worst_input_digest == digest
         assert abs(res.worst_slack - worst) <= rel * max(1.0, abs(worst))
     got = stacked(chunks)
-    assert "grad_tensor" not in got  # drawn by the slices that read them
-    for (name, trial), array in drawn.items():
-        assert bits(array) == bits(inputs[name][trial]), (name, trial)
-    tensors = sorted(trial for name, trial in drawn if name == "grad_tensor")
-    assert tensors == (list(range(trials)) if "grad_tensor" in inputs else [])
+    assert "grad_tensor" not in got  # gathered by the slices that read them
+    assert sorted(gathered) == (list(range(trials)) if "grad_tensor" in inputs else [])
     # the chunks hold every input but the tensors
-    assert got.keys() == inputs.keys() - {name for name, _ in drawn}
+    assert got.keys() == inputs.keys() - {"grad_tensor"}
     for name, array in got.items():
         assert np.array_equal(array, inputs[name]), name
-    return chunks, draws
+    return chunks, gathers
 
 
 # A campaign draws pinched forms only, never boundary ones, so the
@@ -250,7 +244,7 @@ CAMPAIGN_SUITES = [pytest.param(*row, id=f"spec{i}-ids{i}")
 
 
 @pytest.mark.parametrize("spec, ids", CAMPAIGN_SUITES)
-# BLOCK + 9 trials draw from two blocks of substreams
+# BLOCK + 9 trials take a second chunk of 9 trials, whose last group is partial
 @pytest.mark.parametrize("trials", [*TRIALS, BLOCK + 9])
 def test_campaign_keeps_verdicts_and_worst_trial(spec, ids, trials, monkeypatch):
     chunks, _ = campaign_chunks(spec, ids, trials, monkeypatch)
@@ -266,15 +260,12 @@ SLICED = [(PINCHED, KATO_IDS), (PINCHED, GRADIENT_IDS), (PINCHED, CHUNKED_IDS + 
 def test_campaign_draws_no_more_than_a_slice_of_tensors_at_once(spec, ids, monkeypatch):
     piece, chunk = derivative_slice(spec.dims, ids), chunk_size(spec.dims, ids)
     trials = 2 * chunk + 3
-    _, draws = campaign_chunks(spec, ids, trials, monkeypatch)
-    sizes = [k for _, k in draws]
+    _, sizes = campaign_chunks(spec, ids, trials, monkeypatch)
     assert max(sizes) == piece == (64 if spec.dims.n == 5 else 8)
     # each slice once, in order (the last chunk is one slice of 3 trials);
-    # a worst trial kept is drawn again on its own
+    # a worst trial kept gathers its tensor on its own
     assert [k for k in sizes if k > 1] == [piece] * (2 * chunk // piece) + [3]
     assert 1 in sizes
-    # a slice and a kept trial alike draw tensors only, kato's too
-    assert {kinds for kinds, k in draws} == {frozenset({"grad"})}
 
 
 ALL_IDS = (*CHUNKED_IDS, *DERIVATIVE_IDS)
@@ -338,7 +329,7 @@ def test_li_equality_pair_in_a_chunk():
     # matrices [[0,1],[1,0]] and [[1,0],[0,-1]] give lhs = rhs exactly
     dims = Dims(4, 3)
     spec = SamplerSpec(dims, seed=47)
-    batch = [sample_chunk(spec, [trial], {"matrices"}) for trial in range(CHUNK + 3)]
+    batch = [sample_chunk(spec, range(trial, trial + 1), {"matrices"}) for trial in range(CHUNK + 3)]
     for i, lam in ((0, 1.0), (7, 0.3), (CHUNK + 1, 2.5)):
         b1, b2 = np.zeros((4, 4)), np.zeros((4, 4))
         b1[0, 1] = b1[1, 0] = lam
@@ -361,7 +352,7 @@ def test_tight_reaction_inputs_in_a_chunk():
     codim_one = np.zeros((3, 8, 8))
     codim_one[0] = np.diag(1.0 + 0.1 * rng.standard_normal(8))
     tight = [umbilic, codim_one]
-    batch = [sample_chunk(PINCHED, [trial], {"form"}) for trial in range(CHUNK + 3)]
+    batch = [sample_chunk(PINCHED, range(trial, trial + 1), {"form"}) for trial in range(CHUNK + 3)]
     slots = (3, CHUNK + 2)
     for i, comps in zip(slots, tight):
         batch[i] = TrialInputs(dims, form=SecondFundamentalForm(dims, comps[None]))
@@ -374,7 +365,7 @@ def test_tight_reaction_inputs_in_a_chunk():
 @pytest.mark.parametrize("lemma_id", ["4.12", "4.14"])
 def test_gaussian_forms_still_not_pinched(lemma_id):
     dims = Dims(8, 3)
-    form = symmetric_gaussian(substream_states(59, range(CHUNK + 3), TAG_FORM), dims)
+    form = symmetric_gaussian(Trials(59, range(CHUNK + 3)), dims)
     with pytest.raises(NotPinched):
         evaluate_trial([lemma_id], TrialInputs(dims, form=form), SamplerSpec(dims, c=1 / 6))
 
@@ -385,7 +376,7 @@ def test_derivative_equality_cases_in_a_chunk():
     # of random tensors
     n, m = PINCHED.dims.n, PINCHED.dims.m
     batch = [
-        sample_chunk(PINCHED, [trial], _needed_kinds(DERIVATIVE_IDS))
+        sample_chunk(PINCHED, range(trial, trial + 1), _needed_kinds(DERIVATIVE_IDS))
         for trial in range(CHUNK + 3)
     ]
     rng = np.random.default_rng(61)
@@ -417,7 +408,7 @@ def test_codazzi_bound_is_per_trial():
     # asymmetry 2e-9 at max|T| = 0.1 breaks its own bound TOL_CODAZZI * 1;
     # a bound taken from the chunk's max|T| = 10 would be 1e-8 and pass it
     ids = DERIVATIVE_IDS
-    batch = [sample_chunk(PINCHED, [trial], _needed_kinds(ids)) for trial in range(2)]
+    batch = [sample_chunk(PINCHED, range(trial, trial + 1), _needed_kinds(ids)) for trial in range(2)]
     for inputs, top in zip(batch, (0.1, 10.0)):
         inputs.grad_tensor = top * inputs.grad_tensor / np.max(np.abs(inputs.grad_tensor))
     batch[0].grad_tensor[0, 0, 0, 1, 2] += 2e-9
@@ -500,7 +491,7 @@ def test_asymmetry_matches_a_loop_over_permutations():
         gaussian = rng.standard_normal((points, 3, n, n, n)) * rng.uniform(
             0.01, 10.0, (points, 1, 1, 1, 1))
         # a symmetrized tensor's defect is at the ulp level; a drawn one has none
-        drawn = symmetric_three_tensor(substream_states(5, range(points), TAG_GRADIENT), dims)
+        drawn = symmetric_three_tensor(orbit_normals(Trials(5, range(points)), dims), dims)
         assert np.all(gradient_sample(dec, drawn).codazzi_defect == 0)
         symmetric = six_permutation_average(rng.standard_normal((points, 3, n, n, n)))
         patched = gaussian.copy(), symmetric.copy()
@@ -525,9 +516,9 @@ def test_asymmetry_matches_a_loop_over_permutations():
 def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     # the kato ids read |dA|^2, |dH|^2 and the Codazzi scan; a slice the
     # gradient estimates alone read is built only on their first read
-    samples, splits, sampled = [], [], []
-    build, split, sample = (campaign.gradient_sample, campaign.principal_decompose,
-                            campaign.sample_trial_inputs)
+    samples, splits, sampled, gathered = [], [], [], []
+    build, split, sample, gather = (campaign.gradient_sample, campaign.principal_decompose,
+                                    campaign.sample_trial_inputs, campaign.symmetric_three_tensor)
 
     def kept(decomp, tensor):
         samples.append(build(decomp, tensor))
@@ -537,13 +528,18 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
         splits.append(form)
         return split(form)
 
-    def recorded(spec, streams, kinds):
-        sampled.append((kinds, len(next(iter(streams.values())))))
-        return sample(spec, streams, kinds)
+    def recorded(spec, trials, kinds):
+        sampled.append((kinds, len(trials)))
+        return sample(spec, trials, kinds)
+
+    def recorded_gather(z, dims):
+        gathered.append(len(z))
+        return gather(z, dims)
 
     monkeypatch.setattr(campaign, "gradient_sample", kept)
     monkeypatch.setattr(campaign, "principal_decompose", counted)
     monkeypatch.setattr(campaign, "sample_trial_inputs", recorded)
+    monkeypatch.setattr(campaign, "symmetric_three_tensor", recorded_gather)
     gradient_only = {"nabla_normH", "nabla_nu1", "nabla_aminus_nu1", "nabla_h",
                      "hat_plus_h", "hat_nabla_aminus"}
     chunk = sample_chunk(PINCHED, range(CHUNK), _needed_kinds(DERIVATIVE_IDS))
@@ -557,20 +553,21 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
     assert all(gradient_only <= set(vars(grad)) for grad in samples)
     assert not samples[0].nabla_h.flags.writeable
     # nor does a kato campaign draw or split a form: its chunks sample none,
-    # its slices build samples with no split, and a kept trial draws only
+    # its slices build samples with no split, and a kept trial gathers only
     # its tensor; the suite all splits each slice's form and boundary form once
     trials, slices = 2 * CHUNK + 3, 2 * CHUNK // DERIVATIVE_SLICE + 1
     for ids in (KATO_IDS, ALL_IDS):
-        del samples[:], splits[:], sampled[:]
+        del samples[:], splits[:], sampled[:], gathered[:]
         results = run_campaign(spec_of(PINCHED, ids), ids, trials)
         assert sum(r.violations for r in results) == 0
         assert len(samples) == slices
         forms = [k for kinds, k in sampled if "form" in kinds]
         if ids == KATO_IDS:
             assert splits == forms == [] and all(grad.decomp is None for grad in samples)
+            assert [kinds for kinds, k in sampled] == [{"w"}] * 3  # one draw a chunk
             # each a new worst trial: at most one per id and chunk
-            kept = [kinds for kinds, k in sampled if k == 1]
-            assert kept and len(kept) <= 3 * len(ids) and all(k == {"grad"} for k in kept)
+            kept = [k for k in gathered if k == 1]
+            assert kept and len(kept) <= 3 * len(ids)
         else:
             assert len(splits) == 2 * slices and None not in (g.decomp for g in samples)
             assert forms == [CHUNK, CHUNK, 3]  # by the chunks alone
@@ -579,33 +576,34 @@ def test_kato_leaves_the_gradient_slices_unbuilt(monkeypatch):
 # verify --suite S --n 8 --m 3 --trials 300 --seed 1: li recorded when the
 # boundary estimate still took the form rebuilt as A^- + h (x) nu1,
 # reaction when forms became split draws, and kato and gradient when
-# derivative tensors became orbit draws (their chunks equal the one-trial
-# draw bit for bit, tests/test_substreams.py):
+# derivative tensors became orbit draws, all re-recorded when trials drew in
+# groups of CHUNK (their chunks equal the one-trial draw bit for bit,
+# tests/test_substreams.py):
 # (lemma id, violations, worst_input_digest, worst_slack)
 PINNED = {
     "li": [
-        ("li", 0, "a62a82565d56458c", 1590.7534633130717),
+        ("li", 0, "f09d0b8454473768", 1255.5708949668729),
     ],
     "reaction": [
-        ("4.5", 0, "6d1deae2c0b6cdf5", 1.5969606046463846e-13),
-        ("4.6", 0, "6d1deae2c0b6cdf5", 1.3111405911274314e-25),
-        ("4.10", 0, "6d1deae2c0b6cdf5", 1.607889038027652e-13),
-        ("4.12", 0, "21a962579bfc2295", 5.191767537406347e-15),
-        ("4.14", 0, "5762d3590f1dcf39", 2.8200139120078193e-13),
-        ("boundary", 0, "5762d3590f1dcf39", 1.1288747714388592e-12),
+        ("4.5", 0, "56b8299c338bf5d4", 4.551604388236808e-14),
+        ("4.6", 0, "f928b4596d045ed2", 1.419506274747034e-25),
+        ("4.10", 0, "56b8299c338bf5d4", 4.651201154535585e-14),
+        ("4.12", 0, "56b8299c338bf5d4", 8.250732980574916e-16),
+        ("4.14", 0, "56b8299c338bf5d4", 4.692454819464155e-14),
+        ("boundary", 0, "56b8299c338bf5d4", 1.8118839761882555e-13),
     ],
     "kato": [
-        ("kato.3.1", 0, "f0523906d61f3850", 274.3232243095693),
-        ("kato.3.2", 0, "f0523906d61f3850", 161.36660253504078),
+        ("kato.3.1", 0, "95c82ec82580b637", 273.0971060278976),
+        ("kato.3.2", 0, "95c82ec82580b637", 160.6453564869986),
     ],
     "gradient": [
-        ("4.20", 0, "45cbeeabbae76de6", 172.85980824663997),
-        ("4.21", 0, "044642465bffbc20", 74.78005293894026),
-        ("4.22", 0, "45cbeeabbae76de6", 172.85980824663994),
-        ("L4.6", 0, "45cbeeabbae76de6", 361.8248838157023),
-        ("L4.7", 0, "a72cf4cec1538adc", 2.0961173249186197e-10),
-        ("L4.8", 0, "f3aa2072d646661f", 1.1032296302234847),
-        ("L4.9", 0, "f3aa2072d646661f", 363.7409682325901),
+        ("4.20", 0, "b51acd648c1f052b", 174.13032551639793),
+        ("4.21", 0, "58b00c88523c473d", 79.42410493067052),
+        ("4.22", 0, "b51acd648c1f052b", 174.13032551639793),
+        ("L4.6", 0, "b51acd648c1f052b", 354.1643955379938),
+        ("L4.7", 0, "4b526b8aa88e7434", 3.819154163910207e-08),
+        ("L4.8", 0, "2b216bd268559b3a", 0.9661092016769911),
+        ("L4.9", 0, "54f1b9eac1b95087", 380.106640482905),
     ],
 }
 
@@ -626,8 +624,8 @@ def test_verify_keeps_one_trial_at_a_time_results(suite, tmp_path):
 @pytest.mark.parametrize("lemma_id", ["4.12", "L4.7"])
 def test_one_unpinched_trial_stops_the_chunk(lemma_id):
     ids = [lemma_id]
-    batch = [sample_chunk(PINCHED, [trial], _needed_kinds(ids)) for trial in range(12)]
-    unpinched = symmetric_gaussian(substream_states(67, [0], TAG_FORM), PINCHED.dims)
+    batch = [sample_chunk(PINCHED, range(trial, trial + 1), _needed_kinds(ids)) for trial in range(12)]
+    unpinched = symmetric_gaussian(Trials(67, range(1)), PINCHED.dims)
     batch[DERIVATIVE_SLICE + 2].form = unpinched
     with pytest.raises(NotPinched):
         evaluate_trial(ids, chunk_of(batch), spec_of(PINCHED, DERIVATIVE_IDS))

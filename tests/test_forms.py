@@ -25,9 +25,15 @@ from pinchflow.forms import (
 )
 from pinchflow.samplers import (
     kato_e_tensor,
+    orbit_normals,
     symmetric_gaussian,
     symmetric_three_tensor,
 )
+
+
+def drawn_tensor(rng, dims):
+    """A derivative tensor drawn by orbits from one generator."""
+    return symmetric_three_tensor(orbit_normals(rng, dims), dims)
 
 
 def exact_commutator_norm2(left, right):
@@ -354,7 +360,7 @@ class TestGradientSample:
 
     def test_projected_tensors_fully_symmetric(self):
         dec, rng = self._point()
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         proj = grad.nabla_h + grad.nabla_aminus_nu1
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.max(np.abs(proj - proj.transpose(*perm))) < 1e-12
@@ -362,7 +368,7 @@ class TestGradientSample:
     def test_trace_identities(self):
         # tracing the split tensors over the last index recovers d|H| and |H| d nu1
         dec, rng = self._point(n=5, m=3, seed=11)
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         lhs1 = np.einsum("kik->i", grad.nabla_h + grad.nabla_aminus_nu1)
         assert np.max(np.abs(lhs1 - grad.nabla_normH)) < 1e-12
         hat_plus_h = grad.hat_nabla_aminus + np.einsum(
@@ -388,7 +394,7 @@ class TestGradientSample:
     def test_frame_identities_random(self):
         for seed in range(10):
             dec, rng = self._point(n=4, m=2, seed=100 + seed)
-            grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+            grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
             full, mean, a_minus = frame_identity_residuals(grad)
             assert max(abs(full), abs(mean), abs(a_minus)) < 1e-10
 
@@ -406,7 +412,7 @@ class TestGradientSample:
         # missing split
         rng = np.random.default_rng(13)
         forms = symmetrize(rng.standard_normal((2, 3, 5, 5)))
-        tensors = np.stack([symmetric_three_tensor(rng, Dims(5, 3)) for _ in range(2)])
+        tensors = np.stack([drawn_tensor(rng, Dims(5, 3)) for _ in range(2)])
         split = gradient_sample(principal_decompose(forms), tensors)
         bare = gradient_sample(None, tensors)
         assert bare.decomp is None and np.shape(bare.norm2) == (2,)

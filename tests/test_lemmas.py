@@ -24,8 +24,8 @@ from pinchflow.samplers import (
     sample_w,
     symmetric_gaussian,
     symmetric_matrices,
-    symmetric_three_tensor,
 )
+from tests.test_forms import drawn_tensor
 
 
 def group_ids(lemma_id):
@@ -147,14 +147,14 @@ class TestKato:
         # |dA|^2 - (3/(n+2)) |dH|^2 vanishes exactly on the pure-trace minimizer
         gap = minimizer.norm2 - 3.0 / (8 + 2) * minimizer.nabla_H_norm2
         assert abs(gap) < 1e-10 * minimizer.norm2
-        generic = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        generic = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         assert generic.norm2 - 3.0 / (8 + 2) * generic.nabla_H_norm2 > 0
 
     def test_random_sweep(self):
         dec, rng = pinched_point(seed=5)
         eta = default_kato_eta(8)
         for _ in range(400):
-            grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+            grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
             w = sample_w(rng, Dims(8, 3))
             chk = check_kato(grad, w, eta)
             assert chk.slack >= -1e-9 * chk.scale
@@ -171,7 +171,7 @@ class TestKato:
 
     def test_eta_must_be_positive(self):
         dec, rng = pinched_point()
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         with pytest.raises(InvalidConstants):
             check_kato(grad, np.zeros((3, 8)), 0.0)
 
@@ -260,7 +260,7 @@ class TestGradientChecks:
     def test_random_sweep_case1(self):
         dec, rng = pinched_point(seed=83)
         for _ in range(400):
-            grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+            grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
             for chk in gradient_checks(
                 list(GRADIENT_IDS), grad, 1 / 6, 0.0, 1 / 32
             ):
@@ -275,7 +275,7 @@ class TestGradientChecks:
         rng = np.random.default_rng(89)
         dec = principal_decompose(sample_pinched(rng, Dims(n, 2), c, 0.0))
         for _ in range(200):
-            grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+            grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
             for chk in gradient_checks(
                 list(GRADIENT_IDS), grad, c, 0.0, delta, eps0=eps0
             ):
@@ -283,20 +283,20 @@ class TestGradientChecks:
 
     def test_delta_regime_enforced(self):
         dec, rng = pinched_point()
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         with pytest.raises(InvalidConstants):
             gradient_checks(["L4.9"], grad, 1 / 6, 0.0, delta=0.2)
 
     def test_c_outside_both_regimes(self):
         # n = 6 second regime tops out at 3(n+1)/(2n(n+2)) = 0.21875
         dec, rng = pinched_point(seed=91, n=6, m=2, c=0.23, d=0.0)
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         with pytest.raises(InvalidConstants):
             gradient_checks(["L4.6"], grad, 0.23, 0.0, 0.01)
 
     def test_not_pinched_for_f_lemmas(self):
         dec, rng = pinched_point(seed=97)
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         with pytest.raises(NotPinched):
             gradient_checks(["L4.7"], grad, 1 / 6, 1e9, 1 / 32)
 
@@ -364,7 +364,7 @@ class TestGradientCoefficients:
         dims = Dims(n, 2)
         forms = np.stack([sample_pinched(rng, dims, c, 0.0).components for _ in range(16)])
         dec = principal_decompose(SecondFundamentalForm(dims, forms))
-        tensors = np.stack([symmetric_three_tensor(rng, dims) for _ in range(16)])
+        tensors = np.stack([drawn_tensor(rng, dims) for _ in range(16)])
         grad = gradient_sample(dec, tensors)
         for chk in gradient_checks(ids, grad, c, 0.0, delta, eps0):
             lhs, rhs = reference_gradient_sides(chk.lemma_id, grad, c, 0.0, delta, eps0)
@@ -374,7 +374,7 @@ class TestGradientCoefficients:
 class TestScaleCovariance:
     def test_documented_degrees(self):
         dec, rng = pinched_point(seed=101)
-        grad = gradient_sample(dec, symmetric_three_tensor(rng, dec.dims))
+        grad = gradient_sample(dec, drawn_tensor(rng, dec.dims))
         w = sample_w(rng, Dims(8, 3))
         mats = symmetric_matrices(rng, 5, 3)
         lam = 2.0

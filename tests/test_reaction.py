@@ -26,12 +26,11 @@ from pinchflow.reaction import (
     reaction_gap,
 )
 from pinchflow.samplers import (
-    TAG_FORM,
     SamplerSpec,
+    Trials,
     sample_boundary,
     sample_form,
     sample_pinched,
-    substream_states,
     symmetric_gaussian,
 )
 from tests.test_forms import sphere_form
@@ -41,7 +40,7 @@ from tests.test_lemmas import li_li_split_form
 def boundary_forms(dims, c, d, seed, trials):
     """The forms on the boundary |A|^2 = c|H|^2 - d of a campaign's first trials."""
     spec = SamplerSpec(dims, c=c, d=d, seed=seed)
-    return sample_boundary(spec, substream_states(seed, range(trials), TAG_FORM))[1]
+    return sample_boundary(spec, range(trials))[1]
 
 
 def loop_r2(comps, hvec):
@@ -96,11 +95,11 @@ class TestR1R2:
         # A^- of the split: the full commutator stack of A, which
         # normal_curvature does not form, and the one r1 adds to the Gram
         # term, against the split's two parts
-        dims, states = Dims(n, m), substream_states(n * 100 + m, range(256), TAG_FORM)
+        dims, seed = Dims(n, m), n * 100 + m
         if draw == "gaussian":
-            A = symmetric_gaussian(states, dims)
+            A = symmetric_gaussian(Trials(seed, range(256)), dims)
         else:
-            A = sample_form(SamplerSpec(dims, c=float(c_n(n, "general"))), states)
+            A = sample_form(SamplerSpec(dims, c=float(c_n(n, "general")), seed=seed), range(256))
         dec = principal_decompose(A)
         rperp = normal_curvature(dec)
         split = rperp.hat_part_norm2 + 2 * rperp.principal_norm2
@@ -202,6 +201,18 @@ class TestBoundaryBound:
             boundary_reaction_bound(
                 principal_decompose(A), 1 / 6, 1.0
             )
+
+    @pytest.mark.parametrize("slot", [0, 2])
+    def test_nan_distance_is_off_the_boundary(self, slot):
+        # an entry of 1e200 on a diagonal overflows |A|^2 and c|H|^2 alike, so
+        # the distance |A|^2 - (c|H|^2 - d) is inf - inf = NaN
+        comps = boundary_forms(Dims(8, 3), 1 / 6, 1.0, 41, 4).components.copy()
+        comps[1, slot, 3, 3] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = principal_decompose(SecondFundamentalForm.from_components(comps))
+            assert np.isnan(dec.a2[1] - (dec.H.norm2[1] / 6 - 1.0))
+            with pytest.raises(NotPinched, match="not on the pinching boundary"):
+                boundary_reaction_bound(dec, 1 / 6, 1.0)
 
     def test_random_boundary_slack(self):
         A = boundary_forms(Dims(8, 3), 1 / 6, 1.0, 41, 300)

@@ -21,14 +21,11 @@ from pinchflow.reaction import boundary_reaction_bound
 from pinchflow.samplers import (
     F_MIN,
     MAX_D,
-    TAG_FORM,
     SamplerSpec,
     sample_boundary,
     sample_form,
-    substream_states,
-    trial_rng,
 )
-from tests.test_substreams import scalar_split_draw
+from tests.test_substreams import form_row, scalar_split_draw
 
 DRAWS = 4096
 SPEC = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=1)
@@ -38,7 +35,7 @@ SPEC = SamplerSpec(Dims(8, 3), c=1 / 6, d=0.0, seed=1)
 def split_of_draws():
     """The principal split of the first ``DRAWS`` forms of ``SPEC`` and their
     budgets B."""
-    dec = principal_decompose(sample_form(SPEC, substream_states(1, range(DRAWS), TAG_FORM)))
+    dec = principal_decompose(sample_form(SPEC, range(DRAWS)))
     return dec, (SPEC.c - 1 / 8) * dec.H.norm2 - SPEC.d
 
 
@@ -57,10 +54,10 @@ def test_shares_reach_the_edges():
 def test_principal_split_recovers_the_drawn_split(dims, c, d):
     spec = SamplerSpec(dims, c=c, d=d, seed=3)
     trials = range(64)
-    dec = principal_decompose(sample_form(spec, substream_states(3, trials, TAG_FORM)))
+    dec = principal_decompose(sample_form(spec, trials))
     f = c * dec.H.norm2 - dec.a2 - d
     for i, trial in enumerate(trials):
-        _, split = scalar_split_draw(trial_rng(3, trial), dims, c, d)
+        _, split = scalar_split_draw(*form_row(3, trial, dims), dims, c, d)
         tol = 1e-12 * split["budget"]
         assert abs(dec.a_minus2[i] - split["a_minus2"]) <= tol
         assert abs(dec.h_ring2[i] - split["h_ring2"]) <= tol
@@ -72,7 +69,7 @@ def test_principal_split_recovers_the_drawn_split(dims, c, d):
 @pytest.mark.parametrize("d", [0.0, 1.0, 1e8, 1e30, MAX_D])
 def test_computed_f_is_positive_at_every_d(dims, c, trials, d):
     spec = SamplerSpec(dims, c=c, d=d, seed=1)
-    form, boundary = sample_boundary(spec, substream_states(1, range(trials), TAG_FORM))
+    form, boundary = sample_boundary(spec, range(trials))
     dec = principal_decompose(form)
     assert np.all(c * dec.H.norm2 - dec.a2 - d > 0)
     # raises unless every boundary form sits on |A|^2 = c|H|^2 - d
